@@ -24,12 +24,15 @@ race:
 
 # Tier-1 gate: everything CI runs before a merge.
 verify: build
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/...
 	$(MAKE) race
 	$(GO) test -race -run 'TestChaos' -count=1 .
-	$(GO) test -race -run 'TestExportFloodBench' -count=1 .
+	FLOOD_EXPORT=1 $(GO) test -race -run 'TestExportFloodBench' -count=1 .
 	HOTPATH_EXPORT=1 $(GO) test -run 'TestExportHotpathBench' -count=1 .
 	$(MAKE) trace
 	$(MAKE) avail
@@ -92,7 +95,7 @@ trace:
 # budget. 'TestAvail' deliberately does not match TestExportAvailBench.
 avail:
 	$(GO) test -race -run 'TestAvail' -count=1 -v .
-	$(GO) test -run 'TestExportAvailBench' -count=1 -v .
+	AVAIL_EXPORT=1 $(GO) test -run 'TestExportAvailBench' -count=1 -v .
 
 # Durability smoke: the durable-log unit suite race-enabled, the crash
 # e2e suite (SIGKILL-equivalent broker crash + same-log-dir restart with
@@ -128,7 +131,7 @@ fabric:
 telemetry:
 	$(GO) test -race -count=1 ./internal/obs/...
 	$(GO) test -race -run 'TestMetricNameLint|TestTelemetryFleetTopE2E' -count=1 -v .
-	$(GO) test -run 'TestExportObsBench' -count=1 -v .
+	OBS_EXPORT=1 $(GO) test -run 'TestExportObsBench' -count=1 -v .
 
 # Full benchmark sweep (the testing.B mirror of the paper's evaluation).
 bench:
@@ -139,7 +142,7 @@ bench:
 # so the protections are exercised under contention; writes
 # BENCH_flood.json.
 flood:
-	$(GO) test -race -run 'TestExportFloodBench' -count=1 -v .
+	FLOOD_EXPORT=1 $(GO) test -race -run 'TestExportFloodBench' -count=1 -v .
 
 # Hot-path benchmark: §4.3 guard verification with and without the
 # verified-token cache, zero-alloc forward framing, and multi-publisher

@@ -280,14 +280,14 @@ func TestExportFabricBench(t *testing.T) {
 	}
 
 	out := map[string]any{
-		"description": "aggregate admitted deliveries/s of 1/2/4/8-broker fabrics under an identical offered schedule; per-broker admission is capacity-normalized by the publish token bucket (links exempt), so the figure isolates fabric routing overhead and shard balance",
-		"offered_msgs":           fabricBenchMsgs,
-		"offered_span_sec":       fabricBenchSpan.Seconds(),
-		"topics":                 fabricBenchTopics,
-		"per_broker_admit_rate":  fabricBenchRate,
-		"scale":                  results,
-		"speedup_4_vs_1":         ratio,
-		"speedup_8_vs_1":         float64(results[3].Delivered) / float64(base.Delivered),
+		"description":           "aggregate admitted deliveries/s of 1/2/4/8-broker fabrics under an identical offered schedule; per-broker admission is capacity-normalized by the publish token bucket (links exempt), so the figure isolates fabric routing overhead and shard balance",
+		"offered_msgs":          fabricBenchMsgs,
+		"offered_span_sec":      fabricBenchSpan.Seconds(),
+		"topics":                fabricBenchTopics,
+		"per_broker_admit_rate": fabricBenchRate,
+		"scale":                 results,
+		"speedup_4_vs_1":        ratio,
+		"speedup_8_vs_1":        float64(results[3].Delivered) / float64(base.Delivered),
 	}
 	blob, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -395,11 +395,11 @@ func newFabricBenchClusterShard(t testing.TB, n int, shard fabric.ShardFunc) *fa
 		}
 		b.Serve(l)
 		f, err := fabric.New(fabric.Config{
-			Broker:         b,
-			Transport:      fc.tr,
-			TransportName:  "inproc",
-			Addr:           l.Addr(),
-			Dir: brokerdir.NewClient(fc.tr, dl.Addr()),
+			Broker:        b,
+			Transport:     fc.tr,
+			TransportName: "inproc",
+			Addr:          l.Addr(),
+			Dir:           brokerdir.NewClient(fc.tr, dl.Addr()),
 			// Gossip floods the full mesh: 16 brokers at 10Hz is ~36k
 			// frames/s of background load, enough to starve a one-core
 			// -race host. The default cadence converges in a few

@@ -95,7 +95,7 @@ func FuzzParseBatch(f *testing.F) {
 
 	f.Add(appendBatch(nil, [][]byte{frame})[1:])
 	f.Add(appendBatch(nil, [][]byte{frame, frame, frame})[1:])
-	f.Add(appendBatch(nil, [][]byte{frame})[1 : 4+len(frame)/2]) // truncated sub-frame
+	f.Add(appendBatch(nil, [][]byte{frame})[1 : 4+len(frame)/2])  // truncated sub-frame
 	f.Add(binary.BigEndian.AppendUint32(nil, maxBatchFrameLen+1)) // oversized length
 	f.Add([]byte{0, 0, 1})                                        // short prefix
 	f.Add([]byte{0, 0, 0, 0})                                     // zero-length entry
@@ -245,7 +245,7 @@ func TestEgressBatchRespectsFrameCap(t *testing.T) {
 		e.enqueueData([]byte{byte(i)}, time.Unix(1000, 0))
 	}
 	e.mu.Lock()
-	frames := e.popBatchLocked()
+	frames := e.popDataLocked(nil)
 	rest := e.queuedData()
 	e.mu.Unlock()
 	if len(frames) != maxBatchFrames {
@@ -255,6 +255,86 @@ func TestEgressBatchRespectsFrameCap(t *testing.T) {
 		t.Fatalf("%d frames left queued, want 5", rest)
 	}
 	conn.Close()
+}
+
+// TestEgressNeverBatchesDurableFrames queues plain envelope frames
+// interleaved with offset-annotated replay frames behind a control
+// frame. One drain sends the control frame first, then the data in queue
+// order with every run of plain frames coalesced and every frameDurable
+// frame on its own — a batch the strict parser would reject (and the
+// client drop whole) is never built.
+func TestEgressNeverBatchesDurableFrames(t *testing.T) {
+	tp := topic.MustParse("/Traces/interleaved")
+	plain := func(n byte) []byte {
+		return append([]byte{frameEnvelope}, traceEnv(tp, n).Marshal()...)
+	}
+	replay := func(off uint64, n byte) []byte { return appendDurable(nil, off, plain(n)) }
+	queue := [][]byte{
+		plain(1), plain(2), replay(10, 3), plain(4), plain(5), plain(6),
+		replay(11, 7), replay(12, 8), plain(9), replay(13, 10),
+	}
+	ctrl := append([]byte{frameControl}, marshalControl(&control{Kind: ctrlAck, ID: 1})...)
+
+	for _, batchBytes := range []int{32 << 10, 0} {
+		conn := newGateConn()
+		e := newEgress(conn, 64, batchBytes, 0)
+		for _, f := range queue {
+			e.enqueueData(f, time.Unix(1000, 0))
+		}
+		if !e.enqueueCtrl(ctrl) {
+			t.Fatal("control enqueue refused")
+		}
+		for range queue {
+			conn.gate <- struct{}{}
+		}
+		conn.gate <- struct{}{}
+		go e.run()
+		waitFor(t, "queue drained", func() bool { return e.depth() == 0 })
+		e.beginClose()
+		<-conn.closed
+
+		sent := conn.sentFrames()
+		if len(sent) == 0 || !bytes.Equal(sent[0], ctrl) {
+			t.Fatalf("batchBytes=%d: first frame is not the control frame", batchBytes)
+		}
+		// Unpack what went out, in order, and compare with the queue.
+		var got [][]byte
+		wantSends := 1 + len(queue)
+		for _, f := range sent[1:] {
+			switch f[0] {
+			case frameBatch:
+				if batchBytes == 0 {
+					t.Fatal("unbatched egress built a batch")
+				}
+				sub, err := parseBatch(f[1:])
+				if err != nil {
+					t.Fatalf("egress built a batch its own parser rejects: %v", err)
+				}
+				got = append(got, sub...)
+			case frameDurable:
+				if _, _, err := parseDurable(f[1:]); err != nil {
+					t.Fatalf("durable frame damaged: %v", err)
+				}
+				got = append(got, f)
+			default:
+				got = append(got, f)
+			}
+		}
+		if batchBytes > 0 {
+			wantSends = 1 + 7 // ctrl, [1 2], 3, [4 5 6], 7, 8, 9, 10
+		}
+		if len(sent) != wantSends {
+			t.Fatalf("batchBytes=%d: %d sends, want %d", batchBytes, len(sent), wantSends)
+		}
+		if len(got) != len(queue) {
+			t.Fatalf("batchBytes=%d: %d data frames out, want %d", batchBytes, len(got), len(queue))
+		}
+		for i := range queue {
+			if !bytes.Equal(got[i], queue[i]) {
+				t.Fatalf("batchBytes=%d: data frame %d out of order or altered", batchBytes, i)
+			}
+		}
+	}
 }
 
 // TestPublishBatchRoundTrip sends a client-coalesced batch through a

@@ -7,8 +7,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"entitytrace/internal/clock"
 	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
+	"entitytrace/internal/obs"
 	"entitytrace/internal/topic"
 	"entitytrace/internal/transport"
 )
@@ -29,6 +31,28 @@ var (
 	// logic can take over.
 	ErrWriteTimeout = errors.New("broker: write timed out")
 )
+
+// Inbound frames the client could not use, by reason. Nothing reaches a
+// handler from a dropped frame, so without the counter a broker that
+// sends what the client cannot parse looks like a silent subscription.
+var (
+	mDropKind          = clientDropCounter("unknown_kind")
+	mDropControl       = clientDropCounter("bad_control")
+	mDropEnvelope      = clientDropCounter("bad_envelope")
+	mDropDurable       = clientDropCounter("bad_durable")
+	mDropBatch         = clientDropCounter("bad_batch")
+	mDropBatchEnvelope = clientDropCounter("bad_batch_envelope")
+)
+
+// clientDrop pairs a drop reason with its counter.
+type clientDrop struct {
+	reason string
+	n      *obs.Counter
+}
+
+func clientDropCounter(reason string) clientDrop {
+	return clientDrop{reason, obs.Default.Counter(obs.WithLabel("client_frames_dropped_total", "reason", reason))}
+}
 
 // subscribeTimeout bounds the wait for a subscription acknowledgement.
 const subscribeTimeout = 10 * time.Second
@@ -71,12 +95,23 @@ type Client struct {
 	closed   bool
 
 	defaultHandler atomic.Value // Handler
+	warn           atomic.Pointer[obs.LogLimiter]
 	nextID         atomic.Uint64
 	// reason records the typed DISCONNECT cause announced by the broker
 	// before it dropped the connection (zero = ReasonNone).
-	reason       atomic.Uint64
+	reason atomic.Uint64
+	done   chan struct{}
+
+	// Write path: writeMu admits one frame write at a time, writeStart
+	// holds the clock reading (unix nanoseconds) taken when the write in
+	// flight began, 0 while none is, and the watchdog goroutine tears
+	// the connection down — setting timedOut first — once that write is
+	// older than writeTimeout.
+	clk          clock.Clock
 	writeTimeout time.Duration
-	done         chan struct{}
+	writeMu      sync.Mutex
+	writeStart   atomic.Int64
+	timedOut     atomic.Bool
 }
 
 type wildHandler struct {
@@ -112,10 +147,14 @@ func ConnectWith(tr transport.Transport, addr string, entity ident.EntityID, opt
 		conn:         conn,
 		handlers:     make(map[string][]Handler),
 		pending:      make(map[uint64]chan *control),
-		writeTimeout: opts.WriteTimeout,
 		done:         make(chan struct{}),
+		clk:          clock.Real{},
+		writeTimeout: opts.WriteTimeout,
 	}
 	go c.recvLoop()
+	if c.writeTimeout > 0 {
+		go c.writeWatchdog()
+	}
 	return c, nil
 }
 
@@ -127,6 +166,19 @@ func (c *Client) Entity() ident.EntityID { return c.entity }
 // handler change).
 func (c *Client) OnUnhandled(h Handler) { c.defaultHandler.Store(h) }
 
+// SetLogger installs the logger for the client's warnings (dropped
+// inbound frames), paced to one line per reason per second. Without one
+// the client counts drops and logs nothing.
+func (c *Client) SetLogger(l *obs.Logger) {
+	c.warn.Store(obs.NewLogLimiter(l.With("client", string(c.entity)), time.Second, c.clk.Now))
+}
+
+// drop accounts one unusable inbound frame.
+func (c *Client) drop(d clientDrop, err error) {
+	d.n.Inc()
+	c.warn.Load().Warn(d.reason, "dropped inbound frame", "reason", d.reason, "err", err)
+}
+
 // recvLoop pumps frames from the broker.
 func (c *Client) recvLoop() {
 	defer c.shutdown()
@@ -136,12 +188,14 @@ func (c *Client) recvLoop() {
 			return
 		}
 		if len(frame) < 1 {
+			c.drop(mDropKind, errors.New("empty frame"))
 			continue
 		}
 		switch frame[0] {
 		case frameControl:
 			ctl, err := parseControl(frame[1:])
 			if err != nil {
+				c.drop(mDropControl, err)
 				continue
 			}
 			if ctl.Kind == ctrlDisconnect {
@@ -160,6 +214,7 @@ func (c *Client) recvLoop() {
 		case frameEnvelope:
 			env, err := message.UnmarshalShared(frame[1:])
 			if err != nil {
+				c.drop(mDropEnvelope, err)
 				continue
 			}
 			c.dispatch(env)
@@ -169,10 +224,12 @@ func (c *Client) recvLoop() {
 			// offset; otherwise the envelope degrades to plain dispatch.
 			offset, inner, err := parseDurable(frame[1:])
 			if err != nil {
+				c.drop(mDropDurable, err)
 				continue
 			}
 			env, err := message.UnmarshalShared(inner[1:])
 			if err != nil {
+				c.drop(mDropDurable, err)
 				continue
 			}
 			ts := env.Topic.String()
@@ -188,15 +245,19 @@ func (c *Client) recvLoop() {
 			// A coalesced egress drain from the broker (PROTOCOL.md §3.7).
 			frames, err := parseBatch(frame[1:])
 			if err != nil {
+				c.drop(mDropBatch, err)
 				continue
 			}
 			for _, f := range frames {
 				env, err := message.UnmarshalShared(f[1:])
 				if err != nil {
+					c.drop(mDropBatchEnvelope, err)
 					continue
 				}
 				c.dispatch(env)
 			}
+		default:
+			c.drop(mDropKind, fmt.Errorf("frame kind %d", frame[0]))
 		}
 	}
 }
@@ -241,7 +302,7 @@ func (c *Client) Subscribe(tp topic.Topic, h Handler) error {
 	c.mu.Unlock()
 
 	sub := &control{Kind: ctrlSub, ID: id, Topic: tp.String()}
-	if err := c.sendTimed(append([]byte{frameControl}, marshalControl(sub)...)); err != nil {
+	if err := c.send(append([]byte{frameControl}, marshalControl(sub)...)); err != nil {
 		return err
 	}
 	select {
@@ -301,7 +362,7 @@ func (c *Client) Replay(tp topic.Topic, since uint64, h DurableHandler) error {
 	c.mu.Unlock()
 
 	replay := &control{Kind: ctrlReplay, ID: id, Topic: ts, Cursor: since}
-	if err := c.sendTimed(append([]byte{frameControl}, marshalControl(replay)...)); err != nil {
+	if err := c.send(append([]byte{frameControl}, marshalControl(replay)...)); err != nil {
 		c.dropDurable(ts)
 		return err
 	}
@@ -346,7 +407,7 @@ func (c *Client) Ack(tp topic.Topic, offset uint64) error {
 		return ErrClientClosed
 	}
 	ack := &control{Kind: ctrlAckCur, Topic: tp.String(), Cursor: offset}
-	return c.sendTimed(append([]byte{frameControl}, marshalControl(ack)...))
+	return c.send(append([]byte{frameControl}, marshalControl(ack)...))
 }
 
 // Unsubscribe withdraws interest in a topic and removes its handlers.
@@ -370,7 +431,7 @@ func (c *Client) Unsubscribe(tp topic.Topic) error {
 	}
 	c.mu.Unlock()
 	unsub := &control{Kind: ctrlUnsub, ID: c.nextID.Add(1), Topic: ts}
-	return c.sendTimed(append([]byte{frameControl}, marshalControl(unsub)...))
+	return c.send(append([]byte{frameControl}, marshalControl(unsub)...))
 }
 
 // Publish sends an envelope into the broker network. The envelope's
@@ -385,7 +446,9 @@ func (c *Client) Publish(env *message.Envelope) error {
 	if closed {
 		return ErrClientClosed
 	}
-	return c.sendTimed(append([]byte{frameEnvelope}, env.Marshal()...))
+	frame := make([]byte, 1, 1+env.WireSize())
+	frame[0] = frameEnvelope
+	return c.send(env.AppendWire(frame, env.TTL))
 }
 
 // PublishBatch sends several envelopes in one frameBatch write
@@ -420,28 +483,51 @@ func (c *Client) PublishBatch(envs []*message.Envelope) error {
 		f[0] = frameEnvelope
 		frames[i] = env.AppendWire(f, env.TTL)
 	}
-	return c.sendTimed(appendBatch(make([]byte, 0, size), frames))
+	return c.send(appendBatch(make([]byte, 0, size), frames))
 }
 
-// sendTimed writes one frame under the write deadline. On timeout the
-// client shuts down: closing the connection both unblocks the stuck
-// writer goroutine and fires Done so reconnect machinery takes over — a
-// write that cannot complete within the deadline means the broker-side
-// pipe is dead or wedged, and no later write would fare better.
-func (c *Client) sendTimed(frame []byte) error {
-	if c.writeTimeout < 0 {
-		return c.conn.Send(frame)
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- c.conn.Send(frame) }()
-	t := time.NewTimer(c.writeTimeout)
-	defer t.Stop()
-	select {
-	case err := <-errCh:
-		return err
-	case <-t.C:
-		c.shutdown()
+// send writes one frame under the write deadline. Writes are serialized
+// so the one in flight can be timed by the watchdog without a goroutine,
+// channel or timer per frame. On timeout the client shuts down: closing
+// the connection both unblocks the stuck write and fires Done so
+// reconnect machinery takes over — a write that cannot complete within
+// the deadline means the broker-side pipe is dead or wedged, and no
+// later write would fare better.
+func (c *Client) send(frame []byte) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	c.writeStart.Store(c.clk.Now().UnixNano())
+	err := c.conn.Send(frame)
+	c.writeStart.Store(0)
+	if err != nil && c.timedOut.Load() {
 		return ErrWriteTimeout
+	}
+	return err
+}
+
+// writeWatchdog is the client's one write timer. It sleeps a full
+// writeTimeout while no write is in flight, otherwise until the write
+// in flight comes of age, and shuts the client down when it finds one
+// that has. It exits with the client.
+func (c *Client) writeWatchdog() {
+	t := c.clk.NewTimer(c.writeTimeout)
+	defer t.Stop()
+	for {
+		select {
+		case <-c.done:
+			return
+		case <-t.C():
+		}
+		wait := c.writeTimeout
+		if start := c.writeStart.Load(); start != 0 {
+			wait = c.writeTimeout - time.Duration(c.clk.Now().UnixNano()-start)
+			if wait <= 0 {
+				c.timedOut.Store(true)
+				c.shutdown()
+				return
+			}
+		}
+		t.Reset(wait)
 	}
 }
 
@@ -454,7 +540,7 @@ func (c *Client) Close() error {
 	}
 	c.mu.Unlock()
 	bye := &control{Kind: ctrlBye}
-	_ = c.sendTimed(append([]byte{frameControl}, marshalControl(bye)...))
+	_ = c.send(append([]byte{frameControl}, marshalControl(bye)...))
 	err := c.conn.Close()
 	c.shutdown()
 	return err

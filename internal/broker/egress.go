@@ -34,8 +34,9 @@ type egress struct {
 	conn transport.Conn
 
 	// batchBytes > 0 enables drain coalescing: each writer pass packs as
-	// many queued data frames as fit under the byte budget into one
-	// frameBatch send. batchLatency > 0 additionally lets an underfull
+	// many queued data frames as fit under the byte budget into
+	// frameBatch frames (one, unless replay frames, which are never
+	// packed, split it). batchLatency > 0 additionally lets an underfull
 	// drain linger once, waiting for more frames to accumulate, before
 	// flushing — bounding the latency a coalesced frame can be held.
 	// Control frames are never batched and always preempt the linger.
@@ -178,25 +179,59 @@ func (e *egress) beginClose() {
 	e.signal()
 }
 
-// popBatchLocked removes and returns the longest prefix of queued data
-// frames that fits the batch byte budget (always at least one frame,
-// even when that frame alone exceeds the budget) and the frame cap.
-// Callers hold e.mu.
-func (e *egress) popBatchLocked() [][]byte {
-	var frames [][]byte
+// unbatchedPassBytes is the byte budget of one writer pass when drain
+// coalescing is off (batchBytes <= 0): what a pass takes off the queue
+// is committed to the socket and can no longer be shed, so it stays
+// bounded however deep the queue is.
+const unbatchedPassBytes = 64 << 10
+
+// popDataLocked removes the longest prefix of queued data frames that
+// fits the pass byte budget (always at least one frame, even when that
+// frame alone exceeds the budget) and the frame cap, and appends it to
+// dst. Callers hold e.mu.
+func (e *egress) popDataLocked(dst [][]byte) [][]byte {
+	budget := e.batchBytes
+	if budget <= 0 {
+		budget = unbatchedPassBytes
+	}
 	size := 1 // frameBatch kind byte
-	for e.queuedData() > 0 && len(frames) < maxBatchFrames {
+	for n := 0; e.queuedData() > 0 && n < maxBatchFrames; n++ {
 		f := e.data[e.dataHead]
-		if len(frames) > 0 && size+4+len(f) > e.batchBytes {
+		if n > 0 && size+4+len(f) > budget {
 			break
 		}
 		size += 4 + len(f)
-		frames = append(frames, f)
+		dst = append(dst, f)
 		e.data[e.dataHead] = nil
 		e.dataHead++
 	}
 	e.compact()
-	return frames
+	return dst
+}
+
+// appendCoalesced appends frames to pass in wire order with every run of
+// two or more consecutive batchable frames packed into one frameBatch
+// frame. A frameDurable frame is never packed — a batch carries plain
+// envelope frames only (parseBatch rejects anything else, and the
+// receiver would drop the whole batch) — so it travels as its own frame
+// between the batches around it.
+func appendCoalesced(pass, frames [][]byte) [][]byte {
+	for len(frames) > 0 {
+		n := 0
+		for n < len(frames) && !(len(frames[n]) > 0 && frames[n][0] == frameDurable) {
+			n++
+		}
+		if n < 2 { // a durable frame, or a lone batchable one: sent as it is
+			pass = append(pass, frames[0])
+			frames = frames[1:]
+			continue
+		}
+		pass = append(pass, appendBatch(make([]byte, 0, batchWireSize(frames[:n])), frames[:n]))
+		mBatchSends.Inc()
+		mBatchFrames.Add(uint64(n))
+		frames = frames[n:]
+	}
+	return pass
 }
 
 // batchUnderfullLocked reports whether the queued data would not yet
@@ -213,14 +248,30 @@ func (e *egress) batchUnderfullLocked() bool {
 	return true
 }
 
-// run is the writer loop: it drains control frames before data frames
-// until the connection dies or beginClose has been honoured. It owns all
-// conn.Send calls for the peer. With batching enabled, each data pass
-// coalesces the queue (up to batchBytes) into one frameBatch send; an
-// underfull pass may linger once, up to batchLatency, for more frames —
-// control frames and closure interrupt the linger immediately.
+// die marks the writer dead, drops whatever is still queued and closes
+// the connection. Callers hold e.mu; die releases it.
+func (e *egress) die() {
+	drop := int64(len(e.ctrl) + e.queuedData())
+	e.ctrl, e.data, e.dataHead = nil, nil, 0
+	e.dead = true
+	e.mu.Unlock()
+	mEgressDepth.Add(-drop)
+	e.conn.Close()
+}
+
+// run is the writer loop. It owns all sends for the peer, and each pass
+// hands the transport everything sendable in one call: every queued
+// control frame first, then queued data up to the pass budget — as
+// plain frames, or with batching enabled coalesced into frameBatch
+// frames — so a stream connection pays one write per pass, not per
+// frame. With batchLatency set, an underfull data drain may linger once,
+// up to batchLatency, for more frames; control frames and closure
+// interrupt the linger immediately, and queued control frames are never
+// held back by it. The loop ends when the connection dies or beginClose
+// has been honoured.
 func (e *egress) run() {
 	lingered := false
+	var pass, popped [][]byte // reused across passes
 	for {
 		e.mu.Lock()
 		for len(e.ctrl) == 0 && e.queuedData() == 0 && !e.closing && !e.dead {
@@ -229,65 +280,51 @@ func (e *egress) run() {
 			e.mu.Lock()
 		}
 		if e.dead || (e.closing && len(e.ctrl) == 0) {
-			// Drop whatever data remains and leave.
-			drop := int64(len(e.ctrl) + e.queuedData())
-			e.ctrl, e.data, e.dataHead = nil, nil, 0
-			e.dead = true
-			e.mu.Unlock()
-			mEgressDepth.Add(-drop)
-			e.conn.Close()
+			e.die()
 			return
 		}
-		var frame []byte
-		consumed := int64(1)
-		if len(e.ctrl) > 0 {
-			frame = e.ctrl[0]
-			e.ctrl = e.ctrl[1:]
-		} else if e.batchBytes <= 0 {
-			frame = e.data[e.dataHead]
-			e.data[e.dataHead] = nil
-			e.dataHead++
-			e.compact()
-		} else {
-			if e.batchLatency > 0 && !lingered && !e.closing && e.batchUnderfullLocked() {
-				// Underfull drain: hold the frames once, bounded by the
-				// latency budget, hoping to amortize the send. A control
-				// frame or closure signals the wake channel and cuts the
-				// linger short.
-				lingered = true
-				e.mu.Unlock()
-				t := time.NewTimer(e.batchLatency)
-				select {
-				case <-e.wake:
-				case <-t.C:
-				}
-				t.Stop()
-				continue
+		// An underfull batch is held once, bounded by the latency
+		// budget, hoping to amortize the send.
+		hold := e.batchBytes > 0 && e.batchLatency > 0 && !lingered && !e.closing &&
+			e.queuedData() > 0 && e.batchUnderfullLocked()
+		if hold && len(e.ctrl) == 0 {
+			// A control frame or closure signals the wake channel and
+			// cuts the linger short.
+			lingered = true
+			e.mu.Unlock()
+			t := time.NewTimer(e.batchLatency)
+			select {
+			case <-e.wake:
+			case <-t.C:
 			}
-			frames := e.popBatchLocked()
-			if len(frames) == 1 {
-				frame = frames[0]
+			t.Stop()
+			continue
+		}
+		pass = append(pass[:0], e.ctrl...)
+		clear(e.ctrl)
+		e.ctrl = e.ctrl[:0]
+		consumed := int64(len(pass))
+		// Closure flushes control frames only; data is dropped.
+		if !hold && !e.closing && e.queuedData() > 0 {
+			popped = e.popDataLocked(popped[:0])
+			consumed += int64(len(popped))
+			if e.batchBytes > 0 {
+				pass = appendCoalesced(pass, popped)
 			} else {
-				frame = appendBatch(make([]byte, 0, batchWireSize(frames)), frames)
-				mBatchSends.Inc()
-				mBatchFrames.Add(uint64(len(frames)))
+				pass = append(pass, popped...)
 			}
-			consumed = int64(len(frames))
+			clear(popped)
 			lingered = false
 		}
 		e.mu.Unlock()
 
-		err := e.conn.Send(frame)
+		err := transport.SendAll(e.conn, pass)
+		clear(pass)
 
 		e.mu.Lock()
 		mEgressDepth.Add(-consumed)
 		if err != nil {
-			drop := int64(len(e.ctrl) + e.queuedData())
-			e.ctrl, e.data, e.dataHead = nil, nil, 0
-			e.dead = true
-			e.mu.Unlock()
-			mEgressDepth.Add(-drop)
-			e.conn.Close()
+			e.die()
 			return
 		}
 		// A completed send with the queue back under half the bound means

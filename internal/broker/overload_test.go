@@ -318,7 +318,7 @@ func TestViolationScoreDecay(t *testing.T) {
 		if err := c.Publish(env); err != nil {
 			t.Fatalf("violation %d: connection already dead: %v", i, err)
 		}
-		waitFor(t, "violation recorded", func() bool { return b.Snapshot().Violations >= uint64(i + 1) })
+		waitFor(t, "violation recorded", func() bool { return b.Snapshot().Violations >= uint64(i+1) })
 		fake.Advance(time.Hour)
 	}
 	if d := b.Snapshot().Disconnects; d != 0 {

@@ -31,7 +31,7 @@ func pipe(t *testing.T, inj *Injector, addr string) (client, server transport.Co
 		}
 		accepted <- c
 	}()
-	client, err = inj.Dial(addr)
+	client, err = inj.Dial(ln.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -311,5 +311,53 @@ func TestBandwidthDelaysLargeFrames(t *testing.T) {
 	v2 := b.Apply(ev, nil)
 	if v2.Delay != time.Second {
 		t.Fatalf("second frame delay %v", v2.Delay)
+	}
+}
+
+// TestSendAllThroughInjectorJudgesEveryFrame sends one multi-frame drain
+// with transport.SendAll through an injector-wrapped TCP connection: the
+// stream transport may put the frames on the wire with a single write,
+// but the injector still renders one verdict per frame — here dropping
+// exactly the odd-numbered ones — as it does for frame-at-a-time Sends.
+func TestSendAllThroughInjectorJudgesEveryFrame(t *testing.T) {
+	inj, err := New(transport.NewTCP(), Config{Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.Set("odd", FaultFunc(func(ev *Event, _ *rand.Rand) Verdict {
+		return Verdict{Drop: ev.Frame[0]%2 == 1}
+	}))
+	client, server := pipe(t, inj, "127.0.0.1:0")
+
+	const n = 41 // ends on an even frame, so every odd one has been judged by then
+	frames := make([][]byte, n)
+	for i := range frames {
+		frames[i] = bytes.Repeat([]byte{byte(i)}, 10+i)
+	}
+	if err := transport.SendAll(client, frames[:n/2]); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames[n/2:] {
+		if err := client.Send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i += 2 {
+		got, err := server.Recv()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(got, frames[i]) {
+			t.Fatalf("got frame %d (%d bytes), want frame %d", got[0], len(got), i)
+		}
+	}
+	drops := 0
+	for _, d := range inj.Decisions() {
+		if d.Fault == "odd" && d.Action == "drop" {
+			drops++
+		}
+	}
+	if drops != n/2 {
+		t.Fatalf("%d drop verdicts journaled, want %d (one per odd frame)", drops, n/2)
 	}
 }

@@ -201,6 +201,7 @@ func NewTracker(cfg TrackerConfig) (*Tracker, error) {
 		warnLim:  obs.NewLogLimiter(log, time.Second, cfg.Clock.Now),
 		watches:  make(map[ident.UUID]*Watch),
 		sessions: NewSessionStore(0), done: make(chan struct{})}
+	cfg.Client.SetLogger(log)
 	if cr, ok := cfg.Resolver.(*CachingResolver); ok {
 		tk.caching = cr
 	} else if cfg.Resolver == nil {
@@ -243,6 +244,7 @@ func (tk *Tracker) reconnectLoop() {
 				return errStopped
 			}
 			tk.cl = cl
+			cl.SetLogger(tk.log)
 			watches := make([]*Watch, 0, len(tk.watches))
 			for _, w := range tk.watches {
 				watches = append(watches, w)

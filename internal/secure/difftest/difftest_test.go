@@ -35,12 +35,12 @@ func TestDiffExpiry(t *testing.T) {
 
 	var v Verdicts
 	for _, at := range []time.Time{
-		time.Unix(0, p.Params.NotBefore),  // issue instant
-		notAfter.Add(-30 * time.Minute),   // mid-window
-		notAfter,                          // exact expiry (inclusive)
-		notAfter.Add(w.Skew),              // inside skew tolerance (inclusive)
+		time.Unix(0, p.Params.NotBefore),       // issue instant
+		notAfter.Add(-30 * time.Minute),        // mid-window
+		notAfter,                               // exact expiry (inclusive)
+		notAfter.Add(w.Skew),                   // inside skew tolerance (inclusive)
 		notAfter.Add(w.Skew + time.Nanosecond), // first rejected instant
-		notAfter.Add(time.Hour),           // long expired; session now invalidated
+		notAfter.Add(time.Hour),                // long expired; session now invalidated
 	} {
 		w.Clock.Set(at)
 		v.Step(w, p.Topic, pr)

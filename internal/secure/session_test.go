@@ -25,9 +25,9 @@ func mustHex(t *testing.T, s string) []byte {
 // standard construction, not a lookalike.
 func TestHKDFRFC5869Vectors(t *testing.T) {
 	cases := []struct {
-		name                   string
-		ikm, salt, info, okm   string
-		length                 int
+		name                 string
+		ikm, salt, info, okm string
+		length               int
 	}{
 		{
 			name:   "A.1 basic",

@@ -214,10 +214,10 @@ func TestIsSessionKeyDelivery(t *testing.T) {
 	}
 	tt := ident.NewUUID()
 	bad := []string{
-		"/Constrained/Traces/Broker/Publish-Only/System/SessionKeys",     // missing name
-		"/Constrained/Traces/Broker/Publish-Only/System/SessionKeys/a/b", // extra segment
-		"/Constrained/Traces/Broker/Subscribe-Only/System/SessionKeys/a", // wrong direction
-		"/Constrained/Traces/Broker/Publish-Only/System/SessionKeys/*",   // wildcard name
+		"/Constrained/Traces/Broker/Publish-Only/System/SessionKeys",             // missing name
+		"/Constrained/Traces/Broker/Publish-Only/System/SessionKeys/a/b",         // extra segment
+		"/Constrained/Traces/Broker/Subscribe-Only/System/SessionKeys/a",         // wrong direction
+		"/Constrained/Traces/Broker/Publish-Only/System/SessionKeys/*",           // wildcard name
 		"/Constrained/Traces/Broker/Publish-Only/" + tt.String() + "/AllUpdates", // guarded trace topic
 		"/Constrained/Traces/tracker-1/Subscribe-Only/Keys/" + tt.String(),       // tracker key topic
 	}

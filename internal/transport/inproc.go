@@ -151,7 +151,7 @@ func (c *inprocConn) Send(frame []byte) error {
 	case <-c.peer.done:
 		return ErrClosed
 	case c.send <- cp:
-		inprocMetrics.recordSend(len(cp))
+		inprocMetrics.recordSend(1, len(cp))
 		return nil
 	}
 }

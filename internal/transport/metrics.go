@@ -26,10 +26,10 @@ func newTransportMetrics(name string) *transportMetrics {
 	}
 }
 
-// recordSend accounts one outbound frame of n bytes.
-func (m *transportMetrics) recordSend(n int) {
+// recordSend accounts outbound frames totalling n bytes.
+func (m *transportMetrics) recordSend(frames, n int) {
 	m.bytesOut.Add(uint64(n))
-	m.messagesOut.Inc()
+	m.messagesOut.Add(uint64(frames))
 }
 
 // recordRecv accounts one inbound frame of n bytes.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -62,45 +63,96 @@ func (tl *tcpListener) Accept() (Conn, error) {
 func (tl *tcpListener) Close() error { return tl.l.Close() }
 func (tl *tcpListener) Addr() string { return tl.l.Addr().String() }
 
+// Framing I/O sizes. A stream carries frames back to back: several may
+// share one segment and one may straddle many, so the reader never
+// assumes a read returns exactly one frame.
+const (
+	frameHdrLen = 4
+	// recvBufSize is the per-connection read buffer: a burst of queued
+	// frames is taken from the socket with one read. Every connection
+	// holds one for life, so it is sized for a burst, not for the
+	// largest frame (a body larger than the buffer is read directly).
+	recvBufSize = 16 << 10
+	// sendStageMax bounds the per-connection staging buffer in which
+	// headers and small frames are joined so they leave with one write.
+	// A frame too large to stage goes out vectored, uncopied.
+	sendStageMax = 64 << 10
+)
+
 type tcpConn struct {
 	c       net.Conn
-	sendMu  sync.Mutex
-	recvBuf [4]byte
+	br      *bufio.Reader
+	recvHdr [frameHdrLen]byte
+
+	sendMu sync.Mutex
+	stage  []byte // guarded by sendMu; never longer than sendStageMax
 }
 
-func newTCPConn(c net.Conn) *tcpConn { return &tcpConn{c: c} }
+func newTCPConn(c net.Conn) *tcpConn {
+	return &tcpConn{c: c, br: bufio.NewReaderSize(c, recvBufSize)}
+}
 
-func (tc *tcpConn) Send(frame []byte) error {
-	if len(frame) > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(frame))
+func (tc *tcpConn) Send(frame []byte) error { return tc.sendAll(frame) }
+
+// sendAll writes frames back to back under one hold of the send lock:
+// the byte stream equals that of successive Sends, and the socket sees
+// one write per sendStageMax of small frames. A frame over the size
+// limit fails the call before any byte is written.
+func (tc *tcpConn) sendAll(frames ...[]byte) error {
+	total := 0
+	for _, f := range frames {
+		if len(f) > MaxFrameSize {
+			return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f))
+		}
+		total += frameHdrLen + len(f)
 	}
 	tc.sendMu.Lock()
 	defer tc.sendMu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := tc.c.Write(hdr[:]); err != nil {
-		return mapNetErr(err)
+	buf := tc.stage[:0]
+	defer func() { tc.stage = buf[:0] }()
+	for _, f := range frames {
+		if len(buf) > 0 && len(buf)+frameHdrLen+len(f) > sendStageMax {
+			if _, err := tc.c.Write(buf); err != nil {
+				return mapNetErr(err)
+			}
+			buf = buf[:0]
+		}
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(f)))
+		if frameHdrLen+len(f) <= sendStageMax {
+			buf = append(buf, f...)
+			continue
+		}
+		// Too large to stage: header and body leave in one vectored
+		// write, the body uncopied.
+		vec := net.Buffers{buf, f}
+		if _, err := vec.WriteTo(tc.c); err != nil {
+			return mapNetErr(err)
+		}
+		buf = buf[:0]
 	}
-	if _, err := tc.c.Write(frame); err != nil {
-		return mapNetErr(err)
+	if len(buf) > 0 {
+		if _, err := tc.c.Write(buf); err != nil {
+			return mapNetErr(err)
+		}
 	}
-	tcpMetrics.recordSend(len(frame) + len(hdr))
+	tcpMetrics.recordSend(len(frames), total)
 	return nil
 }
 
 func (tc *tcpConn) Recv() ([]byte, error) {
-	if _, err := io.ReadFull(tc.c, tc.recvBuf[:]); err != nil {
+	if _, err := io.ReadFull(tc.br, tc.recvHdr[:]); err != nil {
 		return nil, mapNetErr(err)
 	}
-	n := binary.BigEndian.Uint32(tc.recvBuf[:])
+	n := binary.BigEndian.Uint32(tc.recvHdr[:])
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
+	// A fresh body per frame: decoders alias it.
 	frame := make([]byte, n)
-	if _, err := io.ReadFull(tc.c, frame); err != nil {
+	if _, err := io.ReadFull(tc.br, frame); err != nil {
 		return nil, mapNetErr(err)
 	}
-	tcpMetrics.recordRecv(len(frame) + len(tc.recvBuf))
+	tcpMetrics.recordRecv(len(frame) + frameHdrLen)
 	return frame, nil
 }
 

@@ -40,6 +40,23 @@ type Conn interface {
 	RemoteAddr() string
 }
 
+// SendAll transmits frames in order, as successive c.Send calls would,
+// and stops at the first error. A connection that can put several
+// frames on the wire with one write does so; any other connection —
+// datagram, in-process, or a wrapper that shapes or injects faults per
+// frame — gets one Send per frame.
+func SendAll(c Conn, frames [][]byte) error {
+	if tc, ok := c.(*tcpConn); ok {
+		return tc.sendAll(frames...)
+	}
+	for _, f := range frames {
+		if err := c.Send(f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Listener accepts inbound connections.
 type Listener interface {
 	// Accept blocks until a connection arrives or the listener closes.

@@ -160,7 +160,7 @@ func (c *udpServerConn) Send(frame []byte) error {
 	}
 	_, err := c.ul.pc.WriteTo(frame, c.peer)
 	if err == nil {
-		udpMetrics.recordSend(len(frame))
+		udpMetrics.recordSend(1, len(frame))
 	}
 	return mapNetErr(err)
 }
@@ -220,7 +220,7 @@ func (c *udpClientConn) Send(frame []byte) error {
 	defer c.sendMu.Unlock()
 	_, err := c.c.Write(frame)
 	if err == nil {
-		udpMetrics.recordSend(len(frame))
+		udpMetrics.recordSend(1, len(frame))
 	}
 	return mapNetErr(err)
 }
