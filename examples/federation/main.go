@@ -12,6 +12,7 @@ import (
 	"log"
 	"time"
 
+	"entitytrace/internal/backoff"
 	"entitytrace/internal/broker"
 	"entitytrace/internal/clock"
 	"entitytrace/internal/core"
@@ -82,8 +83,9 @@ func main() {
 	defer mgrB.Close()
 
 	// Persistent links: both edges keep re-dialing the hub.
-	edgeA.ConnectToPersistent(tr, "hub", 50*time.Millisecond)
-	edgeB.ConnectToPersistent(tr, "hub", 50*time.Millisecond)
+	redial := backoff.Config{Initial: 50 * time.Millisecond, Max: 400 * time.Millisecond}
+	edgeA.ConnectToPersistentBackoff(tr, "hub", redial)
+	edgeB.ConnectToPersistentBackoff(tr, "hub", redial)
 
 	// Traced entity on edge-a.
 	entityID, err := ca.Issue("inventory-service")

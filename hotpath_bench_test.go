@@ -57,7 +57,7 @@ func BenchmarkTraceVerificationCached(b *testing.B) {
 // inspection + cached verification) as the broker invokes it per trace.
 func BenchmarkGuardCachedTrace(b *testing.B) {
 	env, _, resolver, verifier := benchVerificationFixture(b)
-	guard := core.NewCachedTokenGuard(resolver, verifier, nil, 0, core.NewTokenCache(0))
+	guard := core.NewObservedTokenGuard(resolver, verifier, nil, 0, core.NewTokenCache(0), nil)
 	p := topic.EntityPrincipal("bench-owner")
 	if err := guard(env, p); err != nil {
 		b.Fatal(err)

@@ -101,12 +101,7 @@ type Config struct {
 	// guard itself: pair this with core.NewObservedTokenGuard sharing the
 	// same recorder. Nil disables recording at the cost of one nil check.
 	Flight *obs.FlightRecorder
-	// Logf receives diagnostic output; nil silences it. Superseded by
-	// Log but still honoured (wrapped in a structured logger) so older
-	// callers keep working.
-	Logf func(format string, args ...any)
-	// Log is the structured logger; when set it takes precedence over
-	// Logf. Nil with a nil Logf silences diagnostics.
+	// Log is the structured logger; nil silences diagnostics.
 	Log *obs.Logger
 	// Clock paces persistent-link redial backoff; nil means the real
 	// clock. Tests inject clock.Fake to step reconnect schedules.
@@ -259,10 +254,12 @@ type peer struct {
 	// writer goroutine (no routing goroutine ever blocks on this peer's
 	// connection).
 	out *egress
-	// score and bucket are touched only by the peer's receive loop (one
-	// goroutine), so neither needs locking.
+	// score, bucket and batch (the pipeline's working set for a
+	// frameBatch, reused across frames) are touched only by the peer's
+	// receive loop (one goroutine), so none needs locking.
 	score  violationScore
 	bucket pubBucket
+	batch  []inbound
 	// advertised tracks which topics we have propagated SUBs for over
 	// this link (broker links only).
 	advertised map[string]struct{}
@@ -308,10 +305,6 @@ func New(cfg Config) *Broker {
 	if cfg.QuarantineDuration == 0 {
 		cfg.QuarantineDuration = DefaultQuarantineDuration
 	}
-	log := cfg.Log
-	if log == nil {
-		log = obs.NewCallbackLogger(obs.LevelDebug, cfg.Logf)
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
@@ -319,7 +312,7 @@ func New(cfg Config) *Broker {
 		cfg:       cfg,
 		clk:       cfg.Clock,
 		name:      cfg.Name,
-		log:       log.With("broker", cfg.Name),
+		log:       cfg.Log.With("broker", cfg.Name),
 		peers:     make(map[*peer]struct{}),
 		subs:      make(map[string]map[subscriberRef]struct{}),
 		wildcards: make(map[string]topic.Topic),
@@ -421,7 +414,7 @@ func (b *Broker) handleInbound(conn transport.Conn) {
 
 // ConnectTo establishes a broker-to-broker link by dialing addr over tr.
 func (b *Broker) ConnectTo(tr transport.Transport, addr string) error {
-	p, err := b.dialLink(tr, addr)
+	p, err := b.dialLink(tr, addr, addr)
 	if err != nil {
 		return err
 	}
@@ -433,15 +426,10 @@ func (b *Broker) ConnectTo(tr transport.Transport, addr string) error {
 	return nil
 }
 
-// dialLink dials a peer broker and registers the link, naming it by
-// address (the hand-wired -link form; fabric links dial by name).
-func (b *Broker) dialLink(tr transport.Transport, addr string) (*peer, error) {
-	return b.dialLinkNamed(tr, addr, addr)
-}
-
-// dialLinkNamed dials a peer broker and registers the link under the
-// given peer name, so the fabric can forward to it by broker name.
-func (b *Broker) dialLinkNamed(tr transport.Transport, addr, name string) (*peer, error) {
+// dialLink dials a peer broker and registers the link under the given
+// peer name: the address for the hand-wired -link/-connect forms, the
+// broker name for fabric links, so the fabric can forward to it by name.
+func (b *Broker) dialLink(tr transport.Transport, addr, name string) (*peer, error) {
 	conn, err := tr.Dial(addr)
 	if err != nil {
 		return nil, err
@@ -460,65 +448,70 @@ func (b *Broker) dialLinkNamed(tr transport.Transport, addr, name string) (*peer
 	return p, nil
 }
 
-// ConnectToPersistent maintains a broker link across failures: it dials
-// addr, runs the link until it drops, and re-dials until the broker
-// closes, pacing attempts with exponential backoff seeded from retry as
-// the initial delay (retry <= 0 selects backoff.DefaultInitial).
-// Subscription state is re-synchronized on every reconnection, so
-// routing recovers automatically when a neighbouring broker restarts.
-func (b *Broker) ConnectToPersistent(tr transport.Transport, addr string, retry time.Duration) {
-	b.ConnectToPersistentBackoff(tr, addr, backoff.Config{Initial: retry, Max: maxRetryCap(retry)})
-}
-
-// maxRetryCap keeps the legacy fixed-interval callers' worst-case redial
-// delay within one order of magnitude of what they asked for, rather
-// than letting it grow to the 30s default cap.
-func maxRetryCap(retry time.Duration) time.Duration {
-	if retry <= 0 {
-		return 0 // backoff defaults
-	}
-	return 8 * retry
-}
-
-// ConnectToPersistentBackoff is ConnectToPersistent with full control
-// over the redial pacing. Each failed dial (or lost link) waits the
-// policy's next delay; a link that establishes resets the policy so the
-// next outage starts again from the initial delay. Dial attempts,
+// ConnectToPersistentBackoff maintains a broker link across failures:
+// it dials addr, runs the link until it drops, and re-dials until the
+// broker closes. Each failed dial (or lost link) waits the policy's next
+// delay; a link that establishes resets the policy so the next outage
+// starts again from the initial delay. Subscription state is
+// re-synchronized on every reconnection, so routing recovers
+// automatically when a neighbouring broker restarts. Dial attempts,
 // establishments and losses are counted on the obs registry
 // (broker_link_dial_attempts_total, broker_link_established_total,
 // broker_link_lost_total).
 func (b *Broker) ConnectToPersistentBackoff(tr transport.Transport, addr string, cfg backoff.Config) {
-	policy := backoff.New(cfg)
 	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		for {
-			select {
-			case <-b.done:
-				return
-			default:
-			}
+	go b.redial(tr, addr, addr, cfg, nil)
+}
+
+// linkProbeInterval paces the "is the inbound link still up" check an
+// EnsureLink loop performs while it is not the dialing side.
+const linkProbeInterval = 250 * time.Millisecond
+
+// redial is the one redial loop behind ConnectToPersistentBackoff and
+// EnsureLink: dial, run the link until it drops, back off, repeat until
+// the broker closes or stop fires. A nil stop (which never fires) marks
+// the hand-wired form, whose link is named by address; a fabric link is
+// named by broker, so a live link of that name — inbound, or hand-wired
+// — already is this link, and the loop only watches for it to go away.
+// Callers have done b.wg.Add(1).
+func (b *Broker) redial(tr transport.Transport, addr, name string, cfg backoff.Config, stop <-chan struct{}) {
+	defer b.wg.Done()
+	policy := backoff.New(cfg)
+	for {
+		select {
+		case <-b.done:
+			return
+		case <-stop:
+			return
+		default:
+		}
+		delay := linkProbeInterval
+		if stop != nil && b.LinkUp(name) {
+			policy.Reset()
+		} else {
 			mLinkDials.Inc()
-			p, err := b.dialLink(tr, addr)
-			if err == nil {
+			if p, err := b.dialLink(tr, addr, name); err == nil {
 				mLinkUp.Inc()
 				policy.Reset()
-				b.log.Info("link established", "peer", addr)
+				b.log.Info("link established", "peer", name, "addr", addr)
 				b.peerLoop(p)
 				mLinkLost.Inc()
-				b.log.Warn("link lost", "peer", addr)
+				b.log.Warn("link lost", "peer", name)
 			}
-			delay := policy.Next()
-			b.log.Debug("link redial scheduled", "peer", addr, "delay", delay.String())
-			t := b.clk.NewTimer(delay)
-			select {
-			case <-b.done:
-				t.Stop()
-				return
-			case <-t.C():
-			}
+			delay = policy.Next()
+			b.log.Debug("link redial scheduled", "peer", name, "delay", delay.String())
 		}
-	}()
+		t := b.clk.NewTimer(delay)
+		select {
+		case <-b.done:
+			t.Stop()
+			return
+		case <-stop:
+			t.Stop()
+			return
+		case <-t.C():
+		}
+	}
 }
 
 // newPeer registers a connection as a peer and starts its egress
@@ -578,18 +571,25 @@ func (b *Broker) peerLoop(p *peer) {
 				return
 			}
 		case frameEnvelope:
-			b.ingestEnvelope(p, frame[1:])
+			one := [1]inbound{{wire: frame[1:]}}
+			b.publish(p, one[:], false)
 		case frameBatch:
 			// A coalesced egress drain from a peer (PROTOCOL.md §3.7):
-			// split strictly, then ingest every sub-envelope in order. A
-			// malformed batch is rejected as a whole — no prefix of it is
-			// routed.
+			// split strictly, then publish the sub-envelopes as one batch.
+			// A malformed batch is rejected as a whole — no prefix of it
+			// is routed.
 			frames, err := parseBatch(frame[1:])
 			if err != nil {
 				b.punish(p, fmt.Errorf("bad batch frame: %w", err))
 				continue
 			}
-			b.ingestBatch(p, frames)
+			batch := p.batch[:0]
+			for _, f := range frames {
+				batch = append(batch, inbound{wire: f[1:]})
+			}
+			b.publish(p, batch, false)
+			clear(batch) // drop the envelope references before reuse
+			p.batch = batch
 		default:
 			b.punish(p, fmt.Errorf("unknown frame kind %d", frame[0]))
 		}
@@ -597,19 +597,6 @@ func (b *Broker) peerLoop(p *peer) {
 			return
 		}
 	}
-}
-
-// ingestEnvelope admits one envelope body (the bytes after the
-// frameEnvelope kind byte) from a peer: rate-limit before parsing, then
-// unmarshal and route. Both the single-envelope and batch ingress paths
-// funnel through here so admission control and violation accounting are
-// identical per envelope regardless of framing.
-func (b *Broker) ingestEnvelope(p *peer, body []byte) {
-	env := b.parseIngress(p, body)
-	if env == nil {
-		return
-	}
-	b.routeFrom(p, env)
 }
 
 // parseIngress rate-limits and parses one envelope body from p. It
@@ -641,71 +628,6 @@ func (b *Broker) parseIngress(p *peer, body []byte) *message.Envelope {
 		return nil
 	}
 	return env
-}
-
-// ingestBatch admits every envelope of a coalesced publish frame, then
-// persists the durable ones with one group append per topic before any
-// of them fan out. The persisted bytes are the original wire encodings,
-// so the batch path skips re-marshaling entirely; persist-before-fan-out
-// (PROTOCOL.md §3.8) still holds for each envelope because delivery only
-// starts after every group append returns.
-func (b *Broker) ingestBatch(p *peer, frames [][]byte) {
-	// Under a fabric the per-envelope path must run: each envelope of the
-	// batch may be owned by a different shard, and route() applies the
-	// forward-to-owner and origin-persist rules individually. The group
-	// append below would persist before ownership is consulted.
-	if b.cfg.Durable == nil || b.shardingOf() != nil {
-		for _, f := range frames {
-			b.ingestEnvelope(p, f[1:])
-			if p.closed.Load() {
-				return
-			}
-		}
-		return
-	}
-	type admitted struct {
-		env     *message.Envelope
-		sampled bool
-	}
-	envs := make([]admitted, 0, len(frames))
-	var byTopic map[string][][]byte
-	for _, f := range frames {
-		body := f[1:]
-		env := b.parseIngress(p, body)
-		if env == nil {
-			if p.closed.Load() {
-				break
-			}
-			continue
-		}
-		sampled := b.cfg.Flight.Sampled()
-		ok, err := b.admit(p, env, p.principal, sampled)
-		if err != nil && !errors.Is(err, ErrNoPunish) {
-			b.punish(p, err)
-		}
-		if ok {
-			if b.persistable(env.Topic) {
-				if byTopic == nil {
-					byTopic = make(map[string][][]byte, 1)
-				}
-				ts := env.Topic.String()
-				byTopic[ts] = append(byTopic[ts], body)
-			}
-			envs = append(envs, admitted{env, sampled})
-		}
-		if p.closed.Load() {
-			break
-		}
-	}
-	for ts, payloads := range byTopic {
-		if _, err := b.cfg.Durable.AppendBatch(ts, payloads); err != nil {
-			mDurableAppendErrs.Inc()
-			b.log.Warn("durable append failed", "topic", ts, "err", err)
-		}
-	}
-	for _, a := range envs {
-		b.finishRoute(p, a.env, a.sampled)
-	}
 }
 
 // handleControl processes a control frame; it reports whether the peer
@@ -1134,7 +1056,8 @@ func (b *Broker) syncLinkSubscriptions(p *peer) {
 // Publish injects a broker-originated envelope (broker principal): the
 // tracing layer publishes pings and traces through this.
 func (b *Broker) Publish(env *message.Envelope) error {
-	return b.route(nil, env, topic.BrokerPrincipal())
+	one := [1]inbound{{env: env}}
+	return b.publish(nil, one[:], false)
 }
 
 // ErrNoPunish, wrapped into a guard rejection, marks a drop that is not
@@ -1144,13 +1067,6 @@ func (b *Broker) Publish(env *message.Envelope) error {
 // installed — a correct forwarder delivering such a message is evidence
 // the verifier should renegotiate, not that the peer misbehaves.
 var ErrNoPunish = errors.New("broker: drop without violation")
-
-// routeFrom handles an envelope received from a peer.
-func (b *Broker) routeFrom(p *peer, env *message.Envelope) {
-	if err := b.route(p, env, p.principal); err != nil && !errors.Is(err, ErrNoPunish) {
-		b.punish(p, err)
-	}
-}
 
 // flightTraceOf derives the flight-recorder correlation ID for an
 // envelope: the span's TraceID when present, the envelope ID otherwise.
@@ -1184,46 +1100,142 @@ func (b *Broker) recordDrop(from *peer, env *message.Envelope, reason string) {
 	})
 }
 
-// route authorizes, dedupes and distributes an envelope. from is nil for
-// local (broker-originated) publishes.
-func (b *Broker) route(from *peer, env *message.Envelope, principal topic.Principal) error {
-	// One atomic add decides whether this envelope's healthy events
-	// (ingress, route, egress) are recorded; drops are always recorded.
-	sampled := b.cfg.Flight.Sampled()
-	// Fabric partitioning (PROTOCOL.md §3.9): a sharded topic owned by
-	// another broker is forwarded to (or fanned in from) its owner
-	// instead of flood-routed; locally owned and unsharded topics take
-	// the ordinary pipeline below.
-	if s := b.shardingOf(); s != nil {
-		if owner, local, sharded := s.Route(env.Topic.String()); sharded && !local {
-			return b.routeShardRemote(from, env, principal, owner, sampled)
-		}
-	}
-	ok, err := b.admit(from, env, principal, sampled)
-	if !ok {
-		return err
-	}
-	// Persist before fan-out (PROTOCOL.md §3.8): an authorized envelope
-	// on a durable topic reaches the append-only log before any
-	// subscriber sees it, so replay can always reconstruct what was
-	// delivered. Append failure degrades durability, not liveness — the
-	// envelope still fans out, and the error is counted and logged.
-	if b.cfg.Durable != nil && b.persistable(env.Topic) {
-		if _, err := b.cfg.Durable.Append(env.Topic.String(), env.Marshal()); err != nil {
-			mDurableAppendErrs.Inc()
-			b.log.Warn("durable append failed", "topic", env.Topic.String(), "err", err)
-		}
-	}
-	b.finishRoute(from, env, sampled)
-	return nil
+// admission is how much of the admit stage an envelope owes this broker.
+type admission uint8
+
+const (
+	admitFull  admission = iota // dedupe, TTL, source, topic authorization, guard
+	admitFanIn                  // dedupe and TTL only: the shard owner ran the rest
+	admitNone                   // handoff replay: admitted here when first published
+)
+
+// plan is the plan stage's verdict on one envelope (see Broker.plan for
+// the table): what each later stage of the pipeline does with it.
+type plan struct {
+	admission   admission
+	persist     bool  // append to the durable log before fan-out
+	owner       *peer // link for the unicast hop to the topic's shard owner; nil when none
+	skipBrokers bool  // fan out to local subscribers and clients only, never over links
 }
 
-// admit runs every pre-persist stage of the publish pipeline — flight
-// ingress sampling, duplicate suppression, TTL, source-spoofing,
-// authorization, and the pluggable guard. It reports whether the
-// envelope should proceed to persistence and fan-out; ok=false with a
-// nil error is a silent drop (duplicate or expired).
-func (b *Broker) admit(from *peer, env *message.Envelope, principal topic.Principal, sampled bool) (ok bool, err error) {
+// inbound is one envelope crossing the publish pipeline.
+type inbound struct {
+	wire    []byte            // encoding as received; nil for a local publish
+	env     *message.Envelope // parsed from wire by the first stage; nil once dropped
+	plan    plan
+	sampled bool // record this envelope's healthy flight events (drops always are)
+}
+
+// publish is the one publish pipeline: a frameEnvelope or frameBatch
+// from a peer, a local Publish and a handoff replay all cross the same
+// stages in the same order, as a batch — a lone envelope is a batch of
+// one, held on its caller's stack:
+//
+//	throttle+parse → plan → admit → persist → count → deliver
+//
+// The first three run per envelope. Then everything the batch persists
+// reaches the append-only log, one group append per topic, before any of
+// it fans out (PROTOCOL.md §3.8), so replay can always reconstruct what
+// was delivered and a coalesced frame pays the append bookkeeping once.
+// from is nil for a local publish, whose rejection is returned; a peer's
+// rejections are scored against it instead. replay marks a handoff
+// replay (ReforwardSharded).
+func (b *Broker) publish(from *peer, batch []inbound, replay bool) (rejected error) {
+	for i := range batch {
+		in := &batch[i]
+		if from != nil && from.closed.Load() {
+			// Evicted mid-batch: nothing further of its traffic is admitted.
+			batch = batch[:i]
+			break
+		}
+		if in.env == nil {
+			if in.env = b.parseIngress(from, in.wire); in.env == nil {
+				continue
+			}
+		}
+		// One atomic add decides whether this envelope's healthy events
+		// (ingress, route, egress) are recorded; drops are always recorded.
+		in.sampled = b.cfg.Flight.Sampled()
+		pl, ok := b.plan(from, in.env.Topic.String(), replay)
+		if ok && pl.admission != admitNone {
+			var err error
+			ok, err = b.admit(from, in.env, pl.admission, in.sampled)
+			switch {
+			case err == nil:
+			case from == nil:
+				rejected = err
+			case !errors.Is(err, ErrNoPunish):
+				b.punish(from, err)
+			}
+		}
+		if !ok {
+			in.env = nil
+			continue
+		}
+		pl.persist = pl.persist && b.cfg.Durable != nil && b.persistable(in.env.Topic)
+		in.plan = pl
+	}
+	// The persisted bytes are the original wire encoding; only a local
+	// publish, which has none, is marshaled. The batch's first durable
+	// topic is grouped on the stack — a lone envelope allocates nothing
+	// here — and only a batch that mixes topics pays for the map.
+	var stack [4][]byte
+	first, firstTopic := stack[:0], ""
+	var rest map[string][][]byte
+	for i := range batch {
+		in := &batch[i]
+		if !in.plan.persist {
+			continue
+		}
+		if in.wire == nil {
+			in.wire = in.env.Marshal()
+		}
+		if ts := in.env.Topic.String(); len(first) == 0 || ts == firstTopic {
+			first, firstTopic = append(first, in.wire), ts
+		} else {
+			if rest == nil {
+				rest = make(map[string][][]byte)
+			}
+			rest[ts] = append(rest[ts], in.wire)
+		}
+	}
+	// Append failure degrades durability, not liveness — the envelopes
+	// still fan out, and the error is counted and logged.
+	appendGroup := func(ts string, payloads [][]byte) {
+		if _, err := b.cfg.Durable.AppendBatch(ts, payloads); err != nil {
+			mDurableAppendErrs.Inc()
+			b.log.Warn("durable append failed", "topic", ts, "err", err)
+		}
+	}
+	if len(first) > 0 {
+		appendGroup(firstTopic, first)
+	}
+	for ts, payloads := range rest {
+		appendGroup(ts, payloads)
+	}
+	for i := range batch {
+		in := &batch[i]
+		if in.env == nil {
+			continue
+		}
+		if in.plan.admission != admitNone {
+			b.stats.published.Add(1)
+			mPublished.Inc()
+		}
+		if in.plan.admission == admitFanIn {
+			mFabricFanIn.Inc()
+		}
+		b.deliver(from, in)
+	}
+	return rejected
+}
+
+// admit is the admit stage — flight ingress sampling, duplicate
+// suppression, TTL, then (unless the shard owner already ran them, level
+// admitFanIn) source-spoofing, topic authorization and the pluggable
+// guard. It reports whether the envelope proceeds; ok=false with a nil
+// error is a silent drop (duplicate or expired).
+func (b *Broker) admit(from *peer, env *message.Envelope, level admission, sampled bool) (ok bool, err error) {
 	if sampled {
 		b.cfg.Flight.Record(obs.FlightEvent{
 			Kind:  obs.FlightIngress,
@@ -1245,11 +1257,18 @@ func (b *Broker) admit(from *peer, env *message.Envelope, principal topic.Princi
 		b.recordDrop(from, env, "ttl_expired")
 		return false, nil
 	}
+	if level == admitFanIn {
+		return true, nil
+	}
 	// Source spoofing check: a client's envelopes must carry its own
 	// entity identifier. Broker links aggregate many sources.
-	if from != nil && !from.isBroker && env.Source != ident.EntityID(from.name) {
-		b.recordDrop(from, env, "spoofed_source")
-		return false, fmt.Errorf("broker: source %q spoofed by client %q", env.Source, from.name)
+	principal := topic.BrokerPrincipal()
+	if from != nil {
+		principal = from.principal
+		if !from.isBroker && env.Source != ident.EntityID(from.name) {
+			b.recordDrop(from, env, "spoofed_source")
+			return false, fmt.Errorf("broker: source %q spoofed by client %q", env.Source, from.name)
+		}
 	}
 	if err := topic.Authorize(env.Topic, principal, true); err != nil {
 		b.recordDrop(from, env, "unauthorized_topic")
@@ -1263,14 +1282,6 @@ func (b *Broker) admit(from *peer, env *message.Envelope, principal topic.Princi
 		}
 	}
 	return true, nil
-}
-
-// finishRoute is the post-persist tail of the publish pipeline: count
-// the publish and fan out to subscribers and links.
-func (b *Broker) finishRoute(from *peer, env *message.Envelope, sampled bool) {
-	b.stats.published.Add(1)
-	mPublished.Inc()
-	b.deliver(from, env, sampled, false)
 }
 
 // deliverScratch pools the per-delivery collection state so routing an
@@ -1297,25 +1308,19 @@ func (sc *deliverScratch) release() {
 	deliverScratchPool.Put(sc)
 }
 
-// deliver hands the envelope to local subscribers and forwards it to
-// interested links. It holds only the routing index's read lock while
-// collecting subscribers, so concurrent publishers do not serialize.
-// sampled carries route's per-envelope flight-sampling decision.
-// skipBrokers suppresses link forwarding: fan-in deliveries from a
-// topic's shard owner go to local subscribers and clients only, which
-// keeps fabric routing one-hop and loop-free.
-func (b *Broker) deliver(from *peer, env *message.Envelope, sampled, skipBrokers bool) {
+// deliver is the deliver stage: hand the envelope to local subscribers,
+// then enqueue one shared frame on the owner link (the unicast hop of
+// the forward-to-owner rule) and on every interested peer. It holds only
+// the routing index's read lock while collecting subscribers, so
+// concurrent publishers do not serialize.
+func (b *Broker) deliver(from *peer, in *inbound) {
+	env, pl := in.env, in.plan
 	ts := env.Topic.String()
 	sc := deliverScratchPool.Get().(*deliverScratch)
 	defer sc.release()
-	b.mu.RLock()
-	// Exact subscriptions.
 	collect := func(subTopic string) {
 		for ref := range b.subs[subTopic] {
-			if ref.p == nil {
-				continue
-			}
-			if ref.p == from {
+			if ref.p == nil || ref.p == from {
 				continue
 			}
 			if _, dup := sc.seen[ref.p]; dup {
@@ -1326,19 +1331,26 @@ func (b *Broker) deliver(from *peer, env *message.Envelope, sampled, skipBrokers
 		}
 		sc.locals = append(sc.locals, b.local[subTopic]...)
 	}
-	collect(ts)
-	// Wildcard subscriptions, stored pre-parsed.
-	for wts, wtp := range b.wildcards {
-		if wts == ts {
-			continue
-		}
-		if env.Topic.Matches(wtp) {
-			collect(wts)
-		}
+	if pl.owner != nil {
+		sc.seen[pl.owner] = struct{}{}
+		sc.remote = append(sc.remote, pl.owner)
 	}
-	b.mu.RUnlock()
+	// A handoff replay bound for a remote owner is the unicast hop alone:
+	// this broker's own subscribers heard the envelope when it was first
+	// published here.
+	if pl.owner == nil || pl.admission != admitNone {
+		b.mu.RLock()
+		collect(ts)
+		// Wildcard subscriptions, stored pre-parsed.
+		for wts, wtp := range b.wildcards {
+			if wts != ts && env.Topic.Matches(wtp) {
+				collect(wts)
+			}
+		}
+		b.mu.RUnlock()
+	}
 
-	if sampled {
+	if in.sampled {
 		b.cfg.Flight.Record(obs.FlightEvent{
 			Kind:  obs.FlightRoute,
 			Trace: flightTraceOf(env),
@@ -1355,28 +1367,15 @@ func (b *Broker) deliver(from *peer, env *message.Envelope, sampled, skipBrokers
 		return
 	}
 	prop := b.propagates(ts)
-	// Build the forwarded frame in one exactly-sized allocation. The TTL
-	// decrement is folded into serialization (AppendWire emits ttl-1 in
-	// place of the envelope's TTL byte), so the common case — no span —
-	// forwards without cloning the envelope at all. Span-stamping brokers
-	// still clone: AddHop mutates shared state.
-	fwdTTL := env.TTL - 1
-	var frame []byte
-	if env.Span == nil {
-		frame = make([]byte, 1, 1+env.WireSize())
-		frame[0] = frameEnvelope
-		frame = env.AppendWire(frame, fwdTTL)
-	} else {
-		fwd := env.Clone()
-		fwd.TTL = fwdTTL
-		fwd.AddHop(b.name, time.Now())
-		frame = make([]byte, 1, 1+fwd.WireSize())
-		frame[0] = frameEnvelope
-		frame = fwd.AppendWire(frame, fwdTTL)
-	}
+	frame := b.frameFor(env)
 	now := b.clk.Now()
 	for _, p := range sc.remote {
-		if p.isBroker && (skipBrokers || !prop || fwdTTL == 0) {
+		// The one link rule: a frame whose decremented TTL is exhausted
+		// never leaves on a link — the owner hop included — and beyond the
+		// owner hop links carry only topics that propagate, and nothing
+		// under skipBrokers (fan-in and forwarded deliveries stay off
+		// links, which keeps fabric routing one-hop and loop-free).
+		if p.isBroker && (env.TTL <= 1 || p != pl.owner && (pl.skipBrokers || !prop)) {
 			continue
 		}
 		// A peer holding a replay cursor on this exact topic is served
@@ -1387,34 +1386,57 @@ func (b *Broker) deliver(from *peer, env *message.Envelope, sampled, skipBrokers
 		}
 		b.stats.forwarded.Add(1)
 		mForwarded.Inc()
-		if sampled {
+		if p == pl.owner {
+			mFabricForwards.Inc()
+		}
+		if in.sampled {
 			b.cfg.Flight.Record(obs.FlightEvent{
 				Kind:  obs.FlightEgress,
 				Trace: flightTraceOf(env),
 				Peer:  p.name,
 			})
 		}
-		// Non-blocking enqueue: a stalled peer sheds its own oldest frames
-		// instead of head-of-line-blocking this fan-out, and once it has
-		// been continuously saturated past the deadline it is evicted as a
-		// slow consumer.
-		shed, stalledFor := p.out.enqueueData(frame, now)
-		if shed > 0 {
-			b.stats.sheds.Add(uint64(shed))
-			mEgressSheds.Add(uint64(shed))
-			if b.cfg.Flight != nil {
-				b.cfg.Flight.Record(obs.FlightEvent{
-					Kind:  obs.FlightShed,
-					Trace: flightTraceOf(env),
-					Peer:  p.name,
-					N:     shed,
-				})
-			}
-			if stalledFor >= b.cfg.SlowConsumerDeadline {
-				b.evictPeer(p, ReasonSlowConsumer, "egress queue saturated")
-			}
-		}
+		b.enqueue(p, frame, flightTraceOf(env), now)
 	}
+}
+
+// frameFor builds the frame a forwarding hop emits for env, in one
+// exactly-sized allocation. The TTL decrement is folded into
+// serialization (AppendWire emits ttl-1 in place of the envelope's TTL
+// byte), so the common case — no span — forwards without cloning the
+// envelope at all. Span-stamping brokers still clone: AddHop mutates
+// shared state.
+func (b *Broker) frameFor(env *message.Envelope) []byte {
+	fwd := env
+	if env.Span != nil {
+		fwd = env.Clone()
+		fwd.AddHop(b.name, time.Now())
+	}
+	frame := make([]byte, 1, 1+fwd.WireSize())
+	frame[0] = frameEnvelope
+	return fwd.AppendWire(frame, env.TTL-1)
+}
+
+// enqueue queues one data frame on p's egress without blocking: a
+// stalled peer sheds its own oldest frames instead of head-of-line-
+// blocking the caller, every shed is counted and flight-recorded, and
+// once the queue has been continuously saturated past the deadline the
+// peer is evicted as a slow consumer — enqueue then reports false.
+func (b *Broker) enqueue(p *peer, frame []byte, trace obs.FlightTrace, now time.Time) bool {
+	shed, stalledFor := p.out.enqueueData(frame, now)
+	if shed == 0 {
+		return true
+	}
+	b.stats.sheds.Add(uint64(shed))
+	mEgressSheds.Add(uint64(shed))
+	if b.cfg.Flight != nil {
+		b.cfg.Flight.Record(obs.FlightEvent{Kind: obs.FlightShed, Trace: trace, Peer: p.name, N: shed})
+	}
+	if stalledFor < b.cfg.SlowConsumerDeadline {
+		return true
+	}
+	b.evictPeer(p, ReasonSlowConsumer, "egress queue saturated")
+	return false
 }
 
 // firstSighting records the message ID, reporting whether it was new.

@@ -16,12 +16,13 @@ import (
 var errReplayFromLink = errors.New("broker: replay from broker link")
 
 // This file wires the durable topic log (internal/durable) into the
-// broker: constrained trace derivatives persist in route() before
-// fan-out, and a client that sent REPLAY for a subscribed durable
-// topic is served exclusively by a per-(peer,topic) pump goroutine
-// that tails the log — catch-up and live delivery unified in one
-// ordered, offset-annotated stream (frameDurable), with ack-cursor
-// tracking and backoff-paced redelivery when acks stop arriving.
+// broker: constrained trace derivatives persist in the publish
+// pipeline's persist stage before fan-out, and a client that sent
+// REPLAY for a subscribed durable topic is served exclusively by a
+// per-(peer,topic) pump goroutine that tails the log — catch-up and
+// live delivery unified in one ordered, offset-annotated stream
+// (frameDurable), with ack-cursor tracking and backoff-paced redelivery
+// when acks stop arriving.
 // PROTOCOL.md §3.8.
 
 var (
@@ -107,7 +108,7 @@ func (rc *replayCursor) ack(offset uint64) {
 		if rc.acked == rc.sent {
 			rc.deadline = time.Time{}
 		} else {
-			rc.deadline = time.Now().Add(rc.pol.Next())
+			rc.deadline = rc.b.clk.Now().Add(rc.pol.Next())
 		}
 	}
 	rc.mu.Unlock()
@@ -141,7 +142,7 @@ func (rc *replayCursor) run() {
 		deadline := rc.deadline
 		rc.mu.Unlock()
 		if !deadline.IsZero() {
-			timer := time.NewTimer(time.Until(deadline))
+			timer := rc.b.clk.NewTimer(deadline.Sub(rc.b.clk.Now()))
 			select {
 			case <-rc.stop:
 				timer.Stop()
@@ -150,7 +151,7 @@ func (rc *replayCursor) run() {
 				timer.Stop()
 			case <-rc.kick:
 				timer.Stop()
-			case <-timer.C:
+			case <-timer.C():
 				rc.rewind()
 			}
 			continue
@@ -180,14 +181,9 @@ func (rc *replayCursor) pumpBatch(sent uint64) bool {
 		frame = appendDurable(frame, r.Offset, nil)
 		frame = append(frame, frameEnvelope)
 		frame = append(frame, r.Payload...)
-		shed, stalledFor := rc.p.out.enqueueData(frame, now)
-		if shed > 0 {
-			rc.b.stats.sheds.Add(uint64(shed))
-			mEgressSheds.Add(uint64(shed))
-			if stalledFor >= rc.b.cfg.SlowConsumerDeadline {
-				rc.b.evictPeer(rc.p, ReasonSlowConsumer, "replay egress saturated")
-				return false
-			}
+		// The payload is not parsed here, so a shed carries no trace ID.
+		if !rc.b.enqueue(rc.p, frame, obs.FlightTrace{}, now) {
+			return false
 		}
 		mReplayRecords.Inc()
 		rc.b.stats.replayRecords.Add(1)
@@ -198,7 +194,7 @@ func (rc *replayCursor) pumpBatch(sent uint64) bool {
 		rc.sent = last
 	}
 	if rc.deadline.IsZero() && rc.sent > rc.acked {
-		rc.deadline = time.Now().Add(rc.pol.Next())
+		rc.deadline = now.Add(rc.pol.Next())
 	}
 	rc.mu.Unlock()
 	return !rc.p.closed.Load()
@@ -209,11 +205,12 @@ func (rc *replayCursor) pumpBatch(sent uint64) bool {
 // pump re-reads the gap from the log. The backoff policy paces
 // successive rewinds so a wedged-but-alive consumer is not flooded.
 func (rc *replayCursor) rewind() {
+	now := rc.b.clk.Now()
 	rc.mu.Lock()
-	if rc.acked < rc.sent && !rc.deadline.IsZero() && !time.Now().Before(rc.deadline) {
+	if rc.acked < rc.sent && !rc.deadline.IsZero() && !now.Before(rc.deadline) {
 		n := rc.sent - rc.acked
 		rc.sent = rc.acked
-		rc.deadline = time.Now().Add(rc.pol.Next())
+		rc.deadline = now.Add(rc.pol.Next())
 		mRedeliveries.Add(n)
 		rc.b.stats.redeliveries.Add(n)
 	}
@@ -221,7 +218,7 @@ func (rc *replayCursor) rewind() {
 }
 
 // cursorFor returns the peer's replay cursor for exact topic ts, nil
-// if none. deliver() consults it to skip live enqueueing: a cursored
+// if none. deliver consults it to skip live enqueueing: a cursored
 // (peer,topic) receives every envelope from its pump, offset-annotated
 // and in log order.
 func (p *peer) cursorFor(ts string) *replayCursor {

@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"entitytrace/internal/backoff"
+	"entitytrace/internal/clock"
 	"entitytrace/internal/durable"
 	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
+	"entitytrace/internal/obs"
 	"entitytrace/internal/topic"
 	"entitytrace/internal/transport"
 )
@@ -232,6 +234,120 @@ func TestRedeliveryOnMissingAck(t *testing.T) {
 	after, _ := sink.snapshot()
 	if len(after) != len(before) {
 		t.Fatalf("redelivery continued after ack: %d -> %d", len(before), len(after))
+	}
+}
+
+// TestRedeliveryFollowsBrokerClock pins the redelivery deadline to the
+// broker's injected clock: with a 30s initial backoff no amount of wall
+// time rewinds the cursor, and the rewind fires exactly once the fake
+// clock passes Redeliver.Initial.
+func TestRedeliveryFollowsBrokerClock(t *testing.T) {
+	tr := transport.NewInproc()
+	store, err := durable.Open(t.TempDir(), durable.Options{Fsync: durable.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	b, addr := newTestBroker(t, tr, Config{
+		Name:      "fake-clock-broker",
+		Durable:   store,
+		Clock:     clk,
+		Redeliver: backoff.Config{Initial: 30 * time.Second, Max: time.Minute, Jitter: -1},
+	})
+	tp := topic.ChangeNotifications(ident.NewUUID())
+	if err := b.Publish(traceEnv(tp, 1)); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Connect(tr, addr, "silent-tracker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sink := &durableSink{}
+	if err := c.Subscribe(tp, sink.live); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Replay(tp, 0, sink.durable); err != nil {
+		t.Fatal(err)
+	}
+	delivered := func() int {
+		offs, _ := sink.snapshot()
+		return len(offs)
+	}
+	waitFor(t, "first delivery", func() bool { return delivered() == 1 })
+	// Never ack. The pump parks on its deadline timer — a timer of the
+	// fake clock, so real time passing cannot fire it.
+	waitFor(t, "pump parked on its redelivery deadline", func() bool { return clk.PendingTimers() == 1 })
+	clk.Advance(29 * time.Second)
+	time.Sleep(50 * time.Millisecond)
+	if n, r := delivered(), b.Snapshot().Redeliveries; n != 1 || r != 0 {
+		t.Fatalf("before Redeliver.Initial elapsed: %d deliveries, %d redeliveries, want 1 and 0", n, r)
+	}
+	clk.Advance(2 * time.Second)
+	waitFor(t, "redelivery once the fake clock passes the deadline", func() bool { return delivered() == 2 })
+	if r := b.Snapshot().Redeliveries; r != 1 {
+		t.Fatalf("redeliveries = %d, want 1", r)
+	}
+}
+
+// TestReplayLaneShedIsFlightRecorded saturates a replay subscriber's
+// egress queue: the pump sheds through the same enqueue as fan-out, so
+// the flight ring must hold a shed event naming that peer.
+func TestReplayLaneShedIsFlightRecorded(t *testing.T) {
+	tr := transport.NewInproc()
+	store, err := durable.Open(t.TempDir(), durable.Options{Fsync: durable.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	flight := obs.NewFlightRecorder("replay-shed-broker", 0, 0)
+	b, addr := newTestBroker(t, tr, Config{
+		Name:                 "replay-shed-broker",
+		Durable:              store,
+		Flight:               flight,
+		EgressQueue:          4,
+		SlowConsumerDeadline: time.Hour,
+	})
+	tp := topic.StateTransitions(ident.NewUUID())
+	// A consumer that subscribes, asks for replay and never reads.
+	wedged := rawSubscriber(t, tr, addr, "wedged-tracker", tp.String())
+	defer wedged.Close()
+	replay := &control{Kind: ctrlReplay, ID: 2, Topic: tp.String()}
+	if err := wedged.Send(append([]byte{frameControl}, marshalControl(replay)...)); err != nil {
+		t.Fatal(err)
+	}
+	// Only once the cursor is installed is the pump the peer's sole
+	// source on this topic: any shed from here on is a replay-lane shed.
+	waitFor(t, "cursor installed", func() bool {
+		b.mu.RLock()
+		defer b.mu.RUnlock()
+		for p := range b.peers {
+			if p.cursorFor(tp.String()) != nil {
+				return true
+			}
+		}
+		return false
+	})
+	shedRecorded := func() bool {
+		for _, ev := range flight.Events(obs.FlightFilter{Last: obs.DefaultFlightEvents}) {
+			if ev.Kind == obs.FlightShed && ev.Peer == "wedged-tracker" && ev.N > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for n := 0; !shedRecorded(); n++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("no shed event for the replay peer after %d records (%d sheds counted)", n, b.Snapshot().EgressSheds)
+		}
+		if err := b.Publish(traceEnv(tp, byte(n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := b.Snapshot(); s.EgressSheds == 0 || s.ReplayRecords == 0 {
+		t.Fatalf("snapshot = %+v, want replay records served and sheds counted", s)
 	}
 }
 

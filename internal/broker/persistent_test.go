@@ -37,7 +37,7 @@ func TestPersistentLinkSurvivesBrokerRestart(t *testing.T) {
 	}
 	hub := startHub()
 
-	b1.ConnectToPersistent(tr, "hub", 20*time.Millisecond)
+	b1.ConnectToPersistentBackoff(tr, "hub", backoff.Config{Initial: 20 * time.Millisecond, Max: 160 * time.Millisecond})
 
 	sub, err := Connect(tr, "edge", "subscriber")
 	if err != nil {
@@ -159,7 +159,7 @@ func TestPersistentLinkStopsOnClose(t *testing.T) {
 	tr := transport.NewInproc()
 	b := New(Config{Name: "lonely"})
 	// No listener at "void": the loop only ever fails to dial.
-	b.ConnectToPersistent(tr, "void", 5*time.Millisecond)
+	b.ConnectToPersistentBackoff(tr, "void", backoff.Config{Initial: 5 * time.Millisecond, Max: 40 * time.Millisecond})
 	time.Sleep(30 * time.Millisecond)
 	done := make(chan struct{})
 	go func() {

@@ -6,7 +6,6 @@ import (
 	"entitytrace/internal/backoff"
 	"entitytrace/internal/message"
 	"entitytrace/internal/obs"
-	"entitytrace/internal/topic"
 	"entitytrace/internal/transport"
 )
 
@@ -165,62 +164,7 @@ func (b *Broker) EnsureLink(name string, tr transport.Transport, addr string) {
 	}
 	b.wg.Add(1)
 	b.mu.Unlock()
-	go func() {
-		defer b.wg.Done()
-		b.ensureLinkLoop(name, tr, addr, stop)
-	}()
-}
-
-// linkProbeInterval paces the "is the inbound link still up" check an
-// EnsureLink loop performs while it is not the dialing side.
-const linkProbeInterval = 250 * time.Millisecond
-
-func (b *Broker) ensureLinkLoop(name string, tr transport.Transport, addr string, stop chan struct{}) {
-	policy := backoff.New(backoff.Config{Initial: 50 * time.Millisecond, Max: 2 * time.Second})
-	wait := func(d time.Duration) bool {
-		t := b.clk.NewTimer(d)
-		select {
-		case <-b.done:
-			t.Stop()
-			return false
-		case <-stop:
-			t.Stop()
-			return false
-		case <-t.C():
-			return true
-		}
-	}
-	for {
-		select {
-		case <-b.done:
-			return
-		case <-stop:
-			return
-		default:
-		}
-		if b.LinkUp(name) {
-			// A link with this name is already connected (inbound, or
-			// hand-wired); just watch for it to disappear.
-			policy.Reset()
-			if !wait(linkProbeInterval) {
-				return
-			}
-			continue
-		}
-		mLinkDials.Inc()
-		p, err := b.dialLinkNamed(tr, addr, name)
-		if err == nil {
-			mLinkUp.Inc()
-			policy.Reset()
-			b.log.Info("fabric link established", "peer", name, "addr", addr)
-			b.peerLoop(p)
-			mLinkLost.Inc()
-			b.log.Warn("fabric link lost", "peer", name)
-		}
-		if !wait(policy.Next()) {
-			return
-		}
-	}
+	go b.redial(tr, addr, name, backoff.Config{Initial: 50 * time.Millisecond, Max: 2 * time.Second}, stop)
 }
 
 // DropLink cancels an EnsureLink loop and closes any live link with
@@ -239,163 +183,76 @@ func (b *Broker) DropLink(name string) {
 	}
 }
 
-// routeShardRemote handles an envelope whose topic is owned by another
-// shard (PROTOCOL.md §3.9 forward-to-owner rule). Three cases:
+// plan is the plan stage of the publish pipeline, the fabric's shard
+// decision (PROTOCOL.md §3.9): one ownership lookup settles how much
+// admission the envelope still owes this broker, whether it persists
+// here, and where it goes.
 //
-//   - Fan-in: the envelope arrives over the link FROM its owner. The
-//     owner already admitted, guard-verified and persisted it, so after
-//     duplicate/TTL suppression it goes straight to local subscribers
-//     and client peers — never back over links, which is what keeps
-//     fabric routing loop-free in one hop.
-//   - No route: the owner's link is not up (fabric still assembling, or
-//     mid-rebalance). The broker degrades to the pre-fabric flood path —
-//     full admission, persist, subscription fan-out — rather than drop.
-//   - Forward: full admission runs here (the client's violations are
-//     scored at its own ingress broker, and a client-forbidden publish
-//     cannot be laundered to the owner under the link's broker
-//     principal), the envelope is durably persisted at its origin when
-//     it entered the fabric here (crash-proofing the one hop to the
-//     owner — see the fabric handoff replay), forwarded to the owner
-//     with the TTL decremented, and delivered to local subscribers
-//     directly. The local delivery matters: admission recorded the
-//     envelope ID, so the owner's fan-back over this same link would be
-//     suppressed as a duplicate — co-located subscribers would
-//     otherwise never hear topics owned by another shard.
-func (b *Broker) routeShardRemote(from *peer, env *message.Envelope, principal topic.Principal, owner string, sampled bool) error {
-	if from != nil && from.isBroker && from.name == owner {
-		if sampled {
-			b.cfg.Flight.Record(obs.FlightEvent{
-				Kind:  obs.FlightIngress,
-				Trace: flightTraceOf(env),
-				Peer:  from.name,
-				Topic: env.Topic.String(),
-			})
-		}
-		if !b.firstSighting(env.ID) {
-			b.stats.duplicates.Add(1)
-			mDuplicates.Inc()
-			b.recordDrop(from, env, "duplicate")
-			return nil
-		}
-		if env.TTL == 0 {
-			b.stats.expired.Add(1)
-			mExpired.Inc()
-			b.recordDrop(from, env, "ttl_expired")
-			return nil
-		}
-		b.stats.published.Add(1)
-		mPublished.Inc()
-		mFabricFanIn.Inc()
-		b.deliver(from, env, sampled, true)
-		return nil
+//	topic is                         admission   persist  owner hop  fan-out
+//	unsharded, or owned here         full        yes      —          everyone
+//	owned elsewhere, and arrives
+//	  over the owner's link          dedupe+TTL  no       —          local subs, clients
+//	  with the owner's link up       full        origin   link       local subs, clients
+//	  with the owner's link down     full        yes      —          everyone
+//
+// Fan-in (from the owner): the owner already admitted, guard-verified
+// and persisted the envelope, so after duplicate/TTL suppression it goes
+// to local subscribers and client peers — never back over links, which
+// is what keeps fabric routing loop-free in one hop.
+//
+// Forward (link up): full admission runs here — the client's violations
+// are scored at its own ingress broker, and a client-forbidden publish
+// cannot be laundered to the owner under the link's broker principal.
+// The envelope persists at its origin, the broker where it entered the
+// fabric (crash-proofing the one hop to the owner — see the fabric
+// handoff replay), and is delivered to local subscribers directly:
+// admission recorded its ID, so the owner's fan-back over this same link
+// would be suppressed as a duplicate, and co-located subscribers would
+// otherwise never hear topics owned by another shard.
+//
+// No route (link down: fabric still assembling, or mid-rebalance): the
+// broker degrades to the pre-fabric flood plan rather than drop, and
+// counts broker_fabric_no_route_total.
+//
+// A handoff replay owes no admission and never persists (this broker did
+// both when the envelope was first published); it follows the current
+// owner — local fan-out, or the owner hop — and ok=false drops it when
+// the topic is unsharded or the owner unreachable.
+func (b *Broker) plan(from *peer, ts string, replay bool) (pl plan, ok bool) {
+	var owner string
+	local, sharded := true, false
+	if s := b.shardingOf(); s != nil {
+		owner, local, sharded = s.Route(ts)
+	}
+	switch {
+	case replay && (!sharded || local):
+		return plan{admission: admitNone}, sharded
+	case !sharded || local:
+		return plan{persist: true}, true
+	case from != nil && from.isBroker && from.name == owner:
+		return plan{admission: admitFanIn, skipBrokers: true}, true
 	}
 	link := b.linkByName(owner)
-	if link == nil {
+	switch {
+	case link == nil:
 		mFabricNoRoute.Inc()
-		ok, err := b.admit(from, env, principal, sampled)
-		if !ok {
-			return err
-		}
-		if b.cfg.Durable != nil && b.persistable(env.Topic) {
-			if _, err := b.cfg.Durable.Append(env.Topic.String(), env.Marshal()); err != nil {
-				mDurableAppendErrs.Inc()
-				b.log.Warn("durable append failed", "topic", env.Topic.String(), "err", err)
-			}
-		}
-		b.finishRoute(from, env, sampled)
-		return nil
+		return plan{persist: true}, !replay
+	case replay:
+		return plan{admission: admitNone, owner: link, skipBrokers: true}, true
 	}
-	ok, err := b.admit(from, env, principal, sampled)
-	if !ok {
-		return err
-	}
-	origin := from == nil || !from.isBroker
-	if origin && b.cfg.Durable != nil && b.persistable(env.Topic) {
-		if _, err := b.cfg.Durable.Append(env.Topic.String(), env.Marshal()); err != nil {
-			mDurableAppendErrs.Inc()
-			b.log.Warn("durable append failed", "topic", env.Topic.String(), "err", err)
-		}
-	}
-	b.stats.published.Add(1)
-	mPublished.Inc()
-	b.forwardTo(link, env, sampled)
-	b.deliver(from, env, sampled, true)
-	return nil
-}
-
-// forwardTo frames env with a decremented TTL and enqueues it on one
-// link — the unicast hop of the forward-to-owner rule, with the same
-// shed/slow-consumer handling as fan-out delivery.
-func (b *Broker) forwardTo(p *peer, env *message.Envelope, sampled bool) {
-	fwdTTL := env.TTL - 1
-	var frame []byte
-	if env.Span == nil {
-		frame = make([]byte, 1, 1+env.WireSize())
-		frame[0] = frameEnvelope
-		frame = env.AppendWire(frame, fwdTTL)
-	} else {
-		fwd := env.Clone()
-		fwd.TTL = fwdTTL
-		fwd.AddHop(b.name, time.Now())
-		frame = make([]byte, 1, 1+fwd.WireSize())
-		frame[0] = frameEnvelope
-		frame = fwd.AppendWire(frame, fwdTTL)
-	}
-	b.stats.forwarded.Add(1)
-	mForwarded.Inc()
-	mFabricForwards.Inc()
-	if sampled {
-		b.cfg.Flight.Record(obs.FlightEvent{
-			Kind:  obs.FlightEgress,
-			Trace: flightTraceOf(env),
-			Peer:  p.name,
-		})
-	}
-	shed, stalledFor := p.out.enqueueData(frame, b.clk.Now())
-	if shed > 0 {
-		b.stats.sheds.Add(uint64(shed))
-		mEgressSheds.Add(uint64(shed))
-		if b.cfg.Flight != nil {
-			b.cfg.Flight.Record(obs.FlightEvent{
-				Kind:  obs.FlightShed,
-				Trace: flightTraceOf(env),
-				Peer:  p.name,
-				N:     shed,
-			})
-		}
-		if stalledFor >= b.cfg.SlowConsumerDeadline {
-			b.evictPeer(p, ReasonSlowConsumer, "egress queue saturated")
-		}
-	}
+	return plan{persist: from == nil || !from.isBroker, owner: link, skipBrokers: true}, true
 }
 
 // ReforwardSharded re-routes one durably persisted sharded envelope
 // after an ownership change (the fabric's handoff replay): this broker
-// admitted and persisted it at origin, so admission is bypassed and it
-// goes straight to the current owner — or into local fan-out when this
-// broker has become the owner (its own origin log already holds the
-// record, so nothing is re-persisted). Duplicates the old owner had
-// already fanned out are absorbed downstream by the per-broker ID rings
-// and the trackers' per-trace timestamp dedupe. Reports whether the
-// envelope had somewhere to go.
+// admitted and persisted it at origin, so it re-enters the pipeline
+// owing neither and goes straight to the current owner — or into local
+// fan-out when this broker has become the owner. Duplicates the old
+// owner had already fanned out are absorbed downstream by the per-broker
+// ID rings and the trackers' per-trace timestamp dedupe. Reports whether
+// the envelope had somewhere to go.
 func (b *Broker) ReforwardSharded(env *message.Envelope) bool {
-	s := b.shardingOf()
-	if s == nil {
-		return false
-	}
-	owner, local, sharded := s.Route(env.Topic.String())
-	if !sharded {
-		return false
-	}
-	if local {
-		b.deliver(nil, env, false, false)
-		return true
-	}
-	link := b.linkByName(owner)
-	if link == nil {
-		mFabricNoRoute.Inc()
-		return false
-	}
-	b.forwardTo(link, env, false)
-	return true
+	one := [1]inbound{{env: env}}
+	b.publish(nil, one[:], true)
+	return one[0].env != nil
 }

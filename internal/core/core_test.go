@@ -14,6 +14,7 @@ import (
 	"entitytrace/internal/failure"
 	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
+	"entitytrace/internal/obs"
 	"entitytrace/internal/secure"
 	"entitytrace/internal/sysinfo"
 	"entitytrace/internal/tdn"
@@ -95,7 +96,7 @@ func newTestbed(t *testing.T, n int) *testbed {
 	for i := 0; i < n; i++ {
 		resolver := NewCachingResolver(NodeResolver(node))
 		guard := NewTokenGuard(resolver, fxVerifier, nil, token.DefaultClockSkew)
-		b := broker.New(broker.Config{Name: fmt.Sprintf("b%d", i), Guard: guard, Logf: t.Logf})
+		b := broker.New(broker.Config{Name: fmt.Sprintf("b%d", i), Guard: guard, Log: obs.NewCallbackLogger(obs.LevelDebug, t.Logf)})
 		l, err := tb.tr.Listen("")
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +112,7 @@ func newTestbed(t *testing.T, n int) *testbed {
 			Detector:      fastDetector(),
 			GaugeInterval: 50 * time.Millisecond,
 			InterestTTL:   5 * time.Second,
-			Logf:          t.Logf,
+			Log:           obs.NewCallbackLogger(obs.LevelDebug, t.Logf),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -337,26 +337,19 @@ func applyCached(env *message.Envelope, e *verifiedToken, traceTopic ident.UUID,
 // through.
 func NewTokenGuard(resolver AdResolver, verifier *credential.Verifier,
 	now func() time.Time, skew time.Duration) broker.Guard {
-	return NewCachedTokenGuard(resolver, verifier, now, skew, nil)
+	return NewObservedTokenGuard(resolver, verifier, now, skew, nil, nil)
 }
 
-// NewCachedTokenGuard is NewTokenGuard with a verified-token cache
+// NewObservedTokenGuard is NewTokenGuard with a verified-token cache
 // accelerating steady-state traces (§6.3's signing-cost idea applied
-// broker-side). A nil cache reproduces NewTokenGuard's behaviour
-// byte-for-byte.
-func NewCachedTokenGuard(resolver AdResolver, verifier *credential.Verifier,
-	now func() time.Time, skew time.Duration, cache *TokenCache) broker.Guard {
-	return NewObservedTokenGuard(resolver, verifier, now, skew, cache, nil)
-}
-
-// NewObservedTokenGuard is NewCachedTokenGuard additionally recording
-// every guard verdict into a flight recorder: drops always (with the
-// rejection reason and how the verified-token cache participated),
-// accepts at the recorder's healthy-traffic sampling rate, each with the
-// verification's wall-clock cost. A nil recorder reproduces
-// NewCachedTokenGuard exactly; brokers share one recorder between this
-// guard and broker.Config.Flight so a trace's guard verdict interleaves
-// with its routing events.
+// broker-side; a nil cache reproduces NewTokenGuard's behaviour
+// byte-for-byte), additionally recording every guard verdict into a
+// flight recorder: drops always (with the rejection reason and how the
+// verified-token cache participated), accepts at the recorder's
+// healthy-traffic sampling rate, each with the verification's
+// wall-clock cost. A nil recorder records nothing; brokers share one
+// recorder between this guard and broker.Config.Flight so a trace's
+// guard verdict interleaves with its routing events.
 func NewObservedTokenGuard(resolver AdResolver, verifier *credential.Verifier,
 	now func() time.Time, skew time.Duration, cache *TokenCache,
 	flight *obs.FlightRecorder) broker.Guard {

@@ -8,6 +8,7 @@ import (
 	"entitytrace/internal/broker"
 	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
+	"entitytrace/internal/obs"
 	"entitytrace/internal/topic"
 )
 
@@ -110,7 +111,7 @@ func TestTrackerReconnectRestoresWatches(t *testing.T) {
 		Client:           cl,
 		Redial:           tb.redialer("tracker-comeback", 0),
 		ReconnectBackoff: fastReconnect(),
-		Logf:             t.Logf,
+		Log:              obs.NewCallbackLogger(obs.LevelDebug, t.Logf),
 	})
 	if err != nil {
 		t.Fatal(err)

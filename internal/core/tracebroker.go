@@ -131,12 +131,9 @@ type BrokerConfig struct {
 	// SessionMaxLife caps each negotiated session validity window. Zero
 	// selects DefaultSessionMaxLife.
 	SessionMaxLife time.Duration
-	// Logf receives diagnostics; nil silences them. Superseded by Log
-	// but still honoured for older callers.
-	Logf func(format string, args ...any)
-	// Log is the structured logger; when set it takes precedence over
-	// Logf and is also propagated into the failure detector unless
-	// Detector.Log is set explicitly.
+	// Log is the structured logger (nil silences diagnostics); it is
+	// also propagated into the failure detector unless Detector.Log is
+	// set explicitly.
 	Log *obs.Logger
 }
 
@@ -266,9 +263,6 @@ func NewTraceBroker(cfg BrokerConfig) (*TraceBroker, error) {
 		cfg.Detector = failure.DefaultConfig()
 	}
 	log := cfg.Log
-	if log == nil {
-		log = obs.NewCallbackLogger(obs.LevelDebug, cfg.Logf)
-	}
 	if cfg.Detector.Log == nil {
 		cfg.Detector.Log = log
 	}

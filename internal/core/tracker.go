@@ -45,11 +45,7 @@ type TrackerConfig struct {
 	Clock clock.Clock
 	// Skew is the token clock-skew tolerance (§4.3).
 	Skew time.Duration
-	// Logf receives diagnostics; nil silences them. Superseded by Log
-	// but still honoured for older callers.
-	Logf func(format string, args ...any)
-	// Log is the structured logger; when set it takes precedence over
-	// Logf.
+	// Log is the structured logger; nil silences diagnostics.
 	Log *obs.Logger
 	// Avail, when set, receives availability observations derived from
 	// every verified trace: the ledger runs directly on the delivery
@@ -194,9 +190,6 @@ func NewTracker(cfg TrackerConfig) (*Tracker, error) {
 		cfg.Skew = token.DefaultClockSkew
 	}
 	log := cfg.Log
-	if log == nil {
-		log = obs.NewCallbackLogger(obs.LevelDebug, cfg.Logf)
-	}
 	tk := &Tracker{cfg: cfg, cl: cfg.Client, log: log,
 		warnLim:  obs.NewLogLimiter(log, time.Second, cfg.Clock.Now),
 		watches:  make(map[ident.UUID]*Watch),

@@ -379,7 +379,7 @@ func (f *Fabric) onGossip(env *message.Envelope) {
 
 // handoff replays the durable tail of every sharded topic whose owner
 // changed between old and next. This broker persisted the records at
-// origin (see routeShardRemote), so replay needs no re-admission; the
+// origin (see broker.plan), so replay needs no re-admission; the
 // new owner fans them out and downstream dedupe absorbs anything the
 // old owner had already delivered. The window is bounded: an owner that
 // was down for longer than HandoffRecords of traffic is repaired by the
