@@ -446,7 +446,7 @@ func BenchmarkTraceVerification(b *testing.B) {
 // topics (ordinary pub/sub traffic): it must be near zero.
 func BenchmarkGuardPassthrough(b *testing.B) {
 	_, _, resolver, verifier := benchVerificationFixture(b)
-	guard := core.NewTokenGuard(resolver, verifier, nil, 0)
+	guard := core.NewGuard(core.GuardConfig{Resolver: resolver, Verifier: verifier}).Admit
 	env := message.New(message.TypeData, topic.MustParse("/ordinary/application/topic"), "app", make([]byte, 256))
 	p := topic.EntityPrincipal("app")
 	b.ResetTimer()

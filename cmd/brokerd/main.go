@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -23,6 +22,7 @@ import (
 	"entitytrace/internal/backoff"
 	"entitytrace/internal/broker"
 	"entitytrace/internal/brokerdir"
+	"entitytrace/internal/clock"
 	"entitytrace/internal/core"
 	"entitytrace/internal/credential"
 	"entitytrace/internal/durable"
@@ -30,9 +30,7 @@ import (
 	"entitytrace/internal/ident"
 	"entitytrace/internal/obs"
 	"entitytrace/internal/obs/timeseries"
-	"entitytrace/internal/secure"
 	"entitytrace/internal/tdn"
-	"entitytrace/internal/token"
 	"entitytrace/internal/transport"
 )
 
@@ -143,27 +141,15 @@ func main() {
 	if *flightEvents > 0 {
 		flight = obs.NewFlightRecorder(brokerName, *flightEvents, *traceSample)
 	}
-	// With -session-keys the guard verifies session-tagged envelopes
-	// against the negotiated key store; unknown sessions trigger a
-	// renegotiation request through the trace manager (bound below, after
-	// it exists).
-	var guard broker.Guard
-	var sessions *core.SessionStore
-	var sessionRequester atomic.Pointer[func(ident.UUID, [secure.SessionIDLen]byte)]
+	// One guard vets every trace envelope (§4.3). With -session-keys it
+	// also holds the negotiated key store and verifies session tags; the
+	// trace manager below binds its renegotiation requester to it.
+	clk := clock.Real{}
+	gc := core.GuardConfig{Resolver: resolver, Verifier: verifier, Clock: clk, Cache: tokenCache, Flight: flight}
 	if *sessionKeys {
-		sessions = core.NewSessionStore(0)
-		guard = core.NewSessionTokenGuard(resolver, verifier, nil, token.DefaultClockSkew,
-			tokenCache, flight, core.SessionGuardConfig{
-				Store: sessions,
-				OnUnknownSession: func(tt ident.UUID, sid [secure.SessionIDLen]byte) {
-					if fn := sessionRequester.Load(); fn != nil {
-						(*fn)(tt, sid)
-					}
-				},
-			})
-	} else {
-		guard = core.NewObservedTokenGuard(resolver, verifier, nil, token.DefaultClockSkew, tokenCache, flight)
+		gc.Sessions = core.NewSessionStore(0)
 	}
+	guard := core.NewGuard(gc)
 	// The durable trace log persists constrained trace derivatives
 	// before fan-out and serves ack'd replay (PROTOCOL.md §3.8).
 	// Recovery verifies every sealed segment's hash chain; a tampered or
@@ -188,7 +174,7 @@ func main() {
 	}
 	b := broker.New(broker.Config{
 		Name:                 brokerName,
-		Guard:                guard,
+		Guard:                guard.Admit,
 		Durable:              store,
 		Flight:               flight,
 		EgressQueue:          *egressQueue,
@@ -235,13 +221,13 @@ func main() {
 		Identity:          id,
 		Verifier:          verifier,
 		Resolver:          resolver,
+		Guard:             guard,
+		Clock:             clk,
 		Log:               log,
 		HealthInterval:    *healthEvery,
 		AvailInterval:     *availEvery,
 		Avail:             ledger,
-		TokenCache:        tokenCache,
 		SessionKeys:       *sessionKeys,
-		Sessions:          sessions,
 		TelemetryInterval: *telemEvery,
 		TelemetryOptions:  telemOpts,
 		TelemetryRules:    rules,
@@ -257,10 +243,6 @@ func main() {
 		sampler = timeseries.NewSampler(obs.Default, ts, *telemEvery)
 		sampler.Start()
 		defer sampler.Stop()
-	}
-	if *sessionKeys {
-		fn := mgr.SessionRequester()
-		sessionRequester.Store(&fn)
 	}
 	mgr.Start()
 	// Accept connections only after the manager's subscriptions are live,

@@ -21,7 +21,6 @@ import (
 	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
 	"entitytrace/internal/tdn"
-	"entitytrace/internal/token"
 	"entitytrace/internal/topic"
 	"entitytrace/internal/transport"
 )
@@ -51,10 +50,8 @@ func main() {
 	// fixed inproc address.
 	startBroker := func(name, addr string) (*broker.Broker, *core.TraceBroker) {
 		resolver := core.NewCachingResolver(core.NodeResolver(node))
-		b := broker.New(broker.Config{
-			Name:  name,
-			Guard: core.NewTokenGuard(resolver, verifier, nil, token.DefaultClockSkew),
-		})
+		guard := core.NewGuard(core.GuardConfig{Resolver: resolver, Verifier: verifier})
+		b := broker.New(broker.Config{Name: name, Guard: guard.Admit})
 		l, err := tr.Listen(addr)
 		check(err)
 		b.Serve(l)
@@ -65,6 +62,7 @@ func main() {
 			Identity:      id,
 			Verifier:      verifier,
 			Resolver:      resolver,
+			Guard:         guard,
 			Clock:         clock.Real{},
 			Detector:      detector,
 			GaugeInterval: 150 * time.Millisecond,

@@ -16,7 +16,6 @@ import (
 	"entitytrace/internal/message"
 	"entitytrace/internal/sysinfo"
 	"entitytrace/internal/tdn"
-	"entitytrace/internal/token"
 	"entitytrace/internal/topic"
 	"entitytrace/internal/transport"
 )
@@ -37,10 +36,8 @@ func main() {
 	//    trace manager (§3.3).
 	tr := transport.NewInproc()
 	resolver := core.NewCachingResolver(core.NodeResolver(node))
-	b := broker.New(broker.Config{
-		Name:  "broker-1",
-		Guard: core.NewTokenGuard(resolver, verifier, nil, token.DefaultClockSkew),
-	})
+	guard := core.NewGuard(core.GuardConfig{Resolver: resolver, Verifier: verifier})
+	b := broker.New(broker.Config{Name: "broker-1", Guard: guard.Admit})
 	l, err := tr.Listen("broker-1")
 	check(err)
 	b.Serve(l)
@@ -53,6 +50,7 @@ func main() {
 		Identity:      brokerID,
 		Verifier:      verifier,
 		Resolver:      resolver,
+		Guard:         guard,
 		GaugeInterval: 500 * time.Millisecond,
 	})
 	check(err)

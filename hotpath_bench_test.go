@@ -57,7 +57,7 @@ func BenchmarkTraceVerificationCached(b *testing.B) {
 // inspection + cached verification) as the broker invokes it per trace.
 func BenchmarkGuardCachedTrace(b *testing.B) {
 	env, _, resolver, verifier := benchVerificationFixture(b)
-	guard := core.NewObservedTokenGuard(resolver, verifier, nil, 0, core.NewTokenCache(0), nil)
+	guard := core.NewGuard(core.GuardConfig{Resolver: resolver, Verifier: verifier, Cache: core.NewTokenCache(0)}).Admit
 	p := topic.EntityPrincipal("bench-owner")
 	if err := guard(env, p); err != nil {
 		b.Fatal(err)

@@ -98,8 +98,8 @@ type Config struct {
 	// ingress, drops, route fan-out, egress enqueues/sheds, evictions,
 	// quarantine rejections — into the bounded flight-recorder ring for
 	// post-hoc inspection via /trace. Guard verdicts are recorded by the
-	// guard itself: pair this with core.NewObservedTokenGuard sharing the
-	// same recorder. Nil disables recording at the cost of one nil check.
+	// guard itself: give core.GuardConfig.Flight the same recorder. Nil
+	// disables recording at the cost of one nil check.
 	Flight *obs.FlightRecorder
 	// Log is the structured logger; nil silences diagnostics.
 	Log *obs.Logger

@@ -95,7 +95,7 @@ func newTestbed(t *testing.T, n int) *testbed {
 	tb.node = node
 	for i := 0; i < n; i++ {
 		resolver := NewCachingResolver(NodeResolver(node))
-		guard := NewTokenGuard(resolver, fxVerifier, nil, token.DefaultClockSkew)
+		guard := NewGuard(GuardConfig{Resolver: resolver, Verifier: fxVerifier}).Admit
 		b := broker.New(broker.Config{Name: fmt.Sprintf("b%d", i), Guard: guard, Log: obs.NewCallbackLogger(obs.LevelDebug, t.Logf)})
 		l, err := tb.tr.Listen("")
 		if err != nil {
@@ -941,9 +941,9 @@ func TestVerifyTraceRejections(t *testing.T) {
 
 func TestTokenGuardPassesNonTraceTopics(t *testing.T) {
 	fixture(t)
-	guard := NewTokenGuard(NewCachingResolver(ResolverFunc(
+	guard := NewGuard(GuardConfig{Resolver: NewCachingResolver(ResolverFunc(
 		func(ident.UUID) (*tdn.Advertisement, error) { return nil, ErrUnknownTopic },
-	)), fxVerifier, nil, 0)
+	)), Verifier: fxVerifier}).Admit
 	env := message.New(message.TypeData, topic.MustParse("/ordinary/topic"), "someone", []byte("x"))
 	if err := guard(env, topic.EntityPrincipal("someone")); err != nil {
 		t.Fatalf("guard blocked ordinary topic: %v", err)
@@ -1192,7 +1192,7 @@ func TestInterestExpiryRevertsToSilence(t *testing.T) {
 	}
 	tb.node = node
 	resolver := NewCachingResolver(NodeResolver(node))
-	guard := NewTokenGuard(resolver, fxVerifier, nil, token.DefaultClockSkew)
+	guard := NewGuard(GuardConfig{Resolver: resolver, Verifier: fxVerifier}).Admit
 	b := broker.New(broker.Config{Name: "exp0", Guard: guard})
 	l, err := tb.tr.Listen("")
 	if err != nil {

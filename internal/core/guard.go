@@ -13,11 +13,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"entitytrace/internal/broker"
+	"entitytrace/internal/clock"
 	"entitytrace/internal/credential"
 	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
 	"entitytrace/internal/obs"
+	"entitytrace/internal/secure"
 	"entitytrace/internal/tdn"
 	"entitytrace/internal/token"
 	"entitytrace/internal/topic"
@@ -157,8 +158,6 @@ type traceTopicEntry struct {
 // traceTopicMemoMax bounds the per-guard topic memo.
 const traceTopicMemoMax = 8192
 
-func newTraceTopicMemo() *traceTopicMemo { return &traceTopicMemo{} }
-
 func (tm *traceTopicMemo) lookup(tp topic.Topic) (ident.UUID, bool) {
 	ts := tp.String()
 	if v, ok := tm.m.Load(ts); ok {
@@ -251,17 +250,8 @@ func VerifyTraceCached(env *message.Envelope, traceTopic ident.UUID, resolver Ad
 	return err
 }
 
-// Cache outcomes reported by verifyTraceCachedOutcome and recorded on
-// guard flight events.
-const (
-	cacheBypass = "bypass" // caching disabled (nil cache)
-	cacheHit    = "hit"    // byte-identical token already verified
-	cacheStale  = "stale"  // entry invalidated; full pipeline re-ran
-	cacheMiss   = "miss"   // unseen token; full pipeline ran
-)
-
 // verifyTraceCachedOutcome is VerifyTraceCached also reporting how the
-// verified-token cache participated, for flight-recorder guard events.
+// verified-token cache participated (the Guard.Verify verdict label).
 func verifyTraceCachedOutcome(env *message.Envelope, traceTopic ident.UUID, resolver AdResolver,
 	verifier *credential.Verifier, now time.Time, skew time.Duration, cache *TokenCache) (string, error) {
 	if cache == nil {
@@ -314,9 +304,6 @@ func applyCached(env *message.Envelope, e *verifiedToken, traceTopic ident.UUID,
 	if now.UnixNano() > ad.ExpiresAt {
 		return false, nil
 	}
-	if skew < 0 {
-		skew = token.DefaultClockSkew
-	}
 	nb := time.Unix(0, e.notBefore).Add(-skew)
 	na := time.Unix(0, e.notAfter).Add(skew)
 	if now.Before(nb) || now.After(na) {
@@ -331,67 +318,162 @@ func applyCached(env *message.Envelope, e *verifiedToken, traceTopic ident.UUID,
 	return true, nil
 }
 
-// NewTokenGuard builds the broker.Guard of §4.3/§5.2: messages on trace
-// derivative topics must carry a valid authorization token or they are
-// "discarded and not routed within the network". Non-trace topics pass
-// through.
-func NewTokenGuard(resolver AdResolver, verifier *credential.Verifier,
-	now func() time.Time, skew time.Duration) broker.Guard {
-	return NewObservedTokenGuard(resolver, verifier, now, skew, nil, nil)
+// GuardConfig configures the trace authorization guard.
+type GuardConfig struct {
+	// Resolver resolves a trace topic to its advertisement (required).
+	Resolver AdResolver
+	// Verifier validates advertisement credential chains (required).
+	Verifier *credential.Verifier
+	// Clock supplies the verification instant and times each verdict for
+	// the flight recorder; nil means clock.Real. Hosts pass the clock
+	// their trace manager runs on, so guard and manager agree about now.
+	Clock clock.Clock
+	// Skew is the validity-window tolerance of §4.3. It is normalised
+	// once, here: any value <= 0 selects token.DefaultClockSkew, and the
+	// stages receive the normalised value. (Called directly, the stages
+	// differ: token.Verify reads only a negative skew as the default,
+	// while the cached and session stages apply the skew as given.)
+	Skew time.Duration
+	// Cache memoizes verified tokens so a steady-state RSA trace pays
+	// only its per-message delegate-signature check; nil disables it.
+	Cache *TokenCache
+	// Flight receives one FlightGuard event per verdict Admit reaches:
+	// drops always, accepts at the recorder's sampling rate. Brokers
+	// share the recorder with broker.Config.Flight so a trace's guard
+	// verdict interleaves with its routing events. Nil records nothing.
+	Flight *obs.FlightRecorder
+	// Sessions holds the installed §6.3 session keys. Nil means this
+	// verifier takes no part in session keys: a session-tagged envelope
+	// is dropped as session_unsupported, without scoring its sender.
+	Sessions *SessionStore
 }
 
-// NewObservedTokenGuard is NewTokenGuard with a verified-token cache
-// accelerating steady-state traces (§6.3's signing-cost idea applied
-// broker-side; a nil cache reproduces NewTokenGuard's behaviour
-// byte-for-byte), additionally recording every guard verdict into a
-// flight recorder: drops always (with the rejection reason and how the
-// verified-token cache participated), accepts at the recorder's
-// healthy-traffic sampling rate, each with the verification's
-// wall-clock cost. A nil recorder records nothing; brokers share one
-// recorder between this guard and broker.Config.Flight so a trace's
-// guard verdict interleaves with its routing events.
-func NewObservedTokenGuard(resolver AdResolver, verifier *credential.Verifier,
-	now func() time.Time, skew time.Duration, cache *TokenCache,
-	flight *obs.FlightRecorder) broker.Guard {
-	if now == nil {
-		now = time.Now
+// Guard is the one trace authorization point of §4.3/§5.2: a message on
+// a trace derivative topic must prove its token chain — by session tag,
+// by a cached verification or by the full chain — or it is "discarded
+// and not routed within the network". Brokers enforce it on every
+// envelope through Admit; trackers call Verify on what they receive.
+type Guard struct {
+	resolver AdResolver
+	verifier *credential.Verifier
+	clk      clock.Clock
+	skew     time.Duration
+	cache    *TokenCache
+	flight   *obs.FlightRecorder
+	sessions *SessionStore
+	topics   traceTopicMemo
+	// onUnknown is atomic because its owner binds it after the guard may
+	// already be vetting traffic (the guard exists before the broker
+	// node, the trace manager after it).
+	onUnknown atomic.Pointer[func(ident.UUID, [secure.SessionIDLen]byte)]
+}
+
+// NewGuard builds a guard from cfg.
+func NewGuard(cfg GuardConfig) *Guard {
+	g := &Guard{
+		resolver: cfg.Resolver,
+		verifier: cfg.Verifier,
+		clk:      cfg.Clock,
+		skew:     cfg.Skew,
+		cache:    cfg.Cache,
+		flight:   cfg.Flight,
+		sessions: cfg.Sessions,
 	}
-	if skew <= 0 {
-		skew = token.DefaultClockSkew
+	if g.clk == nil {
+		g.clk = clock.Real{}
 	}
-	topics := newTraceTopicMemo()
-	return func(env *message.Envelope, from topic.Principal) error {
-		tt, isTrace := topics.lookup(env.Topic)
-		if !isTrace {
-			return nil
-		}
-		if flight == nil {
-			return VerifyTraceCached(env, tt, resolver, verifier, now(), skew, cache)
-		}
-		start := now()
-		outcome, err := verifyTraceCachedOutcome(env, tt, resolver, verifier, start, skew, cache)
-		if err != nil || flight.Sampled() {
-			ev := obs.FlightEvent{
-				Kind:     obs.FlightGuard,
-				Topic:    env.Topic.String(),
-				Cache:    outcome,
-				DurNanos: now().Sub(start).Nanoseconds(),
-			}
-			if env.Span != nil {
-				ev.Trace = obs.FlightTrace(env.Span.TraceID)
-			} else {
-				ev.Trace = obs.FlightTrace(env.ID)
-			}
-			if from.IsBroker {
-				ev.Peer = "broker"
-			} else {
-				ev.Peer = string(from.Entity)
-			}
-			if err != nil {
-				ev.Reason = err.Error()
-			}
-			flight.Record(ev)
-		}
-		return err
+	if g.skew <= 0 {
+		g.skew = token.DefaultClockSkew
 	}
+	return g
+}
+
+// OnUnknownSession binds the renegotiation hook: fn runs, outside any
+// lock and on the verifying goroutine, for every session_unknown
+// verdict, so its owner can publish a SESSION_KEY_REQUEST. Owners
+// rate-limit and must not publish re-entrantly.
+func (g *Guard) OnUnknownSession(fn func(traceTopic ident.UUID, sessionID [secure.SessionIDLen]byte)) {
+	g.onUnknown.Store(&fn)
+}
+
+// Verdict labels returned by Verify and recorded as a guard flight
+// event's Cache field: which stage settled the envelope, and how.
+const (
+	cacheBypass         = "bypass"          // full chain; no cache configured
+	cacheHit            = "hit"             // byte-identical token already verified
+	cacheStale          = "stale"           // entry invalidated; full chain re-ran
+	cacheMiss           = "miss"            // unseen token; full chain ran
+	cacheSession        = "session"         // session tag verified
+	cacheSessionUnknown = "session_unknown" // tag referenced an uninstalled session
+	cacheSessionReject  = "session_reject"  // tag, window or topic check failed, or no store
+)
+
+// Verify decides whether env is an authorized message of traceTopic at
+// now, trying the cheapest sufficient proof first: the session tag when
+// the envelope carries one, else the verified-token cache, else the full
+// §4.3 chain. It is the only place the choice between the three stages
+// is made. It returns the verdict label with the stage's own error, and
+// counts every rejection under its traces_dropped_total reason.
+func (g *Guard) Verify(env *message.Envelope, traceTopic ident.UUID, now time.Time) (outcome string, err error) {
+	if env.Flags&message.FlagSessionTag == 0 {
+		return verifyTraceCachedOutcome(env, traceTopic, g.resolver, g.verifier, now, g.skew, g.cache)
+	}
+	if g.sessions == nil {
+		mDropSessionUnsupported.Inc()
+		return cacheSessionReject, ErrSessionUnsupported
+	}
+	err = VerifyTraceSession(env, traceTopic, g.sessions, now, g.skew)
+	switch {
+	case err == nil:
+		return cacheSession, nil
+	case !errors.Is(err, ErrUnknownSession):
+		return cacheSessionReject, err
+	}
+	if fn := g.onUnknown.Load(); fn != nil {
+		if sid, sidErr := env.SessionID(); sidErr == nil {
+			(*fn)(traceTopic, sid)
+		}
+	}
+	return cacheSessionUnknown, err
+}
+
+// Admit is the broker.Guard: envelopes on trace derivative topics
+// (Table 2) must pass Verify; every other topic passes through. Each
+// verdict is recorded once on the flight recorder, with the rejection
+// reason, the stage that settled it and the verification's cost.
+func (g *Guard) Admit(env *message.Envelope, from topic.Principal) error {
+	tt, isTrace := g.topics.lookup(env.Topic)
+	if !isTrace {
+		return nil
+	}
+	start := g.clk.Now()
+	outcome, err := g.Verify(env, tt, start)
+	if g.flight != nil && (err != nil || g.flight.Sampled()) {
+		ev := obs.FlightEvent{
+			Kind:     obs.FlightGuard,
+			Trace:    flightTraceID(env),
+			Topic:    env.Topic.String(),
+			Cache:    outcome,
+			DurNanos: g.clk.Now().Sub(start).Nanoseconds(),
+		}
+		if from.IsBroker {
+			ev.Peer = "broker"
+		} else {
+			ev.Peer = string(from.Entity)
+		}
+		if err != nil {
+			ev.Reason = err.Error()
+		}
+		g.flight.Record(ev)
+	}
+	return err
+}
+
+// flightTraceID derives the flight correlation ID for an envelope: the
+// span's trace ID when it carries one, its own ID otherwise.
+func flightTraceID(env *message.Envelope) obs.FlightTrace {
+	if env.Span != nil {
+		return obs.FlightTrace(env.Span.TraceID)
+	}
+	return obs.FlightTrace(env.ID)
 }

@@ -9,13 +9,11 @@ import (
 	"time"
 
 	"entitytrace/internal/broker"
-	"entitytrace/internal/credential"
 	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
 	"entitytrace/internal/obs"
 	"entitytrace/internal/secure"
 	"entitytrace/internal/token"
-	"entitytrace/internal/topic"
 )
 
 // This file implements the verifier and publisher halves of the §6.3
@@ -36,6 +34,8 @@ var (
 	mDropSessionExpired = obs.Default.Counter(obs.WithLabel("traces_dropped_total", "reason", "session_expired"))
 	mDropSessionTopic   = obs.Default.Counter(obs.WithLabel("traces_dropped_total", "reason", "session_topic_mismatch"))
 	mDropBadSessionTag  = obs.Default.Counter(obs.WithLabel("traces_dropped_total", "reason", "bad_session_tag"))
+	// A tag arriving at a verifier that runs no session store.
+	mDropSessionUnsupported = obs.Default.Counter(obs.WithLabel("traces_dropped_total", "reason", "session_unsupported"))
 )
 
 // Session store metrics.
@@ -50,9 +50,13 @@ var (
 // a tag referencing a session the verifier has not installed (fresh
 // negotiation, restart, invalidation) is dropped without scoring a
 // violation against the delivering peer, and triggers renegotiation.
+// ErrSessionUnsupported wraps it for the same reason: a verifier with
+// no session store downstream of one that has is a deployment mismatch,
+// and the peer relaying a healthy tagged trace is not at fault for it.
 var (
-	ErrUnknownSession = fmt.Errorf("core: unknown session (%w)", broker.ErrNoPunish)
-	ErrSessionExpired = errors.New("core: session key expired")
+	ErrUnknownSession     = fmt.Errorf("core: unknown session (%w)", broker.ErrNoPunish)
+	ErrSessionExpired     = errors.New("core: session key expired")
+	ErrSessionUnsupported = fmt.Errorf("core: session-tagged trace at a verifier without session keys (%w)", broker.ErrNoPunish)
 )
 
 // DefaultSessionStoreSize bounds the number of concurrently installed
@@ -208,12 +212,13 @@ func (s *SessionStore) Len() int {
 
 // VerifyTraceSession checks a session-tagged envelope against the
 // store: the session must be installed, bound to the message's trace
-// topic, inside its validity window (the same skew tolerance the token
-// check applies, so expiry verdicts match the RSA path), and the
-// HMAC-SHA256 tag must verify over the same canonical bytes an RSA
-// signature would cover. An expired window or a failed tag invalidates
-// the session — the hard fallback: nothing further authenticates under
-// that session ID until full RSA verification re-establishes it.
+// topic, inside its validity window widened by skew (the Guard passes
+// the tolerance the token check applies, so expiry verdicts match the
+// RSA path), and the HMAC-SHA256 tag must verify over the same canonical
+// bytes an RSA signature would cover. An expired window or a failed tag
+// invalidates the session — the hard fallback: nothing further
+// authenticates under that session ID until full RSA verification
+// re-establishes it.
 func VerifyTraceSession(env *message.Envelope, traceTopic ident.UUID,
 	store *SessionStore, now time.Time, skew time.Duration) error {
 	sid, err := env.SessionID()
@@ -231,9 +236,6 @@ func VerifyTraceSession(env *message.Envelope, traceTopic ident.UUID,
 		mDropSessionTopic.Inc()
 		return fmt.Errorf("core: session %x is bound to topic %v, not %v", sid[:4], e.topic, traceTopic)
 	}
-	if skew < 0 {
-		skew = token.DefaultClockSkew
-	}
 	if !e.key.ValidAt(now, skew) {
 		store.Invalidate(sid)
 		mDropSessionExpired.Inc()
@@ -249,94 +251,6 @@ func VerifyTraceSession(env *message.Envelope, traceTopic ident.UUID,
 	}
 	mSessionHits.Inc()
 	return nil
-}
-
-// Session-path cache outcomes recorded on guard flight events, extending
-// the RSA-path set (bypass/hit/stale/miss).
-const (
-	cacheSession        = "session"         // session tag verified
-	cacheSessionUnknown = "session_unknown" // tag referenced an uninstalled session
-	cacheSessionReject  = "session_reject"  // tag or window verification failed
-)
-
-// SessionGuardConfig configures NewSessionTokenGuard beyond the
-// RSA-path parameters.
-type SessionGuardConfig struct {
-	// Store holds the installed session keys (required).
-	Store *SessionStore
-	// OnUnknownSession, when non-nil, is invoked (outside any lock) for
-	// each unknown-session drop so the hosting layer can publish a
-	// SESSION_KEY_REQUEST. Callers are expected to rate-limit.
-	OnUnknownSession func(traceTopic ident.UUID, sessionID [secure.SessionIDLen]byte)
-}
-
-// NewSessionTokenGuard extends NewObservedTokenGuard with the §6.3
-// session path: envelopes carrying FlagSessionTag verify against the
-// session store; everything else takes the existing RSA pipeline
-// unchanged. Both paths share the flight recorder, so a trace's guard
-// verdict shows which mechanism settled it.
-func NewSessionTokenGuard(resolver AdResolver, verifier *credential.Verifier,
-	now func() time.Time, skew time.Duration, cache *TokenCache,
-	flight *obs.FlightRecorder, sg SessionGuardConfig) broker.Guard {
-	if sg.Store == nil {
-		return NewObservedTokenGuard(resolver, verifier, now, skew, cache, flight)
-	}
-	rsaGuard := NewObservedTokenGuard(resolver, verifier, now, skew, cache, flight)
-	if now == nil {
-		now = time.Now
-	}
-	if skew <= 0 {
-		skew = token.DefaultClockSkew
-	}
-	return func(env *message.Envelope, from topic.Principal) error {
-		if env.Flags&message.FlagSessionTag == 0 {
-			return rsaGuard(env, from)
-		}
-		tt, isTrace := traceTopicOf(env.Topic)
-		if !isTrace {
-			return nil
-		}
-		start := now()
-		err := VerifyTraceSession(env, tt, sg.Store, start, skew)
-		if errors.Is(err, ErrUnknownSession) && sg.OnUnknownSession != nil {
-			if sid, sidErr := env.SessionID(); sidErr == nil {
-				sg.OnUnknownSession(tt, sid)
-			}
-		}
-		if flight != nil && (err != nil || flight.Sampled()) {
-			outcome := cacheSession
-			if errors.Is(err, ErrUnknownSession) {
-				outcome = cacheSessionUnknown
-			} else if err != nil {
-				outcome = cacheSessionReject
-			}
-			ev := obs.FlightEvent{
-				Kind:     obs.FlightGuard,
-				Topic:    env.Topic.String(),
-				Cache:    outcome,
-				DurNanos: now().Sub(start).Nanoseconds(),
-				Trace:    flightTraceID(env),
-			}
-			if from.IsBroker {
-				ev.Peer = "broker"
-			} else {
-				ev.Peer = string(from.Entity)
-			}
-			if err != nil {
-				ev.Reason = err.Error()
-			}
-			flight.Record(ev)
-		}
-		return err
-	}
-}
-
-// flightTraceID derives the flight correlation ID for an envelope.
-func flightTraceID(env *message.Envelope) obs.FlightTrace {
-	if env.Span != nil {
-		return obs.FlightTrace(env.Span.TraceID)
-	}
-	return obs.FlightTrace(env.ID)
 }
 
 // SessionPublisher is the publisher half of §6.3: it owns the current
@@ -510,17 +424,22 @@ func (sp *SessionPublisher) SealedParamsFor(pub *rsa.PublicKey) ([]byte, [secure
 const sessionRequestMinInterval = time.Second
 
 // OpenSessionKeyResponse authenticates and opens a SESSION_KEY_RESPONSE
-// envelope: full §4.3 verification of the envelope (token + delegate RSA
-// signature — the one expensive check the session path amortizes), then
+// envelope: the envelope must pass Verify on its token chain (token +
+// delegate RSA signature — the one expensive check the session path
+// amortizes; a response authenticated only by a session tag is refused,
+// since a key holder could otherwise mint itself a successor key), then
 // the sealed parameters are opened with the recipient's credential key,
 // bound against the verified token's raw bytes, and the session key is
 // derived. The derivation principal is the token owner, matching the
 // publisher side.
-func OpenSessionKeyResponse(env *message.Envelope, sr *message.SessionKeyResponse,
-	priv *rsa.PrivateKey, resolver AdResolver, verifier *credential.Verifier,
-	now time.Time, skew time.Duration) (*secure.SessionKey, error) {
-	if err := VerifyTrace(env, sr.TraceTopic, resolver, verifier, now, skew); err != nil {
+func (g *Guard) OpenSessionKeyResponse(env *message.Envelope, sr *message.SessionKeyResponse,
+	priv *rsa.PrivateKey, now time.Time) (*secure.SessionKey, error) {
+	outcome, err := g.Verify(env, sr.TraceTopic, now)
+	if err != nil {
 		return nil, fmt.Errorf("core: session key response: %w", err)
+	}
+	if outcome == cacheSession {
+		return nil, errors.New("core: session key response lacks its token chain")
 	}
 	tok, err := token.Unmarshal(env.Token)
 	if err != nil {

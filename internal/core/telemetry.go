@@ -110,8 +110,8 @@ func (tb *TraceBroker) sampleHealth() []telemetrySample {
 		{"fabric_members", false, int64(h.FabricMembers)},
 		{"fabric_owned_per_mille", false, int64(h.FabricOwnedPerMille)},
 	}
-	if tb.cfg.TokenCache != nil {
-		cs := tb.cfg.TokenCache.Stats()
+	if tb.cfg.Guard.cache != nil {
+		cs := tb.cfg.Guard.cache.Stats()
 		out = append(out,
 			telemetrySample{"guard_hits_total", true, int64(cs.Hits)},
 			telemetrySample{"guard_misses_total", true, int64(cs.Misses)},

@@ -82,8 +82,6 @@ type BrokerConfig struct {
 	// NetMetricsEvery publishes NETWORK_METRICS after every n-th answered
 	// ping. Zero selects 10.
 	NetMetricsEvery int
-	// Skew is the token-validation clock-skew tolerance (§4.3).
-	Skew time.Duration
 	// HealthInterval, when positive, publishes a periodic topology/health
 	// snapshot of the hosting broker on the system-health derivative
 	// topic (topic.SystemHealth) — the fabric monitoring itself with its
@@ -113,21 +111,22 @@ type BrokerConfig struct {
 	// store every telemetry tick; edges are logged and carried as alert
 	// rows in the published snapshots.
 	TelemetryRules []timeseries.Rule
-	// TokenCache, when set, has its hit/miss statistics included in the
-	// health snapshots (it is otherwise owned by the broker's guard).
-	TokenCache *TokenCache
+	// Guard is the trace authorization guard whose Admit the hosting
+	// broker node was configured with. The manager binds its session-key
+	// requester to it, installs hosted sessions' keys into its store,
+	// validates delegations and session-key responses with it, and reports
+	// its cache statistics in health and telemetry snapshots. Nil builds a
+	// private guard from Resolver, Verifier and Clock (with a session
+	// store when SessionKeys is set), for a broker node that runs none.
+	Guard *Guard
 	// SessionKeys enables the §6.3 signing-cost optimization: hosted
 	// sessions mint per-(token, topic) symmetric session keys, sign
 	// steady-state traces with HMAC session tags instead of RSA, and
 	// distribute the keys sealed to credentialed verifiers (trackers via
-	// their key-delivery topics, other brokers on request).
+	// their key-delivery topics, other brokers on request). Guard, when
+	// given, must then hold a session store, or this broker could not
+	// verify its own publishers' tags.
 	SessionKeys bool
-	// Sessions is the session-key store shared with the hosting broker's
-	// guard (NewSessionTokenGuard); required when SessionKeys is set so
-	// the broker can verify its own publishers' tags. When nil and
-	// SessionKeys is set, a default store is created (retrieve it with
-	// Sessions()).
-	Sessions *SessionStore
 	// SessionMaxLife caps each negotiated session validity window. Zero
 	// selects DefaultSessionMaxLife.
 	SessionMaxLife time.Duration
@@ -278,9 +277,6 @@ func NewTraceBroker(cfg BrokerConfig) (*TraceBroker, error) {
 	if cfg.NetMetricsEvery <= 0 {
 		cfg.NetMetricsEvery = 10
 	}
-	if cfg.Skew <= 0 {
-		cfg.Skew = token.DefaultClockSkew
-	}
 	signer, err := secure.NewSigner(cfg.Identity.Private, secure.SHA256)
 	if err != nil {
 		return nil, err
@@ -306,11 +302,19 @@ func NewTraceBroker(cfg BrokerConfig) (*TraceBroker, error) {
 	if tb.avail == nil && cfg.AvailInterval > 0 {
 		tb.avail = avail.New(avail.Config{Clock: cfg.Clock, Registry: obs.Default, Log: log})
 	}
+	if cfg.Guard == nil {
+		gc := GuardConfig{Resolver: tb.cfg.Resolver, Verifier: cfg.Verifier, Clock: cfg.Clock}
+		if cfg.SessionKeys {
+			gc.Sessions = NewSessionStore(0)
+		}
+		tb.cfg.Guard = NewGuard(gc)
+	}
 	if cfg.SessionKeys {
-		if tb.cfg.Sessions == nil {
-			tb.cfg.Sessions = NewSessionStore(0)
+		if tb.cfg.Guard.sessions == nil {
+			return nil, errors.New("core: SessionKeys needs a Guard with a session store")
 		}
 		tb.sessReqLast = make(map[[secure.SessionIDLen]byte]time.Time)
+		tb.cfg.Guard.OnUnknownSession(tb.requestSessionKey)
 	}
 	if cfg.TelemetryInterval > 0 {
 		tb.tel = &telemetryPlane{
@@ -324,17 +328,15 @@ func NewTraceBroker(cfg BrokerConfig) (*TraceBroker, error) {
 	return tb, nil
 }
 
-// Sessions returns the broker's session-key store (nil when session
-// keys are disabled); pass it to NewSessionTokenGuard for the owning
-// broker node.
-func (tb *TraceBroker) Sessions() *SessionStore { return tb.cfg.Sessions }
+// Sessions returns the guard's session-key store (nil when session
+// keys are disabled); tests and chaos harnesses inspect and poison it.
+func (tb *TraceBroker) Sessions() *SessionStore { return tb.cfg.Guard.sessions }
 
 // Avail returns the broker-side availability ledger (nil when
 // availability tracking is disabled); admin endpoints serve it.
 func (tb *TraceBroker) Avail() *avail.Ledger { return tb.avail }
 
-// Resolver returns the resolver the trace broker validates tokens with;
-// pass it to NewTokenGuard for the owning broker node.
+// Resolver returns the resolver the trace broker validates tokens with.
 func (tb *TraceBroker) Resolver() AdResolver { return tb.cfg.Resolver }
 
 // Start subscribes to the registration topic (§3.2) and begins watching
@@ -417,8 +419,8 @@ func (tb *TraceBroker) PublishHealth() {
 		FabricMembers:       uint32(h.FabricMembers),
 		FabricOwnedPerMille: uint32(h.FabricOwnedPerMille),
 	}
-	if tb.cfg.TokenCache != nil {
-		cs := tb.cfg.TokenCache.Stats()
+	if tb.cfg.Guard.cache != nil {
+		cs := tb.cfg.Guard.cache.Stats()
 		bh.GuardHits, bh.GuardMisses = cs.Hits, cs.Misses
 	}
 	for _, p := range h.Peers {
@@ -793,7 +795,7 @@ func (s *session) onDelegation(payload []byte) {
 			"err", "delegation for wrong topic/owner")
 		return
 	}
-	if _, err := tok.Verify(s.entityPub, s.tb.cfg.Clock.Now(), s.tb.cfg.Skew, token.RightPublish); err != nil {
+	if _, err := tok.Verify(s.entityPub, s.tb.cfg.Clock.Now(), s.tb.cfg.Guard.skew, token.RightPublish); err != nil {
 		s.tb.log.Warn("delegation rejected", "session", s.sessionID, "stage", "verify", "err", err)
 		return
 	}
@@ -1103,7 +1105,7 @@ func (s *session) installSessionPublisher(tokenBytes []byte, delegate *secure.Si
 		sp := NewSessionPublisher(s.traceTopic, string(s.entity), tokenBytes, delegate,
 			s.tb.cfg.Clock.Now, s.tb.cfg.SessionMaxLife)
 		sp.OnRekey(func(k *secure.SessionKey) {
-			s.tb.cfg.Sessions.Install(s.traceTopic, k)
+			s.tb.cfg.Guard.sessions.Install(s.traceTopic, k)
 			// Push the fresh parameters to every verifier that held the
 			// previous session (on a fresh goroutine: the hook runs under
 			// the publisher's lock, and redelivery seals and publishes).
@@ -1530,37 +1532,30 @@ func (s *session) publishSigned(env *message.Envelope, origin *message.Span, all
 
 // --- session-key renegotiation (§6.3), broker as verifier ----------------
 
-// SessionRequester returns the OnUnknownSession callback to wire into
-// this broker's NewSessionTokenGuard: it publishes a rate-limited
-// SESSION_KEY_REQUEST naming this broker's delivery topic, so the
-// hosting broker of the unknown session's publisher re-seals the
-// current parameters to this broker's credential. The publish happens
-// on a fresh goroutine — the guard runs on the routing path and must
-// not publish re-entrantly.
-func (tb *TraceBroker) SessionRequester() func(ident.UUID, [secure.SessionIDLen]byte) {
-	return func(tt ident.UUID, sid [secure.SessionIDLen]byte) {
-		now := tb.cfg.Clock.Now()
-		tb.sessReqMu.Lock()
-		if tb.sessReqLast == nil {
-			tb.sessReqMu.Unlock()
-			return
-		}
-		if last, ok := tb.sessReqLast[sid]; ok && now.Sub(last) < sessionRequestMinInterval {
-			tb.sessReqMu.Unlock()
-			return
-		}
-		tb.sessReqLast[sid] = now
-		if len(tb.sessReqLast) > DefaultSessionStoreSize {
-			for id, at := range tb.sessReqLast {
-				if now.Sub(at) >= sessionRequestMinInterval {
-					delete(tb.sessReqLast, id)
-				}
+// requestSessionKey is the guard's unknown-session hook: it publishes
+// a rate-limited SESSION_KEY_REQUEST naming this broker's delivery
+// topic, so the hosting broker of the unknown session's publisher
+// re-seals the current parameters to this broker's credential. The
+// publish happens on a fresh goroutine — the guard runs on the routing
+// path and must not publish re-entrantly.
+func (tb *TraceBroker) requestSessionKey(tt ident.UUID, sid [secure.SessionIDLen]byte) {
+	now := tb.cfg.Clock.Now()
+	tb.sessReqMu.Lock()
+	if last, ok := tb.sessReqLast[sid]; ok && now.Sub(last) < sessionRequestMinInterval {
+		tb.sessReqMu.Unlock()
+		return
+	}
+	tb.sessReqLast[sid] = now
+	if len(tb.sessReqLast) > DefaultSessionStoreSize {
+		for id, at := range tb.sessReqLast {
+			if now.Sub(at) >= sessionRequestMinInterval {
+				delete(tb.sessReqLast, id)
 			}
 		}
-		tb.sessReqMu.Unlock()
-		mSessionKeyRequests.Inc()
-		go tb.publishSessionKeyRequest(tt, sid)
 	}
+	tb.sessReqMu.Unlock()
+	mSessionKeyRequests.Inc()
+	go tb.publishSessionKeyRequest(tt, sid)
 }
 
 // publishSessionKeyRequest asks the hosting broker of tt's publisher
@@ -1589,20 +1584,19 @@ func (tb *TraceBroker) publishSessionKeyRequest(tt ident.UUID, sid [secure.Sessi
 // the broker's credential key, bound against the verified token, and
 // the derived key installed into the guard's store.
 func (tb *TraceBroker) handleSessionKeyResponse(env *message.Envelope) {
-	if env.Type != message.TypeSessionKeyResponse || tb.cfg.Sessions == nil {
+	if env.Type != message.TypeSessionKeyResponse {
 		return
 	}
 	sr, err := message.UnmarshalSessionKeyResponse(env.Payload)
 	if err != nil || sr.Recipient != tb.cfg.Identity.Credential.Entity {
 		return
 	}
-	key, err := OpenSessionKeyResponse(env, sr, tb.cfg.Identity.Private,
-		tb.cfg.Resolver, tb.cfg.Verifier, tb.cfg.Clock.Now(), tb.cfg.Skew)
+	key, err := tb.cfg.Guard.OpenSessionKeyResponse(env, sr, tb.cfg.Identity.Private, tb.cfg.Clock.Now())
 	if err != nil {
 		tb.log.Warn("session key response rejected", "topic", sr.TraceTopic, "err", err)
 		return
 	}
-	tb.cfg.Sessions.Install(sr.TraceTopic, key)
+	tb.cfg.Guard.sessions.Install(sr.TraceTopic, key)
 	tb.log.Info("session key installed", "topic", sr.TraceTopic)
 }
 

@@ -16,7 +16,6 @@ import (
 	"entitytrace/internal/obs"
 	"entitytrace/internal/secure"
 	"entitytrace/internal/tdn"
-	"entitytrace/internal/token"
 	"entitytrace/internal/topic"
 )
 
@@ -121,11 +120,12 @@ type Tracker struct {
 	// or a flood of bad traces must not turn the log into the hot path.
 	warnLim *obs.LogLimiter
 	caching *CachingResolver
-	// sessions holds §6.3 session keys delivered by hosting brokers, so
-	// session-tagged traces verify with one HMAC instead of RSA. Always
-	// present: a tracker that never receives keys simply rejects
-	// session-tagged envelopes as unknown (and asks for the key).
-	sessions *SessionStore
+	// guard authenticates every delivered envelope. Its session store
+	// holds the §6.3 keys hosting brokers deliver, so session-tagged
+	// traces verify with one HMAC instead of RSA; it is always present: a
+	// tracker that never receives keys rejects session-tagged envelopes
+	// as unknown (and asks for the key).
+	guard *Guard
 
 	mu      sync.Mutex
 	cl      *broker.Client // current broker connection (swapped on reconnect)
@@ -186,14 +186,10 @@ func NewTracker(cfg TrackerConfig) (*Tracker, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	if cfg.Skew <= 0 {
-		cfg.Skew = token.DefaultClockSkew
-	}
 	log := cfg.Log
 	tk := &Tracker{cfg: cfg, cl: cfg.Client, log: log,
-		warnLim:  obs.NewLogLimiter(log, time.Second, cfg.Clock.Now),
-		watches:  make(map[ident.UUID]*Watch),
-		sessions: NewSessionStore(0), done: make(chan struct{})}
+		warnLim: obs.NewLogLimiter(log, time.Second, cfg.Clock.Now),
+		watches: make(map[ident.UUID]*Watch), done: make(chan struct{})}
 	cfg.Client.SetLogger(log)
 	if cr, ok := cfg.Resolver.(*CachingResolver); ok {
 		tk.caching = cr
@@ -203,6 +199,14 @@ func NewTracker(cfg TrackerConfig) (*Tracker, error) {
 		}))
 		tk.cfg.Resolver = tk.caching
 	}
+	tk.guard = NewGuard(GuardConfig{
+		Resolver: tk.cfg.Resolver,
+		Verifier: cfg.Verifier,
+		Clock:    cfg.Clock,
+		Skew:     cfg.Skew,
+		Sessions: NewSessionStore(0),
+	})
+	tk.guard.OnUnknownSession(tk.requestSessionKey)
 	if cfg.Redial != nil {
 		tk.wg.Add(1)
 		go func() {
@@ -263,7 +267,7 @@ func (tk *Tracker) entity() ident.EntityID { return tk.cfg.Identity.Credential.E
 
 // Sessions returns the tracker's §6.3 session-key store (tests and
 // chaos harnesses inspect and poison it).
-func (tk *Tracker) Sessions() *SessionStore { return tk.sessions }
+func (tk *Tracker) Sessions() *SessionStore { return tk.guard.sessions }
 
 // Entity returns the tracker's identifier.
 func (tk *Tracker) Entity() ident.EntityID { return tk.entity() }
@@ -553,20 +557,22 @@ func (w *Watch) handleGaugeInterest(env *message.Envelope) {
 	w.sendInterest()
 }
 
-// verifyEnv authenticates one broker-published envelope: session-tagged
-// envelopes check against the tracker's session store (§6.3) — one HMAC
-// instead of a token parse and an RSA verify — with an unknown session
-// triggering a rate-limited renegotiation request; everything else
-// takes the full RSA path.
+// verifyEnv authenticates one broker-published envelope of this watch's
+// trace topic through the tracker's guard.
 func (w *Watch) verifyEnv(env *message.Envelope, now time.Time) error {
-	if env.Flags&message.FlagSessionTag != 0 {
-		err := VerifyTraceSession(env, w.traceTopic, w.tk.sessions, now, w.tk.cfg.Skew)
-		if errors.Is(err, ErrUnknownSession) {
-			w.requestSessionKey(now)
-		}
-		return err
+	_, err := w.tk.guard.Verify(env, w.traceTopic, now)
+	return err
+}
+
+// requestSessionKey is the guard's unknown-session hook: the watch on
+// the envelope's trace topic asks for the key.
+func (tk *Tracker) requestSessionKey(traceTopic ident.UUID, _ [secure.SessionIDLen]byte) {
+	tk.mu.Lock()
+	w := tk.watches[traceTopic]
+	tk.mu.Unlock()
+	if w != nil {
+		w.requestSessionKey(tk.cfg.Clock.Now())
 	}
-	return VerifyTrace(env, w.traceTopic, w.tk.cfg.Resolver, w.tk.cfg.Verifier, now, w.tk.cfg.Skew)
 }
 
 // requestSessionKey publishes a rate-limited SESSION_KEY_REQUEST for
@@ -663,13 +669,12 @@ func (w *Watch) handleSessionKey(env *message.Envelope) {
 	if err != nil || sr.TraceTopic != w.traceTopic || sr.Recipient != w.tk.entity() {
 		return
 	}
-	key, err := OpenSessionKeyResponse(env, sr, w.tk.cfg.Identity.Private,
-		w.tk.cfg.Resolver, w.tk.cfg.Verifier, now, w.tk.cfg.Skew)
+	key, err := w.tk.guard.OpenSessionKeyResponse(env, sr, w.tk.cfg.Identity.Private, now)
 	if err != nil {
 		w.reject("session key response: %v", err)
 		return
 	}
-	w.tk.sessions.Install(w.traceTopic, key)
+	w.tk.guard.sessions.Install(w.traceTopic, key)
 	w.tk.log.Info("session key received", "entity", w.entity)
 }
 

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"entitytrace/internal/avail"
@@ -27,7 +26,6 @@ import (
 	"entitytrace/internal/secure"
 	"entitytrace/internal/stats"
 	"entitytrace/internal/tdn"
-	"entitytrace/internal/token"
 	"entitytrace/internal/topic"
 	"entitytrace/internal/transport"
 )
@@ -353,26 +351,12 @@ func (tb *Testbed) startBroker(i int, listenAddr string) error {
 		}
 		flight = obs.NewFlightRecorder(fmt.Sprintf("hb%d", i), size, sample)
 	}
-	var guard broker.Guard
-	var sessions *core.SessionStore
-	// requester is bound after the trace manager exists; the guard's
-	// unknown-session hook reads it atomically (the guard may already
-	// run on peer goroutines by then).
-	var requester atomic.Pointer[func(ident.UUID, [secure.SessionIDLen]byte)]
+	clk := clock.Real{}
+	gc := core.GuardConfig{Resolver: resolver, Verifier: tb.Verifier, Clock: clk, Cache: tokenCache, Flight: flight}
 	if opts.SessionKeys {
-		sessions = core.NewSessionStore(0)
-		guard = core.NewSessionTokenGuard(resolver, tb.Verifier, nil, token.DefaultClockSkew,
-			tokenCache, flight, core.SessionGuardConfig{
-				Store: sessions,
-				OnUnknownSession: func(tt ident.UUID, sid [secure.SessionIDLen]byte) {
-					if fn := requester.Load(); fn != nil {
-						(*fn)(tt, sid)
-					}
-				},
-			})
-	} else {
-		guard = core.NewObservedTokenGuard(resolver, tb.Verifier, nil, token.DefaultClockSkew, tokenCache, flight)
+		gc.Sessions = core.NewSessionStore(0)
 	}
+	guard := core.NewGuard(gc)
 	// One durable-log directory per broker, stable across restarts so
 	// recovery replays what the previous incarnation persisted.
 	var store *durable.Store
@@ -389,7 +373,7 @@ func (tb *Testbed) startBroker(i int, listenAddr string) error {
 	}
 	b := broker.New(broker.Config{
 		Name:                 fmt.Sprintf("hb%d", i),
-		Guard:                guard,
+		Guard:                guard.Admit,
 		Flight:               flight,
 		Durable:              store,
 		ViolationLimit:       opts.ViolationLimit,
@@ -414,16 +398,15 @@ func (tb *Testbed) startBroker(i int, listenAddr string) error {
 		Identity:          brokerID,
 		Verifier:          tb.Verifier,
 		Resolver:          resolver,
-		Clock:             clock.Real{},
+		Guard:             guard,
+		Clock:             clk,
 		Detector:          opts.Detector,
 		GaugeInterval:     opts.GaugeInterval,
 		InterestTTL:       opts.InterestTTL,
 		HealthInterval:    opts.HealthInterval,
 		AvailInterval:     opts.AvailInterval,
 		Avail:             tb.newLedger(opts.AvailInterval > 0),
-		TokenCache:        tokenCache,
 		SessionKeys:       opts.SessionKeys,
-		Sessions:          sessions,
 		TelemetryInterval: opts.TelemetryInterval,
 		TelemetryOptions:  opts.TelemetryOptions,
 		TelemetryRules:    opts.TelemetryRules,
@@ -431,10 +414,6 @@ func (tb *Testbed) startBroker(i int, listenAddr string) error {
 	if err != nil {
 		b.Close()
 		return err
-	}
-	if opts.SessionKeys {
-		fn := mgr.SessionRequester()
-		requester.Store(&fn)
 	}
 	mgr.Start()
 	// Accept connections only once the manager's subscriptions are live:

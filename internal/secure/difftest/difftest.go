@@ -1,12 +1,13 @@
-// Package difftest is a differential crypto harness for the §6.3
-// signing-cost optimization: it replays identical logical envelope
-// streams through the full RSA verification pipeline (core.VerifyTrace,
-// §4.3) and the amortized session-tag pipeline (core.VerifyTraceSession)
-// and asserts the two produce byte-identical accept/reject verdict
-// strings. The session path is an optimization, never a relaxation — any
-// stream an adversary can craft (expired windows, rotated tokens,
-// revoked topics, tampered payloads, replays, downgrade re-framing) must
-// settle to the same verdict on both paths.
+// Package difftest is a differential crypto harness for the trace
+// authorization guard: it replays identical logical envelope streams
+// through the reference — the full §4.3 chain, core.VerifyTrace called
+// directly — and through the production core.Guard twice, once with a
+// verified-token cache on the RSA rendering and once on the §6.3
+// session-tagged rendering, and asserts the three produce byte-identical
+// accept/reject verdict strings. The cache and the session path are
+// optimizations, never relaxations — any stream an adversary can craft
+// (expired windows, rotated tokens, revoked topics, tampered payloads,
+// replays, downgrade re-framing) must settle to the same verdict on all.
 //
 // All time flows through an internal/clock fake, so every validity
 // window — token and session alike — is evaluated at deterministic
@@ -84,8 +85,9 @@ func (r *revocableResolver) revoke(id ident.UUID) {
 }
 
 // World is one differential universe: a fake clock, a CA-backed
-// verifier, a TDN node for advertisements, and a session store standing
-// in for a verifying broker's installed keys.
+// verifier, a TDN node for advertisements, a session store standing in
+// for a verifying broker's installed keys, and the two production guards
+// under test — Guard (session store, no cache) and Cached (token cache).
 type World struct {
 	T        *testing.T
 	Clock    *clock.Fake
@@ -93,6 +95,8 @@ type World struct {
 	Resolver *revocableResolver
 	Store    *core.SessionStore
 	Skew     time.Duration
+	Guard    *core.Guard
+	Cached   *core.Guard
 }
 
 // NewWorld builds a universe. The fake clock starts at wall time (the
@@ -105,7 +109,7 @@ func NewWorld(t *testing.T) *World {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &World{
+	w := &World{
 		T:        t,
 		Clock:    clock.NewFake(time.Now()),
 		Node:     node,
@@ -113,6 +117,11 @@ func NewWorld(t *testing.T) *World {
 		Store:    core.NewSessionStore(0),
 		Skew:     token.DefaultClockSkew,
 	}
+	w.Guard = core.NewGuard(core.GuardConfig{Resolver: w.Resolver, Verifier: fxVerifier,
+		Clock: w.Clock, Skew: w.Skew, Sessions: w.Store})
+	w.Cached = core.NewGuard(core.GuardConfig{Resolver: w.Resolver, Verifier: fxVerifier,
+		Clock: w.Clock, Skew: w.Skew, Cache: core.NewTokenCache(0)})
+	return w
 }
 
 // Publisher owns one trace topic and holds the live signing materials
@@ -249,32 +258,35 @@ func (pr *Pair) Mutate(f func(*message.Envelope)) *Pair {
 	return pr
 }
 
-// VerifyRSA runs the full §4.3 pipeline at the fake clock's now.
+// VerifyRSA is the reference: the full §4.3 chain at the fake clock's
+// now, called directly rather than through a guard.
 func (w *World) VerifyRSA(tt ident.UUID, env *message.Envelope) error {
 	return core.VerifyTrace(env, tt, w.Resolver, fxVerifier, w.Clock.Now(), w.Skew)
 }
 
-// VerifySession runs the amortized §6.3 pipeline at the fake clock's now.
+// VerifySession probes the session stage directly at the fake clock's
+// now; scenarios use it to observe the store's state after a rejection.
 func (w *World) VerifySession(tt ident.UUID, env *message.Envelope) error {
 	return core.VerifyTraceSession(env, tt, w.Store, w.Clock.Now(), w.Skew)
 }
 
-// Route dispatches exactly as the broker guard does: FlagSessionTag
-// selects the session pipeline, everything else takes the RSA pipeline.
-// Downgrade scenarios depend on this — re-framing an envelope moves it
-// between pipelines, and both must still reject it.
+// Route hands env to the production guard, which picks the stage from
+// the envelope itself. Downgrade scenarios depend on this — re-framing
+// an envelope moves it between stages, and every stage must reject it.
 func (w *World) Route(tt ident.UUID, env *message.Envelope) error {
-	if env.Flags&message.FlagSessionTag != 0 {
-		return w.VerifySession(tt, env)
-	}
-	return w.VerifyRSA(tt, env)
+	_, err := w.Guard.Verify(env, tt, w.Clock.Now())
+	return err
 }
 
-// Verdicts accumulates one byte per step per pipeline: 'A' for accept,
-// 'R' for reject. The differential contract is that the two strings are
-// byte-identical at the end of every scenario.
+// Verdicts accumulates one byte per step per column: 'A' for accept,
+// 'R' for reject. RSA is the reference (or, under StepRouted, the
+// uncached guard), Cached the caching guard on the same RSA rendering,
+// Session the guard on the session-tagged rendering. The differential
+// contract is that the three strings are byte-identical at the end of
+// every scenario.
 type Verdicts struct {
 	RSA     []byte
+	Cached  []byte
 	Session []byte
 }
 
@@ -285,33 +297,35 @@ func mark(err error) byte {
 	return 'R'
 }
 
-// Step verifies both renderings of a pair through their own pipelines
-// and records the verdict pair.
+// Step verifies the RSA rendering against the reference and the caching
+// guard, and the session rendering against the guard, and records the
+// verdict triple.
 func (v *Verdicts) Step(w *World, tt ident.UUID, pr *Pair) (rsaErr, sessErr error) {
-	rsaErr = w.VerifyRSA(tt, pr.RSA)
-	sessErr = w.VerifySession(tt, pr.Session)
-	v.RSA = append(v.RSA, mark(rsaErr))
-	v.Session = append(v.Session, mark(sessErr))
-	return rsaErr, sessErr
+	return v.record(w, tt, pr, w.VerifyRSA(tt, pr.RSA))
 }
 
-// StepRouted verifies both renderings through flag-based routing (the
-// guard's dispatch), for scenarios where the mutation changes which
-// pipeline an envelope lands on.
+// StepRouted is Step with the RSA column also decided by the guard's own
+// dispatch, for scenarios where the mutation changes which stage an
+// envelope lands on.
 func (v *Verdicts) StepRouted(w *World, tt ident.UUID, pr *Pair) (rsaErr, sessErr error) {
-	rsaErr = w.Route(tt, pr.RSA)
-	sessErr = w.Route(tt, pr.Session)
+	return v.record(w, tt, pr, w.Route(tt, pr.RSA))
+}
+
+func (v *Verdicts) record(w *World, tt ident.UUID, pr *Pair, rsaErr error) (error, error) {
+	_, cachedErr := w.Cached.Verify(pr.RSA, tt, w.Clock.Now())
+	sessErr := w.Route(tt, pr.Session)
 	v.RSA = append(v.RSA, mark(rsaErr))
+	v.Cached = append(v.Cached, mark(cachedErr))
 	v.Session = append(v.Session, mark(sessErr))
 	return rsaErr, sessErr
 }
 
-// AssertIdentical fails the test unless the two verdict strings are
+// AssertIdentical fails the test unless the three verdict strings are
 // byte-identical and match want (a string of 'A'/'R').
 func (v *Verdicts) AssertIdentical(t *testing.T, want string) {
 	t.Helper()
-	if !bytes.Equal(v.RSA, v.Session) {
-		t.Fatalf("verdict divergence:\n  rsa     %s\n  session %s", v.RSA, v.Session)
+	if !bytes.Equal(v.RSA, v.Session) || !bytes.Equal(v.RSA, v.Cached) {
+		t.Fatalf("verdict divergence:\n  rsa     %s\n  cached  %s\n  session %s", v.RSA, v.Cached, v.Session)
 	}
 	if want != "" && string(v.RSA) != want {
 		t.Fatalf("verdicts = %s, want %s", v.RSA, want)
