@@ -12,10 +12,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Code lines (non-test, non-comment, non-blank) of the two packages whose
-# shrinking ROADMAP aim 2 counts — the number simplicity PRs quote.
+# Code lines (non-test, non-comment, non-blank) of the packages whose
+# shrinking ROADMAP aim 2 counts — the numbers simplicity PRs quote.
 loc:
-	@for d in internal/broker internal/core; do \
+	@for d in internal/broker internal/core internal/message internal/tracectl internal/obs cmd/brokerd; do \
 		echo "$$d $$(ls $$d/*.go | grep -v _test | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l)"; \
 	done
 
@@ -90,7 +90,7 @@ cover:
 
 # Tracing smoke: the tracectl end-to-end suite against a 3-broker chain —
 # waterfall rendering, guard-drop visibility in tail, tail's since-cursor
-# and the self-monitoring broker map (see trace_e2e_test.go).
+# and the broker map rendered from telemetry (see trace_e2e_test.go).
 trace:
 	$(GO) test -race -run 'TestTraceCtl' -count=1 -v .
 

@@ -62,8 +62,7 @@ func main() {
 		batchLatency  = flag.Duration("batch-latency", 0, "how long an underfull egress batch may linger for more frames (0 flushes immediately)")
 		flightEvents  = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder ring size in events (0 disables recording)")
 		traceSample   = flag.Int("trace-sample", obs.DefaultFlightSample, "record 1-in-N healthy flight events (drops are always recorded; 1 records everything)")
-		healthEvery   = flag.Duration("health-interval", 10*time.Second, "self-monitoring snapshot period on the system-health topic (0 disables)")
-		telemEvery    = flag.Duration("telemetry-interval", time.Second, "telemetry sample/snapshot period on the system-telemetry topic (0 disables the telemetry plane)")
+		telemEvery    = flag.Duration("telemetry-interval", time.Second, "telemetry sample/snapshot period on the system-telemetry topic, the stream tracectl top and map read (0 disables the telemetry plane)")
 		telemRetain   = flag.String("telemetry-retention", "", "time-series retention as fine@step/coarse@step, e.g. 15m@1s/2h@15s (empty keeps the default)")
 		alertRules    = flag.String("alert-rules", "", "semicolon-separated alert rules, e.g. 'deep-queues: broker_egress_queue_depth > 100 for 2s hold 10s; absent(broker_published_total) for 5s' (PROTOCOL.md §3.10)")
 		availEvery    = flag.Duration("avail-interval", 10*time.Second, "availability digest period on the system-availability topic (0 disables the ledger)")
@@ -224,7 +223,6 @@ func main() {
 		Guard:             guard,
 		Clock:             clk,
 		Log:               log,
-		HealthInterval:    *healthEvery,
 		AvailInterval:     *availEvery,
 		Avail:             ledger,
 		SessionKeys:       *sessionKeys,
@@ -234,15 +232,6 @@ func main() {
 	})
 	if err != nil {
 		fail("trace manager: %v", err)
-	}
-	// The process registry (RTTs, guard-cache counters, fabric gauges)
-	// samples into the same per-broker store the health-derived series
-	// live in, so /timeseries serves both families.
-	var sampler *timeseries.Sampler
-	if ts := mgr.Telemetry(); ts != nil {
-		sampler = timeseries.NewSampler(obs.Default, ts, *telemEvery)
-		sampler.Start()
-		defer sampler.Stop()
 	}
 	mgr.Start()
 	// Accept connections only after the manager's subscriptions are live,
@@ -363,30 +352,24 @@ func serveAdmin(addr, name string, b *broker.Broker, mgr *core.TraceBroker, toke
 		}
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		snap := b.Snapshot()
 		out := map[string]any{
-			"broker":                name,
-			"peers":                 b.PeerCount(),
-			"subscriptions":         b.SubscriptionCount(),
-			"sessions":              mgr.SessionCount(),
-			"published":             snap.Published,
-			"deliveredLocal":        snap.DeliveredLocal,
-			"forwarded":             snap.Forwarded,
-			"duplicates":            snap.Duplicates,
-			"violations":            snap.Violations,
-			"disconnects":           snap.Disconnects,
-			"expired":               snap.Expired,
-			"egressSheds":           snap.EgressSheds,
-			"slowConsumerEvictions": snap.SlowConsumerEvictions,
-			"throttled":             snap.Throttled,
-			"quarantineRejects":     snap.QuarantineRejects,
+			"broker":        name,
+			"peers":         b.PeerCount(),
+			"subscriptions": b.SubscriptionCount(),
+			"sessions":      mgr.SessionCount(),
 			// Hops refused because an envelope span was already at
 			// MaxHops; nonzero means some flows' tails are invisible to
 			// trace assembly.
 			"spanHopsTruncated": obs.Default.Counter("span_hops_truncated_total").Value(),
 			"flightHead":        flight.Head(),
-			"replayRecords":     snap.ReplayRecords,
-			"redeliveries":      snap.Redeliveries,
+		}
+		// The routing counters, under the keys broker.Stats' JSON tags carry
+		// (raw, so a count is never rounded through a float).
+		var counters map[string]json.RawMessage
+		raw, _ := json.Marshal(b.Snapshot())
+		_ = json.Unmarshal(raw, &counters)
+		for key, v := range counters {
+			out[key] = v
 		}
 		if store != nil {
 			out["durable"] = store.Stats()

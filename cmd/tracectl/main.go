@@ -1,11 +1,12 @@
 // Command tracectl is the tracing fabric's debugging console: it renders
 // end-to-end waterfalls for a trace ID from the brokers' flight
-// recorders, tails live flight events, draws a broker map from the
-// self-monitoring snapshots on the system-health topic, and renders the
-// fleet availability board from the digests on the system-availability
-// topic, and shows a live fleet telemetry board (`top`) assembled from
-// the delta-encoded snapshots on the system-telemetry topic. Every subcommand also emits machine-readable output with
-// -format json.
+// recorders, tails live flight events, renders the fleet availability
+// board from the digests on the system-availability topic, and assembles
+// the delta-encoded snapshots on the system-telemetry topic into a live
+// fleet board (`top`) or a broker map (`map`: every broker with its
+// links' queue depths and offender scores; brokers must run with
+// -telemetry-interval > 0). Every subcommand also emits machine-readable
+// output with -format json.
 //
 //	tracectl -admins http://127.0.0.1:7190,http://127.0.0.1:7191 trace <uuid>
 //	tracectl -admins http://127.0.0.1:7190 tail [-interval 1s] [-rounds 10]
@@ -31,9 +32,9 @@ import (
 func main() {
 	var (
 		admins        = flag.String("admins", "", "comma-separated admin base URLs (for trace, tail and pull-mode avail)")
-		brokerAddr    = flag.String("broker", "", "broker address to subscribe through (for map and avail)")
-		transportName = flag.String("transport", "tcp", "transport: tcp or udp (for map and avail)")
-		name          = flag.String("name", "tracectl", "client entity name used on the broker connection (for map and avail)")
+		brokerAddr    = flag.String("broker", "", "broker address to subscribe through (for map, avail and top)")
+		transportName = flag.String("transport", "tcp", "transport: tcp or udp (for map, avail and top)")
+		name          = flag.String("name", "tracectl", "client entity name used on the broker connection (for map, avail and top)")
 		watch         = flag.Duration("watch", 3*time.Second, "how long map/avail/top collect snapshots")
 		interval      = flag.Duration("interval", time.Second, "tail poll interval")
 		rounds        = flag.Int("rounds", 1, "tail poll rounds (1 polls once)")
@@ -71,25 +72,6 @@ func main() {
 		if !asJSON {
 			fmt.Printf("tracectl: %d events\n", n)
 		}
-	case "map":
-		if *brokerAddr == "" {
-			fail("map needs -broker")
-		}
-		tr, err := transport.New(*transportName)
-		if err != nil {
-			fail("%v", err)
-		}
-		snaps, err := tracectl.WatchHealth(tr, *brokerAddr, ident.EntityID(*name), *watch)
-		if err != nil {
-			fail("%v", err)
-		}
-		if asJSON {
-			if err := tracectl.RenderMapJSON(os.Stdout, snaps); err != nil {
-				fail("%v", err)
-			}
-		} else {
-			tracectl.RenderMap(os.Stdout, snaps)
-		}
 	case "avail":
 		var digests []*message.AvailabilityDigest
 		var err error
@@ -116,22 +98,27 @@ func main() {
 		} else {
 			tracectl.RenderAvailBoard(os.Stdout, digests)
 		}
-	case "top":
+	case "map", "top":
+		// Two renderings of one board, assembled from one subscription.
 		if *brokerAddr == "" {
-			fail("top needs -broker")
+			fail("%s needs -broker", args[0])
 		}
 		tr, err := transport.New(*transportName)
 		if err != nil {
 			fail("%v", err)
 		}
 		a := tracectl.NewTopAssembler(nil)
+		render := tracectl.RenderTop
+		if args[0] == "map" {
+			render = tracectl.RenderMap
+		}
 		var onTick func(*tracectl.TopBoard)
-		if !asJSON {
-			// Live mode repaints every tick; JSON mode stays quiet and
-			// emits one board at the end.
+		if args[0] == "top" && !asJSON {
+			// Live mode repaints every tick; map and JSON mode stay quiet
+			// and emit one board at the end.
 			onTick = func(b *tracectl.TopBoard) {
 				fmt.Print("\033[H\033[2J")
-				tracectl.RenderTop(os.Stdout, b)
+				render(os.Stdout, b)
 			}
 		}
 		if err := tracectl.WatchTelemetry(tr, *brokerAddr, ident.EntityID(*name),
@@ -143,7 +130,7 @@ func main() {
 				fail("%v", err)
 			}
 		} else {
-			tracectl.RenderTop(os.Stdout, a.Board())
+			render(os.Stdout, a.Board())
 		}
 	default:
 		fail("unknown subcommand %q (want trace|tail|map|avail|top)", args[0])

@@ -444,8 +444,10 @@ func TestKindForType(t *testing.T) {
 			t.Fatalf("%v -> %v,%v want KindDown", mt, k, ok)
 		}
 	}
+	// TraceAvailabilityDigest-1 is the reserved wire value of the retired
+	// broker self-monitoring snapshot.
 	for _, mt := range []message.Type{message.TraceGaugeInterest,
-		message.TraceRevertingToSilentMode, message.TraceBrokerHealth,
+		message.TraceRevertingToSilentMode, message.TraceAvailabilityDigest - 1,
 		message.TraceAvailabilityDigest, message.TypePing} {
 		if _, ok := KindForType(mt); ok {
 			t.Fatalf("%v unexpectedly mapped", mt)

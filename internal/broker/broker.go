@@ -18,21 +18,49 @@ import (
 	"entitytrace/internal/transport"
 )
 
-// Process-wide routing counters, aggregated across all broker instances
-// (tests and benchmarks create many short-lived brokers; per-instance
-// numbers stay available via Snapshot).
+// Link lifecycle counters, process-wide.
 var (
-	mPublished      = obs.Default.Counter("broker_published_total")
-	mDeliveredLocal = obs.Default.Counter("broker_delivered_local_total")
-	mForwarded      = obs.Default.Counter("broker_forwarded_total")
-	mDuplicates     = obs.Default.Counter("broker_duplicates_total")
-	mViolations     = obs.Default.Counter("broker_violations_total")
-	mDisconnectsDoS = obs.Default.Counter(obs.WithLabel("broker_disconnects_total", "reason", "dos"))
-	mExpired        = obs.Default.Counter("broker_expired_total")
-	mLinkDials      = obs.Default.Counter("broker_link_dial_attempts_total")
-	mLinkUp         = obs.Default.Counter("broker_link_established_total")
-	mLinkLost       = obs.Default.Counter("broker_link_lost_total")
+	mLinkDials = obs.Default.Counter("broker_link_dial_attempts_total")
+	mLinkUp    = obs.Default.Counter("broker_link_established_total")
+	mLinkLost  = obs.Default.Counter("broker_link_lost_total")
 )
+
+// metrics are one broker's own counts, each declared here once, under its
+// /metrics name, on the broker's child of obs.Default: one statement per
+// event counts it for this broker (Snapshot, Health, the telemetry rows)
+// and into the process-wide total of the same name (tests and benchmarks
+// run many brokers in one process).
+type metrics struct {
+	published, deliveredLocal, forwarded, duplicates, violations, expired,
+	sheds, throttled, quarRejects, replayRecords, redeliveries *obs.Counter
+	// disconnects counts evictions by reason; ReasonNone's slot stays nil.
+	disconnects [ReasonQuarantined + 1]*obs.Counter
+	// egressDepth is the frames queued across this broker's peers.
+	egressDepth *obs.Gauge
+}
+
+func newMetrics(reg *obs.Registry) metrics {
+	m := metrics{
+		published:      reg.Counter("broker_published_total"),
+		deliveredLocal: reg.Counter("broker_delivered_local_total"),
+		forwarded:      reg.Counter("broker_forwarded_total"),
+		duplicates:     reg.Counter("broker_duplicates_total"),
+		violations:     reg.Counter("broker_violations_total"),
+		expired:        reg.Counter("broker_expired_total"),
+		sheds:          reg.Counter("broker_egress_sheds_total"),
+		throttled:      reg.Counter("broker_publish_throttled_total"),
+		quarRejects:    reg.Counter("broker_quarantine_rejects_total"),
+		replayRecords:  reg.Counter("durable_replay_records_total"),
+		redeliveries:   reg.Counter("durable_redeliveries_total"),
+		egressDepth:    reg.Gauge("broker_egress_queue_depth"),
+	}
+	// Every reason is registered at zero, so /metrics and the telemetry
+	// rows show all three before the first eviction.
+	for r := ReasonDoS; r <= ReasonQuarantined; r++ {
+		m.disconnects[r] = reg.Counter(obs.WithLabel("broker_disconnects_total", "reason", r.String()))
+	}
+	return m
+}
 
 // Guard inspects messages arriving from peers before they are routed.
 // The tracing layer installs a guard that enforces authorization tokens
@@ -141,21 +169,22 @@ const throttleViolationWeight = 0.125
 // typed DISCONNECT before the connection is force-closed regardless.
 const evictGrace = 250 * time.Millisecond
 
-// Stats counts broker activity; read with Snapshot.
+// Stats is the typed view of a broker's counters; read with Snapshot.
+// The JSON keys are the ones brokerd's /stats has always served.
 type Stats struct {
-	Published             uint64 // envelopes accepted from peers or local publishers
-	DeliveredLocal        uint64 // envelopes handed to local subscribers
-	Forwarded             uint64 // envelopes sent over links
-	Duplicates            uint64 // envelopes dropped by dedupe
-	Violations            uint64 // guard or authorization failures (throttles included)
-	Disconnects           uint64 // peers evicted (all reasons)
-	Expired               uint64 // envelopes dropped for exhausted TTL
-	EgressSheds           uint64 // data frames shed from full egress queues
-	SlowConsumerEvictions uint64 // peers evicted for sustained egress saturation
-	Throttled             uint64 // publishes rejected by per-publisher rate limiting
-	QuarantineRejects     uint64 // reconnects refused while quarantined
-	ReplayRecords         uint64 // offset-annotated records served by replay pumps
-	Redeliveries          uint64 // records retransmitted after a missed-ack rewind
+	Published             uint64 `json:"published"`             // envelopes accepted from peers or local publishers
+	DeliveredLocal        uint64 `json:"deliveredLocal"`        // envelopes handed to local subscribers
+	Forwarded             uint64 `json:"forwarded"`             // envelopes sent over links
+	Duplicates            uint64 `json:"duplicates"`            // envelopes dropped by dedupe
+	Violations            uint64 `json:"violations"`            // guard or authorization failures (throttles included)
+	Disconnects           uint64 `json:"disconnects"`           // peers evicted (all reasons)
+	Expired               uint64 `json:"expired"`               // envelopes dropped for exhausted TTL
+	EgressSheds           uint64 `json:"egressSheds"`           // data frames shed from full egress queues
+	SlowConsumerEvictions uint64 `json:"slowConsumerEvictions"` // peers evicted for sustained egress saturation
+	Throttled             uint64 `json:"throttled"`             // publishes rejected by per-publisher rate limiting
+	QuarantineRejects     uint64 `json:"quarantineRejects"`     // reconnects refused while quarantined
+	ReplayRecords         uint64 `json:"replayRecords"`         // offset-annotated records served by replay pumps
+	Redeliveries          uint64 `json:"redeliveries"`          // records retransmitted after a missed-ack rewind
 }
 
 // Broker is one router node in the broker network.
@@ -212,21 +241,9 @@ type Broker struct {
 	// quar refuses reconnects from recently evicted principals (§5.2).
 	quar *quarantine
 
-	stats struct {
-		published      atomic.Uint64
-		deliveredLocal atomic.Uint64
-		forwarded      atomic.Uint64
-		duplicates     atomic.Uint64
-		violations     atomic.Uint64
-		disconnects    atomic.Uint64
-		expired        atomic.Uint64
-		sheds          atomic.Uint64
-		slowEvictions  atomic.Uint64
-		throttled      atomic.Uint64
-		quarRejects    atomic.Uint64
-		replayRecords  atomic.Uint64
-		redeliveries   atomic.Uint64
-	}
+	// reg is this broker's child of obs.Default, m the counters on it.
+	reg *obs.Registry
+	m   metrics
 
 	wg sync.WaitGroup
 }
@@ -308,7 +325,10 @@ func New(cfg Config) *Broker {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
+	reg := obs.Default.Child()
 	return &Broker{
+		reg:       reg,
+		m:         newMetrics(reg),
 		cfg:       cfg,
 		clk:       cfg.Clock,
 		name:      cfg.Name,
@@ -391,8 +411,7 @@ func (b *Broker) handleInbound(conn transport.Conn) {
 	// the connection, so the client's reconnect logic can back off
 	// instead of hot-looping (§5.2 repeat-offender handling).
 	if !c.IsBroker && b.quar.active(c.Name, b.clk.Now()) {
-		b.stats.quarRejects.Add(1)
-		mQuarantineRejct.Inc()
+		b.m.quarRejects.Inc()
 		if b.cfg.Flight != nil {
 			b.cfg.Flight.Record(obs.FlightEvent{Kind: obs.FlightQuarantine, Peer: c.Name})
 		}
@@ -525,6 +544,7 @@ func (b *Broker) newPeer(conn transport.Conn, isBroker bool, name string) *peer 
 		advertised: make(map[string]struct{}),
 		subs:       make(map[string]struct{}),
 	}
+	p.out.queued = b.m.egressDepth
 	if isBroker {
 		p.principal = topic.BrokerPrincipal()
 	} else {
@@ -608,8 +628,7 @@ func (b *Broker) parseIngress(p *peer, body []byte) *message.Envelope {
 	// costs any parsing or signature-verification CPU.
 	if b.cfg.PublishRate > 0 && !p.isBroker &&
 		!p.bucket.allow(b.clk.Now(), b.cfg.PublishRate, float64(b.cfg.PublishBurst)) {
-		b.stats.throttled.Add(1)
-		mThrottled.Inc()
+		b.m.throttled.Inc()
 		if b.cfg.Flight != nil {
 			// The frame is rejected before parsing, so no trace ID.
 			b.cfg.Flight.Record(obs.FlightEvent{
@@ -730,8 +749,7 @@ func (b *Broker) punish(p *peer, err error) {
 // weights (throttling) log at debug so a flood cannot spam the log.
 // The score itself is only touched from the peer's receive loop.
 func (b *Broker) punishWeighted(p *peer, weight float64, err error) {
-	b.stats.violations.Add(1)
-	mViolations.Inc()
+	b.m.violations.Inc()
 	if weight >= 1 {
 		b.log.Warn("violation", "peer", p.name, "err", err)
 	} else {
@@ -751,14 +769,7 @@ func (b *Broker) evictPeer(p *peer, reason DisconnectReason, detail string) {
 	if !p.evicted.CompareAndSwap(false, true) {
 		return
 	}
-	b.stats.disconnects.Add(1)
-	switch reason {
-	case ReasonSlowConsumer:
-		b.stats.slowEvictions.Add(1)
-		mSlowEvictions.Inc()
-	case ReasonDoS:
-		mDisconnectsDoS.Inc()
-	}
+	b.m.disconnects[reason].Inc()
 	// DoS and slow-consumer evictions open a fresh quarantine window; a
 	// quarantine eviction (Banish) already set its own window, which must
 	// not be overwritten with the default duration.
@@ -774,8 +785,7 @@ func (b *Broker) evictPeer(p *peer, reason DisconnectReason, detail string) {
 		})
 	}
 	if dropped := p.out.shedAll(); dropped > 0 {
-		b.stats.sheds.Add(uint64(dropped))
-		mEgressSheds.Add(uint64(dropped))
+		b.m.sheds.Add(uint64(dropped))
 	}
 	p.out.enqueueCtrl(disconnectFrame(reason, detail))
 	p.out.beginClose()
@@ -1219,8 +1229,7 @@ func (b *Broker) publish(from *peer, batch []inbound, replay bool) (rejected err
 			continue
 		}
 		if in.plan.admission != admitNone {
-			b.stats.published.Add(1)
-			mPublished.Inc()
+			b.m.published.Inc()
 		}
 		if in.plan.admission == admitFanIn {
 			mFabricFanIn.Inc()
@@ -1246,14 +1255,12 @@ func (b *Broker) admit(from *peer, env *message.Envelope, level admission, sampl
 	}
 	// Duplicate suppression (also guards against routing loops).
 	if !b.firstSighting(env.ID) {
-		b.stats.duplicates.Add(1)
-		mDuplicates.Inc()
+		b.m.duplicates.Inc()
 		b.recordDrop(from, env, "duplicate")
 		return false, nil
 	}
 	if env.TTL == 0 {
-		b.stats.expired.Add(1)
-		mExpired.Inc()
+		b.m.expired.Inc()
 		b.recordDrop(from, env, "ttl_expired")
 		return false, nil
 	}
@@ -1359,8 +1366,7 @@ func (b *Broker) deliver(from *peer, in *inbound) {
 		})
 	}
 	for _, ls := range sc.locals {
-		b.stats.deliveredLocal.Add(1)
-		mDeliveredLocal.Inc()
+		b.m.deliveredLocal.Inc()
 		ls.handler(env)
 	}
 	if len(sc.remote) == 0 {
@@ -1384,8 +1390,7 @@ func (b *Broker) deliver(from *peer, in *inbound) {
 		if p.hasCursors.Load() && p.cursorFor(ts) != nil {
 			continue
 		}
-		b.stats.forwarded.Add(1)
-		mForwarded.Inc()
+		b.m.forwarded.Inc()
 		if p == pl.owner {
 			mFabricForwards.Inc()
 		}
@@ -1427,8 +1432,7 @@ func (b *Broker) enqueue(p *peer, frame []byte, trace obs.FlightTrace, now time.
 	if shed == 0 {
 		return true
 	}
-	b.stats.sheds.Add(uint64(shed))
-	mEgressSheds.Add(uint64(shed))
+	b.m.sheds.Add(uint64(shed))
 	if b.cfg.Flight != nil {
 		b.cfg.Flight.Record(obs.FlightEvent{Kind: obs.FlightShed, Trace: trace, Peer: p.name, N: shed})
 	}
@@ -1457,21 +1461,25 @@ func (b *Broker) firstSighting(id ident.UUID) bool {
 
 // Snapshot returns current counters.
 func (b *Broker) Snapshot() Stats {
-	return Stats{
-		Published:             b.stats.published.Load(),
-		DeliveredLocal:        b.stats.deliveredLocal.Load(),
-		Forwarded:             b.stats.forwarded.Load(),
-		Duplicates:            b.stats.duplicates.Load(),
-		Violations:            b.stats.violations.Load(),
-		Disconnects:           b.stats.disconnects.Load(),
-		Expired:               b.stats.expired.Load(),
-		EgressSheds:           b.stats.sheds.Load(),
-		SlowConsumerEvictions: b.stats.slowEvictions.Load(),
-		Throttled:             b.stats.throttled.Load(),
-		QuarantineRejects:     b.stats.quarRejects.Load(),
-		ReplayRecords:         b.stats.replayRecords.Load(),
-		Redeliveries:          b.stats.redeliveries.Load(),
+	m := &b.m
+	s := Stats{
+		Published:             m.published.Value(),
+		DeliveredLocal:        m.deliveredLocal.Value(),
+		Forwarded:             m.forwarded.Value(),
+		Duplicates:            m.duplicates.Value(),
+		Violations:            m.violations.Value(),
+		Expired:               m.expired.Value(),
+		EgressSheds:           m.sheds.Value(),
+		SlowConsumerEvictions: m.disconnects[ReasonSlowConsumer].Value(),
+		Throttled:             m.throttled.Value(),
+		QuarantineRejects:     m.quarRejects.Value(),
+		ReplayRecords:         m.replayRecords.Value(),
+		Redeliveries:          m.redeliveries.Value(),
 	}
+	for _, c := range m.disconnects[ReasonDoS:] {
+		s.Disconnects += c.Value()
+	}
+	return s
 }
 
 // PeerHealth is one peer's row in a broker health snapshot.
@@ -1486,9 +1494,8 @@ type PeerHealth struct {
 	Score float64
 }
 
-// Health is a point-in-time topology/health snapshot of one broker: the
-// self-monitoring payload published on the system-health topic and
-// rendered by tracectl's broker map.
+// Health is a point-in-time topology/health snapshot of one broker, the
+// one read the telemetry tick (PROTOCOL.md §3.10) builds its rows from.
 type Health struct {
 	// Name is the broker's name.
 	Name string
@@ -1496,8 +1503,11 @@ type Health struct {
 	Peers []PeerHealth
 	// Subscriptions counts distinct subscribed topic strings.
 	Subscriptions int
-	// Stats is the broker's counter snapshot.
-	Stats Stats
+	// Stats is the broker's counter snapshot; Metrics holds the same
+	// counts, and the broker's gauges, as its registry names them — a
+	// telemetry row's name is its /metrics name.
+	Stats   Stats
+	Metrics obs.Snapshot
 	// FlightHead is the flight recorder's latest sequence number (0 when
 	// recording is disabled).
 	FlightHead uint64
@@ -1513,7 +1523,7 @@ type Health struct {
 // Health snapshots the broker's topology and per-peer queue/offender
 // state.
 func (b *Broker) Health() Health {
-	h := Health{Name: b.name, Stats: b.Snapshot(), FlightHead: b.cfg.Flight.Head()}
+	h := Health{Name: b.name, Stats: b.Snapshot(), Metrics: b.reg.Snapshot(), FlightHead: b.cfg.Flight.Head()}
 	if s := b.shardingOf(); s != nil {
 		info := s.Info()
 		h.FabricEpoch = info.Epoch

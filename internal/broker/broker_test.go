@@ -709,3 +709,38 @@ func TestBrokerNameAndClientAccessors(t *testing.T) {
 	// accessor is exercised either way.
 	time.Sleep(50 * time.Millisecond)
 }
+
+// TestRetiredHealthSnapshotRoutesByTopic: a not-yet-upgraded neighbour
+// still publishes the retired broker self-monitoring snapshot. Its wire
+// value stays reserved (message.TraceAvailabilityDigest-1), so the
+// envelope parses and is routed by topic like any other; it must never
+// score as a malformed envelope against the link that carried it.
+func TestRetiredHealthSnapshotRoutesByTopic(t *testing.T) {
+	const limit = 3
+	tr := transport.NewInproc()
+	b, addr := newTestBroker(t, tr, Config{ViolationLimit: limit})
+	conn, err := tr.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := &control{Kind: ctrlHello, IsBroker: true, Name: "old-neighbour"}
+	if err := conn.Send(append([]byte{frameControl}, marshalControl(hello)...)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "link registration", func() bool { return b.LinkUp("old-neighbour") })
+	tp := topic.MustParse("/Constrained/Traces/Broker/Publish-Only/System/Health")
+	var delivered atomic.Int32
+	defer b.SubscribeLocal(tp, func(*message.Envelope) { delivered.Add(1) })()
+	for i := 0; i < limit+1; i++ {
+		env := message.New(message.TraceAvailabilityDigest-1, tp, "", []byte("snapshot"))
+		if err := conn.Send(append([]byte{frameEnvelope}, env.Marshal()...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "routing", func() bool { return delivered.Load() == limit+1 })
+	if s := b.Snapshot(); s.Violations != 0 || s.Disconnects != 0 || !b.LinkUp("old-neighbour") {
+		t.Fatalf("violations = %d, disconnects = %d, link up = %v; want 0, 0, true",
+			s.Violations, s.Disconnects, b.LinkUp("old-neighbour"))
+	}
+}

@@ -27,8 +27,6 @@ var errReplayFromLink = errors.New("broker: replay from broker link")
 
 var (
 	mDurableAppendErrs = obs.Default.Counter("durable_append_errors_total")
-	mReplayRecords     = obs.Default.Counter("durable_replay_records_total")
-	mRedeliveries      = obs.Default.Counter("durable_redeliveries_total")
 	mAckCursors        = obs.Default.Counter("durable_acks_total")
 	mReplayCursors     = obs.Default.Gauge("durable_replay_cursors")
 )
@@ -185,8 +183,7 @@ func (rc *replayCursor) pumpBatch(sent uint64) bool {
 		if !rc.b.enqueue(rc.p, frame, obs.FlightTrace{}, now) {
 			return false
 		}
-		mReplayRecords.Inc()
-		rc.b.stats.replayRecords.Add(1)
+		rc.b.m.replayRecords.Inc()
 	}
 	last := recs[len(recs)-1].Offset
 	rc.mu.Lock()
@@ -211,8 +208,7 @@ func (rc *replayCursor) rewind() {
 		n := rc.sent - rc.acked
 		rc.sent = rc.acked
 		rc.deadline = now.Add(rc.pol.Next())
-		mRedeliveries.Add(n)
-		rc.b.stats.redeliveries.Add(n)
+		rc.b.m.redeliveries.Add(n)
 	}
 	rc.mu.Unlock()
 }

@@ -8,15 +8,10 @@ import (
 	"entitytrace/internal/transport"
 )
 
-// Egress metrics, process-wide across broker instances.
+// Coalescing counters, process-wide across broker instances.
 var (
-	mEgressDepth     = obs.Default.Gauge("broker_egress_queue_depth")
-	mEgressSheds     = obs.Default.Counter("broker_egress_sheds_total")
-	mSlowEvictions   = obs.Default.Counter("broker_slow_consumer_evictions_total")
-	mThrottled       = obs.Default.Counter("broker_publish_throttled_total")
-	mQuarantineRejct = obs.Default.Counter("broker_quarantine_rejects_total")
-	mBatchSends      = obs.Default.Counter("broker_egress_batch_sends_total")
-	mBatchFrames     = obs.Default.Counter("broker_egress_batched_frames_total")
+	mBatchSends  = obs.Default.Counter("broker_egress_batch_sends_total")
+	mBatchFrames = obs.Default.Counter("broker_egress_batched_frames_total")
 )
 
 // egress is a peer's bounded outbound queue, drained by one dedicated
@@ -32,6 +27,9 @@ var (
 // one, so dropping from the head loses the least information.
 type egress struct {
 	conn transport.Conn
+	// queued is the owning broker's queue-depth gauge (control and data
+	// frames across its peers); nil for an egress no broker owns.
+	queued *obs.Gauge
 
 	// batchBytes > 0 enables drain coalescing: each writer pass packs as
 	// many queued data frames as fit under the byte budget into
@@ -97,7 +95,7 @@ func (e *egress) enqueueCtrl(frame []byte) bool {
 		return false
 	}
 	e.ctrl = append(e.ctrl, frame)
-	mEgressDepth.Add(1)
+	e.queued.Add(1)
 	e.mu.Unlock()
 	e.signal()
 	return true
@@ -121,14 +119,14 @@ func (e *egress) enqueueData(frame []byte, now time.Time) (shed int, stalledFor 
 		e.compact()
 		e.sheds++
 		shed = 1
-		mEgressDepth.Add(-1)
+		e.queued.Add(-1)
 		if e.stalledSince.IsZero() {
 			e.stalledSince = now
 		}
 		stalledFor = now.Sub(e.stalledSince)
 	}
 	e.data = append(e.data, frame)
-	mEgressDepth.Add(1)
+	e.queued.Add(1)
 	e.signal()
 	return shed, stalledFor
 }
@@ -166,7 +164,7 @@ func (e *egress) shedAll() int {
 	e.data = nil
 	e.dataHead = 0
 	e.sheds += uint64(n)
-	mEgressDepth.Add(-int64(n))
+	e.queued.Add(-int64(n))
 	return n
 }
 
@@ -255,7 +253,7 @@ func (e *egress) die() {
 	e.ctrl, e.data, e.dataHead = nil, nil, 0
 	e.dead = true
 	e.mu.Unlock()
-	mEgressDepth.Add(-drop)
+	e.queued.Add(-drop)
 	e.conn.Close()
 }
 
@@ -322,7 +320,7 @@ func (e *egress) run() {
 		clear(pass)
 
 		e.mu.Lock()
-		mEgressDepth.Add(-consumed)
+		e.queued.Add(-consumed)
 		if err != nil {
 			e.die()
 			return

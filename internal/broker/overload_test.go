@@ -462,27 +462,45 @@ func TestClientWriteDeadline(t *testing.T) {
 
 // TestOverloadMetricsExposed asserts the overload counters and gauge are
 // visible through the prometheus-style exposition (the same rendering
-// /metrics serves).
+// /metrics serves) as soon as a broker exists, before any event.
 func TestOverloadMetricsExposed(t *testing.T) {
-	// Make sure each metric has been touched at least once regardless of
-	// test ordering.
-	mEgressSheds.Add(0)
-	mSlowEvictions.Add(0)
-	mThrottled.Add(0)
-	mQuarantineRejct.Add(0)
-	mEgressDepth.Set(mEgressDepth.Value())
+	New(Config{}).Close()
 	var buf bytes.Buffer
 	obs.Default.WriteText(&buf)
 	out := buf.String()
 	for _, name := range []string{
 		"broker_egress_queue_depth",
 		"broker_egress_sheds_total",
-		"broker_slow_consumer_evictions_total",
+		`broker_disconnects_total{reason="slow-consumer"}`,
 		"broker_publish_throttled_total",
 		"broker_quarantine_rejects_total",
 	} {
 		if !strings.Contains(out, name) {
 			t.Fatalf("metric %s missing from exposition:\n%s", name, out)
 		}
+	}
+}
+
+// TestEvictionsCountedByReason: every eviction, whatever its reason, is
+// one broker_disconnects_total{reason} increment — in the broker's own
+// registry and in the process-wide one — and Stats.Disconnects is their
+// sum.
+func TestEvictionsCountedByReason(t *testing.T) {
+	b := New(Config{})
+	defer b.Close()
+	reasons := []DisconnectReason{ReasonDoS, ReasonSlowConsumer, ReasonQuarantined}
+	before := obs.Default.Snapshot().Counters
+	for _, r := range reasons {
+		b.evictPeer(b.newPeer(newGateConn(), false, "victim-"+r.String()), r, "test")
+	}
+	own, after := b.Health().Metrics.Counters, obs.Default.Snapshot().Counters
+	for _, r := range reasons {
+		name := obs.WithLabel("broker_disconnects_total", "reason", r.String())
+		if own[name] != 1 || after[name]-before[name] != 1 {
+			t.Errorf("%s: broker %d, process +%d, want 1 and +1", name, own[name], after[name]-before[name])
+		}
+	}
+	if s := b.Snapshot(); s.Disconnects != 3 || s.SlowConsumerEvictions != 1 {
+		t.Fatalf("Disconnects = %d, SlowConsumerEvictions = %d, want 3 and 1", s.Disconnects, s.SlowConsumerEvictions)
 	}
 }

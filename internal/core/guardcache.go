@@ -11,11 +11,18 @@ import (
 	"entitytrace/internal/tdn"
 )
 
+// The two guard-cache names the telemetry tick also publishes, per
+// broker, from TokenCache.Stats.
+const (
+	guardCacheHitsName   = "guard_cache_hits_total"
+	guardCacheMissesName = "guard_cache_misses_total"
+)
+
 // Guard-cache traffic counters, process-wide like the drop counters
 // above (per-instance numbers stay available via TokenCache.Stats).
 var (
-	mGuardCacheHits          = obs.Default.Counter("guard_cache_hits_total")
-	mGuardCacheMisses        = obs.Default.Counter("guard_cache_misses_total")
+	mGuardCacheHits          = obs.Default.Counter(guardCacheHitsName)
+	mGuardCacheMisses        = obs.Default.Counter(guardCacheMissesName)
 	mGuardCacheEvictions     = obs.Default.Counter("guard_cache_evictions_total")
 	mGuardCacheInvalidations = obs.Default.Counter("guard_cache_invalidations_total")
 )

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"sync"
 	"time"
 
@@ -11,23 +12,22 @@ import (
 )
 
 // This file is the broker-side half of the fleet telemetry plane
-// (PROTOCOL.md §3.10): every telemetry tick the trace broker samples its
-// hosting broker's health into a per-broker time-series store, runs the
-// anomaly engine over it, and publishes a delta-encoded
+// (PROTOCOL.md §3.10), the one status stream a broker publishes: every
+// telemetry tick the trace broker reads its hosting broker's health once,
+// samples it (and the process registry) into a per-broker time-series
+// store, runs the anomaly engine over it, and publishes a delta-encoded
 // TELEMETRY_SNAPSHOT on the system-telemetry topic — so one `tracectl
-// top` subscription anywhere assembles the whole fleet's live metrics.
-// Like the health and availability publishers, the topic is
-// broker-constrained Publish-Only and non-derivative, so no token
-// machinery applies; authenticity rests on broker-link trust.
+// top` or `tracectl map` subscription anywhere assembles the whole
+// fleet's live metrics and topology.
 
 // mTelemetrySnapshots counts published telemetry snapshots.
 var mTelemetrySnapshots = obs.Default.Counter("core_telemetry_snapshots_total")
 
 // telemetryPlane is one broker's telemetry state: its private store (the
 // process registry is shared by every in-process broker, so broker-scoped
-// series must come from broker.Health, not obs.Default), the alert
-// engine, and the cumulative counter values as of the last published
-// snapshot (the delta anchors).
+// series come from the broker's own registry via broker.Health), the
+// alert engine, and the cumulative counter values as of the last
+// published snapshot (the delta anchors).
 type telemetryPlane struct {
 	store  *timeseries.Store
 	engine *timeseries.Engine
@@ -37,8 +37,7 @@ type telemetryPlane struct {
 }
 
 // Telemetry returns the broker's time-series store (nil when telemetry
-// is disabled); admin endpoints serve it and daemons may attach a
-// registry sampler to it.
+// is disabled); admin endpoints serve it.
 func (tb *TraceBroker) Telemetry() *timeseries.Store {
 	if tb.tel == nil {
 		return nil
@@ -55,107 +54,94 @@ func (tb *TraceBroker) Alerts() *timeseries.Engine {
 	return tb.tel.engine
 }
 
-// telemetryLoop drives the telemetry cadence, mirroring healthLoop.
-func (tb *TraceBroker) telemetryLoop() {
-	clk := tb.cfg.Clock
-	for {
-		timer := clk.NewTimer(tb.cfg.TelemetryInterval)
-		select {
-		case <-timer.C():
-		case <-tb.done:
-			timer.Stop()
-			return
-		}
-		tb.PublishTelemetry()
-	}
-}
-
-// telemetrySample is one (name, kind, value) broker-health reading.
-type telemetrySample struct {
-	name    string
-	counter bool
-	value   int64
-}
-
-// sampleHealth derives the broker-scoped series from one Health
-// snapshot. Counters carry their cumulative values here; delta encoding
-// happens at publish time.
-func (tb *TraceBroker) sampleHealth() []telemetrySample {
+// telemetryRows turns one Health read of the hosting broker into the
+// tick's rows, sorted by name, with the fabric epoch of the same read.
+// Counters carry their cumulative values here; delta encoding happens at
+// publish time. The rule is that a row's name is its /metrics name:
+// every counter and gauge of the broker's own registry is a row, then
+// the point-in-time gauges that no registry metric tracks, then one
+// depth/score pair per broker link — links only, so a snapshot grows
+// with the fleet, not with the client population — and the guard
+// cache's two counters.
+func (tb *TraceBroker) telemetryRows() ([]message.TelemetryRow, uint64) {
 	h := tb.cfg.Broker.Health()
-	st := h.Stats
-	queued := 0
+	var rows []message.TelemetryRow
+	add := func(name string, counter bool, v int64) {
+		rows = append(rows, message.TelemetryRow{Name: name, Counter: counter, Value: v})
+	}
+	link := "" // the neighbour the last two rows describe
 	for _, p := range h.Peers {
-		queued += p.Queued
-	}
-	out := []telemetrySample{
-		{"broker_published_total", true, int64(st.Published)},
-		{"broker_delivered_local_total", true, int64(st.DeliveredLocal)},
-		{"broker_forwarded_total", true, int64(st.Forwarded)},
-		{"broker_duplicates_total", true, int64(st.Duplicates)},
-		{"broker_violations_total", true, int64(st.Violations)},
-		{"broker_disconnects_total", true, int64(st.Disconnects)},
-		{"broker_expired_total", true, int64(st.Expired)},
-		{"broker_egress_sheds_total", true, int64(st.EgressSheds)},
-		{"broker_slow_consumer_evictions_total", true, int64(st.SlowConsumerEvictions)},
-		{"broker_throttled_total", true, int64(st.Throttled)},
-		{"broker_quarantine_rejects_total", true, int64(st.QuarantineRejects)},
-		{"broker_replay_records_total", true, int64(st.ReplayRecords)},
-		{"broker_redeliveries_total", true, int64(st.Redeliveries)},
-		{"broker_egress_queue_depth", false, int64(queued)},
-		{"broker_peers", false, int64(len(h.Peers))},
-		{"broker_subscriptions", false, int64(h.Subscriptions)},
-		{"broker_sessions", false, int64(tb.SessionCount())},
-		{"broker_flight_head", false, int64(h.FlightHead)},
-		{"fabric_epoch", false, int64(h.FabricEpoch)},
-		{"fabric_members", false, int64(h.FabricMembers)},
-		{"fabric_owned_per_mille", false, int64(h.FabricOwnedPerMille)},
-	}
-	if tb.cfg.Guard.cache != nil {
-		cs := tb.cfg.Guard.cache.Stats()
-		out = append(out,
-			telemetrySample{"guard_hits_total", true, int64(cs.Hits)},
-			telemetrySample{"guard_misses_total", true, int64(cs.Misses)},
-		)
-	}
-	return out
-}
-
-// SampleTelemetry takes one broker-health sample into the store without
-// publishing (tests and admin handlers may call it); it returns the
-// samples it recorded.
-func (tb *TraceBroker) SampleTelemetry() []telemetrySample {
-	if tb.tel == nil {
-		return nil
-	}
-	at := tb.cfg.Clock.Now().UnixNano()
-	samples := tb.sampleHealth()
-	for _, sm := range samples {
-		kind := timeseries.Gauge
-		if sm.counter {
-			kind = timeseries.Counter
+		if !p.IsBroker {
+			continue
 		}
-		tb.tel.store.Series(sm.name, kind).Append(at, sm.value)
+		score := int64(p.Score * 1000)
+		if len(rows) > 0 && p.Name == link {
+			// Two connections to one neighbour (both ends dialed at once)
+			// are one link: depths add, the worse score stands. Peers are
+			// sorted by name, so its rows are the last two.
+			rows[len(rows)-2].Value += int64(p.Queued)
+			rows[len(rows)-1].Value = max(rows[len(rows)-1].Value, score)
+			continue
+		}
+		link = p.Name
+		add(obs.WithLabel("broker_link_egress_queue_depth", "peer", link), false, int64(p.Queued))
+		add(obs.WithLabel("broker_link_offender_score_milli", "peer", link), false, score)
 	}
-	return samples
+	for name, v := range h.Metrics.Counters {
+		add(name, true, int64(v))
+	}
+	for name, v := range h.Metrics.Gauges {
+		add(name, false, v)
+	}
+	add("broker_peers", false, int64(len(h.Peers)))
+	add("broker_subscriptions", false, int64(h.Subscriptions))
+	add("broker_sessions", false, int64(tb.SessionCount()))
+	add("broker_flight_head", false, int64(h.FlightHead))
+	add("fabric_epoch", false, int64(h.FabricEpoch))
+	add("fabric_members", false, int64(h.FabricMembers))
+	add("fabric_owned_per_mille", false, int64(h.FabricOwnedPerMille))
+	if cache := tb.cfg.Guard.cache; cache != nil {
+		cs := cache.Stats()
+		add(guardCacheHitsName, true, int64(cs.Hits))
+		add(guardCacheMissesName, true, int64(cs.Misses))
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
+	return rows, h.FabricEpoch
 }
 
-// PublishTelemetry samples broker health into the store, evaluates the
+// PublishTelemetry samples the broker into the store, evaluates the
 // alert rules, and publishes one delta-encoded TELEMETRY_SNAPSHOT on the
-// system-telemetry topic. The telemetry loop calls it every tick; tests
-// and admin handlers may call it directly.
+// system-telemetry topic. Start schedules it every TelemetryInterval;
+// tests and admin handlers may call it directly.
 func (tb *TraceBroker) PublishTelemetry() {
 	if tb.tel == nil {
 		return
 	}
-	now := tb.cfg.Clock.Now()
-	samples := tb.SampleTelemetry()
+	at := tb.cfg.Clock.Now().UnixNano()
+	rows, epoch := tb.telemetryRows()
+
+	// The local store takes the broker's rows and then every process-wide
+	// metric (ping RTTs, trace-manager and transport counters) no row
+	// already supplied under the same name, so each series has exactly
+	// one appender per tick. The process-wide ones never go on the wire.
+	process := obs.Default.Snapshot()
+	for _, r := range rows {
+		kind := timeseries.Gauge
+		if r.Counter {
+			kind = timeseries.Counter
+		}
+		tb.tel.store.Series(r.Name, kind).Append(at, r.Value)
+		delete(process.Counters, r.Name)
+		delete(process.Gauges, r.Name)
+	}
+	tb.tel.store.AppendSnapshot(at, process)
 
 	// Edges this tick plus the standing set: a firing edge is already in
 	// Firing(), so the snapshot carries standing alerts and any clearing
 	// edges; receivers dedupe episodes by (rule, since).
 	var alerts []timeseries.Alert
 	if tb.tel.engine != nil {
-		edges := tb.tel.engine.Eval(now.UnixNano())
+		edges := tb.tel.engine.Eval(at)
 		alerts = tb.tel.engine.Firing()
 		for _, a := range edges {
 			if !a.Firing {
@@ -164,27 +150,25 @@ func (tb *TraceBroker) PublishTelemetry() {
 		}
 	}
 
-	ts := &message.TelemetrySnapshot{
-		Broker:         tb.cfg.Broker.Name(),
-		AtNanos:        now.UnixNano(),
-		IntervalMillis: uint32(tb.cfg.TelemetryInterval / time.Millisecond),
-	}
-	h := tb.cfg.Broker.Health()
-	ts.FabricEpoch = h.FabricEpoch
-
+	// Counters travel as deltas since the last published snapshot; a
+	// fresh broker anchors at its current cumulative value.
 	tb.tel.mu.Lock()
-	for _, sm := range samples {
-		v := sm.value
-		if sm.counter {
-			// Counters travel as deltas since the last published snapshot;
-			// a fresh broker anchors at its current cumulative value.
-			v -= tb.tel.last[sm.name]
-			tb.tel.last[sm.name] = sm.value
+	for i := range rows {
+		if r := &rows[i]; r.Counter {
+			cum := r.Value
+			r.Value -= tb.tel.last[r.Name]
+			tb.tel.last[r.Name] = cum
 		}
-		ts.Rows = append(ts.Rows, message.TelemetryRow{Name: sm.name, Counter: sm.counter, Value: v})
 	}
 	tb.tel.mu.Unlock()
 
+	ts := &message.TelemetrySnapshot{
+		Broker:         tb.cfg.Broker.Name(),
+		AtNanos:        at,
+		FabricEpoch:    epoch,
+		IntervalMillis: uint32(tb.cfg.TelemetryInterval / time.Millisecond),
+		Rows:           rows,
+	}
 	for _, a := range alerts {
 		ts.Alerts = append(ts.Alerts, message.TelemetryAlert{
 			Rule: a.Rule, Series: a.Series, Firing: a.Firing,

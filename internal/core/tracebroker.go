@@ -82,11 +82,6 @@ type BrokerConfig struct {
 	// NetMetricsEvery publishes NETWORK_METRICS after every n-th answered
 	// ping. Zero selects 10.
 	NetMetricsEvery int
-	// HealthInterval, when positive, publishes a periodic topology/health
-	// snapshot of the hosting broker on the system-health derivative
-	// topic (topic.SystemHealth) — the fabric monitoring itself with its
-	// own trace machinery. Zero disables self-monitoring.
-	HealthInterval time.Duration
 	// AvailInterval, when positive, publishes a periodic
 	// AvailabilityDigest of every entity this broker hosts on the
 	// system-availability topic (topic.SystemAvailability), so one
@@ -115,7 +110,7 @@ type BrokerConfig struct {
 	// broker node was configured with. The manager binds its session-key
 	// requester to it, installs hosted sessions' keys into its store,
 	// validates delegations and session-key responses with it, and reports
-	// its cache statistics in health and telemetry snapshots. Nil builds a
+	// its cache statistics in telemetry snapshots. Nil builds a
 	// private guard from Resolver, Verifier and Clock (with a session
 	// store when SessionKeys is set), for a broker node that runs none.
 	Guard *Guard
@@ -339,9 +334,9 @@ func (tb *TraceBroker) Avail() *avail.Ledger { return tb.avail }
 // Resolver returns the resolver the trace broker validates tokens with.
 func (tb *TraceBroker) Resolver() AdResolver { return tb.cfg.Resolver }
 
-// Start subscribes to the registration topic (§3.2) and begins watching
-// for client disconnects (§3.3 DISCONNECT traces). With HealthInterval
-// set it also starts the self-monitoring publisher.
+// Start subscribes to the registration topic (§3.2), begins watching for
+// client disconnects (§3.3 DISCONNECT traces) and starts whichever of
+// the periodic publishers — availability digests, telemetry — is on.
 func (tb *TraceBroker) Start() {
 	tb.cancelRg = tb.cfg.Broker.SubscribeLocal(topic.Registration(), tb.handleRegistration)
 	tb.cfg.Broker.OnClientDisconnect(tb.handleDisconnect)
@@ -351,117 +346,41 @@ func (tb *TraceBroker) Start() {
 		tb.cancelSk = tb.cfg.Broker.SubscribeLocal(
 			topic.SessionKeyDelivery(tb.cfg.Broker.Name()), tb.handleSessionKeyResponse)
 	}
-	if tb.cfg.HealthInterval > 0 {
-		tb.wg.Add(1)
-		go func() {
-			defer tb.wg.Done()
-			tb.healthLoop()
-		}()
-	}
 	if tb.avail != nil && tb.cfg.AvailInterval > 0 {
-		tb.wg.Add(1)
-		go func() {
-			defer tb.wg.Done()
-			tb.availLoop()
-		}()
+		tb.periodic(tb.cfg.AvailInterval, tb.PublishAvailability)
 	}
 	if tb.tel != nil {
-		tb.wg.Add(1)
-		go func() {
-			defer tb.wg.Done()
-			tb.telemetryLoop()
-		}()
+		tb.periodic(tb.cfg.TelemetryInterval, tb.PublishTelemetry)
 	}
 }
 
-// mHealthSnapshots counts published self-monitoring snapshots.
-var mHealthSnapshots = obs.Default.Counter("core_health_snapshots_total")
-
-// healthLoop periodically publishes the hosting broker's topology/health
-// snapshot on the system-health topic. The broker principal may publish
-// there (Publish-Only with the broker as constrainer) and no
-// authorization token applies (the topic is not a per-trace-topic
-// derivative), so the snapshot needs no signing machinery — its
+// periodic calls fn every interval on the manager's clock until Close.
+// Both system-topic publishers run on it; neither needs token machinery
+// (broker-constrained Publish-Only, non-derivative topics), so their
 // authenticity rests on broker-link trust, like pings.
-func (tb *TraceBroker) healthLoop() {
-	clk := tb.cfg.Clock
-	for {
-		timer := clk.NewTimer(tb.cfg.HealthInterval)
-		select {
-		case <-timer.C():
-		case <-tb.done:
-			timer.Stop()
-			return
+func (tb *TraceBroker) periodic(interval time.Duration, fn func()) {
+	tb.wg.Add(1)
+	go func() {
+		defer tb.wg.Done()
+		for {
+			timer := tb.cfg.Clock.NewTimer(interval)
+			select {
+			case <-timer.C():
+				fn()
+			case <-tb.done:
+				timer.Stop()
+				return
+			}
 		}
-		tb.PublishHealth()
-	}
-}
-
-// PublishHealth publishes one self-monitoring snapshot immediately; the
-// health loop calls it on every tick, and tests or admin handlers may
-// call it directly.
-func (tb *TraceBroker) PublishHealth() {
-	h := tb.cfg.Broker.Health()
-	bh := &message.BrokerHealth{
-		Broker:        h.Name,
-		AtNanos:       tb.cfg.Clock.Now().UnixNano(),
-		Subscriptions: uint32(h.Subscriptions),
-		Published:     h.Stats.Published,
-		Forwarded:     h.Stats.Forwarded,
-		Duplicates:    h.Stats.Duplicates,
-		Violations:    h.Stats.Violations,
-		Disconnects:   h.Stats.Disconnects,
-		EgressSheds:   h.Stats.EgressSheds,
-		Throttled:     h.Stats.Throttled,
-		FlightHead:    h.FlightHead,
-
-		FabricEpoch:         h.FabricEpoch,
-		FabricMembers:       uint32(h.FabricMembers),
-		FabricOwnedPerMille: uint32(h.FabricOwnedPerMille),
-	}
-	if tb.cfg.Guard.cache != nil {
-		cs := tb.cfg.Guard.cache.Stats()
-		bh.GuardHits, bh.GuardMisses = cs.Hits, cs.Misses
-	}
-	for _, p := range h.Peers {
-		bh.Peers = append(bh.Peers, message.BrokerHealthPeer{
-			Name:     p.Name,
-			IsBroker: p.IsBroker,
-			Queued:   uint32(p.Queued),
-			Score:    p.Score,
-		})
-	}
-	env := message.New(message.TraceBrokerHealth, topic.SystemHealth(), "", bh.Marshal())
-	mHealthSnapshots.Inc()
-	if err := tb.cfg.Broker.Publish(env); err != nil {
-		tb.log.Warn("health snapshot publish failed", "err", err)
-	}
+	}()
 }
 
 // mAvailDigests counts published availability digests.
 var mAvailDigests = obs.Default.Counter("core_avail_digests_total")
 
-// availLoop periodically publishes the broker's availability digest on
-// the system-availability topic; like the health snapshot it needs no
-// token machinery (broker-constrained Publish-Only, non-derivative
-// topic), so its authenticity rests on broker-link trust.
-func (tb *TraceBroker) availLoop() {
-	clk := tb.cfg.Clock
-	for {
-		timer := clk.NewTimer(tb.cfg.AvailInterval)
-		select {
-		case <-timer.C():
-		case <-tb.done:
-			timer.Stop()
-			return
-		}
-		tb.PublishAvailability()
-	}
-}
-
 // PublishAvailability publishes one availability digest immediately;
-// the avail loop calls it every tick, and tests or admin handlers may
-// call it directly. Brokers with nothing in their ledger stay quiet.
+// Start schedules it every AvailInterval, and tests or admin handlers
+// may call it directly. Brokers with nothing in their ledger stay quiet.
 func (tb *TraceBroker) PublishAvailability() {
 	if tb.avail == nil {
 		return

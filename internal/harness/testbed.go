@@ -126,17 +126,15 @@ type Options struct {
 	// obs.DefaultFlightSample). Drops and guard rejections are always
 	// recorded regardless.
 	FlightSample int
-	// HealthInterval enables periodic broker self-monitoring snapshots
-	// on the system health topic (zero disables).
-	HealthInterval time.Duration
 	// AvailInterval enables per-broker availability digests on the
 	// system-availability topic every interval (zero disables broker
 	// ledgers and digests).
 	AvailInterval time.Duration
 	// TelemetryInterval enables the per-broker telemetry plane
-	// (PROTOCOL.md §3.10): health sampling into a per-broker time-series
-	// store plus delta-encoded snapshots on the system-telemetry topic
-	// every interval (zero disables).
+	// (PROTOCOL.md §3.10): sampling into a per-broker time-series store
+	// plus delta-encoded snapshots on the system-telemetry topic — what
+	// `tracectl top` and `tracectl map` read — every interval (zero
+	// disables).
 	TelemetryInterval time.Duration
 	// TelemetryOptions tunes the telemetry stores' retention (zero value
 	// keeps the timeseries defaults).
@@ -403,7 +401,6 @@ func (tb *Testbed) startBroker(i int, listenAddr string) error {
 		Detector:          opts.Detector,
 		GaugeInterval:     opts.GaugeInterval,
 		InterestTTL:       opts.InterestTTL,
-		HealthInterval:    opts.HealthInterval,
 		AvailInterval:     opts.AvailInterval,
 		Avail:             tb.newLedger(opts.AvailInterval > 0),
 		SessionKeys:       opts.SessionKeys,

@@ -75,10 +75,13 @@ const (
 	// Load and network information.
 	TraceLoadInformation
 	TraceNetworkMetrics
-	// Broker self-monitoring: periodic topology/health snapshots on the
-	// system-health derivative topic (appended after the Table 1 types so
-	// existing wire values are unchanged).
-	TraceBrokerHealth
+	// traceRetiredHealth holds the wire value of the retired broker
+	// self-monitoring snapshot (telemetry, PROTOCOL.md §3.10, replaced
+	// it): the values after it are persisted in durable-log records and
+	// must not renumber, and the type stays Valid so a not-yet-upgraded
+	// neighbour's snapshot routes by topic instead of counting as a
+	// malformed envelope against its link.
+	traceRetiredHealth
 	// Availability analytics: periodic per-broker ledger digests on the
 	// system-availability derivative topic (appended to keep existing
 	// wire values stable).
@@ -177,8 +180,8 @@ func (t Type) String() string {
 		return "LOAD_INFORMATION"
 	case TraceNetworkMetrics:
 		return "NETWORK_METRICS"
-	case TraceBrokerHealth:
-		return "BROKER_HEALTH"
+	case traceRetiredHealth:
+		return "BROKER_HEALTH(retired)"
 	case TraceAvailabilityDigest:
 		return "AVAILABILITY_DIGEST"
 	case TypeSessionKeyRequest:

@@ -87,8 +87,6 @@ func FuzzPayloadParsers(f *testing.F) {
 	f.Add((&Delegation{TokenBytes: []byte{1}}).Marshal())
 	f.Add((&TraceEvent{Entity: "e"}).Marshal())
 	f.Add((&ErrorReport{Code: 1}).Marshal())
-	f.Add((&BrokerHealth{Broker: "b", Published: 1,
-		Peers: []BrokerHealthPeer{{Name: "p", IsBroker: true, Queued: 2, Score: 0.5}}}).Marshal())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// None of these may panic on arbitrary input.
 		_, _ = UnmarshalRegistration(data)
@@ -104,7 +102,6 @@ func FuzzPayloadParsers(f *testing.F) {
 		_, _ = UnmarshalDelegation(data)
 		_, _ = UnmarshalTraceEvent(data)
 		_, _ = UnmarshalErrorReport(data)
-		_, _ = UnmarshalBrokerHealth(data)
 	})
 }
 

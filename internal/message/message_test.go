@@ -198,6 +198,34 @@ func TestTypeStrings(t *testing.T) {
 	}
 }
 
+// TestTypeWireValues pins the numeric value of every message type: the
+// values are wire format and are persisted inside durable-log records,
+// so retiring a type must leave its slot reserved, never renumber.
+func TestTypeWireValues(t *testing.T) {
+	want := []Type{
+		0: TypeData, 1: TypeRegistration, 2: TypeRegistrationResponse, 3: TypePing,
+		4: TypePingResponse, 5: TypeInterestResponse, 6: TypeKeyDelivery, 7: TypeStateReport,
+		8: TypeLoadReport, 9: TypeError, 10: TypeDelegation, 11: TypeSilentMode, 12: TypeResume,
+		13: TraceInitializing, 14: TraceRecovering, 15: TraceReady, 16: TraceShutdown,
+		17: TraceFailureSuspicion, 18: TraceFailed, 19: TraceDisconnect, 20: TraceGaugeInterest,
+		21: TraceJoin, 22: TraceRevertingToSilentMode, 23: TraceAllsWell, 24: TraceLoadInformation,
+		25: TraceNetworkMetrics, 26: traceRetiredHealth, 27: TraceAvailabilityDigest,
+		28: TypeSessionKeyRequest, 29: TypeSessionKeyResponse, 30: TypeFabricGossip,
+		31: TraceTelemetrySnapshot,
+	}
+	if int(lastType) != len(want) {
+		t.Fatalf("lastType = %d, want %d: a type was added or removed without pinning it here", lastType, len(want))
+	}
+	for v, ty := range want {
+		if int(ty) != v {
+			t.Errorf("%s = %d, want %d", ty, ty, v)
+		}
+	}
+	if !traceRetiredHealth.Valid() || traceRetiredHealth.String() != "BROKER_HEALTH(retired)" {
+		t.Fatalf("retired slot: Valid=%v String=%q", traceRetiredHealth.Valid(), traceRetiredHealth)
+	}
+}
+
 func TestEntityStateStringsAndTraceTypes(t *testing.T) {
 	cases := map[EntityState]struct {
 		str string

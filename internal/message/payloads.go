@@ -532,141 +532,6 @@ func UnmarshalErrorReport(b []byte) (*ErrorReport, error) {
 	return er, nil
 }
 
-// BrokerHealthPeer is one peer row in a broker self-monitoring
-// snapshot: the peer's name, whether it is a broker link, its current
-// egress queue depth and its decaying offender score.
-type BrokerHealthPeer struct {
-	Name     string
-	IsBroker bool
-	Queued   uint32
-	Score    float64
-}
-
-// BrokerHealth is the payload of a TraceBrokerHealth message: the
-// periodic topology/health snapshot a broker publishes about itself on
-// the system-health derivative topic, so the fabric is monitored with
-// the same trace machinery it provides for entities. Trackers and
-// tracectl render broker maps and queue/offender state from it.
-type BrokerHealth struct {
-	// Broker names the reporting broker.
-	Broker string
-	// AtNanos is the broker's local clock at snapshot time.
-	AtNanos int64
-	// Subscriptions counts distinct subscribed topic strings.
-	Subscriptions uint32
-	// Published/Forwarded/Duplicates/Violations/Disconnects/EgressSheds/
-	// Throttled are the broker's routing counters.
-	Published   uint64
-	Forwarded   uint64
-	Duplicates  uint64
-	Violations  uint64
-	Disconnects uint64
-	EgressSheds uint64
-	Throttled   uint64
-	// GuardHits/GuardMisses are the verified-token cache's counters (zero
-	// when the broker runs uncached).
-	GuardHits   uint64
-	GuardMisses uint64
-	// FlightHead is the flight recorder's latest sequence number (zero
-	// when recording is disabled).
-	FlightHead uint64
-	// Peers lists connected peers (links and clients).
-	Peers []BrokerHealthPeer
-	// FabricEpoch/FabricMembers/FabricOwnedPerMille describe the broker's
-	// fabric shard state (PROTOCOL.md §3.9): the ownership-table epoch,
-	// the live member count, and the local share of the hash circle in
-	// per-mille. All zero when the broker runs outside a fabric. On the
-	// wire these are an optional trailing block: snapshots recorded
-	// before the fabric existed still parse, with all three left zero.
-	FabricEpoch         uint64
-	FabricMembers       uint32
-	FabricOwnedPerMille uint32
-}
-
-// maxHealthPeers bounds the parsed peer list (a broker with more peers
-// truncates its report; the wire format stores the count in a u16).
-const maxHealthPeers = 4096
-
-// Marshal serializes the health snapshot.
-func (bh *BrokerHealth) Marshal() []byte {
-	var w writer
-	w.str(bh.Broker)
-	w.i64(bh.AtNanos)
-	w.u32(bh.Subscriptions)
-	w.u64(bh.Published)
-	w.u64(bh.Forwarded)
-	w.u64(bh.Duplicates)
-	w.u64(bh.Violations)
-	w.u64(bh.Disconnects)
-	w.u64(bh.EgressSheds)
-	w.u64(bh.Throttled)
-	w.u64(bh.GuardHits)
-	w.u64(bh.GuardMisses)
-	w.u64(bh.FlightHead)
-	peers := bh.Peers
-	if len(peers) > maxHealthPeers {
-		peers = peers[:maxHealthPeers]
-	}
-	w.u16(uint16(len(peers)))
-	for _, p := range peers {
-		w.str(p.Name)
-		if p.IsBroker {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		w.u32(p.Queued)
-		w.f64(p.Score)
-	}
-	w.u64(bh.FabricEpoch)
-	w.u32(bh.FabricMembers)
-	w.u32(bh.FabricOwnedPerMille)
-	return w.buf
-}
-
-// UnmarshalBrokerHealth parses a health snapshot payload.
-func UnmarshalBrokerHealth(b []byte) (*BrokerHealth, error) {
-	r := newReader(b)
-	bh := &BrokerHealth{}
-	bh.Broker = r.str()
-	bh.AtNanos = r.i64()
-	bh.Subscriptions = r.u32()
-	bh.Published = r.u64()
-	bh.Forwarded = r.u64()
-	bh.Duplicates = r.u64()
-	bh.Violations = r.u64()
-	bh.Disconnects = r.u64()
-	bh.EgressSheds = r.u64()
-	bh.Throttled = r.u64()
-	bh.GuardHits = r.u64()
-	bh.GuardMisses = r.u64()
-	bh.FlightHead = r.u64()
-	n := int(r.u16())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n > maxHealthPeers {
-		return nil, fmt.Errorf("message: broker health peer count %d exceeds %d", n, maxHealthPeers)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		p := BrokerHealthPeer{Name: r.str()}
-		p.IsBroker = r.u8() != 0
-		p.Queued = r.u32()
-		p.Score = r.f64()
-		bh.Peers = append(bh.Peers, p)
-	}
-	// Optional trailing fabric block (absent from pre-fabric snapshots).
-	if r.err == nil && r.off < len(r.b) {
-		bh.FabricEpoch = r.u64()
-		bh.FabricMembers = r.u32()
-		bh.FabricOwnedPerMille = r.u32()
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return bh, nil
-}
-
 // AvailabilityRow is one entity's row in an availability digest: the
 // ledger-derived state, uptime ratios, MTBF/MTTR, flap and detection
 // statistics, and the SLO error-budget position.
@@ -711,8 +576,8 @@ type AvailabilityRow struct {
 // message: the periodic fleet-availability snapshot a broker publishes
 // about the entities it hosts on the system-availability derivative
 // topic, so a single subscription anywhere observes fleet-wide
-// availability the same way the system-health topic exposes broker
-// health.
+// availability the same way the system-telemetry topic exposes the
+// brokers themselves.
 type AvailabilityDigest struct {
 	// Reporter names the publishing node (a broker, or a tracker when
 	// serialized for the /avail admin endpoint).

@@ -19,27 +19,44 @@ import (
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
 	v atomic.Uint64
+	// up is the same-named counter of the parent registry when this one
+	// belongs to a Child, nil otherwise: every add lands in both.
+	up *Counter
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
-// Add increases the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+// Add increases the counter by n; a nil counter discards it.
+func (c *Counter) Add(n uint64) {
+	for ; c != nil; c = c.up {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is an atomic instantaneous value (peer counts, session counts).
 type Gauge struct {
-	v atomic.Int64
+	v  atomic.Int64
+	up *Gauge // the parent registry's same-named gauge, as Counter.up
 }
 
-// Set stores the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+// Set stores the value; a Child's gauge moves its parent's by the change.
+func (g *Gauge) Set(v int64) {
+	if old := g.v.Swap(v); g.up != nil {
+		g.up.Add(v - old)
+	}
+}
 
-// Add increments (or, negative n, decrements) the gauge.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
+// Add increments (or, negative n, decrements) the gauge; a nil gauge
+// discards it.
+func (g *Gauge) Add(n int64) {
+	for ; g != nil; g = g.up {
+		g.v.Add(n)
+	}
+}
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -48,6 +65,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // their handle at the call site, so steady-state updates are purely
 // atomic; the write lock is only taken on first registration of a name.
 type Registry struct {
+	parent   *Registry // nil except for a Child
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -67,6 +85,18 @@ func NewRegistry() *Registry {
 // into and the daemons expose over /metrics.
 var Default = NewRegistry()
 
+// Child returns an empty registry scoped to one instance of a component
+// (one broker among several in a process): a counter or gauge created on
+// it counts for the instance and also into the same-named metric of r,
+// so r keeps the sum over instances under the same name while the
+// child's Snapshot holds the instance's own share. The parent keeps no
+// reference to the child. Histograms of a child stay local to it.
+func (r *Registry) Child() *Registry {
+	c := NewRegistry()
+	c.parent = r
+	return c
+}
+
 // Counter returns the counter registered under name, creating it on
 // first use. Instrumented packages should capture the returned handle in
 // a package variable rather than calling Counter per update.
@@ -83,6 +113,9 @@ func (r *Registry) Counter(name string) *Counter {
 		return c
 	}
 	c = &Counter{}
+	if r.parent != nil {
+		c.up = r.parent.Counter(name)
+	}
 	r.counters[name] = c
 	return c
 }
@@ -102,6 +135,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 		return g
 	}
 	g = &Gauge{}
+	if r.parent != nil {
+		g.up = r.parent.Gauge(name)
+	}
 	r.gauges[name] = g
 	return g
 }

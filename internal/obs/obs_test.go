@@ -56,6 +56,44 @@ func TestRegistryHandlesAreStable(t *testing.T) {
 	}
 }
 
+// TestChildRegistry: two children of one registry each keep their own
+// share under a name while the parent holds the sum, counting costs no
+// allocation, and the parent learns nothing of a child but the totals.
+func TestChildRegistry(t *testing.T) {
+	parent := NewRegistry()
+	a, b := parent.Child(), parent.Child()
+	ca, cb := a.Counter("events_total"), b.Counter("events_total")
+	ca.Add(3)
+	cb.Inc()
+	ga, gb := a.Gauge("depth"), b.Gauge("depth")
+	ga.Add(5)
+	gb.Set(7)
+	gb.Set(2)
+	if a.Counter("events_total") != ca {
+		t.Fatal("child counter handle not stable")
+	}
+	snapA, snapB, snapP := a.Snapshot(), b.Snapshot(), parent.Snapshot()
+	if snapA.Counters["events_total"] != 3 || snapB.Counters["events_total"] != 1 || snapP.Counters["events_total"] != 4 {
+		t.Fatalf("counters: a=%d b=%d parent=%d, want 3, 1, 4",
+			snapA.Counters["events_total"], snapB.Counters["events_total"], snapP.Counters["events_total"])
+	}
+	if snapA.Gauges["depth"] != 5 || snapB.Gauges["depth"] != 2 || snapP.Gauges["depth"] != 7 {
+		t.Fatalf("gauges: a=%d b=%d parent=%d, want 5, 2, 7",
+			snapA.Gauges["depth"], snapB.Gauges["depth"], snapP.Gauges["depth"])
+	}
+	// A name only the parent registered is no business of a child's.
+	parent.Counter("parent_only_total").Inc()
+	if _, ok := a.Snapshot().Counters["parent_only_total"]; ok {
+		t.Fatal("child snapshot leaked a parent-only counter")
+	}
+	if n := testing.AllocsPerRun(100, func() { ca.Inc(); ga.Add(1) }); n != 0 {
+		t.Fatalf("scoped count allocates %.1f times per event", n)
+	}
+	// A nil handle discards, so an unowned component needs no registry.
+	(*Counter)(nil).Inc()
+	(*Gauge)(nil).Add(1)
+}
+
 func TestHistogramConcurrent(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_ms", nil)

@@ -438,22 +438,26 @@ func (sm *Sampler) Interval() time.Duration { return sm.interval }
 // the given instant; the ticker loop calls it every interval and tests
 // call it directly.
 func (sm *Sampler) SampleOnce(now time.Time) {
-	t := now.UnixNano()
-	snap := sm.reg.Snapshot()
+	sm.store.AppendSnapshot(now.UnixNano(), sm.reg.Snapshot())
+}
+
+// AppendSnapshot appends one point at instant t (Unix nanos) to the
+// series of every metric in snap, as the Sampler doc describes.
+func (st *Store) AppendSnapshot(t int64, snap obs.Snapshot) {
 	for name, v := range snap.Counters {
-		sm.store.Series(name, Counter).Append(t, int64(v))
+		st.Series(name, Counter).Append(t, int64(v))
 	}
 	for name, v := range snap.Gauges {
-		sm.store.Series(name, Gauge).Append(t, v)
+		st.Series(name, Gauge).Append(t, v)
 	}
 	for name, h := range snap.Histograms {
-		sm.store.Series(name+"_count", Counter).Append(t, int64(h.Count))
+		st.Series(name+"_count", Counter).Append(t, int64(h.Count))
 		if h.Count == 0 {
 			continue
 		}
 		p50, p99 := histQuantileNames(name)
-		sm.store.Series(p50, Gauge).Append(t, int64(h.P50*1000))
-		sm.store.Series(p99, Gauge).Append(t, int64(h.P99*1000))
+		st.Series(p50, Gauge).Append(t, int64(h.P50*1000))
+		st.Series(p99, Gauge).Append(t, int64(h.P99*1000))
 	}
 }
 

@@ -19,35 +19,22 @@ const (
 	SuffixNetworkMetrics      = "NetworkMetrics"
 	SuffixInterest            = "Interest"
 	SuffixSystem              = "System"
-	SuffixHealth              = "Health"
 	SuffixAvailability        = "Availability"
 	SuffixSessionKeys         = "SessionKeys"
 	SuffixFabric              = "Fabric"
 	SuffixTelemetry           = "Telemetry"
 )
 
-// SystemHealth returns the constrained derivative topic carrying broker
-// self-monitoring snapshots:
-// /Constrained/Traces/Broker/Publish-Only/System/Health. The fabric
-// monitors itself with its own derivative-topic mechanism: Publish-Only
-// with the broker as constrainer means only brokers may publish health
-// snapshots while anyone may subscribe, and the default Disseminate
-// distribution propagates them network-wide, so one subscription
-// anywhere observes every broker. The "System" segment is deliberately
-// not a UUID, so the topic falls outside the per-trace-topic token
-// guard.
-func SystemHealth() Topic {
-	return MustParse("/Constrained/Traces/Broker/Publish-Only/" + SuffixSystem + "/" + SuffixHealth)
-}
-
 // SystemAvailability returns the constrained derivative topic carrying
 // per-broker availability digests:
-// /Constrained/Traces/Broker/Publish-Only/System/Availability. It
-// mirrors SystemHealth(): Publish-Only with the broker as constrainer
-// means only brokers may publish digests while anyone may subscribe,
-// and the default Disseminate distribution propagates them
-// network-wide, so one subscription anywhere sees the availability of
-// every entity in the fleet.
+// /Constrained/Traces/Broker/Publish-Only/System/Availability. The
+// fabric reports on itself with its own derivative-topic mechanism:
+// Publish-Only with the broker as constrainer means only brokers may
+// publish digests while anyone may subscribe, and the default
+// Disseminate distribution propagates them network-wide, so one
+// subscription anywhere sees the availability of every entity in the
+// fleet. The "System" segment is deliberately not a UUID, so the topic
+// falls outside the per-trace-topic token guard.
 func SystemAvailability() Topic {
 	return MustParse("/Constrained/Traces/Broker/Publish-Only/" + SuffixSystem + "/" + SuffixAvailability)
 }
@@ -55,7 +42,7 @@ func SystemAvailability() Topic {
 // SystemFabric returns the constrained topic carrying broker-fabric
 // membership gossip (PROTOCOL.md §3.9):
 // /Constrained/Traces/Broker/Publish-Only/System/Fabric. It mirrors
-// SystemHealth(): Publish-Only with the broker as constrainer means
+// SystemAvailability(): Publish-Only with the broker as constrainer means
 // only brokers may gossip, the default Disseminate distribution
 // propagates exchanges across whatever links exist (anti-entropy
 // convergence even when two brokers are not directly linked), and the
@@ -68,7 +55,7 @@ func SystemFabric() Topic {
 // SystemTelemetry returns the constrained topic carrying per-broker
 // metric snapshots (PROTOCOL.md §3.10):
 // /Constrained/Traces/Broker/Publish-Only/System/Telemetry. It mirrors
-// SystemHealth(): Publish-Only with the broker as constrainer means
+// SystemAvailability(): Publish-Only with the broker as constrainer means
 // only brokers may publish telemetry while anyone may subscribe, the
 // default Disseminate distribution propagates snapshots network-wide
 // (one `tracectl top` subscription anywhere assembles the whole

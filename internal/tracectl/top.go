@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -16,12 +19,14 @@ import (
 )
 
 // This file is the subscriber half of the fleet telemetry plane
-// (PROTOCOL.md §3.10): `tracectl top` subscribes once to the
-// system-telemetry topic, folds every broker's delta-encoded snapshots
-// back into cumulative series and per-second rates, and renders a live
-// fleet board — per-broker sparkline columns, fleet totals, and the
-// standing alert set (including absence-of-heartbeat alerts the
-// assembler synthesizes itself when a broker's snapshots stop).
+// (PROTOCOL.md §3.10): `tracectl top` and `tracectl map` subscribe once
+// to the system-telemetry topic, fold every broker's delta-encoded
+// snapshots back into cumulative series and per-second rates, and render
+// the assembled board two ways — top as a live fleet board (per-broker
+// sparkline columns, fleet totals, and the standing alert set, including
+// absence-of-heartbeat alerts the assembler synthesizes itself when a
+// broker's snapshots stop), map as the topology (every broker with its
+// links' queue depths and offender scores).
 
 // sparkSamples is the per-series rate history behind each sparkline.
 const sparkSamples = 32
@@ -102,6 +107,8 @@ type topBroker struct {
 	seenAt   int64 // assembler clock when it arrived
 	interval time.Duration
 	series   map[string]*topSeries
+	// links are the broker's links as of its last snapshot.
+	links []TopLink
 	// alerts maps rule -> the broker's last reported state of it.
 	alerts map[string]message.TelemetryAlert
 	// absentSince, when nonzero, is the synthesized heartbeat-absent
@@ -159,7 +166,11 @@ func (a *TopAssembler) Ingest(ts *message.TelemetrySnapshot) {
 	b.epoch = ts.FabricEpoch
 	b.interval = time.Duration(ts.IntervalMillis) * time.Millisecond
 	b.absentSince = 0
+	b.links = b.links[:0]
 	for _, row := range ts.Rows {
+		if b.foldLink(row) {
+			continue
+		}
 		s := b.series[row.Name]
 		if s == nil {
 			s = &topSeries{counter: row.Counter}
@@ -211,6 +222,42 @@ func (a *TopAssembler) Ingest(ts *message.TelemetrySnapshot) {
 	}
 }
 
+// Per-link rows carry the neighbour's name as the peer label.
+const (
+	linkDepthPrefix = `broker_link_egress_queue_depth{peer="`
+	linkScorePrefix = `broker_link_offender_score_milli{peer="`
+)
+
+// foldLink folds a per-link row into b.links, reporting whether row was
+// one. Links come and go, so they are rebuilt from each snapshot rather
+// than kept as series: a link the broker stopped reporting is gone.
+func (b *topBroker) foldLink(row message.TelemetryRow) bool {
+	rest, isDepth := strings.CutPrefix(row.Name, linkDepthPrefix)
+	if !isDepth {
+		var isScore bool
+		if rest, isScore = strings.CutPrefix(row.Name, linkScorePrefix); !isScore {
+			return false
+		}
+	}
+	// The label value is escaped for the text exposition format, whose
+	// three escapes are also Go's.
+	peer, err := strconv.Unquote(`"` + strings.TrimSuffix(rest, `"}`) + `"`)
+	if err != nil {
+		return false
+	}
+	i := slices.IndexFunc(b.links, func(l TopLink) bool { return l.Peer == peer })
+	if i < 0 {
+		i = len(b.links)
+		b.links = append(b.links, TopLink{Peer: peer})
+	}
+	if isDepth {
+		b.links[i].Queued = row.Value
+	} else {
+		b.links[i].ScoreMilli = row.Value
+	}
+	return true
+}
+
 // Episodes reports how many distinct alert episodes — unique (broker,
 // rule, firing-edge time) triples — the assembler has observed.
 func (a *TopAssembler) Episodes() int {
@@ -242,11 +289,26 @@ type TopBrokerView struct {
 	EgressDepth int64   `json:"egress_queue_depth"`
 	GuardHitPct float64 `json:"guard_hit_pct"`
 	ReplayRate  float64 `json:"replay_rate"`
+	// Links are the broker's links to other brokers; Clients counts its
+	// remaining peers. Clients are counted, never listed: a snapshot's
+	// size follows the fleet, not the client population.
+	Links   []TopLink `json:"links"`
+	Clients int64     `json:"clients"`
 	// Series carries every folded series: cumulative/latest value and
 	// current rate (counters only).
 	Series map[string]TopSeriesView `json:"series"`
 	// Spark is the publish-rate sparkline history, oldest first.
 	Spark []float64 `json:"spark"`
+}
+
+// TopLink is one broker link as its owner last reported it: the
+// neighbour's name (its address, for a link dialed with -connect), the
+// link's egress queue depth and its decaying offender score in
+// thousandths.
+type TopLink struct {
+	Peer       string `json:"peer"`
+	Queued     int64  `json:"egress_queue_depth"`
+	ScoreMilli int64  `json:"offender_score_milli"`
 }
 
 // TopSeriesView is one series' folded state.
@@ -297,6 +359,7 @@ func (a *TopAssembler) Board() *TopBoard {
 			AtNanos:     b.atNanos,
 			Stale:       b.stale(now),
 			Series:      make(map[string]TopSeriesView, len(b.series)),
+			Links:       append([]TopLink{}, b.links...),
 		}
 		for name, s := range b.series {
 			sv := TopSeriesView{Counter: s.counter, Value: s.cum}
@@ -305,6 +368,7 @@ func (a *TopAssembler) Board() *TopBoard {
 			}
 			v.Series[name] = sv
 		}
+		sort.Slice(v.Links, func(i, j int) bool { return v.Links[i].Peer < v.Links[j].Peer })
 		if s := b.series["broker_published_total"]; s != nil {
 			v.PublishRate = s.rate
 			v.Spark = s.history(sparkSamples)
@@ -318,14 +382,17 @@ func (a *TopAssembler) Board() *TopBoard {
 		if s := b.series["broker_egress_queue_depth"]; s != nil {
 			v.EgressDepth = s.cum
 		}
-		if s := b.series["broker_replay_records_total"]; s != nil {
+		if s := b.series["durable_replay_records_total"]; s != nil {
 			v.ReplayRate = s.rate
 		}
+		if s := b.series["broker_peers"]; s != nil {
+			v.Clients = s.cum - int64(len(b.links))
+		}
 		hits, misses := int64(0), int64(0)
-		if s := b.series["guard_hits_total"]; s != nil {
+		if s := b.series["guard_cache_hits_total"]; s != nil {
 			hits = s.cum
 		}
-		if s := b.series["guard_misses_total"]; s != nil {
+		if s := b.series["guard_cache_misses_total"]; s != nil {
 			misses = s.cum
 		}
 		if hits+misses > 0 {
@@ -447,8 +514,46 @@ func RenderTop(w io.Writer, b *TopBoard) {
 	}
 }
 
+// RenderMap renders the board as a topology map: every broker with its
+// fabric share, its links to other brokers (queue depth and offender
+// score each), its client count and rates, and the counts observed —
+// folded from the deltas this subscription saw, so lifetime totals only
+// for a broker whose first snapshot it caught.
+func RenderMap(w io.Writer, b *TopBoard) {
+	if len(b.Brokers) == 0 {
+		fmt.Fprintln(w, "no telemetry snapshots observed")
+		return
+	}
+	for _, v := range b.Brokers {
+		total := func(series string) int64 { return v.Series[series].Value }
+		state := ""
+		if v.Stale {
+			state = "  [STALE]"
+		}
+		fmt.Fprintf(w, "broker %s  subs=%d  clients=%d  pub=%.1f/s fwd=%.1f/s dlv=%.1f/s  flight-head=%d  at=%s%s\n",
+			v.Broker, total("broker_subscriptions"), v.Clients, v.PublishRate, v.ForwardRate, v.DeliverRate,
+			total("broker_flight_head"), time.Unix(0, v.AtNanos).UTC().Format(time.RFC3339Nano), state)
+		if members := total("fabric_members"); members > 0 {
+			fmt.Fprintf(w, "  fabric: epoch=%d members=%d owned=%d‰\n",
+				v.FabricEpoch, members, total("fabric_owned_per_mille"))
+		}
+		for i, l := range v.Links {
+			branch := "├─"
+			if i == len(v.Links)-1 {
+				branch = "└─"
+			}
+			fmt.Fprintf(w, "  %s %-16s queued=%d score=%.1f\n", branch, l.Peer, l.Queued, float64(l.ScoreMilli)/1000)
+		}
+		fmt.Fprintf(w, "  observed: published=%d forwarded=%d duplicates=%d violations=%d sheds=%d throttled=%d guard=%d/%d hit/miss\n",
+			total("broker_published_total"), total("broker_forwarded_total"), total("broker_duplicates_total"),
+			total("broker_violations_total"), total("broker_egress_sheds_total"), total("broker_publish_throttled_total"),
+			total("guard_cache_hits_total"), total("guard_cache_misses_total"))
+	}
+}
+
 // RenderTopJSON emits the board as one indented JSON document (the
-// -format json form the e2e asserts against).
+// -format json form of both top and map, which the e2e suites assert
+// against).
 func RenderTopJSON(w io.Writer, b *TopBoard) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -1,9 +1,10 @@
 // Package tracectl is the debugging console for the tracing fabric: it
 // fetches flight-recorder dumps from broker admin endpoints, renders
 // end-to-end waterfalls for a trace ID, tails live flight events, and
-// draws a broker map from the self-monitoring snapshots published on
-// the system-health topic. The cmd/tracectl binary is a thin flag
-// wrapper over this package so every operation is testable in-process.
+// assembles the telemetry snapshots published on the system-telemetry
+// topic into a fleet board and a broker map. The cmd/tracectl binary is
+// a thin flag wrapper over this package so every operation is testable
+// in-process.
 package tracectl
 
 import (
@@ -16,12 +17,7 @@ import (
 	"strings"
 	"time"
 
-	"entitytrace/internal/broker"
-	"entitytrace/internal/ident"
-	"entitytrace/internal/message"
 	"entitytrace/internal/obs"
-	"entitytrace/internal/topic"
-	"entitytrace/internal/transport"
 )
 
 // Client talks to broker admin endpoints (the /trace handler).
@@ -355,104 +351,4 @@ func RenderWaterfallJSON(w io.Writer, t obs.FlightTrace, dumps []*obs.FlightDump
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(wf)
-}
-
-// RenderMapJSON emits the broker self-monitoring snapshots as one
-// indented JSON document (the machine-readable form of RenderMap).
-func RenderMapJSON(w io.Writer, snaps []*message.BrokerHealth) error {
-	if snaps == nil {
-		snaps = []*message.BrokerHealth{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snaps)
-}
-
-// WatchHealth subscribes to the system-health topic via the given
-// broker and collects self-monitoring snapshots for the given duration,
-// returning the latest snapshot per broker. One subscription anywhere
-// sees every broker: the topic's default Disseminate distribution
-// propagates the snapshots network-wide.
-func WatchHealth(tr transport.Transport, addr string, name ident.EntityID, d time.Duration) ([]*message.BrokerHealth, error) {
-	cl, err := broker.Connect(tr, addr, name)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	type keyed struct {
-		bh *message.BrokerHealth
-	}
-	snaps := make(chan *message.BrokerHealth, 256)
-	err = cl.Subscribe(topic.SystemHealth(), func(env *message.Envelope) {
-		if env.Type != message.TraceBrokerHealth {
-			return
-		}
-		bh, err := message.UnmarshalBrokerHealth(env.Payload)
-		if err != nil {
-			return
-		}
-		select {
-		case snaps <- bh:
-		default:
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	latest := make(map[string]*keyed)
-	deadline := time.After(d)
-collect:
-	for {
-		select {
-		case bh := <-snaps:
-			if cur, ok := latest[bh.Broker]; !ok || bh.AtNanos >= cur.bh.AtNanos {
-				latest[bh.Broker] = &keyed{bh}
-			}
-		case <-deadline:
-			break collect
-		}
-	}
-	names := make([]string, 0, len(latest))
-	for n := range latest {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*message.BrokerHealth, 0, len(names))
-	for _, n := range names {
-		out = append(out, latest[n].bh)
-	}
-	return out, nil
-}
-
-// RenderMap renders broker self-monitoring snapshots as a topology map:
-// every broker with its peer links, queue depths and offender scores,
-// plus its routing and guard-cache counters.
-func RenderMap(w io.Writer, snaps []*message.BrokerHealth) {
-	if len(snaps) == 0 {
-		fmt.Fprintln(w, "no broker health snapshots observed")
-		return
-	}
-	for _, bh := range snaps {
-		fmt.Fprintf(w, "broker %s  subs=%d  flight-head=%d  at=%s\n",
-			bh.Broker, bh.Subscriptions, bh.FlightHead,
-			time.Unix(0, bh.AtNanos).UTC().Format(time.RFC3339Nano))
-		if bh.FabricMembers > 0 {
-			fmt.Fprintf(w, "  fabric: epoch=%d members=%d owned=%d‰\n",
-				bh.FabricEpoch, bh.FabricMembers, bh.FabricOwnedPerMille)
-		}
-		for i, p := range bh.Peers {
-			branch := "├─"
-			if i == len(bh.Peers)-1 {
-				branch = "└─"
-			}
-			kind := "client"
-			if p.IsBroker {
-				kind = "broker"
-			}
-			fmt.Fprintf(w, "  %s %-16s %-6s queued=%d score=%.1f\n", branch, p.Name, kind, p.Queued, p.Score)
-		}
-		fmt.Fprintf(w, "  stats: published=%d forwarded=%d duplicates=%d violations=%d sheds=%d throttled=%d guard=%d/%d hit/miss\n",
-			bh.Published, bh.Forwarded, bh.Duplicates, bh.Violations,
-			bh.EgressSheds, bh.Throttled, bh.GuardHits, bh.GuardMisses)
-	}
 }

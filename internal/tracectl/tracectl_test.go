@@ -224,25 +224,63 @@ func TestRenderWaterfallJSON(t *testing.T) {
 	}
 }
 
-func TestRenderMapJSON(t *testing.T) {
-	snaps := []*message.BrokerHealth{{Broker: "hb0", AtNanos: testT0.UnixNano(), Subscriptions: 3}}
+// TestRenderMapFromTelemetry: the broker map is a renderer over the same
+// board top builds. Link rows fold into per-broker links (label values
+// unescaped), clients are counted and never listed, and a link missing
+// from a broker's next snapshot is gone from the map.
+func TestRenderMapFromTelemetry(t *testing.T) {
+	now := testT0
+	a := NewTopAssembler(func() time.Time { return now })
+	snap := func(at time.Duration, published int64, links ...string) *message.TelemetrySnapshot {
+		ts := &message.TelemetrySnapshot{
+			Broker: "hb1", AtNanos: testT0.Add(at).UnixNano(), FabricEpoch: 7, IntervalMillis: 1000,
+			Rows: []message.TelemetryRow{
+				{Name: "broker_published_total", Counter: true, Value: published},
+				{Name: "broker_peers", Value: int64(len(links)) + 5},
+				{Name: "broker_subscriptions", Value: 3},
+				{Name: "fabric_members", Value: 4},
+				{Name: "fabric_owned_per_mille", Value: 250},
+			},
+		}
+		for i, l := range links {
+			ts.Rows = append(ts.Rows,
+				message.TelemetryRow{Name: obs.WithLabel("broker_link_egress_queue_depth", "peer", l), Value: int64(10 * (i + 1))},
+				message.TelemetryRow{Name: obs.WithLabel("broker_link_offender_score_milli", "peer", l), Value: 1500})
+		}
+		return ts
+	}
+	a.Ingest(snap(time.Second, 1000, "hb2", `hb"0`))
+	a.Ingest(snap(2*time.Second, 40, "hb2", `hb"0`))
+	now = testT0.Add(2 * time.Second)
+
+	v := a.Board().Brokers[0]
+	want := []TopLink{{Peer: `hb"0`, Queued: 20, ScoreMilli: 1500}, {Peer: "hb2", Queued: 10, ScoreMilli: 1500}}
+	if len(v.Links) != 2 || v.Links[0] != want[0] || v.Links[1] != want[1] || v.Clients != 5 {
+		t.Fatalf("links = %+v clients = %d, want %+v and 5", v.Links, v.Clients, want)
+	}
+	for name := range v.Series {
+		if strings.HasPrefix(name, "broker_link_") {
+			t.Fatalf("link row %q kept as a series", name)
+		}
+	}
 	var out bytes.Buffer
-	if err := RenderMapJSON(&out, snaps); err != nil {
-		t.Fatal(err)
+	RenderMap(&out, a.Board())
+	for _, s := range []string{"broker hb1", "subs=3", "clients=5", "pub=40.0/s",
+		"fabric: epoch=7 members=4 owned=250‰", "├─ hb\"0", "queued=20 score=1.5", "└─ hb2", "published=1040"} {
+		if !strings.Contains(out.String(), s) {
+			t.Fatalf("map missing %q:\n%s", s, out.String())
+		}
 	}
-	var decoded []*message.BrokerHealth
-	if err := json.Unmarshal(out.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
+
+	a.Ingest(snap(3*time.Second, 0, "hb2"))
+	if v := a.Board().Brokers[0]; len(v.Links) != 1 || v.Links[0].Peer != "hb2" || v.Clients != 5 {
+		t.Fatalf("after the link dropped: links = %+v clients = %d", v.Links, v.Clients)
 	}
-	if len(decoded) != 1 || decoded[0].Broker != "hb0" || decoded[0].Subscriptions != 3 {
-		t.Fatalf("map JSON mangled: %+v", decoded)
-	}
+
 	out.Reset()
-	if err := RenderMapJSON(&out, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(out.String()) != "[]" {
-		t.Fatalf("nil snaps rendered %q, want []", out.String())
+	RenderMap(&out, NewTopAssembler(nil).Board())
+	if !strings.Contains(out.String(), "no telemetry snapshots observed") {
+		t.Fatalf("empty board rendered %q", out.String())
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // benchSnapshot builds a TELEMETRY_SNAPSHOT shaped like a real broker
-// tick: the full sampleHealth row set plus one standing alert.
+// tick: a full row set plus one standing alert.
 func benchSnapshot(atNanos int64) *message.TelemetrySnapshot {
 	ts := &message.TelemetrySnapshot{
 		Broker:         "hb0",

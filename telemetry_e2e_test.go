@@ -27,10 +27,65 @@ import (
 // this binary honest against the exposition naming conventions
 // (counters end _total, histograms carry a unit, no kind collisions).
 // The root package imports effectively everything, so init-registered
-// metrics across the codebase are all visible here.
+// metrics across the codebase are all visible here. The same lint then
+// runs over what a live broker puts on /System/Telemetry, with the rule
+// that makes a second name for one count impossible: a row's name is its
+// /metrics name. Every counter row must be a counter of that name in the
+// broker's own registry — whose counters each have one declaration and
+// one incrementing statement — or, for the pair sampled from the guard
+// cache, in the process registry; a telemetry-only alias fails here.
 func TestMetricNameLint(t *testing.T) {
 	if v := obs.CheckNames(obs.Default.Snapshot()); len(v) != 0 {
 		t.Fatalf("metric naming violations:\n  %s", strings.Join(v, "\n  "))
+	}
+	tb, err := harness.New(harness.Options{Brokers: 1, TelemetryInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	cl, err := broker.Connect(tb.Transport(), tb.Addrs[0], "lint-watcher")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	snaps := make(chan *message.TelemetrySnapshot, 1)
+	if err := cl.Subscribe(topic.SystemTelemetry(), func(env *message.Envelope) {
+		if ts, err := message.UnmarshalTelemetrySnapshot(env.Payload); err == nil {
+			select {
+			case snaps <- ts:
+			default:
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var ts *message.TelemetrySnapshot
+	select {
+	case ts = <-snaps:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no telemetry snapshot")
+	}
+	own, process := tb.Brokers[0].Health().Metrics, obs.Default.Snapshot()
+	wire := obs.Snapshot{Counters: map[string]uint64{}, Gauges: map[string]int64{}}
+	for _, r := range ts.Rows {
+		if !r.Counter {
+			wire.Gauges[r.Name] = r.Value
+			continue
+		}
+		wire.Counters[r.Name] = uint64(r.Value)
+		_, scoped := own.Counters[r.Name]
+		_, wide := process.Counters[r.Name]
+		if !scoped && !(wide && strings.HasPrefix(r.Name, "guard_cache_")) {
+			t.Errorf("counter row %q is not a counter of that name in the broker's registry", r.Name)
+		}
+	}
+	for name := range own.Counters {
+		if _, ok := wire.Counters[name]; !ok {
+			t.Errorf("registry counter %q is not a telemetry row", name)
+		}
+	}
+	if v := obs.CheckNames(wire); len(v) != 0 {
+		t.Errorf("telemetry row naming violations:\n  %s", strings.Join(v, "\n  "))
 	}
 }
 

@@ -5,14 +5,16 @@
 // that `tracectl trace <uuid>` renders the complete
 // entity→broker(s)→tracker waterfall with per-stage latencies, that a
 // deliberately unauthorized publish surfaces its guard-drop event in
-// `tracectl tail`, and that the self-monitoring snapshots on the
-// system-health topic draw the broker map. Run the suite alone with
+// `tracectl tail`, and that the telemetry snapshots on the
+// system-telemetry topic draw the broker map. Run the suite alone with
 // `make trace`.
 package entitytrace
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -32,10 +34,10 @@ import (
 func traceHarness(t *testing.T) (*harness.Testbed, []string) {
 	t.Helper()
 	tb, err := harness.New(harness.Options{
-		Brokers:        3,
-		FlightEvents:   4096,
-		FlightSample:   1,
-		HealthInterval: 150 * time.Millisecond,
+		Brokers:           3,
+		FlightEvents:      4096,
+		FlightSample:      1,
+		TelemetryInterval: 150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,31 +209,75 @@ func TestTraceCtlTailResumesFromSequence(t *testing.T) {
 	}
 }
 
-// TestTraceCtlBrokerMap watches the system-health topic and renders the
-// broker map: every broker in the chain reports its peers, queue depths
-// and counters via its own pub/sub fabric.
+// TestTraceCtlBrokerMap watches the system-telemetry topic through one
+// subscription on hb2 and renders the broker map, text and -format json:
+// every broker of the chain appears (the snapshots disseminate
+// network-wide), each chain link is reported from both of its ends, the
+// brokers hosting clients count them without listing them, and publish
+// rates are folded from the counter deltas.
 func TestTraceCtlBrokerMap(t *testing.T) {
 	tb, _ := traceHarness(t)
 	if _, err := tb.StartEntity("map-entity", 0); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		snaps, err := tracectl.WatchHealth(tb.Transport(), tb.Addrs[2], "tracectl-e2e", 500*time.Millisecond)
-		if err != nil {
-			t.Fatalf("watch health: %v", err)
+	a := tracectl.NewTopAssembler(nil)
+	go func() {
+		_ = tracectl.WatchTelemetry(tb.Transport(), tb.Addrs[2], "tracectl-e2e",
+			5*time.Minute, 150*time.Millisecond, a, nil)
+	}()
+	// The dialing end of a chain link names its neighbour by address, the
+	// accepting end by broker name: hb0—hb1 and hb1—hb2 each show twice.
+	wantLinks := map[string][]string{
+		"hb0": {"hb1"},
+		"hb1": {tb.Addrs[0], "hb2"},
+		"hb2": {tb.Addrs[1]},
+	}
+	var board tracectl.TopBoard
+	waitFor(t, 15*time.Second, func() bool {
+		var buf bytes.Buffer
+		if err := tracectl.RenderTopJSON(&buf, a.Board()); err != nil {
+			t.Fatal(err)
 		}
-		var out bytes.Buffer
-		tracectl.RenderMap(&out, snaps)
-		got := out.String()
-		// One subscription on hb2 must see every broker: the snapshots
-		// disseminate network-wide.
-		if strings.Contains(got, "broker hb0") && strings.Contains(got, "broker hb1") &&
-			strings.Contains(got, "broker hb2") && strings.Contains(got, "published=") {
-			return
+		board = tracectl.TopBoard{}
+		if err := json.Unmarshal(buf.Bytes(), &board); err != nil {
+			t.Fatalf("map JSON does not parse: %v\n%s", err, buf.String())
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("broker map incomplete:\n%s", got)
+		if len(board.Brokers) != 3 || board.FleetPublishRate <= 0 {
+			return false
+		}
+		for _, v := range board.Brokers {
+			if len(v.Links) != len(wantLinks[v.Broker]) {
+				return false
+			}
+		}
+		return true
+	})
+	for _, v := range board.Brokers {
+		peers := make([]string, len(v.Links))
+		for i, l := range v.Links {
+			peers[i] = l.Peer
+		}
+		want := append([]string(nil), wantLinks[v.Broker]...)
+		sort.Strings(want)
+		if strings.Join(peers, ",") != strings.Join(want, ",") {
+			t.Errorf("%s links = %v, want %v", v.Broker, peers, want)
+		}
+		// hb0 hosts the entity, hb2 the watcher; hb1 only links.
+		if wantClients := map[string]int64{"hb0": 1, "hb1": 0, "hb2": 1}[v.Broker]; v.Clients != wantClients {
+			t.Errorf("%s clients = %d, want %d", v.Broker, v.Clients, wantClients)
+		}
+	}
+	var out bytes.Buffer
+	tracectl.RenderMap(&out, a.Board())
+	got := out.String()
+	for _, want := range []string{"broker hb0", "broker hb1", "broker hb2", "pub=", "published=", "─ hb1 ", "─ hb2 "} {
+		if !strings.Contains(got, want) {
+			t.Errorf("broker map missing %q:\n%s", want, got)
+		}
+	}
+	for _, client := range []string{"map-entity", "tracectl-e2e"} {
+		if strings.Contains(got, client) {
+			t.Errorf("broker map lists client %q:\n%s", client, got)
 		}
 	}
 }
