@@ -174,6 +174,7 @@ func main() {
 	b := broker.New(broker.Config{
 		Name:                 brokerName,
 		Guard:                guard.Admit,
+		Clock:                clk,
 		Durable:              store,
 		Flight:               flight,
 		EgressQueue:          *egressQueue,

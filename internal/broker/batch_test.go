@@ -32,7 +32,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	if wire[0] != frameBatch {
 		t.Fatalf("kind byte %d, want %d", wire[0], frameBatch)
 	}
-	got, err := parseBatch(wire[1:])
+	got, err := parseBatch(nil, wire[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestParseBatchMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := parseBatch(tc.body); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := parseBatch(nil, tc.body); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("parseBatch = %v, want error containing %q", err, tc.want)
 			}
 		})
@@ -78,7 +78,7 @@ func TestParseBatchMalformed(t *testing.T) {
 		big = binary.BigEndian.AppendUint32(big, 1)
 		big = append(big, frameEnvelope)
 	}
-	if _, err := parseBatch(big); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if _, err := parseBatch(nil, big); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("over-count batch: %v", err)
 	}
 }
@@ -105,7 +105,7 @@ func FuzzParseBatch(f *testing.F) {
 	f.Add(appendBatch(nil, [][]byte{nested})[1:]) // nested batch
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		frames, err := parseBatch(body)
+		frames, err := parseBatch(nil, body)
 		if err != nil {
 			return
 		}
@@ -306,7 +306,7 @@ func TestEgressNeverBatchesDurableFrames(t *testing.T) {
 				if batchBytes == 0 {
 					t.Fatal("unbatched egress built a batch")
 				}
-				sub, err := parseBatch(f[1:])
+				sub, err := parseBatch(nil, f[1:])
 				if err != nil {
 					t.Fatalf("egress built a batch its own parser rejects: %v", err)
 				}

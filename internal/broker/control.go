@@ -90,15 +90,16 @@ func batchWireSize(frames [][]byte) int {
 }
 
 // parseBatch splits a batch frame body (after the kind byte) into its
-// sub-frames. It is strict: at least one entry, every entry a non-empty
+// sub-frames, reusing frames' storage (a receive loop passes the slice
+// it got back last time). It is strict: at least one entry, every entry a non-empty
 // frameEnvelope frame within the length cap, no trailing bytes, no
 // nested batches — so a truncated, oversized or interleaved frame is
 // rejected as a whole rather than partially applied.
-func parseBatch(b []byte) ([][]byte, error) {
+func parseBatch(frames [][]byte, b []byte) ([][]byte, error) {
 	if len(b) == 0 {
 		return nil, errors.New("broker: empty batch frame")
 	}
-	var frames [][]byte
+	frames = frames[:0]
 	for len(b) > 0 {
 		if len(frames) >= maxBatchFrames {
 			return nil, fmt.Errorf("broker: batch exceeds %d frames", maxBatchFrames)

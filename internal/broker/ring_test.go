@@ -1,6 +1,9 @@
 package broker
 
 import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"entitytrace/internal/ident"
@@ -86,5 +89,65 @@ func TestFirstSightingWindow(t *testing.T) {
 	}
 	if b.firstSighting(ids[2]) {
 		t.Fatal("id still inside window admitted twice")
+	}
+}
+
+// TestSeenSetMatchesReferenceWindow holds the probe table to the
+// definition of the window — an ID is a duplicate iff it is among the
+// last cap first sightings — kept as the plain ring-plus-map it
+// replaced, over random streams drawn from a pool small enough that IDs
+// recur inside, at and just past the window's edge, and over windows
+// whose tables wrap and shift entries back on every eviction.
+func TestSeenSetMatchesReferenceWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, window := range []int{1, 2, 3, 7, 8, 64} {
+		pool := make([]ident.UUID, 3*window+1)
+		for i := range pool {
+			pool[i] = ident.NewUUID()
+		}
+		s := newSeenSet(window)
+		ref := make(map[ident.UUID]bool)
+		fifo := newUUIDRing(window)
+		for step := 0; step < 20000; step++ {
+			id := pool[rng.Intn(len(pool))]
+			want := !ref[id]
+			if want {
+				ref[id] = true
+				if old, evicted := fifo.push(id); evicted {
+					delete(ref, old)
+				}
+			}
+			if got := s.add(id); got != want {
+				t.Fatalf("window %d, step %d: first sighting = %v, want %v", window, step, got, want)
+			}
+		}
+	}
+}
+
+// TestSeenSetConcurrentFirstSightings races goroutines over one shared
+// set of IDs: each ID is a first sighting exactly once, whoever sees it.
+func TestSeenSetConcurrentFirstSightings(t *testing.T) {
+	const ids, readers = 2000, 4
+	s := newSeenSet(DefaultDedupeWindow)
+	pool := make([]ident.UUID, ids)
+	for i := range pool {
+		pool[i] = ident.NewUUID()
+	}
+	var firsts atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := range pool {
+				if s.add(pool[(i+r*ids/readers)%ids]) {
+					firsts.Add(1)
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if firsts.Load() != ids {
+		t.Fatalf("%d first sightings of %d IDs", firsts.Load(), ids)
 	}
 }

@@ -234,7 +234,7 @@ func VerifyTraceSession(env *message.Envelope, traceTopic ident.UUID,
 	}
 	if e.topic != traceTopic {
 		mDropSessionTopic.Inc()
-		return fmt.Errorf("core: session %x is bound to topic %v, not %v", sid[:4], e.topic, traceTopic)
+		return fmt.Errorf("core: session %x is bound to topic %v, not %v", [4]byte(sid[:4]), e.topic, traceTopic)
 	}
 	if !e.key.ValidAt(now, skew) {
 		store.Invalidate(sid)

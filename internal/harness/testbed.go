@@ -372,6 +372,7 @@ func (tb *Testbed) startBroker(i int, listenAddr string) error {
 	b := broker.New(broker.Config{
 		Name:                 fmt.Sprintf("hb%d", i),
 		Guard:                guard.Admit,
+		Clock:                clk,
 		Flight:               flight,
 		Durable:              store,
 		ViolationLimit:       opts.ViolationLimit,

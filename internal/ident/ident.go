@@ -60,19 +60,42 @@ func (u UUID) Bytes() []byte {
 // ErrBadUUID reports a malformed UUID string or byte slice.
 var ErrBadUUID = errors.New("ident: malformed UUID")
 
-// ParseUUID parses the canonical 8-4-4-4-12 textual form.
+// ParseUUID parses the canonical 8-4-4-4-12 textual form (hex digits of
+// either case). It does not allocate unless it fails: brokers parse the
+// trace-topic UUID out of topics on the routing path.
 func ParseUUID(s string) (UUID, error) {
 	var u UUID
 	if len(s) != 36 || s[8] != '-' || s[13] != '-' || s[18] != '-' || s[23] != '-' {
 		return u, fmt.Errorf("%w: %q", ErrBadUUID, s)
 	}
-	hexOnly := s[0:8] + s[9:13] + s[14:18] + s[19:23] + s[24:36]
-	raw, err := hex.DecodeString(hexOnly)
-	if err != nil {
-		return u, fmt.Errorf("%w: %q", ErrBadUUID, s)
+	j := 0
+	for i := 0; i < len(s); i += 2 {
+		if i == 8 || i == 13 || i == 18 || i == 23 {
+			i-- // step over the dash
+			continue
+		}
+		hi, ok1 := unhex(s[i])
+		lo, ok2 := unhex(s[i+1])
+		if !ok1 || !ok2 {
+			return UUID{}, fmt.Errorf("%w: %q", ErrBadUUID, s)
+		}
+		u[j] = hi<<4 | lo
+		j++
 	}
-	copy(u[:], raw)
 	return u, nil
+}
+
+// unhex decodes one hex digit.
+func unhex(c byte) (byte, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0', true
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10, true
+	case 'A' <= c && c <= 'F':
+		return c - 'A' + 10, true
+	}
+	return 0, false
 }
 
 // UUIDFromBytes copies a 16-byte slice into a UUID.

@@ -52,7 +52,12 @@ func (w *writer) bytes(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-func (w *writer) str(s string) { w.bytes([]byte(s)) }
+// str writes s like bytes, appending it directly: a []byte(s)
+// conversion would allocate for anything longer than a stack buffer.
+func (w *writer) str(s string) {
+	w.u32(uint32(len(s)))
+	w.buf = append(w.buf, s...)
+}
 
 // reader consumes wire bytes, latching the first error. A shared reader
 // returns sub-slices of the input from bytes() instead of copies — only
@@ -147,11 +152,9 @@ func (r *reader) uuid() ident.UUID {
 	return u
 }
 
-// bytes reads a u32 length prefix and returns the data: a copy by
-// default, a capacity-clipped sub-slice of the input when the reader is
-// shared (the receive hot path, where the field copies are the dominant
-// allocation cost).
-func (r *reader) bytes() []byte {
+// view reads a u32 length prefix and returns the field as a sub-slice
+// of the input, never a copy: the caller converts, interns or copies it.
+func (r *reader) view() []byte {
 	n := r.u32()
 	if r.err != nil {
 		return nil
@@ -160,7 +163,15 @@ func (r *reader) bytes() []byte {
 		r.fail(fmt.Errorf("%w: %d bytes", ErrTooLarge, n))
 		return nil
 	}
-	b := r.take(int(n))
+	return r.take(int(n))
+}
+
+// bytes reads a u32 length prefix and returns the data: a copy by
+// default, a capacity-clipped sub-slice of the input when the reader is
+// shared (the receive hot path, where the field copies are the dominant
+// allocation cost).
+func (r *reader) bytes() []byte {
+	b := r.view()
 	if b == nil {
 		return nil
 	}
@@ -170,7 +181,7 @@ func (r *reader) bytes() []byte {
 	return append([]byte(nil), b...)
 }
 
-func (r *reader) str() string { return string(r.bytes()) }
+func (r *reader) str() string { return string(r.view()) }
 
 // done verifies the buffer was fully consumed and returns the latched
 // error, if any.

@@ -1,9 +1,11 @@
 // Package difftest is a differential crypto harness for the trace
 // authorization guard: it replays identical logical envelope streams
 // through the reference — the full §4.3 chain, core.VerifyTrace called
-// directly — and through the production core.Guard twice, once with a
-// verified-token cache on the RSA rendering and once on the §6.3
-// session-tagged rendering, and asserts the three produce byte-identical
+// directly — and through the production core.Guard three times: with a
+// verified-token cache on the RSA rendering, on the §6.3 session-tagged
+// rendering built in memory, and on that rendering as a broker receives
+// it (decoded from its encoding, so its tag is checked over the received
+// bytes in place); and asserts the four produce byte-identical
 // accept/reject verdict strings. The cache and the session path are
 // optimizations, never relaxations — any stream an adversary can craft
 // (expired windows, rotated tokens, revoked topics, tampered payloads,
@@ -281,13 +283,15 @@ func (w *World) Route(tt ident.UUID, env *message.Envelope) error {
 // Verdicts accumulates one byte per step per column: 'A' for accept,
 // 'R' for reject. RSA is the reference (or, under StepRouted, the
 // uncached guard), Cached the caching guard on the same RSA rendering,
-// Session the guard on the session-tagged rendering. The differential
-// contract is that the three strings are byte-identical at the end of
+// Session the guard on the session-tagged rendering, Received the guard
+// on that rendering decoded from its wire form. The differential
+// contract is that the four strings are byte-identical at the end of
 // every scenario.
 type Verdicts struct {
-	RSA     []byte
-	Cached  []byte
-	Session []byte
+	RSA      []byte
+	Cached   []byte
+	Session  []byte
+	Received []byte
 }
 
 func mark(err error) byte {
@@ -317,15 +321,28 @@ func (v *Verdicts) record(w *World, tt ident.UUID, pr *Pair, rsaErr error) (erro
 	v.RSA = append(v.RSA, mark(rsaErr))
 	v.Cached = append(v.Cached, mark(cachedErr))
 	v.Session = append(v.Session, mark(sessErr))
+	v.Received = append(v.Received, mark(w.Route(tt, w.Receive(pr.Session))))
 	return rsaErr, sessErr
 }
 
-// AssertIdentical fails the test unless the three verdict strings are
+// Receive returns env as a broker's link receives it: decoded from its
+// wire form, fields aliasing the received bytes.
+func (w *World) Receive(env *message.Envelope) *message.Envelope {
+	w.T.Helper()
+	got, err := message.UnmarshalShared(env.Marshal())
+	if err != nil {
+		w.T.Fatal(err)
+	}
+	return got
+}
+
+// AssertIdentical fails the test unless the four verdict strings are
 // byte-identical and match want (a string of 'A'/'R').
 func (v *Verdicts) AssertIdentical(t *testing.T, want string) {
 	t.Helper()
-	if !bytes.Equal(v.RSA, v.Session) || !bytes.Equal(v.RSA, v.Cached) {
-		t.Fatalf("verdict divergence:\n  rsa     %s\n  cached  %s\n  session %s", v.RSA, v.Cached, v.Session)
+	if !bytes.Equal(v.RSA, v.Session) || !bytes.Equal(v.RSA, v.Cached) || !bytes.Equal(v.RSA, v.Received) {
+		t.Fatalf("verdict divergence:\n  rsa      %s\n  cached   %s\n  session  %s\n  received %s",
+			v.RSA, v.Cached, v.Session, v.Received)
 	}
 	if want != "" && string(v.RSA) != want {
 		t.Fatalf("verdicts = %s, want %s", v.RSA, want)

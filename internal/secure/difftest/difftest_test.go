@@ -241,3 +241,32 @@ func TestDiffDeterministicVerdicts(t *testing.T) {
 		t.Fatalf("verdicts = %s, want AAAR", first)
 	}
 }
+
+// TestDiffReceivedThenEdited covers the in-place check's one hazard: an
+// envelope decoded off the wire and then edited in memory must be judged
+// by its edited fields, never by the bytes it arrived in. Each edit
+// rejects (and, being a tag failure, hard-invalidates the session) just
+// as the same edit does on an envelope built in memory.
+func TestDiffReceivedThenEdited(t *testing.T) {
+	w := NewWorld(t)
+	p := w.NewPublisher("diff-received", time.Hour)
+	var v Verdicts
+	v.Step(w, p.Topic, p.Emit("before"))
+	for name, edit := range map[string]func(*message.Envelope){
+		"payload replaced": func(e *message.Envelope) { e.Payload = []byte("forged") },
+		"sequence bumped":  func(e *message.Envelope) { e.SeqNum++ },
+		"flags widened":    func(e *message.Envelope) { e.Flags |= message.FlagSecured },
+	} {
+		rx := w.Receive(p.Emit("victim").Session)
+		edit(rx)
+		if err := w.Route(p.Topic, rx); err == nil {
+			t.Fatalf("%s: a received envelope edited afterwards verified", name)
+		}
+		if err := w.Route(p.Topic, w.Receive(p.Emit("next").Session)); !errors.Is(err, core.ErrUnknownSession) {
+			t.Fatalf("%s: session after the failed tag = %v, want ErrUnknownSession", name, err)
+		}
+		p.Renegotiate()
+	}
+	v.Step(w, p.Topic, p.Emit("after"))
+	v.AssertIdentical(t, "AA")
+}

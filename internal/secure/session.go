@@ -150,26 +150,43 @@ func (p *SessionParams) Derive(traceTopic, principal string) (*SessionKey, error
 	if err != nil {
 		return nil, err
 	}
-	k := &SessionKey{
+	return &SessionKey{
 		id:          p.ID,
-		key:         key,
+		mac:         newMacKey(key),
 		tokenDigest: p.TokenDigest,
 		notBefore:   p.NotBefore,
 		notAfter:    p.NotAfter,
-	}
-	k.istate, k.ostate = precomputeMacStates(key)
-	return k, nil
+	}, nil
 }
 
-// precomputeMacStates runs the HMAC key schedule once: it returns the
-// marshaled SHA-256 states after absorbing the ipad- and opad-masked key
-// blocks. Per-tag work then restores a state and hashes only the data —
-// the key block compressions and the hmac.New allocations are paid once
-// per session instead of once per message. Returns nils (disabling the
-// fast path) if the hash does not support state marshaling.
+// macKey is an HMAC-SHA256 key whose key schedule ran once, at
+// construction: per message, tagging restores the precomputed inner and
+// outer states into pooled digests and hashes only the data — the key
+// block compressions and the hmac.New allocations are paid once per key
+// instead of once per message. The output is byte-identical HMAC-SHA256
+// (TestSessionTagMatchesHMAC, TestSymmetricKeyMatchesFreshPrimitives). It
+// is immutable and safe for concurrent use.
+type macKey struct {
+	key []byte
+	// istate and ostate hold the marshaled SHA-256 states after absorbing
+	// the ipad- and opad-masked key blocks; nil disables the fast path.
+	istate, ostate []byte
+}
+
+// newMacKey runs the key schedule for key, which must not exceed the
+// SHA-256 block size (session and AES keys never do), so it is never
+// pre-hashed.
+func newMacKey(key []byte) macKey {
+	istate, ostate := precomputeMacStates(key)
+	return macKey{key: key, istate: istate, ostate: ostate}
+}
+
+// precomputeMacStates returns the marshaled SHA-256 states after
+// absorbing the ipad- and opad-masked key blocks, or nils if the hash
+// does not support state marshaling.
 func precomputeMacStates(key []byte) (istate, ostate []byte) {
 	var ipad, opad [sha256.BlockSize]byte
-	copy(ipad[:], key) // SessionKeyLen < BlockSize, so never pre-hashed
+	copy(ipad[:], key)
 	copy(opad[:], key)
 	for i := range ipad {
 		ipad[i] ^= 0x36
@@ -196,16 +213,53 @@ func precomputeMacStates(key []byte) (istate, ostate []byte) {
 }
 
 // macScratch pools the two transient SHA-256 digests a precomputed-state
-// tag computation restores into, plus the inner-sum buffer: brokers tag-
-// verify every forwarded trace, so these would otherwise be pure hot-path
-// garbage.
+// tag computation restores into, plus the inner-sum and tag buffers:
+// brokers tag-verify every forwarded trace, so these would otherwise be
+// pure hot-path garbage.
 type macScratch struct {
 	inner, outer hash.Hash
-	sum          [sha256.Size]byte
+	sum, tag     [sha256.Size]byte
 }
 
 var macPool = sync.Pool{
 	New: func() any { return &macScratch{inner: sha256.New(), outer: sha256.New()} },
+}
+
+// tagInto computes the HMAC-SHA256 tag over the concatenation of parts
+// into s.tag and returns it.
+func (m *macKey) tagInto(s *macScratch, parts [][]byte) []byte {
+	iu := s.inner.(encoding.BinaryUnmarshaler)
+	ou := s.outer.(encoding.BinaryUnmarshaler)
+	if m.istate == nil || iu.UnmarshalBinary(m.istate) != nil || ou.UnmarshalBinary(m.ostate) != nil {
+		mac := hmac.New(sha256.New, m.key)
+		for _, p := range parts {
+			mac.Write(p)
+		}
+		return mac.Sum(s.tag[:0])
+	}
+	for _, p := range parts {
+		s.inner.Write(p)
+	}
+	s.outer.Write(s.inner.Sum(s.sum[:0]))
+	return s.outer.Sum(s.tag[:0])
+}
+
+// appendTag appends the HMAC-SHA256 tag over the concatenation of parts
+// to dst.
+func (m *macKey) appendTag(dst []byte, parts ...[]byte) []byte {
+	s := macPool.Get().(*macScratch)
+	dst = append(dst, m.tagInto(s, parts)...)
+	macPool.Put(s)
+	return dst
+}
+
+// verify checks tag against the HMAC-SHA256 over the concatenation of
+// parts, in constant time.
+func (m *macKey) verify(tag []byte, parts ...[]byte) bool {
+	s := macPool.Get().(*macScratch)
+	ok := subtle.ConstantTimeCompare(m.tagInto(s, parts), tag) == 1
+	macPool.Put(s)
+	return ok
 }
 
 // Marshal serializes the parameters (pre-sealing).
@@ -294,15 +348,10 @@ func OpenSessionParams(priv *rsa.PrivateKey, blob []byte) (*SessionParams, error
 // and safe for concurrent use.
 type SessionKey struct {
 	id          [SessionIDLen]byte
-	key         []byte
+	mac         macKey
 	tokenDigest [32]byte
 	notBefore   int64
 	notAfter    int64
-
-	// istate and ostate hold the marshaled SHA-256 states of the HMAC
-	// key schedule (ipad/opad blocks already absorbed); see
-	// precomputeMacStates. Nil disables the fast path.
-	istate, ostate []byte
 }
 
 // ID returns the session identifier.
@@ -325,51 +374,30 @@ func (k *SessionKey) ValidAt(now time.Time, skew time.Duration) bool {
 	return n >= k.notBefore-int64(skew) && n <= k.notAfter+int64(skew)
 }
 
-// appendTag appends the HMAC-SHA256 tag over data to dst. With
-// precomputed key-schedule states it restores pooled digests instead of
-// running hmac.New per message; the output is byte-identical HMAC-SHA256
-// either way (TestSessionTagMatchesHMAC pins this).
-func (k *SessionKey) appendTag(dst, data []byte) []byte {
-	if k.istate == nil {
-		mac := hmac.New(sha256.New, k.key)
-		mac.Write(data)
-		return mac.Sum(dst)
-	}
-	s := macPool.Get().(*macScratch)
-	iu := s.inner.(encoding.BinaryUnmarshaler)
-	ou := s.outer.(encoding.BinaryUnmarshaler)
-	if iu.UnmarshalBinary(k.istate) != nil || ou.UnmarshalBinary(k.ostate) != nil {
-		macPool.Put(s)
-		mac := hmac.New(sha256.New, k.key)
-		mac.Write(data)
-		return mac.Sum(dst)
-	}
-	s.inner.Write(data)
-	innerSum := s.inner.Sum(s.sum[:0])
-	s.outer.Write(innerSum)
-	dst = s.outer.Sum(dst)
-	macPool.Put(s)
-	return dst
-}
-
 // Tag computes the HMAC-SHA256 session tag over data.
 func (k *SessionKey) Tag(data []byte) []byte {
-	return k.appendTag(nil, data)
+	return k.mac.appendTag(nil, data)
 }
 
 // AppendTag appends the session tag over data to dst, avoiding the
 // separate allocation of Tag on hot paths.
 func (k *SessionKey) AppendTag(dst, data []byte) []byte {
-	return k.appendTag(dst, data)
+	return k.mac.appendTag(dst, data)
 }
 
 // VerifyTag checks a session tag over data in constant time.
 func (k *SessionKey) VerifyTag(data, tag []byte) error {
+	return k.VerifyTagSplit(data, nil, tag)
+}
+
+// VerifyTagSplit checks a session tag over head followed by tail, in
+// constant time: a verifier holding the signed bytes in two pieces of a
+// received buffer tags them where they lie instead of joining them.
+func (k *SessionKey) VerifyTagSplit(head, tail, tag []byte) error {
 	if len(tag) != SessionTagLen {
 		return fmt.Errorf("%w: tag length %d", ErrBadSessionTag, len(tag))
 	}
-	var sum [SessionTagLen]byte
-	if subtle.ConstantTimeCompare(k.appendTag(sum[:0], data), tag) != 1 {
+	if !k.mac.verify(tag, head, tail) {
 		return ErrBadSessionTag
 	}
 	return nil

@@ -284,13 +284,13 @@ func TestSessionTagMatchesHMAC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.istate == nil || k.ostate == nil {
+	if k.mac.istate == nil || k.mac.ostate == nil {
 		t.Fatal("precomputed HMAC states missing after Derive")
 	}
-	slow := &SessionKey{key: k.key} // istate nil: hmac.New fallback path
+	slow := &SessionKey{mac: macKey{key: k.mac.key}} // istate nil: hmac.New fallback path
 	for _, n := range []int{0, 1, 55, 56, 64, 350, 4096} {
 		data := bytes.Repeat([]byte{0x5a}, n)
-		ref := hmac.New(sha256.New, k.key)
+		ref := hmac.New(sha256.New, k.mac.key)
 		ref.Write(data)
 		want := ref.Sum(nil)
 		if got := k.Tag(data); !bytes.Equal(got, want) {
@@ -301,6 +301,15 @@ func TestSessionTagMatchesHMAC(t *testing.T) {
 		}
 		if err := k.VerifyTag(data, want); err != nil {
 			t.Fatalf("fast-path verify of reference tag over %d bytes: %v", n, err)
+		}
+		// The split form tags the same bytes wherever the cut falls.
+		for _, cut := range []int{0, n / 3, n} {
+			if err := k.VerifyTagSplit(data[:cut], data[cut:], want); err != nil {
+				t.Fatalf("split verify of %d bytes cut at %d: %v", n, cut, err)
+			}
+			if err := slow.VerifyTagSplit(data[:cut], data[cut:], want); err != nil {
+				t.Fatalf("fallback split verify of %d bytes cut at %d: %v", n, cut, err)
+			}
 		}
 	}
 }

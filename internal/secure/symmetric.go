@@ -4,23 +4,30 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"entitytrace/internal/obs"
 )
 
 // Symmetric crypto latencies — the per-message cost of securing traces
-// (§5.1) and of the §6.3 signing-cost optimization.
+// (§5.1) and of the §6.3 signing-cost optimization. Like the session-tag
+// histograms they sample 1-in-symLatSample operations: with the key
+// schedules precomputed a message costs a few µs, of which two clock
+// reads would be a measurable share.
 var (
 	mEncryptLatency = obs.Default.Histogram("secure_encrypt_ms", nil)
 	mDecryptLatency = obs.Default.Histogram("secure_decrypt_ms", nil)
+	symLatTick      atomic.Uint64
 )
+
+// symLatSample is the 1-in-N sampling rate for the latency histograms.
+const symLatSample = 64
 
 // Symmetric key sizes.
 const (
@@ -35,37 +42,53 @@ const (
 var ErrBadCiphertext = errors.New("secure: bad ciphertext")
 
 // SymmetricKey is an AES key used for trace encryption (§5.1) and for the
-// signing-cost optimization (§6.3).
+// signing-cost optimization (§6.3). Its AES and HMAC key schedules run
+// once, when the key is made, not once per message; it is immutable and
+// safe for concurrent use.
 type SymmetricKey struct {
-	key []byte
+	key   []byte
+	block cipher.Block
+	mac   macKey
+}
+
+// checkAESKeySize rejects key sizes other than 16, 24 and 32 bytes.
+func checkAESKeySize(n int) error {
+	switch n {
+	case AES128KeyBytes, PaperAESKeyBytes, AES256KeyBytes:
+		return nil
+	}
+	return fmt.Errorf("secure: invalid AES key size %d", n)
+}
+
+// newSymmetricKey builds a key that owns k, running both key schedules.
+func newSymmetricKey(k []byte) (*SymmetricKey, error) {
+	if err := checkAESKeySize(len(k)); err != nil {
+		return nil, err
+	}
+	block, err := aes.NewCipher(k)
+	if err != nil {
+		return nil, fmt.Errorf("secure: creating AES cipher: %w", err)
+	}
+	return &SymmetricKey{key: k, block: block, mac: newMacKey(k)}, nil
 }
 
 // NewSymmetricKey generates a fresh random AES key of size bytes (16, 24
 // or 32).
 func NewSymmetricKey(size int) (*SymmetricKey, error) {
-	switch size {
-	case AES128KeyBytes, PaperAESKeyBytes, AES256KeyBytes:
-	default:
-		return nil, fmt.Errorf("secure: invalid AES key size %d", size)
+	if err := checkAESKeySize(size); err != nil {
+		return nil, err
 	}
 	k, err := RandomBytes(size)
 	if err != nil {
 		return nil, err
 	}
-	return &SymmetricKey{key: k}, nil
+	return newSymmetricKey(k)
 }
 
 // SymmetricKeyFromBytes wraps existing key material (e.g. received during
 // key distribution).
 func SymmetricKeyFromBytes(k []byte) (*SymmetricKey, error) {
-	switch len(k) {
-	case AES128KeyBytes, PaperAESKeyBytes, AES256KeyBytes:
-	default:
-		return nil, fmt.Errorf("secure: invalid AES key size %d", len(k))
-	}
-	cp := make([]byte, len(k))
-	copy(cp, k)
-	return &SymmetricKey{key: cp}, nil
+	return newSymmetricKey(append([]byte(nil), k...))
 }
 
 // Bytes returns a copy of the raw key material.
@@ -77,17 +100,6 @@ func (k *SymmetricKey) Bytes() []byte {
 
 // Size returns the key size in bytes.
 func (k *SymmetricKey) Size() int { return len(k.key) }
-
-// pkcs7Pad appends PKCS#7 padding to reach a multiple of blockSize.
-func pkcs7Pad(data []byte, blockSize int) []byte {
-	pad := blockSize - len(data)%blockSize
-	out := make([]byte, len(data)+pad)
-	copy(out, data)
-	for i := len(data); i < len(out); i++ {
-		out[i] = byte(pad)
-	}
-	return out
-}
 
 // pkcs7Unpad validates and strips PKCS#7 padding.
 func pkcs7Unpad(data []byte, blockSize int) ([]byte, error) {
@@ -110,38 +122,51 @@ func pkcs7Unpad(data []byte, blockSize int) ([]byte, error) {
 // "encryption algorithm and padding scheme"), prepending a random IV.
 // The output layout is IV || ciphertext.
 func (k *SymmetricKey) Encrypt(plaintext []byte) ([]byte, error) {
-	start := time.Now()
-	block, err := aes.NewCipher(k.key)
-	if err != nil {
-		return nil, fmt.Errorf("secure: creating AES cipher: %w", err)
+	return k.encrypt(plaintext, 0)
+}
+
+// encrypt is Encrypt with room for extra more bytes in the result's
+// capacity, so a MAC can be appended without growing it.
+func (k *SymmetricKey) encrypt(plaintext []byte, extra int) ([]byte, error) {
+	timed := symLatTick.Add(1)%symLatSample == 0
+	var start time.Time
+	if timed {
+		start = time.Now()
 	}
-	padded := pkcs7Pad(plaintext, block.BlockSize())
-	out := make([]byte, block.BlockSize()+len(padded))
-	iv := out[:block.BlockSize()]
+	bs := k.block.BlockSize()
+	n := len(plaintext) + bs - len(plaintext)%bs // padded length: PKCS#7 always pads
+	out := make([]byte, bs+n, bs+n+extra)
+	iv, body := out[:bs], out[bs:]
 	if _, err := io.ReadFull(rand.Reader, iv); err != nil {
 		return nil, fmt.Errorf("secure: generating IV: %w", err)
 	}
-	cipher.NewCBCEncrypter(block, iv).CryptBlocks(out[block.BlockSize():], padded)
-	mEncryptLatency.ObserveDuration(time.Since(start))
+	copy(body, plaintext)
+	for i := len(plaintext); i < n; i++ {
+		body[i] = byte(n - len(plaintext))
+	}
+	cipher.NewCBCEncrypter(k.block, iv).CryptBlocks(body, body)
+	if timed {
+		mEncryptLatency.ObserveDuration(time.Since(start))
+	}
 	return out, nil
 }
 
 // Decrypt reverses Encrypt.
 func (k *SymmetricKey) Decrypt(ciphertext []byte) ([]byte, error) {
-	start := time.Now()
-	block, err := aes.NewCipher(k.key)
-	if err != nil {
-		return nil, fmt.Errorf("secure: creating AES cipher: %w", err)
+	timed := symLatTick.Add(1)%symLatSample == 0
+	var start time.Time
+	if timed {
+		start = time.Now()
 	}
-	bs := block.BlockSize()
+	bs := k.block.BlockSize()
 	if len(ciphertext) < 2*bs || (len(ciphertext)-bs)%bs != 0 {
 		return nil, ErrBadCiphertext
 	}
 	iv := ciphertext[:bs]
 	body := make([]byte, len(ciphertext)-bs)
-	cipher.NewCBCDecrypter(block, iv).CryptBlocks(body, ciphertext[bs:])
+	cipher.NewCBCDecrypter(k.block, iv).CryptBlocks(body, ciphertext[bs:])
 	out, err := pkcs7Unpad(body, bs)
-	if err == nil {
+	if err == nil && timed {
 		mDecryptLatency.ObserveDuration(time.Since(start))
 	}
 	return out, err
@@ -152,13 +177,11 @@ func (k *SymmetricKey) Decrypt(ciphertext []byte) ([]byte, error) {
 // broker accepts messages decryptable (and authentic) under the shared
 // secret key as originating from the traced entity, so integrity matters.
 func (k *SymmetricKey) EncryptAuthenticated(plaintext []byte) ([]byte, error) {
-	ct, err := k.Encrypt(plaintext)
+	ct, err := k.encrypt(plaintext, sha256.Size)
 	if err != nil {
 		return nil, err
 	}
-	mac := hmac.New(sha256.New, k.key)
-	mac.Write(ct)
-	return mac.Sum(ct), nil
+	return k.mac.appendTag(ct, ct), nil
 }
 
 // DecryptAuthenticated verifies the HMAC tag and decrypts.
@@ -168,9 +191,7 @@ func (k *SymmetricKey) DecryptAuthenticated(ciphertext []byte) ([]byte, error) {
 		return nil, ErrBadCiphertext
 	}
 	body, tag := ciphertext[:len(ciphertext)-tagLen], ciphertext[len(ciphertext)-tagLen:]
-	mac := hmac.New(sha256.New, k.key)
-	mac.Write(body)
-	if !hmac.Equal(mac.Sum(nil), tag) {
+	if !k.mac.verify(tag, body) {
 		return nil, fmt.Errorf("%w: MAC mismatch", ErrBadCiphertext)
 	}
 	return k.Decrypt(body)

@@ -132,57 +132,101 @@ type Constrained struct {
 	Suffixes    []string
 }
 
-// IsConstrained reports whether t begins with the Constrained keyword.
-func IsConstrained(t Topic) bool {
-	return t.Len() > 0 && t.segments[0] == ConstrainedPrefix
+// constraint is the §3.1 reading of a topic's segments, taken once by
+// Parse: whether the topic is constrained, and where its elements sit.
+// It holds no strings and packs into one word — every Topic, and so
+// every Envelope, carries one — so every Parse pays a few comparisons
+// and no allocation for it.
+type constraint struct {
+	constrained    bool  // the first segment is the Constrained keyword
+	valid          bool  // ...and the required event type follows it
+	ownConstrainer bool  // segment 2 is an explicit {Constrainer}; Broker otherwise
+	suffixes       uint8 // index of the first suffix segment
+	actions        uint8 // the Action
+	dist           uint8 // the Distribution
 }
 
-// ParseConstrained interprets a topic under the §3.1 grammar. The
+// readConstraint applies the §3.1 grammar to a topic's segments. The
 // EventType element is required (every example in the paper carries it);
 // Constrainer, AllowedActions and Distribution may be omitted and default
-// as specified. Remaining segments become suffixes.
-func ParseConstrained(t Topic) (*Constrained, error) {
-	if !IsConstrained(t) {
-		return nil, fmt.Errorf("%w: %q is not a constrained topic", ErrBadTopic, t)
+// as specified (the zero Action and Distribution are those defaults).
+// Remaining segments are suffixes.
+func readConstraint(segs []string) constraint {
+	if len(segs) == 0 || segs[0] != ConstrainedPrefix {
+		return constraint{}
 	}
-	segs := t.segments[1:]
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("%w: constrained topic lacks event type", ErrBadTopic)
+	c := constraint{constrained: true}
+	if len(segs) < 2 {
+		return c
 	}
-	c := &Constrained{
-		EventType:   segs[0],
-		Constrainer: ConstrainerBroker,
-		Actions:     ActionPublishSubscribe,
-		Dist:        DistDisseminate,
-	}
-	rest := segs[1:]
-
+	c.valid = true
+	i := 2
 	// {Constrainer}: present unless the next segment is recognisably an
 	// action or distribution keyword.
-	if len(rest) > 0 {
-		if _, isAct := parseAction(rest[0]); !isAct {
-			if _, isDist := parseDistribution(rest[0]); !isDist {
-				c.Constrainer = rest[0]
-				rest = rest[1:]
+	if i < len(segs) {
+		if _, isAct := parseAction(segs[i]); !isAct {
+			if _, isDist := parseDistribution(segs[i]); !isDist {
+				c.ownConstrainer = true
+				i++
 			}
 		}
 	}
 	// {Allowed Actions}.
-	if len(rest) > 0 {
-		if a, ok := parseAction(rest[0]); ok {
-			c.Actions = a
-			rest = rest[1:]
+	if i < len(segs) {
+		if a, ok := parseAction(segs[i]); ok {
+			c.actions = uint8(a)
+			i++
 		}
 	}
 	// {Distribution}.
-	if len(rest) > 0 {
-		if d, ok := parseDistribution(rest[0]); ok {
-			c.Dist = d
-			rest = rest[1:]
+	if i < len(segs) {
+		if d, ok := parseDistribution(segs[i]); ok {
+			c.dist = uint8(d)
+			i++
 		}
 	}
-	c.Suffixes = append([]string(nil), rest...)
-	return c, nil
+	c.suffixes = uint8(i)
+	return c
+}
+
+// constrainer returns the {Constrainer} element of a valid constrained
+// topic.
+func (t Topic) constrainer() string {
+	if t.c.ownConstrainer {
+		return t.segments[2]
+	}
+	return ConstrainerBroker
+}
+
+// IsConstrained reports whether t begins with the Constrained keyword.
+func IsConstrained(t Topic) bool { return t.c.constrained }
+
+// errNoEventType reports a constrained topic without its event type.
+var errNoEventType = fmt.Errorf("%w: constrained topic lacks event type", ErrBadTopic)
+
+// ParseConstrained interprets a topic under the §3.1 grammar (see
+// readConstraint) and returns its elements.
+func ParseConstrained(t Topic) (*Constrained, error) {
+	if !IsConstrained(t) {
+		return nil, fmt.Errorf("%w: %q is not a constrained topic", ErrBadTopic, t)
+	}
+	if !t.c.valid {
+		return nil, errNoEventType
+	}
+	return &Constrained{
+		EventType:   t.segments[1],
+		Constrainer: t.constrainer(),
+		Actions:     Action(t.c.actions),
+		Dist:        Distribution(t.c.dist),
+		Suffixes:    append([]string(nil), t.segments[t.c.suffixes:]...),
+	}, nil
+}
+
+// Propagates reports whether subscriptions and publishes on t travel
+// between brokers: every unconstrained topic does, a constrained one only
+// when it is well formed and its distribution disseminates.
+func Propagates(t Topic) bool {
+	return !t.c.constrained || t.c.valid && Distribution(t.c.dist).Propagates()
 }
 
 // Topic renders the constrained topic in fully explicit canonical form.
@@ -224,56 +268,54 @@ func BrokerPrincipal() Principal { return Principal{IsBroker: true} }
 // EntityPrincipal is the principal for a client entity.
 func EntityPrincipal(id ident.EntityID) Principal { return Principal{Entity: id} }
 
-func (c *Constrained) isConstrainer(p Principal) bool {
-	if c.Constrainer == ConstrainerBroker {
+// permits reports whether p may perform the action (publish or
+// subscribe) on a constrained topic with the given allowed actions and
+// constrainer: an action the constrainer reserved is the constrainer's
+// alone.
+func permits(actions Action, constrainer string, p Principal, publish bool) bool {
+	reserved := actions == ActionPublishSubscribe ||
+		publish && actions == ActionPublish || !publish && actions == ActionSubscribe
+	if !reserved {
+		return true
+	}
+	if constrainer == ConstrainerBroker {
 		return p.IsBroker
 	}
-	return !p.IsBroker && string(p.Entity) == c.Constrainer
+	return !p.IsBroker && string(p.Entity) == constrainer
 }
 
 // CanPublish reports whether p may publish on the constrained topic.
 // Publishing is reserved for the constrainer when the allowed actions
 // include Publish.
 func (c *Constrained) CanPublish(p Principal) bool {
-	switch c.Actions {
-	case ActionPublish, ActionPublishSubscribe:
-		return c.isConstrainer(p)
-	default:
-		return true
-	}
+	return permits(c.Actions, c.Constrainer, p, true)
 }
 
 // CanSubscribe reports whether p may subscribe to the constrained topic.
 // Subscribing is reserved for the constrainer when the allowed actions
 // include Subscribe.
 func (c *Constrained) CanSubscribe(p Principal) bool {
-	switch c.Actions {
-	case ActionSubscribe, ActionPublishSubscribe:
-		return c.isConstrainer(p)
-	default:
-		return true
-	}
+	return permits(c.Actions, c.Constrainer, p, false)
 }
 
-// Authorize checks an action on any topic: constrained topics are parsed
-// and enforced, unconstrained topics permit everything. publish selects
-// between the publish and subscribe checks.
+// Authorize checks an action on any topic: constrained topics are
+// enforced, unconstrained topics permit everything. publish selects
+// between the publish and subscribe checks. It reads the §3.1 elements
+// Parse recorded, so it neither re-parses nor allocates unless it
+// refuses.
 func Authorize(t Topic, p Principal, publish bool) error {
 	if !IsConstrained(t) {
 		return nil
 	}
-	c, err := ParseConstrained(t)
-	if err != nil {
-		return err
+	if !t.c.valid {
+		return errNoEventType
 	}
-	allowed := c.CanSubscribe(p)
+	if permits(Action(t.c.actions), t.constrainer(), p, publish) {
+		return nil
+	}
 	verb := "subscribe to"
 	if publish {
-		allowed = c.CanPublish(p)
 		verb = "publish on"
 	}
-	if !allowed {
-		return fmt.Errorf("topic: principal %+v may not %s constrained topic %q", p, verb, t)
-	}
-	return nil
+	return fmt.Errorf("topic: principal %+v may not %s constrained topic %q", p, verb, t)
 }

@@ -27,6 +27,9 @@ type Topic struct {
 	// stringified on every routing decision, so String must not
 	// re-join segments per call.
 	str string
+	// c is the topic's §3.1 reading, taken once by Parse so that
+	// authorization and propagation checks never re-run the grammar.
+	c constraint
 }
 
 // Parse validates and parses a topic string. Topics must start with '/'
@@ -46,7 +49,7 @@ func Parse(s string) (Topic, error) {
 			return Topic{}, fmt.Errorf("%w: %q (wildcard only allowed as final segment)", ErrBadTopic, s)
 		}
 	}
-	return Topic{segments: raw, str: s}, nil
+	return Topic{segments: raw, str: s, c: readConstraint(raw)}, nil
 }
 
 // MustParse is Parse for statically known strings; it panics on error.

@@ -215,6 +215,24 @@ func IsTraceDerivative(tp Topic) bool {
 	return false
 }
 
+// TraceTopicOf reports whether tp is a broker Publish-Only topic of a
+// trace topic — a Table 2 derivative under any spelling the §3.1
+// grammar allows, with the trace-topic UUID as first suffix and at least
+// one suffix after it — and extracts that UUID. These are the topics the
+// §4.3 token guard enforces.
+func TraceTopicOf(tp Topic) (ident.UUID, bool) {
+	c := tp.c
+	if !c.valid || tp.segments[1] != EventTypeTraces || tp.constrainer() != ConstrainerBroker ||
+		Action(c.actions) != ActionPublish || len(tp.segments)-int(c.suffixes) < 2 {
+		return ident.Nil, false
+	}
+	id, err := ident.ParseUUID(tp.segments[c.suffixes])
+	if err != nil {
+		return ident.Nil, false
+	}
+	return id, true
+}
+
 // TraceClass names a selectable category of trace information a tracker
 // may register interest in (§3.5: "any combination of change
 // notifications, all-updates, state transitions, load information or
