@@ -451,7 +451,7 @@ func BenchmarkGuardPassthrough(b *testing.B) {
 	p := topic.EntityPrincipal("app")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := guard(env, p); err != nil {
+		if err := guard(env, p, time.Now(), false); err != nil {
 			b.Fatal(err)
 		}
 	}

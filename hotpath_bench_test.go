@@ -59,13 +59,13 @@ func BenchmarkGuardCachedTrace(b *testing.B) {
 	env, _, resolver, verifier := benchVerificationFixture(b)
 	guard := core.NewGuard(core.GuardConfig{Resolver: resolver, Verifier: verifier, Cache: core.NewTokenCache(0)}).Admit
 	p := topic.EntityPrincipal("bench-owner")
-	if err := guard(env, p); err != nil {
+	if err := guard(env, p, time.Now(), false); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := guard(env, p); err != nil {
+		if err := guard(env, p, time.Now(), false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -220,7 +220,7 @@ func TestViolationDisconnect(t *testing.T) {
 func TestGuardInvokedAndPunished(t *testing.T) {
 	tr := transport.NewInproc()
 	var guarded atomic.Int64
-	guard := func(env *message.Envelope, from topic.Principal) error {
+	guard := func(env *message.Envelope, from topic.Principal, _ time.Time, _ bool) error {
 		guarded.Add(1)
 		if string(env.Payload) == "bad" {
 			return errors.New("guard says no")

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"entitytrace/internal/durable"
 	"entitytrace/internal/ident"
@@ -208,7 +209,7 @@ func runOracle(t *testing.T, cell oracleCell, framing string, withStore bool, se
 		ViolationHalfLife: -1, // no decay: scores compare exactly
 		Durable:           store,
 		DurablePersist:    func(tp topic.Topic) bool { return strings.HasPrefix(tp.String(), "/ledger/") },
-		Guard: func(env *message.Envelope, _ topic.Principal) error {
+		Guard: func(env *message.Envelope, _ topic.Principal, _ time.Time, _ bool) error {
 			if string(env.Payload) == "reject" {
 				return errors.New("guard: rejected")
 			}

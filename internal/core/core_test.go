@@ -945,18 +945,18 @@ func TestTokenGuardPassesNonTraceTopics(t *testing.T) {
 		func(ident.UUID) (*tdn.Advertisement, error) { return nil, ErrUnknownTopic },
 	)), Verifier: fxVerifier}).Admit
 	env := message.New(message.TypeData, topic.MustParse("/ordinary/topic"), "someone", []byte("x"))
-	if err := guard(env, topic.EntityPrincipal("someone")); err != nil {
+	if err := guard(env, topic.EntityPrincipal("someone"), time.Now(), false); err != nil {
 		t.Fatalf("guard blocked ordinary topic: %v", err)
 	}
 	// Session topics are not derivative trace topics either.
 	sess := topic.EntityToBrokerSession(ident.NewUUID(), ident.NewSessionID())
 	env2 := message.New(message.TypePingResponse, sess, "someone", nil)
-	if err := guard(env2, topic.EntityPrincipal("someone")); err != nil {
+	if err := guard(env2, topic.EntityPrincipal("someone"), time.Now(), false); err != nil {
 		t.Fatalf("guard blocked session topic: %v", err)
 	}
 	// But a derivative trace topic without a token is blocked.
 	env3 := message.New(message.TraceAllsWell, topic.AllUpdates(ident.NewUUID()), "", nil)
-	if err := guard(env3, topic.BrokerPrincipal()); err == nil {
+	if err := guard(env3, topic.BrokerPrincipal(), time.Now(), false); err == nil {
 		t.Fatal("guard passed token-less trace")
 	}
 }
