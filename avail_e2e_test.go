@@ -35,7 +35,7 @@ func availHarness(t *testing.T) *harness.Testbed {
 	tb, err := harness.New(harness.Options{
 		Brokers:       3,
 		AvailInterval: 150 * time.Millisecond,
-		AvailSLO:      avail.SLO{Target: 0.99, Window: time.Minute},
+		Avail:         avail.Config{DefaultSLO: avail.SLO{Target: 0.99, Window: time.Minute}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestAvailCtlBoard(t *testing.T) {
 	if err := ent.SetState(message.StateReady); err != nil {
 		t.Fatal(err)
 	}
-	ledgerRow(t, tb.Managers[0].Avail(), "board-entity", 10*time.Second,
+	ledgerRow(t, tb.Nodes[0].Manager.Avail(), "board-entity", 10*time.Second,
 		func(r message.AvailabilityRow) bool { return avail.State(r.State) == avail.Up })
 
 	deadline := time.Now().Add(15 * time.Second)
@@ -149,7 +149,7 @@ func TestAvailAdminEndpoint(t *testing.T) {
 	if err := ent.SetState(message.StateReady); err != nil {
 		t.Fatal(err)
 	}
-	ledgerRow(t, tb.Managers[0].Avail(), "admin-entity", 10*time.Second,
+	ledgerRow(t, tb.Nodes[0].Manager.Avail(), "admin-entity", 10*time.Second,
 		func(r message.AvailabilityRow) bool { return avail.State(r.State) == avail.Up })
 	// The tracker ledger fills once a verified trace is delivered; the
 	// first report may race interest propagation, so retry the report.
@@ -165,7 +165,7 @@ func TestAvailAdminEndpoint(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	brokerSrv := httptest.NewServer(avail.Handler(tb.Managers[0].Avail(), "hb0"))
+	brokerSrv := httptest.NewServer(avail.Handler(tb.Nodes[0].Manager.Avail(), "hb0"))
 	defer brokerSrv.Close()
 	trackerSrv := httptest.NewServer(avail.Handler(h.Avail, "admin-tracker"))
 	defer trackerSrv.Close()
@@ -221,7 +221,7 @@ func TestAvailChaosLinkFlap(t *testing.T) {
 		Reconnect:       true,
 		PersistentLinks: true,
 		AvailInterval:   150 * time.Millisecond,
-		AvailSLO:        avail.SLO{Target: 0.99, Window: time.Minute},
+		Avail:           avail.Config{DefaultSLO: avail.SLO{Target: 0.99, Window: time.Minute}},
 	})
 	ent, err := tb.StartEntity("avail-flap-entity", 0)
 	if err != nil {
@@ -233,7 +233,7 @@ func TestAvailChaosLinkFlap(t *testing.T) {
 	}
 	log := newStateLog()
 	driveState(t, ent, h, message.StateReady, log, 15*time.Second)
-	ledger := tb.Managers[0].Avail()
+	ledger := tb.Nodes[0].Manager.Avail()
 	ledgerRow(t, ledger, "avail-flap-entity", 10*time.Second,
 		func(r message.AvailabilityRow) bool { return avail.State(r.State) == avail.Up })
 

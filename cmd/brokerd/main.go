@@ -28,59 +28,121 @@ import (
 	"entitytrace/internal/durable"
 	"entitytrace/internal/fabric"
 	"entitytrace/internal/ident"
+	"entitytrace/internal/node"
 	"entitytrace/internal/obs"
 	"entitytrace/internal/obs/timeseries"
 	"entitytrace/internal/tdn"
 	"entitytrace/internal/transport"
 )
 
+var (
+	pki           = flag.String("pki", "pki", "PKI directory (trust anchor)")
+	identityPath  = flag.String("identity", "", "PEM identity file for this broker")
+	listen        = flag.String("listen", "127.0.0.1:7100", "listen address")
+	transportName = flag.String("transport", "tcp", "transport: tcp or udp")
+	name          = flag.String("name", "", "broker name (default: identity common name)")
+	tdnAddrs      = flag.String("tdn", "", "comma-separated TDN addresses for token validation")
+	connect       = flag.String("connect", "", "peer broker address to link with")
+	linkRetry     = flag.Duration("link-retry", 250*time.Millisecond, "initial redial delay for the -connect persistent link")
+	linkRetryMax  = flag.Duration("link-retry-max", 30*time.Second, "redial delay ceiling for the -connect persistent link")
+	dirAddr       = flag.String("dir", "", "broker directory to register with (optional)")
+	fabricOn      = flag.Bool("fabric", false, "join the sharded broker fabric: gossip membership, consistent-hash trace-topic ownership, auto-dialed links (PROTOCOL.md §3.9); peers are discovered via -dir and gossip, no -connect wiring needed")
+	vnodes        = flag.Int("vnodes", 0, "virtual nodes per fabric member on the hash ring (0 keeps the default)")
+	gossipEvery   = flag.Duration("gossip-interval", 500*time.Millisecond, "fabric gossip/heartbeat period")
+	failAfter     = flag.Duration("fail-after", 0, "declare a fabric member failed after this heartbeat silence (0 means 5x -gossip-interval)")
+	adminAddr     = flag.String("admin", "", "HTTP admin endpoint (e.g. 127.0.0.1:7190) serving /stats, /metrics, /healthz and /debug/pprof")
+	egressQueue   = flag.Int("egress-queue", broker.DefaultEgressQueue, "per-peer outbound queue bound in frames; oldest data is shed when full")
+	slowDeadline  = flag.Duration("slow-consumer-deadline", broker.DefaultSlowConsumerDeadline, "how long a peer's egress queue may stay saturated before eviction")
+	pubRate       = flag.Float64("pub-rate", 0, "per-publisher admission rate in envelopes/sec (0 disables rate limiting)")
+	pubBurst      = flag.Int("pub-burst", 0, "token-bucket burst for -pub-rate (0 means max(1, rate))")
+	quarantine    = flag.Duration("quarantine", broker.DefaultQuarantineDuration, "how long an evicted principal's reconnects are refused (negative disables)")
+	guardCache    = flag.Int("guard-cache", core.DefaultTokenCacheSize, "verified-token cache entries for trace authorization (0 disables caching)")
+	sessionKeys   = flag.Bool("session-keys", false, "enable §6.3 session-key signing amortization: steady-state traces carry HMAC session tags instead of per-message RSA signatures")
+	batchBytes    = flag.Int("batch-bytes", 0, "egress drain coalescing byte budget per batch frame (0 disables batching)")
+	batchLatency  = flag.Duration("batch-latency", 0, "how long an underfull egress batch may linger for more frames (0 flushes immediately)")
+	flightEvents  = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder ring size in events (0 disables recording)")
+	traceSample   = flag.Int("trace-sample", obs.DefaultFlightSample, "record 1-in-N healthy flight events (drops are always recorded; 1 records everything)")
+	telemEvery    = flag.Duration("telemetry-interval", time.Second, "telemetry sample/snapshot period on the system-telemetry topic, the stream tracectl top and map read (0 disables the telemetry plane)")
+	telemRetain   = flag.String("telemetry-retention", "", "time-series retention as fine@step/coarse@step, e.g. 15m@1s/2h@15s (empty keeps the default)")
+	alertRules    = flag.String("alert-rules", "", "semicolon-separated alert rules, e.g. 'deep-queues: broker_egress_queue_depth > 100 for 2s hold 10s; absent(broker_published_total) for 5s' (PROTOCOL.md §3.10)")
+	availEvery    = flag.Duration("avail-interval", 10*time.Second, "availability digest period on the system-availability topic (0 disables the ledger)")
+	sloTarget     = flag.Float64("slo-target", 0, "default availability SLO target for hosted entities, e.g. 0.999 (0 disables SLO accounting)")
+	sloWindow     = flag.Duration("slo-window", time.Hour, "rolling window the SLO target applies over")
+	burnAlert     = flag.Float64("burn-alert", 0, "error-budget burn rate that raises a burn_alert event (0 disables)")
+	flapCount     = flag.Int("flap-transitions", 0, "up/down transitions within -flap-window that mark an entity FLAPPING (0 keeps the default of 5)")
+	flapWindow    = flag.Duration("flap-window", 0, "window for -flap-transitions (0 keeps the default of 1m)")
+	flapHold      = flag.Duration("flap-hold", 0, "quiet hold-down before a FLAPPING entity settles (0 keeps the default of 30s)")
+	logDir        = flag.String("log-dir", "", "durable trace-log directory; enables persist-before-fan-out and ack'd replay of constrained trace topics (empty disables durability)")
+	logRetention  = flag.Duration("log-retention", 24*time.Hour, "how long sealed durable-log segments are retained (0 keeps them until -log-segment-bytes pressure)")
+	logSegBytes   = flag.Int64("log-segment-bytes", 8<<20, "durable-log segment roll size in bytes")
+	logFsync      = flag.String("log-fsync", "batch", "durable-log fsync policy: batch (group commit), always (per append), or never (page cache only)")
+	metricsDump   = flag.Bool("metrics", false, "dump process metrics (counters, histograms) to stdout at exit")
+	verbose       = flag.Bool("v", false, "log at debug level instead of info")
+	logJSON       = flag.Bool("log-json", false, "emit logs as JSON objects instead of key=value text")
+)
+
+// flagNeeds is brokerd's one table of flag dependencies: each row's flags
+// tune the feature its needs flag turns on, so setting one explicitly
+// while that feature is off is a contradiction brokerd refuses to start
+// with. A conflict row is the reverse: the flags must not meet it on.
+var flagNeeds = []struct {
+	needs    string
+	conflict bool
+	flags    []string
+}{
+	{"log-dir", false, []string{"log-fsync", "log-retention", "log-segment-bytes"}},
+	{"fabric", false, []string{"vnodes", "gossip-interval", "fail-after"}},
+	// A fabric dials its own links, named by broker; -connect would add an
+	// address-named second link to the same peer.
+	{"fabric", true, []string{"connect"}},
+	{"connect", false, []string{"link-retry", "link-retry-max"}},
+	{"pub-rate", false, []string{"pub-burst"}},
+	{"flight", false, []string{"trace-sample"}},
+	{"telemetry-interval", false, []string{"telemetry-retention", "alert-rules"}},
+	{"avail-interval", false, []string{"slo-target", "slo-window", "burn-alert", "flap-transitions", "flap-window", "flap-hold"}},
+}
+
+// checkFlags applies flagNeeds to the flags fs was parsed with.
+func checkFlags(fs *flag.FlagSet) error {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, d := range flagNeeds {
+		for _, name := range d.flags {
+			switch on := flagOn(fs.Lookup(d.needs)); {
+			case !set[name]:
+			case d.conflict && on:
+				return fmt.Errorf("-%s cannot be combined with -%s", name, d.needs)
+			case !d.conflict && !on:
+				return fmt.Errorf("-%s has no effect: -%s leaves its feature off", name, d.needs)
+			}
+		}
+	}
+	return nil
+}
+
+// flagOn reports whether a feature-switching flag is on: true, non-empty
+// or positive.
+func flagOn(f *flag.Flag) bool {
+	switch v := f.Value.(flag.Getter).Get().(type) {
+	case bool:
+		return v
+	case string:
+		return v != ""
+	case int:
+		return v > 0
+	case float64:
+		return v > 0
+	case time.Duration:
+		return v > 0
+	}
+	return false
+}
+
 func main() {
-	var (
-		pki           = flag.String("pki", "pki", "PKI directory (trust anchor)")
-		identityPath  = flag.String("identity", "", "PEM identity file for this broker")
-		listen        = flag.String("listen", "127.0.0.1:7100", "listen address")
-		transportName = flag.String("transport", "tcp", "transport: tcp or udp")
-		name          = flag.String("name", "", "broker name (default: identity common name)")
-		tdnAddrs      = flag.String("tdn", "", "comma-separated TDN addresses for token validation")
-		connect       = flag.String("connect", "", "peer broker address to link with")
-		linkRetry     = flag.Duration("link-retry", 250*time.Millisecond, "initial redial delay for the -connect persistent link")
-		linkRetryMax  = flag.Duration("link-retry-max", 30*time.Second, "redial delay ceiling for the -connect persistent link")
-		dirAddr       = flag.String("dir", "", "broker directory to register with (optional)")
-		fabricOn      = flag.Bool("fabric", false, "join the sharded broker fabric: gossip membership, consistent-hash trace-topic ownership, auto-dialed links (PROTOCOL.md §3.9); peers are discovered via -dir and gossip, no -connect wiring needed")
-		vnodes        = flag.Int("vnodes", 0, "virtual nodes per fabric member on the hash ring (0 keeps the default)")
-		gossipEvery   = flag.Duration("gossip-interval", 500*time.Millisecond, "fabric gossip/heartbeat period")
-		failAfter     = flag.Duration("fail-after", 0, "declare a fabric member failed after this heartbeat silence (0 means 5x -gossip-interval)")
-		adminAddr     = flag.String("admin", "", "HTTP admin endpoint (e.g. 127.0.0.1:7190) serving /stats, /metrics, /healthz and /debug/pprof")
-		egressQueue   = flag.Int("egress-queue", broker.DefaultEgressQueue, "per-peer outbound queue bound in frames; oldest data is shed when full")
-		slowDeadline  = flag.Duration("slow-consumer-deadline", broker.DefaultSlowConsumerDeadline, "how long a peer's egress queue may stay saturated before eviction")
-		pubRate       = flag.Float64("pub-rate", 0, "per-publisher admission rate in envelopes/sec (0 disables rate limiting)")
-		pubBurst      = flag.Int("pub-burst", 0, "token-bucket burst for -pub-rate (0 means max(1, rate))")
-		quarantine    = flag.Duration("quarantine", broker.DefaultQuarantineDuration, "how long an evicted principal's reconnects are refused (negative disables)")
-		guardCache    = flag.Int("guard-cache", core.DefaultTokenCacheSize, "verified-token cache entries for trace authorization (0 disables caching)")
-		sessionKeys   = flag.Bool("session-keys", false, "enable §6.3 session-key signing amortization: steady-state traces carry HMAC session tags instead of per-message RSA signatures")
-		batchBytes    = flag.Int("batch-bytes", 0, "egress drain coalescing byte budget per batch frame (0 disables batching)")
-		batchLatency  = flag.Duration("batch-latency", 0, "how long an underfull egress batch may linger for more frames (0 flushes immediately)")
-		flightEvents  = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder ring size in events (0 disables recording)")
-		traceSample   = flag.Int("trace-sample", obs.DefaultFlightSample, "record 1-in-N healthy flight events (drops are always recorded; 1 records everything)")
-		telemEvery    = flag.Duration("telemetry-interval", time.Second, "telemetry sample/snapshot period on the system-telemetry topic, the stream tracectl top and map read (0 disables the telemetry plane)")
-		telemRetain   = flag.String("telemetry-retention", "", "time-series retention as fine@step/coarse@step, e.g. 15m@1s/2h@15s (empty keeps the default)")
-		alertRules    = flag.String("alert-rules", "", "semicolon-separated alert rules, e.g. 'deep-queues: broker_egress_queue_depth > 100 for 2s hold 10s; absent(broker_published_total) for 5s' (PROTOCOL.md §3.10)")
-		availEvery    = flag.Duration("avail-interval", 10*time.Second, "availability digest period on the system-availability topic (0 disables the ledger)")
-		sloTarget     = flag.Float64("slo-target", 0, "default availability SLO target for hosted entities, e.g. 0.999 (0 disables SLO accounting)")
-		sloWindow     = flag.Duration("slo-window", time.Hour, "rolling window the SLO target applies over")
-		burnAlert     = flag.Float64("burn-alert", 0, "error-budget burn rate that raises a burn_alert event (0 disables)")
-		flapCount     = flag.Int("flap-transitions", 0, "up/down transitions within -flap-window that mark an entity FLAPPING (0 keeps the default of 5)")
-		flapWindow    = flag.Duration("flap-window", 0, "window for -flap-transitions (0 keeps the default of 1m)")
-		flapHold      = flag.Duration("flap-hold", 0, "quiet hold-down before a FLAPPING entity settles (0 keeps the default of 30s)")
-		logDir        = flag.String("log-dir", "", "durable trace-log directory; enables persist-before-fan-out and ack'd replay of constrained trace topics (empty disables durability)")
-		logRetention  = flag.Duration("log-retention", 24*time.Hour, "how long sealed durable-log segments are retained (0 keeps them until -log-segment-bytes pressure)")
-		logSegBytes   = flag.Int64("log-segment-bytes", 8<<20, "durable-log segment roll size in bytes")
-		logFsync      = flag.String("log-fsync", "batch", "durable-log fsync policy: batch (group commit), always (per append), or never (page cache only)")
-		metricsDump   = flag.Bool("metrics", false, "dump process metrics (counters, histograms) to stdout at exit")
-		verbose       = flag.Bool("v", false, "log at debug level instead of info")
-		logJSON       = flag.Bool("log-json", false, "emit logs as JSON objects instead of key=value text")
-	)
 	flag.Parse()
+	if err := checkFlags(flag.CommandLine); err != nil {
+		fail("%v", err)
+	}
 	if *identityPath == "" {
 		fail("missing -identity (issue one with: ca -dir %s issue broker-1)", *pki)
 	}
@@ -100,13 +162,15 @@ func main() {
 	// Token validation resolves trace topics through the TDNs, caching
 	// aggressively; the hosting broker also primes the cache from
 	// registrations.
-	var resolver core.AdResolver
+	var topics core.AdResolver = core.ResolverFunc(func(ident.UUID) (*tdn.Advertisement, error) {
+		return nil, core.ErrUnknownTopic
+	})
 	if addrs := splitCSV(*tdnAddrs); len(addrs) > 0 {
 		cl, err := tdn.NewClient(tr, addrs...)
 		if err != nil {
 			fail("tdn client: %v", err)
 		}
-		resolver = core.NewCachingResolver(core.TDNResolver(cl))
+		topics = core.TDNResolver(cl)
 	} else {
 		fmt.Fprintln(os.Stderr, "brokerd: warning: no -tdn given; only locally registered topics validate")
 	}
@@ -120,11 +184,6 @@ func main() {
 	if brokerName == "" {
 		brokerName = string(id.Credential.Entity)
 	}
-	if resolver == nil {
-		resolver = core.NewCachingResolver(core.ResolverFunc(func(ident.UUID) (*tdn.Advertisement, error) {
-			return nil, core.ErrUnknownTopic
-		}))
-	}
 	// The verified-token cache memoizes §4.3 verifications per token
 	// byte string; -guard-cache=0 runs every trace through the full
 	// pipeline (byte-for-byte seed behaviour).
@@ -132,60 +191,6 @@ func main() {
 	if *guardCache > 0 {
 		tokenCache = core.NewTokenCache(*guardCache)
 	}
-	// The flight recorder keeps the broker's recent routing decisions in
-	// a bounded ring, shared between the guard (verdict events) and the
-	// broker (ingress/route/egress/drop events); /trace serves it and
-	// SIGQUIT dumps it.
-	var flight *obs.FlightRecorder
-	if *flightEvents > 0 {
-		flight = obs.NewFlightRecorder(brokerName, *flightEvents, *traceSample)
-	}
-	// One guard vets every trace envelope (§4.3). With -session-keys it
-	// also holds the negotiated key store and verifies session tags; the
-	// trace manager below binds its renegotiation requester to it.
-	clk := clock.Real{}
-	gc := core.GuardConfig{Resolver: resolver, Verifier: verifier, Clock: clk, Cache: tokenCache, Flight: flight}
-	if *sessionKeys {
-		gc.Sessions = core.NewSessionStore(0)
-	}
-	guard := core.NewGuard(gc)
-	// The durable trace log persists constrained trace derivatives
-	// before fan-out and serves ack'd replay (PROTOCOL.md §3.8).
-	// Recovery verifies every sealed segment's hash chain; a tampered or
-	// truncated log is refused outright rather than silently served.
-	var store *durable.Store
-	if *logDir != "" {
-		fsync, ok := durable.ParseFsyncPolicy(*logFsync)
-		if !ok {
-			fail("bad -log-fsync %q (want batch, always or never)", *logFsync)
-		}
-		store, err = durable.Open(*logDir, durable.Options{
-			SegmentBytes: *logSegBytes,
-			Retention:    *logRetention,
-			Fsync:        fsync,
-		})
-		if errors.Is(err, durable.ErrTampered) {
-			fail("durable log refused: %v\nthe log at %s fails hash-chain verification; restore it from a clean copy or move it aside", err, *logDir)
-		}
-		if err != nil {
-			fail("durable log: %v", err)
-		}
-	}
-	b := broker.New(broker.Config{
-		Name:                 brokerName,
-		Guard:                guard.Admit,
-		Clock:                clk,
-		Durable:              store,
-		Flight:               flight,
-		EgressQueue:          *egressQueue,
-		SlowConsumerDeadline: *slowDeadline,
-		PublishRate:          *pubRate,
-		PublishBurst:         *pubBurst,
-		QuarantineDuration:   *quarantine,
-		BatchBytes:           *batchBytes,
-		BatchLatency:         *batchLatency,
-		Log:                  log,
-	})
 	// The availability ledger folds every hosted entity's trace stream
 	// into per-entity uptime state; the broker publishes its digest on
 	// the system-availability topic and serves it on /avail.
@@ -216,79 +221,92 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	mgr, err := core.NewTraceBroker(core.BrokerConfig{
-		Broker:            b,
-		Identity:          id,
-		Verifier:          verifier,
-		Resolver:          resolver,
-		Guard:             guard,
-		Clock:             clk,
-		Log:               log,
-		AvailInterval:     *availEvery,
-		Avail:             ledger,
-		SessionKeys:       *sessionKeys,
-		TelemetryInterval: *telemEvery,
-		TelemetryOptions:  telemOpts,
-		TelemetryRules:    rules,
-	})
-	if err != nil {
-		fail("trace manager: %v", err)
+	cfg := node.Config{
+		Name:         brokerName,
+		Clock:        clock.Real{},
+		Log:          log,
+		FlightEvents: *flightEvents,
+		FlightSample: *traceSample,
+		Transport:    tr,
+		Listen:       *listen,
+		Guard:        core.GuardConfig{Resolver: core.NewCachingResolver(topics), Verifier: verifier, Cache: tokenCache},
+		Broker: broker.Config{
+			EgressQueue:          *egressQueue,
+			SlowConsumerDeadline: *slowDeadline,
+			PublishRate:          *pubRate,
+			PublishBurst:         *pubBurst,
+			QuarantineDuration:   *quarantine,
+			BatchBytes:           *batchBytes,
+			BatchLatency:         *batchLatency,
+		},
+		Manager: core.BrokerConfig{
+			Identity:          id,
+			AvailInterval:     *availEvery,
+			Avail:             ledger,
+			TelemetryInterval: *telemEvery,
+			TelemetryOptions:  telemOpts,
+			TelemetryRules:    rules,
+		},
+		// The -connect link re-dials under exponential backoff and re-syncs
+		// subscriptions when the peer restarts; the explicit factor keeps it
+		// persistent even when both delays are 0 (the backoff defaults).
+		Connect:      *connect,
+		ConnectRetry: backoff.Config{Initial: *linkRetry, Max: *linkRetryMax, Factor: backoff.DefaultFactor},
 	}
-	mgr.Start()
-	// Accept connections only after the manager's subscriptions are live,
-	// so a client redialing a restarted broker cannot publish its
-	// registration into the void and stall for a RegisterTimeout.
-	l, err := tr.Listen(*listen)
-	if err != nil {
-		fail("listen: %v", err)
+	if *sessionKeys {
+		// The guard holds the negotiated §6.3 key store and verifies session
+		// tags; the trace manager turns session keys on because of it.
+		cfg.Guard.Sessions = core.NewSessionStore(0)
 	}
-	b.Serve(l)
-	if *connect != "" {
-		// Persistent links re-dial under exponential backoff and re-sync
-		// subscriptions when the peer broker restarts.
-		b.ConnectToPersistentBackoff(tr, *connect, backoff.Config{
-			Initial: *linkRetry,
-			Max:     *linkRetryMax,
-		})
+	if *logDir != "" {
+		// The durable trace log persists constrained trace derivatives
+		// before fan-out and serves ack'd replay (PROTOCOL.md §3.8).
+		fsync, ok := durable.ParseFsyncPolicy(*logFsync)
+		if !ok {
+			fail("bad -log-fsync %q (want batch, always or never)", *logFsync)
+		}
+		cfg.LogDir = *logDir
+		cfg.Durable = durable.Options{SegmentBytes: *logSegBytes, Retention: *logRetention, Fsync: fsync}
 	}
-	fmt.Printf("brokerd: %s serving on %s (%s)\n", brokerName, l.Addr(), *transportName)
-	if *adminAddr != "" {
-		go serveAdmin(*adminAddr, brokerName, b, mgr, tokenCache, flight, store)
-	}
-
-	// Register with the broker directory and refresh periodically so
-	// entities can discover a valid broker (§3.2 / Ref [3]). Under
-	// -fabric the fabric owns registration: it refreshes every gossip
-	// interval and carries the ownership-table epoch.
+	// Under -fabric the fabric owns directory registration: it refreshes
+	// every gossip interval and carries the ownership-table epoch.
 	var dirClient *brokerdir.Client
 	if *dirAddr != "" {
 		dirClient = brokerdir.NewClient(tr, *dirAddr)
-		if !*fabricOn {
-			if err := dirClient.Register(brokerName, *transportName, l.Addr(), float64(b.PeerCount())); err != nil {
-				fail("directory registration: %v", err)
-			}
-		}
 	}
-	var fab *fabric.Fabric
 	if *fabricOn {
-		fab, err = fabric.New(fabric.Config{
-			Broker:         b,
-			Name:           brokerName,
-			Transport:      tr,
+		cfg.Fabric = &fabric.Config{
 			TransportName:  *transportName,
-			Addr:           l.Addr(),
 			Dir:            dirClient,
 			VNodes:         *vnodes,
 			GossipInterval: *gossipEvery,
 			FailAfter:      *failAfter,
-			Log:            log,
-			Store:          store,
-		})
-		if err != nil {
-			fail("fabric: %v", err)
 		}
-		fab.Start()
+	}
+	n, err := node.Start(cfg)
+	if errors.Is(err, durable.ErrTampered) {
+		// Recovery verifies every sealed segment's hash chain; a tampered
+		// or truncated log is refused outright rather than silently served.
+		fail("durable log refused: %v\nthe log at %s fails hash-chain verification; restore it from a clean copy or move it aside", err, *logDir)
+	}
+	if err != nil {
+		fail("%v", err)
+	}
+	fmt.Printf("brokerd: %s serving on %s (%s)\n", brokerName, n.Addr, *transportName)
+	if n.Fabric != nil {
 		fmt.Printf("brokerd: %s joined fabric (vnodes=%d, gossip=%s)\n", brokerName, *vnodes, *gossipEvery)
+	}
+	if *adminAddr != "" {
+		go serveAdmin(*adminAddr, brokerName, n, tokenCache)
+	}
+
+	// Register with the broker directory and refresh periodically so
+	// entities can discover a valid broker (§3.2 / Ref [3]).
+	register := dirClient != nil && n.Fabric == nil
+	if register {
+		if err := dirClient.Register(brokerName, *transportName, n.Addr, float64(n.Broker.PeerCount())); err != nil {
+			fail("directory registration: %v", err)
+		}
 	}
 
 	stop := make(chan os.Signal, 1)
@@ -303,33 +321,24 @@ func main() {
 	for {
 		select {
 		case <-ticker.C:
-			if dirClient != nil && fab == nil {
-				_ = dirClient.Register(brokerName, *transportName, l.Addr(), float64(b.PeerCount()))
+			if register {
+				_ = dirClient.Register(brokerName, *transportName, n.Addr, float64(n.Broker.PeerCount()))
 			}
 		case <-quit:
-			if flight == nil {
+			if n.Flight == nil {
 				fmt.Fprintln(os.Stderr, "brokerd: flight recorder disabled (-flight 0)")
 				continue
 			}
 			fmt.Fprintf(os.Stderr, "brokerd: flight dump (SIGQUIT)\n")
-			_ = flight.WriteJSON(os.Stderr, obs.FlightFilter{})
+			_ = n.Flight.WriteJSON(os.Stderr, obs.FlightFilter{})
 		case <-stop:
 			fmt.Println("brokerd: shutting down")
-			// A graceful fabric leave gossips the tombstone and hands the
-			// durable tail to the new owners before the broker stops.
-			if fab != nil {
-				fab.Close()
-			}
-			if dirClient != nil && fab == nil {
+			if register {
 				_ = dirClient.Deregister(brokerName)
 			}
-			mgr.Close()
-			b.Close()
-			// After the broker: no publishes are appending any more, so
-			// the final sync captures everything.
-			if store != nil {
-				store.Close()
-			}
+			// A graceful fabric leave gossips the tombstone and hands the
+			// durable tail to the new owners before the broker stops.
+			n.Close()
 			if *metricsDump {
 				obs.Default.WriteText(os.Stdout)
 			}
@@ -343,7 +352,8 @@ func main() {
 // (flight-recorder events for tracectl), and /stats — a JSON snapshot of
 // this broker's routing counters and session counts, kept for existing
 // tooling.
-func serveAdmin(addr, name string, b *broker.Broker, mgr *core.TraceBroker, tokenCache *core.TokenCache, flight *obs.FlightRecorder, store *durable.Store) {
+func serveAdmin(addr, name string, n *node.Node, tokenCache *core.TokenCache) {
+	b, mgr := n.Broker, n.Manager
 	mux := obs.NewAdminMux(obs.Default, func() map[string]any {
 		return map[string]any{
 			"broker":        name,
@@ -362,7 +372,7 @@ func serveAdmin(addr, name string, b *broker.Broker, mgr *core.TraceBroker, toke
 			// MaxHops; nonzero means some flows' tails are invisible to
 			// trace assembly.
 			"spanHopsTruncated": obs.Default.Counter("span_hops_truncated_total").Value(),
-			"flightHead":        flight.Head(),
+			"flightHead":        n.Flight.Head(),
 		}
 		// The routing counters, under the keys broker.Stats' JSON tags carry
 		// (raw, so a count is never rounded through a float).
@@ -372,8 +382,8 @@ func serveAdmin(addr, name string, b *broker.Broker, mgr *core.TraceBroker, toke
 		for key, v := range counters {
 			out[key] = v
 		}
-		if store != nil {
-			out["durable"] = store.Stats()
+		if n.Store != nil {
+			out["durable"] = n.Store.Stats()
 		}
 		if h := b.Health(); h.FabricMembers > 0 {
 			out["fabric"] = map[string]any{
@@ -404,7 +414,7 @@ func serveAdmin(addr, name string, b *broker.Broker, mgr *core.TraceBroker, toke
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(out)
 	})
-	mux.Handle("/trace", obs.FlightHandler(flight))
+	mux.Handle("/trace", obs.FlightHandler(n.Flight))
 	mux.Handle("/avail", avail.Handler(mgr.Avail(), name))
 	if ts := mgr.Telemetry(); ts != nil {
 		mux.Handle("/timeseries", timeseries.Handler(ts))

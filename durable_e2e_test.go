@@ -107,9 +107,9 @@ func TestDurableCrashRecoveryClosesTraceGap(t *testing.T) {
 	// until the recovered log's head advances — proof the transition is
 	// durably persisted while the tracker is away.
 	publishInGap := func(want message.EntityState) {
-		before := tb.Stores[0].Head(ts)
+		before := tb.Nodes[0].Store.Head(ts)
 		deadline := time.Now().Add(5 * time.Second)
-		for tb.Stores[0].Head(ts) <= before {
+		for tb.Nodes[0].Store.Head(ts) <= before {
 			if time.Now().After(deadline) {
 				t.Fatalf("gap transition to %v never reached the recovered log", want)
 			}
@@ -129,12 +129,12 @@ func TestDurableCrashRecoveryClosesTraceGap(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		drainInto(h, log, 250*time.Millisecond)
-		if uint64(len(log.byAt)) == tb.Stores[0].Head(ts) {
+		if uint64(len(log.byAt)) == tb.Nodes[0].Store.Head(ts) {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("tracker saw %d distinct transitions, durable log holds %d",
-				len(log.byAt), tb.Stores[0].Head(ts))
+				len(log.byAt), tb.Nodes[0].Store.Head(ts))
 		}
 	}
 	if d := log.duplicates(); d != 0 {
@@ -184,12 +184,12 @@ func TestDurableLateTrackerReplaysHistory(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		drainInto(late, lateLog, 250*time.Millisecond)
-		if uint64(len(lateLog.byAt)) == tb.Stores[0].Head(ts) {
+		if uint64(len(lateLog.byAt)) == tb.Nodes[0].Store.Head(ts) {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("late tracker replayed %d distinct transitions, durable log holds %d",
-				len(lateLog.byAt), tb.Stores[0].Head(ts))
+				len(lateLog.byAt), tb.Nodes[0].Store.Head(ts))
 		}
 	}
 	if d := lateLog.duplicates(); d != 0 {

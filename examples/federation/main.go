@@ -20,6 +20,7 @@ import (
 	"entitytrace/internal/failure"
 	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
+	"entitytrace/internal/node"
 	"entitytrace/internal/tdn"
 	"entitytrace/internal/topic"
 	"entitytrace/internal/transport"
@@ -32,7 +33,7 @@ func main() {
 	check(err)
 	tdnID, err := ca.Issue("tdn")
 	check(err)
-	node, err := tdn.NewNode(tdnID, verifier)
+	discovery, err := tdn.NewNode(tdnID, verifier)
 	check(err)
 	tr := transport.NewInproc()
 
@@ -46,44 +47,34 @@ func main() {
 		SuccessesPerRelax:  1 << 30,
 	}
 
-	// startBroker builds one broker node with guard + trace manager at a
-	// fixed inproc address.
-	startBroker := func(name, addr string) (*broker.Broker, *core.TraceBroker) {
-		resolver := core.NewCachingResolver(core.NodeResolver(node))
-		guard := core.NewGuard(core.GuardConfig{Resolver: resolver, Verifier: verifier})
-		b := broker.New(broker.Config{Name: name, Guard: guard.Admit})
-		l, err := tr.Listen(addr)
-		check(err)
-		b.Serve(l)
+	// startBroker starts one broker node — guard, broker, trace manager —
+	// serving on its name as inproc address. An edge (connect set) keeps a
+	// persistent link to the hub, re-dialing it whenever it is gone.
+	startBroker := func(name, connect string) *node.Node {
 		id, err := ca.Issue(ident.EntityID(name + "-identity"))
 		check(err)
-		mgr, err := core.NewTraceBroker(core.BrokerConfig{
-			Broker:        b,
-			Identity:      id,
-			Verifier:      verifier,
-			Resolver:      resolver,
-			Guard:         guard,
-			Clock:         clock.Real{},
-			Detector:      detector,
-			GaugeInterval: 150 * time.Millisecond,
+		n, err := node.Start(node.Config{
+			Name:      name,
+			Clock:     clock.Real{},
+			Transport: tr,
+			Listen:    name,
+			Guard: core.GuardConfig{
+				Resolver: core.NewCachingResolver(core.NodeResolver(discovery)),
+				Verifier: verifier,
+			},
+			Manager:      core.BrokerConfig{Identity: id, Detector: detector, GaugeInterval: 150 * time.Millisecond},
+			Connect:      connect,
+			ConnectRetry: backoff.Config{Initial: 50 * time.Millisecond, Max: 400 * time.Millisecond},
 		})
 		check(err)
-		mgr.Start()
-		return b, mgr
+		return n
 	}
 
-	edgeA, mgrA := startBroker("edge-a", "edge-a")
+	edgeA := startBroker("edge-a", "hub")
 	defer edgeA.Close()
-	defer mgrA.Close()
-	hub, mgrHub := startBroker("hub", "hub")
-	edgeB, mgrB := startBroker("edge-b", "edge-b")
+	hub := startBroker("hub", "")
+	edgeB := startBroker("edge-b", "hub")
 	defer edgeB.Close()
-	defer mgrB.Close()
-
-	// Persistent links: both edges keep re-dialing the hub.
-	redial := backoff.Config{Initial: 50 * time.Millisecond, Max: 400 * time.Millisecond}
-	edgeA.ConnectToPersistentBackoff(tr, "hub", redial)
-	edgeB.ConnectToPersistentBackoff(tr, "hub", redial)
 
 	// Traced entity on edge-a.
 	entityID, err := ca.Issue("inventory-service")
@@ -93,7 +84,7 @@ func main() {
 	ent, err := core.StartTracing(core.EntityConfig{
 		Identity:        entityID,
 		Verifier:        verifier,
-		Registry:        node,
+		Registry:        discovery,
 		Client:          entityConn,
 		AllowAnyTracker: true,
 	})
@@ -108,8 +99,8 @@ func main() {
 	tk, err := core.NewTracker(core.TrackerConfig{
 		Identity:  trackerID,
 		Verifier:  verifier,
-		Discovery: node,
-		Resolver:  core.NewCachingResolver(core.NodeResolver(node)),
+		Discovery: discovery,
+		Resolver:  core.NewCachingResolver(core.NodeResolver(discovery)),
 		Client:    trackerConn,
 	})
 	check(err)
@@ -145,15 +136,13 @@ func main() {
 
 	// Kill the hub: the network is partitioned.
 	fmt.Println("\n*** hub broker crashes ***")
-	mgrHub.Close()
 	hub.Close()
 	time.Sleep(100 * time.Millisecond)
 
 	// Restart it at the same address; persistent links re-sync.
 	fmt.Println("*** hub broker restarts; persistent links re-dial ***")
-	hub2, mgrHub2 := startBroker("hub", "hub")
-	defer hub2.Close()
-	defer mgrHub2.Close()
+	hub = startBroker("hub", "")
+	defer hub.Close()
 
 	awaitState(message.StateRecovering, "after hub restart")
 	fmt.Println("\nrouting recovered without reconfiguring entity or tracker")

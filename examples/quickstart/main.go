@@ -1,8 +1,8 @@
-// Quickstart wires the whole system up by hand — certificate authority,
-// topic discovery node, one broker with its trace manager — then starts
-// a traced entity and a tracker and prints the traces that flow: JOIN,
-// state transitions, heartbeats, load, and the SHUTDOWN when the entity
-// leaves.
+// Quickstart wires the whole system up — certificate authority, topic
+// discovery node, one broker node with its guard and trace manager — then
+// starts a traced entity and a tracker and prints the traces that flow:
+// JOIN, state transitions, heartbeats, load, and the SHUTDOWN when the
+// entity leaves.
 package main
 
 import (
@@ -11,9 +11,11 @@ import (
 	"time"
 
 	"entitytrace/internal/broker"
+	"entitytrace/internal/clock"
 	"entitytrace/internal/core"
 	"entitytrace/internal/credential"
 	"entitytrace/internal/message"
+	"entitytrace/internal/node"
 	"entitytrace/internal/sysinfo"
 	"entitytrace/internal/tdn"
 	"entitytrace/internal/topic"
@@ -29,33 +31,25 @@ func main() {
 	check(err)
 	tdnID, err := ca.Issue("tdn-1")
 	check(err)
-	node, err := tdn.NewNode(tdnID, verifier)
+	discovery, err := tdn.NewNode(tdnID, verifier)
 	check(err)
 
-	// 2. One broker node with the §4.3 token guard and the broker-side
-	//    trace manager (§3.3).
+	// 2. One broker node: the §4.3 token guard at its ingress, the broker
+	//    and the broker-side trace manager (§3.3), serving on "broker-1".
 	tr := transport.NewInproc()
-	resolver := core.NewCachingResolver(core.NodeResolver(node))
-	guard := core.NewGuard(core.GuardConfig{Resolver: resolver, Verifier: verifier})
-	b := broker.New(broker.Config{Name: "broker-1", Guard: guard.Admit})
-	l, err := tr.Listen("broker-1")
-	check(err)
-	b.Serve(l)
-	defer b.Close()
-
+	resolver := core.NewCachingResolver(core.NodeResolver(discovery))
 	brokerID, err := ca.Issue("broker-1-identity")
 	check(err)
-	mgr, err := core.NewTraceBroker(core.BrokerConfig{
-		Broker:        b,
-		Identity:      brokerID,
-		Verifier:      verifier,
-		Resolver:      resolver,
-		Guard:         guard,
-		GaugeInterval: 500 * time.Millisecond,
+	bn, err := node.Start(node.Config{
+		Name:      "broker-1",
+		Clock:     clock.Real{},
+		Transport: tr,
+		Listen:    "broker-1",
+		Guard:     core.GuardConfig{Resolver: resolver, Verifier: verifier},
+		Manager:   core.BrokerConfig{Identity: brokerID, GaugeInterval: 500 * time.Millisecond},
 	})
 	check(err)
-	mgr.Start()
-	defer mgr.Close()
+	defer bn.Close()
 
 	// 3. A traced entity: create its trace topic, register, delegate
 	//    publication authority (§3.1–§3.2, §4.3).
@@ -66,7 +60,7 @@ func main() {
 	entity, err := core.StartTracing(core.EntityConfig{
 		Identity:        entityID,
 		Verifier:        verifier,
-		Registry:        node,
+		Registry:        discovery,
 		Client:          entityConn,
 		AllowAnyTracker: true,
 	})
@@ -82,7 +76,7 @@ func main() {
 	tracker, err := core.NewTracker(core.TrackerConfig{
 		Identity:  trackerID,
 		Verifier:  verifier,
-		Discovery: node,
+		Discovery: discovery,
 		Resolver:  resolver,
 		Client:    trackerConn,
 	})

@@ -220,7 +220,7 @@ type Broker struct {
 	done      chan struct{}
 	// links indexes broker-link peers by name for the fabric's
 	// forward-to-owner unicast (guarded by mu; inbound links are named by
-	// their hello, dialed links by EnsureLink/ConnectTo).
+	// their hello, dialed links by Link).
 	links map[string]*peer
 
 	// sharding, when installed (SetSharding), is the fabric ownership
@@ -228,7 +228,8 @@ type Broker struct {
 	// locks for it.
 	sharding atomic.Pointer[shardingRef]
 
-	// linkMu guards linkDials, the per-name EnsureLink redial loops.
+	// linkMu guards linkDials, the stop channels of the redial loops Link
+	// runs, by name.
 	linkMu    sync.Mutex
 	linkDials map[string]chan struct{}
 
@@ -341,6 +342,7 @@ func New(cfg Config) *Broker {
 		wildcards: make(map[string]topic.Topic),
 		local:     make(map[string][]*localSub),
 		links:     make(map[string]*peer),
+		linkDials: make(map[string]chan struct{}),
 		pending:   make(map[transport.Conn]struct{}),
 		seen:      newSeenSet(cfg.DedupeWindow),
 		quar:      newQuarantine(),
@@ -350,6 +352,10 @@ func New(cfg Config) *Broker {
 
 // Name returns the broker's name.
 func (b *Broker) Name() string { return b.name }
+
+// Clock returns the broker's time, which the trace manager hosted on it
+// shares.
+func (b *Broker) Clock() clock.Clock { return b.clk }
 
 // Serve accepts connections from l until the broker or listener closes.
 // It returns immediately; accepting happens on background goroutines.
@@ -433,23 +439,54 @@ func (b *Broker) handleInbound(conn transport.Conn) {
 	b.peerLoop(p)
 }
 
-// ConnectTo establishes a broker-to-broker link by dialing addr over tr.
-func (b *Broker) ConnectTo(tr transport.Transport, addr string) error {
-	p, err := b.dialLink(tr, addr, addr)
-	if err != nil {
-		return err
+// Link maintains the broker link named name to the broker at addr over
+// tr; it is the one way a broker dials another. The name is what the
+// fabric forwards by and what telemetry link rows carry: a peer's broker
+// name for fabric links, its address for hand-wired ones. DropLink
+// cancels it.
+//
+// A zero retry policy dials once and returns the dial error; the link
+// then lives until it drops. Any other policy returns at once and keeps
+// the link up across failures (a second call for the same name is a
+// no-op): while no live link of that name exists — an inbound one from
+// the same broker counts — it dials, runs the link until it drops and
+// waits the policy's next delay, resetting the policy whenever a link
+// establishes. Subscriptions re-synchronize on every reconnection, so
+// routing recovers when a neighbour restarts. Dial attempts,
+// establishments and losses count on broker_link_dial_attempts_total,
+// broker_link_established_total and broker_link_lost_total.
+func (b *Broker) Link(name string, tr transport.Transport, addr string, retry backoff.Config) error {
+	if retry == (backoff.Config{}) {
+		mLinkDials.Inc()
+		p, err := b.dialLink(tr, addr, name)
+		if err != nil {
+			return err
+		}
+		b.wg.Add(1)
+		go func() {
+			defer b.wg.Done()
+			b.runLink(p, addr)
+		}()
+		return nil
 	}
+	b.linkMu.Lock()
+	defer b.linkMu.Unlock()
+	if _, ok := b.linkDials[name]; ok {
+		return nil
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return errors.New("broker: closed")
+	}
+	stop := make(chan struct{})
+	b.linkDials[name] = stop
 	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		b.peerLoop(p)
-	}()
+	go b.redial(tr, addr, name, retry, stop)
 	return nil
 }
 
-// dialLink dials a peer broker and registers the link under the given
-// peer name: the address for the hand-wired -link/-connect forms, the
-// broker name for fabric links, so the fabric can forward to it by name.
+// dialLink dials a peer broker and registers the link under name.
 func (b *Broker) dialLink(tr transport.Transport, addr, name string) (*peer, error) {
 	conn, err := tr.Dial(addr)
 	if err != nil {
@@ -469,35 +506,26 @@ func (b *Broker) dialLink(tr transport.Transport, addr, name string) (*peer, err
 	return p, nil
 }
 
-// ConnectToPersistentBackoff maintains a broker link across failures:
-// it dials addr, runs the link until it drops, and re-dials until the
-// broker closes. Each failed dial (or lost link) waits the policy's next
-// delay; a link that establishes resets the policy so the next outage
-// starts again from the initial delay. Subscription state is
-// re-synchronized on every reconnection, so routing recovers
-// automatically when a neighbouring broker restarts. Dial attempts,
-// establishments and losses are counted on the obs registry
-// (broker_link_dial_attempts_total, broker_link_established_total,
-// broker_link_lost_total).
-func (b *Broker) ConnectToPersistentBackoff(tr transport.Transport, addr string, cfg backoff.Config) {
-	b.wg.Add(1)
-	go b.redial(tr, addr, addr, cfg, nil)
+// runLink carries an established link until it drops.
+func (b *Broker) runLink(p *peer, addr string) {
+	mLinkUp.Inc()
+	b.log.Info("link established", "peer", p.name, "addr", addr)
+	b.peerLoop(p)
+	mLinkLost.Inc()
+	b.log.Warn("link lost", "peer", p.name)
 }
 
-// linkProbeInterval paces the "is the inbound link still up" check an
-// EnsureLink loop performs while it is not the dialing side.
+// linkProbeInterval paces the "is the inbound link still up" check a
+// redial loop performs while the peer's own dial carries the link.
 const linkProbeInterval = 250 * time.Millisecond
 
-// redial is the one redial loop behind ConnectToPersistentBackoff and
-// EnsureLink: dial, run the link until it drops, back off, repeat until
-// the broker closes or stop fires. A nil stop (which never fires) marks
-// the hand-wired form, whose link is named by address; a fabric link is
-// named by broker, so a live link of that name — inbound, or hand-wired
-// — already is this link, and the loop only watches for it to go away.
-// Callers have done b.wg.Add(1).
-func (b *Broker) redial(tr transport.Transport, addr, name string, cfg backoff.Config, stop <-chan struct{}) {
+// redial is Link's loop under a retry policy: dial, run the link until it
+// drops, back off, repeat until the broker closes or stop fires. A live
+// link of that name — inbound, say — already is this link, so the loop
+// only watches for it to go away. Link has done b.wg.Add(1).
+func (b *Broker) redial(tr transport.Transport, addr, name string, retry backoff.Config, stop <-chan struct{}) {
 	defer b.wg.Done()
-	policy := backoff.New(cfg)
+	policy := backoff.New(retry)
 	for {
 		select {
 		case <-b.done:
@@ -507,17 +535,13 @@ func (b *Broker) redial(tr transport.Transport, addr, name string, cfg backoff.C
 		default:
 		}
 		delay := linkProbeInterval
-		if stop != nil && b.LinkUp(name) {
+		if b.LinkUp(name) {
 			policy.Reset()
 		} else {
 			mLinkDials.Inc()
 			if p, err := b.dialLink(tr, addr, name); err == nil {
-				mLinkUp.Inc()
 				policy.Reset()
-				b.log.Info("link established", "peer", name, "addr", addr)
-				b.peerLoop(p)
-				mLinkLost.Inc()
-				b.log.Warn("link lost", "peer", name)
+				b.runLink(p, addr)
 			}
 			delay = policy.Next()
 			b.log.Debug("link redial scheduled", "peer", name, "delay", delay.String())

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"entitytrace/internal/backoff"
 	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
 	"entitytrace/internal/topic"
@@ -36,7 +37,7 @@ func chain(t *testing.T, tr transport.Transport, n int) ([]*Broker, []string) {
 		brokers[i], addrs[i] = newTestBroker(t, tr, Config{Name: fmt.Sprintf("b%d", i)})
 	}
 	for i := 1; i < n; i++ {
-		if err := brokers[i].ConnectTo(tr, addrs[i-1]); err != nil {
+		if err := brokers[i].Link(addrs[i-1], tr, addrs[i-1], backoff.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +294,7 @@ func TestLateLinkReceivesExistingSubscriptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Link up after the subscription exists.
-	if err := b1.ConnectTo(tr, addr0); err != nil {
+	if err := b1.Link(addr0, tr, addr0, backoff.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "sync to new link", func() bool { return b1.HasSubscription(tp.String()) })
@@ -626,7 +627,7 @@ func TestDiamondTopologyNoStorm(t *testing.T) {
 	}
 	links := [][2]string{{"b", "a"}, {"c", "a"}, {"d", "b"}, {"d", "c"}}
 	for _, l := range links {
-		if err := brokers[l[0]].ConnectTo(tr, addrs[l[1]]); err != nil {
+		if err := brokers[l[0]].Link(addrs[l[1]], tr, addrs[l[1]], backoff.Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -37,7 +37,7 @@ func TestPersistentLinkSurvivesBrokerRestart(t *testing.T) {
 	}
 	hub := startHub()
 
-	b1.ConnectToPersistentBackoff(tr, "hub", backoff.Config{Initial: 20 * time.Millisecond, Max: 160 * time.Millisecond})
+	b1.Link("hub", tr, "hub", backoff.Config{Initial: 20 * time.Millisecond, Max: 160 * time.Millisecond})
 
 	sub, err := Connect(tr, "edge", "subscriber")
 	if err != nil {
@@ -103,7 +103,7 @@ func TestPersistentLinkBackoffEstablishesLate(t *testing.T) {
 	b1.Serve(l1)
 
 	// No listener at "hub-late" yet: every dial fails.
-	b1.ConnectToPersistentBackoff(tr, "hub-late", backoff.Config{
+	b1.Link("hub-late", tr, "hub-late", backoff.Config{
 		Initial: 5 * time.Millisecond,
 		Max:     20 * time.Millisecond,
 		Seed:    3,
@@ -159,7 +159,7 @@ func TestPersistentLinkStopsOnClose(t *testing.T) {
 	tr := transport.NewInproc()
 	b := New(Config{Name: "lonely"})
 	// No listener at "void": the loop only ever fails to dial.
-	b.ConnectToPersistentBackoff(tr, "void", backoff.Config{Initial: 5 * time.Millisecond, Max: 40 * time.Millisecond})
+	b.Link("void", tr, "void", backoff.Config{Initial: 5 * time.Millisecond, Max: 40 * time.Millisecond})
 	time.Sleep(30 * time.Millisecond)
 	done := make(chan struct{})
 	go func() {

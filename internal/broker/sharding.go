@@ -1,12 +1,8 @@
 package broker
 
 import (
-	"time"
-
-	"entitytrace/internal/backoff"
 	"entitytrace/internal/message"
 	"entitytrace/internal/obs"
-	"entitytrace/internal/transport"
 )
 
 // Fabric routing counters (PROTOCOL.md §3.9).
@@ -134,41 +130,9 @@ func (b *Broker) LinkNames() []string {
 	return out
 }
 
-// EnsureLink maintains a named broker link to addr over tr: an
-// idempotent, per-name redial loop that dials whenever no live link
-// with that name exists (an inbound link from the same broker counts)
-// and backs off between attempts. This is the fabric's auto-dial
-// replacing hand-wired -link lists; DropLink cancels it.
-func (b *Broker) EnsureLink(name string, tr transport.Transport, addr string) {
-	if name == "" || name == b.name {
-		return
-	}
-	b.linkMu.Lock()
-	if b.linkDials == nil {
-		b.linkDials = make(map[string]chan struct{})
-	}
-	if _, ok := b.linkDials[name]; ok {
-		b.linkMu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	b.linkDials[name] = stop
-	b.linkMu.Unlock()
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		b.linkMu.Lock()
-		delete(b.linkDials, name)
-		b.linkMu.Unlock()
-		return
-	}
-	b.wg.Add(1)
-	b.mu.Unlock()
-	go b.redial(tr, addr, name, backoff.Config{Initial: 50 * time.Millisecond, Max: 2 * time.Second}, stop)
-}
-
-// DropLink cancels an EnsureLink loop and closes any live link with
-// that name. The fabric calls it when a member leaves or fails.
+// DropLink cancels the link Link maintains under name and closes any
+// live link with that name. The fabric calls it when a member leaves or
+// fails.
 func (b *Broker) DropLink(name string) {
 	b.linkMu.Lock()
 	if stop, ok := b.linkDials[name]; ok {

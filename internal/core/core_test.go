@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"entitytrace/internal/backoff"
 	"entitytrace/internal/broker"
-	"entitytrace/internal/clock"
 	"entitytrace/internal/credential"
 	"entitytrace/internal/failure"
 	"entitytrace/internal/ident"
@@ -95,8 +95,8 @@ func newTestbed(t *testing.T, n int) *testbed {
 	tb.node = node
 	for i := 0; i < n; i++ {
 		resolver := NewCachingResolver(NodeResolver(node))
-		guard := NewGuard(GuardConfig{Resolver: resolver, Verifier: fxVerifier}).Admit
-		b := broker.New(broker.Config{Name: fmt.Sprintf("b%d", i), Guard: guard, Log: obs.NewCallbackLogger(obs.LevelDebug, t.Logf)})
+		guard := NewGuard(GuardConfig{Resolver: resolver, Verifier: fxVerifier})
+		b := broker.New(broker.Config{Name: fmt.Sprintf("b%d", i), Guard: guard.Admit, Log: obs.NewCallbackLogger(obs.LevelDebug, t.Logf)})
 		l, err := tb.tr.Listen("")
 		if err != nil {
 			t.Fatal(err)
@@ -106,9 +106,7 @@ func newTestbed(t *testing.T, n int) *testbed {
 		mgr, err := NewTraceBroker(BrokerConfig{
 			Broker:        b,
 			Identity:      brokerID,
-			Verifier:      fxVerifier,
-			Resolver:      resolver,
-			Clock:         clock.Real{},
+			Guard:         guard,
 			Detector:      fastDetector(),
 			GaugeInterval: 50 * time.Millisecond,
 			InterestTTL:   5 * time.Second,
@@ -122,7 +120,7 @@ func newTestbed(t *testing.T, n int) *testbed {
 		tb.managers = append(tb.managers, mgr)
 		tb.addrs = append(tb.addrs, l.Addr())
 		if i > 0 {
-			if err := b.ConnectTo(tb.tr, tb.addrs[i-1]); err != nil {
+			if err := b.Link(tb.addrs[i-1], tb.tr, tb.addrs[i-1], backoff.Config{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -560,7 +558,7 @@ func TestSpuriousTraceInjectionDropped(t *testing.T) {
 	// valid token. It must be dropped by the guard (§5.2) and punished.
 	mallory := broker.New(broker.Config{Name: "mallory"})
 	defer mallory.Close()
-	if err := mallory.ConnectTo(tb.tr, tb.addrs[0]); err != nil {
+	if err := mallory.Link(tb.addrs[0], tb.tr, tb.addrs[0], backoff.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the tracker's subscription to propagate to mallory so the
@@ -1192,8 +1190,8 @@ func TestInterestExpiryRevertsToSilence(t *testing.T) {
 	}
 	tb.node = node
 	resolver := NewCachingResolver(NodeResolver(node))
-	guard := NewGuard(GuardConfig{Resolver: resolver, Verifier: fxVerifier}).Admit
-	b := broker.New(broker.Config{Name: "exp0", Guard: guard})
+	guard := NewGuard(GuardConfig{Resolver: resolver, Verifier: fxVerifier})
+	b := broker.New(broker.Config{Name: "exp0", Guard: guard.Admit})
 	l, err := tb.tr.Listen("")
 	if err != nil {
 		t.Fatal(err)
@@ -1203,9 +1201,7 @@ func TestInterestExpiryRevertsToSilence(t *testing.T) {
 	mgr, err := NewTraceBroker(BrokerConfig{
 		Broker:        b,
 		Identity:      brokerID,
-		Verifier:      fxVerifier,
-		Resolver:      resolver,
-		Clock:         clock.Real{},
+		Guard:         guard,
 		Detector:      fastDetector(),
 		GaugeInterval: 40 * time.Millisecond,
 		InterestTTL:   120 * time.Millisecond,
@@ -1322,20 +1318,27 @@ func TestTraceBrokerResolverAccessor(t *testing.T) {
 	if tb.managers[0].Resolver() == nil {
 		t.Fatal("Resolver() returned nil")
 	}
-	// A TraceBroker without an explicit resolver builds a local one.
+	// The manager validates tokens with its guard's resolver.
+	resolver := NewCachingResolver(ResolverFunc(func(ident.UUID) (*tdn.Advertisement, error) {
+		return nil, ErrUnknownTopic
+	}))
 	id := issue(t, "resolver-broker")
 	mgr, err := NewTraceBroker(BrokerConfig{
 		Broker:   tb.brokers[0],
 		Identity: id,
-		Verifier: fxVerifier,
+		Guard:    NewGuard(GuardConfig{Resolver: resolver, Verifier: fxVerifier}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mgr.Resolver() == nil {
-		t.Fatal("default resolver missing")
+	if mgr.Resolver() != AdResolver(resolver) {
+		t.Fatal("Resolver() is not the guard's resolver")
 	}
 	if _, err := mgr.Resolver().ResolveAd(ident.NewUUID()); !errors.Is(err, ErrUnknownTopic) {
-		t.Fatalf("default resolver resolved unknown topic: %v", err)
+		t.Fatalf("guard's resolver resolved unknown topic: %v", err)
+	}
+	// Without a guard there is nothing to verify with: refused.
+	if _, err := NewTraceBroker(BrokerConfig{Broker: tb.brokers[0], Identity: id}); err == nil {
+		t.Fatal("manager without a guard accepted")
 	}
 }

@@ -209,7 +209,7 @@ func verifyTraceCachedOutcome(env *message.Envelope, traceTopic ident.UUID, reso
 	outcome := cacheMiss
 	if e, ok := cache.lookup(d); ok {
 		if valid, err := applyCached(env, e, traceTopic, resolver, verifier, now, skew); valid {
-			cache.hit()
+			cache.hits.Inc()
 			return cacheHit, err
 		}
 		// Stale: expired mid-cache, advertisement replaced, or topic
@@ -219,7 +219,7 @@ func verifyTraceCachedOutcome(env *message.Envelope, traceTopic ident.UUID, reso
 		cache.invalidate(d)
 		outcome = cacheStale
 	}
-	cache.miss()
+	cache.misses.Inc()
 	e, err := verifyTraceFull(env, traceTopic, resolver, verifier, now, skew)
 	if err != nil {
 		return outcome, err

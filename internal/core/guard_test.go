@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"entitytrace/internal/backoff"
 	"entitytrace/internal/broker"
 	"entitytrace/internal/clock"
 	"entitytrace/internal/ident"
@@ -243,7 +244,7 @@ func TestGuardTaggedTraceWithoutStoreSparesTheLink(t *testing.T) {
 	markers := make(chan struct{}, 64)
 	defer down.SubscribeLocal(marker, func(*message.Envelope) { markers <- struct{}{} })()
 	up, _ := serve("up", nil)
-	if err := up.ConnectTo(tr, addr); err != nil {
+	if err := up.Link(addr, tr, addr, backoff.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	// The link is FIFO in both directions: once a marker crosses it, the

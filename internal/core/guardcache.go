@@ -4,7 +4,6 @@ import (
 	"crypto/rsa"
 	"crypto/sha256"
 	"sync"
-	"sync/atomic"
 
 	"entitytrace/internal/ident"
 	"entitytrace/internal/obs"
@@ -16,15 +15,6 @@ import (
 const (
 	guardCacheHitsName   = "guard_cache_hits_total"
 	guardCacheMissesName = "guard_cache_misses_total"
-)
-
-// Guard-cache traffic counters, process-wide like the drop counters
-// above (per-instance numbers stay available via TokenCache.Stats).
-var (
-	mGuardCacheHits          = obs.Default.Counter(guardCacheHitsName)
-	mGuardCacheMisses        = obs.Default.Counter(guardCacheMissesName)
-	mGuardCacheEvictions     = obs.Default.Counter("guard_cache_evictions_total")
-	mGuardCacheInvalidations = obs.Default.Counter("guard_cache_invalidations_total")
 )
 
 // DefaultTokenCacheSize bounds the verified-token cache when callers do
@@ -85,10 +75,10 @@ type TokenCache struct {
 	head  int // oldest entry when full
 	n     int // populated ring slots
 
-	hits          atomic.Uint64
-	misses        atomic.Uint64
-	evictions     atomic.Uint64
-	invalidations atomic.Uint64
+	// The cache's counters, on its own child of obs.Default: one Inc
+	// counts for this cache (Stats) and into the process-wide total of
+	// the same name.
+	hits, misses, evictions, invalidations *obs.Counter
 }
 
 // NewTokenCache creates a cache bounded to size entries; size <= 0
@@ -98,9 +88,14 @@ func NewTokenCache(size int) *TokenCache {
 	if size <= 0 {
 		size = DefaultTokenCacheSize
 	}
+	reg := obs.Default.Child()
 	return &TokenCache{
-		entries: make(map[tokenDigest]*verifiedToken, size),
-		order:   make([]tokenDigest, size),
+		entries:       make(map[tokenDigest]*verifiedToken, size),
+		order:         make([]tokenDigest, size),
+		hits:          reg.Counter(guardCacheHitsName),
+		misses:        reg.Counter(guardCacheMissesName),
+		evictions:     reg.Counter("guard_cache_evictions_total"),
+		invalidations: reg.Counter("guard_cache_invalidations_total"),
 	}
 }
 
@@ -136,8 +131,7 @@ func (c *TokenCache) insert(d tokenDigest, e *verifiedToken) {
 		// only a live removal counts as an eviction.
 		if _, live := c.entries[old]; live {
 			delete(c.entries, old)
-			c.evictions.Add(1)
-			mGuardCacheEvictions.Inc()
+			c.evictions.Inc()
 		}
 		c.order[c.head] = d
 		c.head = (c.head + 1) % len(c.order)
@@ -166,8 +160,7 @@ func (c *TokenCache) invalidate(d tokenDigest) {
 	}
 	c.mu.Unlock()
 	if present {
-		c.invalidations.Add(1)
-		mGuardCacheInvalidations.Inc()
+		c.invalidations.Inc()
 	}
 }
 
@@ -184,10 +177,7 @@ func (c *TokenCache) InvalidateAll() {
 	}
 	c.head, c.n = 0, 0
 	c.mu.Unlock()
-	if n > 0 {
-		c.invalidations.Add(uint64(n))
-		mGuardCacheInvalidations.Add(uint64(n))
-	}
+	c.invalidations.Add(uint64(n))
 }
 
 // Len reports the number of live entries.
@@ -209,27 +199,11 @@ func (c *TokenCache) Stats() TokenCacheStats {
 	size, capacity := len(c.entries), len(c.order)
 	c.mu.RUnlock()
 	return TokenCacheStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Evictions:     c.evictions.Load(),
-		Invalidations: c.invalidations.Load(),
+		Hits:          c.hits.Value(),
+		Misses:        c.misses.Value(),
+		Evictions:     c.evictions.Value(),
+		Invalidations: c.invalidations.Value(),
 		Size:          size,
 		Capacity:      capacity,
 	}
-}
-
-func (c *TokenCache) hit() {
-	if c == nil {
-		return
-	}
-	c.hits.Add(1)
-	mGuardCacheHits.Inc()
-}
-
-func (c *TokenCache) miss() {
-	if c == nil {
-		return
-	}
-	c.misses.Add(1)
-	mGuardCacheMisses.Inc()
 }

@@ -9,6 +9,7 @@ import (
 
 	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
+	"entitytrace/internal/obs"
 	"entitytrace/internal/secure"
 	"entitytrace/internal/tdn"
 	"entitytrace/internal/token"
@@ -108,6 +109,37 @@ func TestTokenCacheHitMiss(t *testing.T) {
 	env.Payload = append(env.Payload, 'x')
 	if err := VerifyTraceCached(env, f.ad.TopicID, f.resolver, fxVerifier, now, token.DefaultClockSkew, cache); err == nil {
 		t.Fatal("tampered payload accepted on cache hit")
+	}
+}
+
+// TestTokenCacheCountsOncePerInstance runs two caches in one process and
+// hits only one: each Stats sees its own hits, and the process-wide
+// counter rises by exactly those hits — each event is counted once.
+func TestTokenCacheCountsOncePerInstance(t *testing.T) {
+	now := time.Now()
+	f := newCacheFixture(t, "gc-instances", time.Hour, now)
+	busy, idle := NewTokenCache(16), NewTokenCache(16)
+	verify := func() {
+		t.Helper()
+		if err := VerifyTraceCached(f.env(), f.ad.TopicID, f.resolver, fxVerifier, now, token.DefaultClockSkew, busy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verify() // the miss that fills the cache
+	process := obs.Default.Counter(guardCacheHitsName)
+	before := process.Value()
+	const n = 7
+	for i := 0; i < n; i++ {
+		verify()
+	}
+	if got := busy.Stats().Hits; got != n {
+		t.Errorf("busy cache hits = %d, want %d", got, n)
+	}
+	if got := idle.Stats().Hits; got != 0 {
+		t.Errorf("idle cache hits = %d, want 0", got)
+	}
+	if got := process.Value() - before; got != n {
+		t.Errorf("process %s rose by %d, want %d", guardCacheHitsName, got, n)
 	}
 }
 

@@ -117,7 +117,7 @@ func (tb *TraceBroker) PublishTelemetry() {
 	if tb.tel == nil {
 		return
 	}
-	at := tb.cfg.Clock.Now().UnixNano()
+	at := tb.clk.Now().UnixNano()
 	rows, epoch := tb.telemetryRows()
 
 	// The local store takes the broker's rows and then every process-wide

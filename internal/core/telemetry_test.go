@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"entitytrace/internal/backoff"
 	"entitytrace/internal/broker"
 	"entitytrace/internal/clock"
 	"entitytrace/internal/ident"
@@ -48,7 +49,7 @@ func newTelemetryNode(t *testing.T, tr transport.Transport, name string, clk clo
 	}))
 	guard := NewGuard(GuardConfig{Resolver: resolver, Verifier: fxVerifier, Clock: clk, Cache: NewTokenCache(0)})
 	n := &telemetryNode{
-		b:     broker.New(broker.Config{Name: name, Guard: guard.Admit}),
+		b:     broker.New(broker.Config{Name: name, Guard: guard.Admit, Clock: clk}),
 		snaps: make(chan *message.TelemetrySnapshot, 64),
 	}
 	l, err := tr.Listen("")
@@ -60,10 +61,7 @@ func newTelemetryNode(t *testing.T, tr transport.Transport, name string, clk clo
 	n.mgr, err = NewTraceBroker(BrokerConfig{
 		Broker:            n.b,
 		Identity:          issue(t, ident.EntityID("id-"+name)),
-		Verifier:          fxVerifier,
-		Resolver:          resolver,
 		Guard:             guard,
-		Clock:             clk,
 		TelemetryInterval: telemetryTestInterval,
 	})
 	if err != nil {
@@ -169,7 +167,9 @@ func TestTelemetryTickRows(t *testing.T) {
 	a := newTelemetryNode(t, inproc, "tel-a", clk)
 	b := newTelemetryNode(t, inproc, "tel-b", clk)
 	stall := &stallTransport{Transport: inproc}
-	a.b.EnsureLink("tel-b", stall, b.addr)
+	if err := a.b.Link("tel-b", stall, b.addr, backoff.Config{}); err != nil {
+		t.Fatal(err)
+	}
 	eventually(t, "link up at both ends", func() bool { return a.b.LinkUp("tel-b") && b.b.LinkUp("tel-a") })
 
 	anchorA, anchorB := a.tick(t), b.tick(t)

@@ -63,13 +63,6 @@ type BrokerConfig struct {
 	// registration response carries its certificate so entities can seal
 	// keys to it (§3.2, §6.3).
 	Identity *credential.Identity
-	// Verifier validates entity and tracker credentials.
-	Verifier *credential.Verifier
-	// Resolver resolves trace topics for token validation; registrations
-	// prime it automatically when it is a *CachingResolver.
-	Resolver AdResolver
-	// Clock drives ping scheduling (clock.Real in production).
-	Clock clock.Clock
 	// Detector tunes failure detection (zero value selects
 	// failure.DefaultConfig).
 	Detector failure.Config
@@ -107,21 +100,20 @@ type BrokerConfig struct {
 	// rows in the published snapshots.
 	TelemetryRules []timeseries.Rule
 	// Guard is the trace authorization guard whose Admit the hosting
-	// broker node was configured with. The manager binds its session-key
-	// requester to it, installs hosted sessions' keys into its store,
-	// validates delegations and session-key responses with it, and reports
-	// its cache statistics in telemetry snapshots. Nil builds a
-	// private guard from Resolver, Verifier and Clock (with a session
-	// store when SessionKeys is set), for a broker node that runs none.
+	// broker node was configured with (required). Its verifier validates
+	// entity and tracker credentials, and its resolver resolves trace
+	// topics (registrations prime it when it is a *CachingResolver). The
+	// manager binds its session-key requester to it, installs hosted
+	// sessions' keys into its store, validates delegations and session-key
+	// responses with it, and reports its cache statistics in telemetry
+	// snapshots.
+	//
+	// A guard with a session store turns on the §6.3 signing-cost
+	// optimization: hosted sessions mint per-(token, topic) symmetric
+	// session keys, sign steady-state traces with HMAC session tags instead
+	// of RSA, and distribute the keys sealed to credentialed verifiers
+	// (trackers via their key-delivery topics, other brokers on request).
 	Guard *Guard
-	// SessionKeys enables the §6.3 signing-cost optimization: hosted
-	// sessions mint per-(token, topic) symmetric session keys, sign
-	// steady-state traces with HMAC session tags instead of RSA, and
-	// distribute the keys sealed to credentialed verifiers (trackers via
-	// their key-delivery topics, other brokers on request). Guard, when
-	// given, must then hold a session store, or this broker could not
-	// verify its own publishers' tags.
-	SessionKeys bool
 	// SessionMaxLife caps each negotiated session validity window. Zero
 	// selects DefaultSessionMaxLife.
 	SessionMaxLife time.Duration
@@ -137,8 +129,8 @@ type BrokerConfig struct {
 type TraceBroker struct {
 	cfg      BrokerConfig
 	log      *obs.Logger
-	signer   *secure.Signer // broker credential signer (responses)
-	caching  *CachingResolver
+	clk      clock.Clock     // the hosting broker's
+	signer   *secure.Signer  // broker credential signer (responses)
 	avail    *avail.Ledger   // nil when availability tracking is off
 	tel      *telemetryPlane // nil when telemetry is off
 	cancelRg func()
@@ -247,11 +239,8 @@ const sessionKeyReqTrack = 1024
 // NewTraceBroker attaches a trace manager to a broker node. Call Start
 // to begin accepting registrations.
 func NewTraceBroker(cfg BrokerConfig) (*TraceBroker, error) {
-	if cfg.Broker == nil || cfg.Identity == nil || cfg.Identity.Private == nil || cfg.Verifier == nil {
-		return nil, errors.New("core: TraceBroker needs Broker, Identity (with key) and Verifier")
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = clock.Real{}
+	if cfg.Broker == nil || cfg.Identity == nil || cfg.Identity.Private == nil || cfg.Guard == nil {
+		return nil, errors.New("core: TraceBroker needs Broker, Identity (with key) and Guard")
 	}
 	if cfg.Detector == (failure.Config{}) {
 		cfg.Detector = failure.DefaultConfig()
@@ -279,37 +268,19 @@ func NewTraceBroker(cfg BrokerConfig) (*TraceBroker, error) {
 	tb := &TraceBroker{
 		cfg:      cfg,
 		log:      log,
+		clk:      cfg.Broker.Clock(),
 		signer:   signer,
 		sessions: make(map[ident.SessionID]*session),
 		byEntity: make(map[ident.EntityID]ident.SessionID),
 		done:     make(chan struct{}),
 	}
-	if cr, ok := cfg.Resolver.(*CachingResolver); ok {
-		tb.caching = cr
-	} else if cfg.Resolver == nil {
-		// Hosting-broker-local resolver fed purely by registrations.
-		tb.caching = NewCachingResolver(ResolverFunc(func(ident.UUID) (*tdn.Advertisement, error) {
-			return nil, ErrUnknownTopic
-		}))
-		tb.cfg.Resolver = tb.caching
-	}
 	tb.avail = cfg.Avail
 	if tb.avail == nil && cfg.AvailInterval > 0 {
-		tb.avail = avail.New(avail.Config{Clock: cfg.Clock, Registry: obs.Default, Log: log})
+		tb.avail = avail.New(avail.Config{Clock: tb.clk, Registry: obs.Default, Log: log})
 	}
-	if cfg.Guard == nil {
-		gc := GuardConfig{Resolver: tb.cfg.Resolver, Verifier: cfg.Verifier, Clock: cfg.Clock}
-		if cfg.SessionKeys {
-			gc.Sessions = NewSessionStore(0)
-		}
-		tb.cfg.Guard = NewGuard(gc)
-	}
-	if cfg.SessionKeys {
-		if tb.cfg.Guard.sessions == nil {
-			return nil, errors.New("core: SessionKeys needs a Guard with a session store")
-		}
+	if tb.sessionKeys() {
 		tb.sessReqLast = make(map[[secure.SessionIDLen]byte]time.Time)
-		tb.cfg.Guard.OnUnknownSession(tb.requestSessionKey)
+		cfg.Guard.OnUnknownSession(tb.requestSessionKey)
 	}
 	if cfg.TelemetryInterval > 0 {
 		tb.tel = &telemetryPlane{
@@ -327,12 +298,16 @@ func NewTraceBroker(cfg BrokerConfig) (*TraceBroker, error) {
 // keys are disabled); tests and chaos harnesses inspect and poison it.
 func (tb *TraceBroker) Sessions() *SessionStore { return tb.cfg.Guard.sessions }
 
+// sessionKeys reports whether §6.3 session keys are on: exactly when the
+// guard holds a session store to verify the tags they produce.
+func (tb *TraceBroker) sessionKeys() bool { return tb.cfg.Guard.sessions != nil }
+
 // Avail returns the broker-side availability ledger (nil when
 // availability tracking is disabled); admin endpoints serve it.
 func (tb *TraceBroker) Avail() *avail.Ledger { return tb.avail }
 
 // Resolver returns the resolver the trace broker validates tokens with.
-func (tb *TraceBroker) Resolver() AdResolver { return tb.cfg.Resolver }
+func (tb *TraceBroker) Resolver() AdResolver { return tb.cfg.Guard.resolver }
 
 // Start subscribes to the registration topic (§3.2), begins watching for
 // client disconnects (§3.3 DISCONNECT traces) and starts whichever of
@@ -340,7 +315,7 @@ func (tb *TraceBroker) Resolver() AdResolver { return tb.cfg.Resolver }
 func (tb *TraceBroker) Start() {
 	tb.cancelRg = tb.cfg.Broker.SubscribeLocal(topic.Registration(), tb.handleRegistration)
 	tb.cfg.Broker.OnClientDisconnect(tb.handleDisconnect)
-	if tb.cfg.SessionKeys {
+	if tb.sessionKeys() {
 		// Sealed session-key responses for this broker's own renegotiation
 		// requests (§6.3) arrive on its delivery topic.
 		tb.cancelSk = tb.cfg.Broker.SubscribeLocal(
@@ -363,7 +338,7 @@ func (tb *TraceBroker) periodic(interval time.Duration, fn func()) {
 	go func() {
 		defer tb.wg.Done()
 		for {
-			timer := tb.cfg.Clock.NewTimer(interval)
+			timer := tb.clk.NewTimer(interval)
 			select {
 			case <-timer.C():
 				fn()
@@ -475,7 +450,7 @@ func (tb *TraceBroker) handleRegistration(env *message.Envelope) {
 	}
 	// Verify the credential chains to the CA and names the entity.
 	cred := &credential.Credential{Entity: reg.Entity, Cert: reg.CertDER}
-	entityPub, err := tb.cfg.Verifier.Verify(cred)
+	entityPub, err := tb.cfg.Guard.verifier.Verify(cred)
 	if err != nil {
 		mRegRejBadCred.Inc()
 		tb.log.Warn("registration rejected", "entity", reg.Entity, "reason", "bad_credential", "err", err)
@@ -501,8 +476,8 @@ func (tb *TraceBroker) handleRegistration(env *message.Envelope) {
 		respond(message.ErrCodeBadAdvertisement, err.Error())
 		return
 	}
-	now := tb.cfg.Clock.Now()
-	if _, err := ad.Verify(tb.cfg.Verifier, now); err != nil {
+	now := tb.clk.Now()
+	if _, err := ad.Verify(tb.cfg.Guard.verifier, now); err != nil {
 		mRegRejBadAd.Inc()
 		tb.log.Warn("registration rejected", "entity", reg.Entity, "reason", "bad_advertisement", "err", err)
 		respond(message.ErrCodeBadAdvertisement, err.Error())
@@ -537,7 +512,7 @@ func (tb *TraceBroker) handleRegistration(env *message.Envelope) {
 		keyDelivered: make(map[ident.EntityID]bool),
 		done:         make(chan struct{}),
 	}
-	if tb.cfg.SessionKeys {
+	if tb.sessionKeys() {
 		s.sessionKeyRecips = make(map[ident.EntityID]*sessionKeyRecipient)
 		s.skReqLast = make(map[ident.EntityID]time.Time)
 	}
@@ -566,8 +541,8 @@ func (tb *TraceBroker) handleRegistration(env *message.Envelope) {
 	tb.byEntity[s.entity] = s.sessionID
 	tb.mu.Unlock()
 
-	if tb.caching != nil {
-		tb.caching.Put(ad)
+	if cr, ok := tb.cfg.Guard.resolver.(*CachingResolver); ok {
+		cr.Put(ad)
 	}
 
 	// The broker subscribes to the entity->broker session topic and to
@@ -576,7 +551,7 @@ func (tb *TraceBroker) handleRegistration(env *message.Envelope) {
 		tb.cfg.Broker.SubscribeLocal(s.entityToBroker, s.handleEntityMessage),
 		tb.cfg.Broker.SubscribeLocal(topic.GaugeInterestResponse(s.traceTopic), s.handleInterestResponse),
 	)
-	if tb.cfg.SessionKeys {
+	if tb.sessionKeys() {
 		// Verifiers that see an unknown session tag ask for the sealed
 		// parameters here (§6.3 renegotiation).
 		s.cancelSubs = append(s.cancelSubs,
@@ -660,7 +635,7 @@ func (s *session) handleEntityMessage(env *message.Envelope) {
 		s.tb.log.Warn("entity message rejected", "session", s.sessionID, "entity", env.Source, "err", err)
 		return
 	}
-	now := s.tb.cfg.Clock.Now()
+	now := s.tb.clk.Now()
 	// The entity's inbound span (its own hop zero plus any relaying
 	// brokers) seeds the span of the traces derived from this message, so
 	// trackers see one continuous entity→broker(s)→tracker flow under the
@@ -714,7 +689,7 @@ func (s *session) onDelegation(payload []byte) {
 			"err", "delegation for wrong topic/owner")
 		return
 	}
-	if _, err := tok.Verify(s.entityPub, s.tb.cfg.Clock.Now(), s.tb.cfg.Guard.skew, token.RightPublish); err != nil {
+	if _, err := tok.Verify(s.entityPub, s.tb.clk.Now(), s.tb.cfg.Guard.skew, token.RightPublish); err != nil {
 		s.tb.log.Warn("delegation rejected", "session", s.sessionID, "stage", "verify", "err", err)
 		return
 	}
@@ -871,7 +846,7 @@ func (s *session) setSilent(silent bool) {
 
 // pingLoop drives the adaptive ping schedule (§3.3).
 func (s *session) pingLoop() {
-	clk := s.tb.cfg.Clock
+	clk := s.tb.clk
 	for {
 		timer := clk.NewTimer(s.det.Interval())
 		select {
@@ -919,7 +894,7 @@ func (s *session) pingLoop() {
 // gaugeLoop periodically probes for tracker interest and prunes expired
 // registrations.
 func (s *session) gaugeLoop() {
-	clk := s.tb.cfg.Clock
+	clk := s.tb.clk
 	s.publishGaugeInterest()
 	for {
 		timer := clk.NewTimer(s.tb.cfg.GaugeInterval)
@@ -965,13 +940,13 @@ func (s *session) handleInterestResponse(env *message.Envelope) {
 	}
 	// Trackers must present valid credentials with their interest (§5.1).
 	cred := &credential.Credential{Entity: ir.Tracker, Cert: ir.CertDER}
-	trackerPub, err := s.tb.cfg.Verifier.Verify(cred)
+	trackerPub, err := s.tb.cfg.Guard.verifier.Verify(cred)
 	if err != nil {
 		s.tb.log.Warn("interest rejected", "session", s.sessionID, "tracker", ir.Tracker,
 			"reason", "bad_credential", "err", err)
 		return
 	}
-	now := s.tb.cfg.Clock.Now()
+	now := s.tb.clk.Now()
 	expiry := now.Add(s.tb.cfg.InterestTTL)
 	s.mu.Lock()
 	for _, class := range ir.Classes.Classes() {
@@ -1015,14 +990,14 @@ func (s *session) handleInterestResponse(env *message.Envelope) {
 // so the guard in front of this broker verifies its own publishers'
 // tags without RSA.
 func (s *session) installSessionPublisher(tokenBytes []byte, delegate *secure.Signer) {
-	if !s.tb.cfg.SessionKeys {
+	if !s.tb.sessionKeys() {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sp == nil {
 		sp := NewSessionPublisher(s.traceTopic, string(s.entity), tokenBytes, delegate,
-			s.tb.cfg.Clock.Now, s.tb.cfg.SessionMaxLife)
+			s.tb.clk.Now, s.tb.cfg.SessionMaxLife)
 		sp.OnRekey(func(k *secure.SessionKey) {
 			s.tb.cfg.Guard.sessions.Install(s.traceTopic, k)
 			// Push the fresh parameters to every verifier that held the
@@ -1066,7 +1041,7 @@ func (s *session) handleSessionKeyRequest(env *message.Envelope) {
 	if err != nil || sr.TraceTopic != s.traceTopic || sr.DeliveryTopic == "" || sr.Requester == "" {
 		return
 	}
-	now := s.tb.cfg.Clock.Now()
+	now := s.tb.clk.Now()
 	if !s.admitSessionKeyRequest(sr.Requester, now) {
 		mSessKeyRejRate.Inc()
 		return
@@ -1079,7 +1054,7 @@ func (s *session) handleSessionKeyRequest(env *message.Envelope) {
 		return
 	}
 	cred := &credential.Credential{Entity: sr.Requester, Cert: sr.CertDER}
-	pub, err := s.tb.cfg.Verifier.Verify(cred)
+	pub, err := s.tb.cfg.Guard.verifier.Verify(cred)
 	if err != nil {
 		mSessKeyRejCred.Inc()
 		s.tb.log.Warn("session key request rejected", "session", s.sessionID,
@@ -1355,7 +1330,7 @@ func (s *session) observeAvail(tt message.Type) {
 	ob := avail.Observation{
 		Entity: string(s.entity),
 		Kind:   kind,
-		SeenAt: s.tb.cfg.Clock.Now(),
+		SeenAt: s.tb.clk.Now(),
 	}
 	if kind != avail.KindUp {
 		if last := s.det.LastPingAt(); !last.IsZero() {
@@ -1443,7 +1418,7 @@ func (s *session) publishSigned(env *message.Envelope, origin *message.Span, all
 		env.Span = origin.Clone()
 	}
 	env.StartSpan()
-	env.AddHop(s.tb.cfg.Broker.Name(), s.tb.cfg.Clock.Now())
+	env.AddHop(s.tb.cfg.Broker.Name(), s.tb.clk.Now())
 	if err := s.tb.cfg.Broker.Publish(env); err != nil {
 		s.tb.log.Error("publish failed", "session", s.sessionID, "type", env.Type, "err", err)
 	}
@@ -1458,7 +1433,7 @@ func (s *session) publishSigned(env *message.Envelope, origin *message.Span, all
 // publish happens on a fresh goroutine — the guard runs on the routing
 // path and must not publish re-entrantly.
 func (tb *TraceBroker) requestSessionKey(tt ident.UUID, sid [secure.SessionIDLen]byte) {
-	now := tb.cfg.Clock.Now()
+	now := tb.clk.Now()
 	tb.sessReqMu.Lock()
 	if last, ok := tb.sessReqLast[sid]; ok && now.Sub(last) < sessionRequestMinInterval {
 		tb.sessReqMu.Unlock()
@@ -1510,7 +1485,7 @@ func (tb *TraceBroker) handleSessionKeyResponse(env *message.Envelope) {
 	if err != nil || sr.Recipient != tb.cfg.Identity.Credential.Entity {
 		return
 	}
-	key, err := tb.cfg.Guard.OpenSessionKeyResponse(env, sr, tb.cfg.Identity.Private, tb.cfg.Clock.Now())
+	key, err := tb.cfg.Guard.OpenSessionKeyResponse(env, sr, tb.cfg.Identity.Private, tb.clk.Now())
 	if err != nil {
 		tb.log.Warn("session key response rejected", "topic", sr.TraceTopic, "err", err)
 		return

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"entitytrace/internal/backoff"
 	"entitytrace/internal/broker"
 	"entitytrace/internal/brokerdir"
 	"entitytrace/internal/clock"
@@ -280,6 +281,9 @@ func (f *Fabric) rebuild() {
 	f.handoff(old, next)
 }
 
+// linkRetry paces the redial of every link the fabric maintains.
+var linkRetry = backoff.Config{Initial: 50 * time.Millisecond, Max: 2 * time.Second}
+
 // ensureLinks reconciles maintained broker links with the dialable
 // member set (confirmed members plus unconfirmed directory hints — the
 // first dial bootstraps the gossip that confirms them). Dial direction
@@ -300,7 +304,7 @@ func (f *Fabric) ensureLinks() {
 		want[r.Name] = true
 		if !f.linked[r.Name] {
 			f.linked[r.Name] = true
-			f.b.EnsureLink(r.Name, f.cfg.Transport, r.Addr)
+			_ = f.b.Link(r.Name, f.cfg.Transport, r.Addr, linkRetry) // fails only on a closed broker
 		}
 	}
 	for m := range f.linked {

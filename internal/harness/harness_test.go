@@ -12,8 +12,8 @@ func TestTestbedBuildAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Brokers) != 2 || len(tb.Managers) != 2 {
-		t.Fatalf("built %d brokers, %d managers", len(tb.Brokers), len(tb.Managers))
+	if len(tb.Brokers) != 2 || len(tb.Nodes) != 2 {
+		t.Fatalf("built %d brokers, %d managers", len(tb.Brokers), len(tb.Nodes))
 	}
 	tb.Close()
 }

@@ -21,7 +21,7 @@ import (
 	"entitytrace/internal/fabric"
 	"entitytrace/internal/failure"
 	"entitytrace/internal/ident"
-	"entitytrace/internal/obs"
+	"entitytrace/internal/node"
 	"entitytrace/internal/obs/timeseries"
 	"entitytrace/internal/secure"
 	"entitytrace/internal/stats"
@@ -65,8 +65,6 @@ type Options struct {
 	// InterestTTL overrides how long tracker interest lasts without
 	// renewal (default: effectively forever, for stable measurements).
 	InterestTTL time.Duration
-	// KeyBits sizes all RSA keys (default secure.PaperRSABits).
-	KeyBits int
 	// ShapeSeed seeds the PerHopLatency shaping wrapper (default 1);
 	// experiments that sweep seeds set it explicitly.
 	ShapeSeed int64
@@ -90,16 +88,10 @@ type Options struct {
 	// admission control on every broker (zero PublishRate disables).
 	PublishRate  float64
 	PublishBurst int
-	// QuarantineDuration overrides how long evicted principals' reconnects
-	// are refused (zero selects the broker default; negative disables).
-	QuarantineDuration time.Duration
 	// PersistentLinks connects the broker chain with backoff-paced
-	// persistent links instead of one-shot dials, so the topology heals
-	// after link flaps.
+	// persistent links (fast test-friendly pacing) instead of one-shot
+	// dials, so the topology heals after link flaps.
 	PersistentLinks bool
-	// LinkBackoff paces persistent-link redial (zero selects fast
-	// test-friendly defaults).
-	LinkBackoff backoff.Config
 	// Reconnect wires automatic redial + session resume into every
 	// entity and tracker the testbed starts.
 	Reconnect bool
@@ -112,14 +104,8 @@ type Options struct {
 	// and publishing while the tracker is still away — the gap that
 	// only durable replay can close.
 	TrackerReconnectBackoff backoff.Config
-	// GuardCache sizes each broker's verified-token cache. Zero selects
-	// the default size (cache enabled, so the testbed exercises the
-	// cached hot path like production brokerd); negative disables
-	// caching, reproducing the uncached §4.3 pipeline on every trace.
-	GuardCache int
-	// FlightEvents enables a per-broker flight recorder of that many
-	// events (zero disables; negative selects obs.DefaultFlightEvents).
-	// Recorders appear in Testbed.Flights, indexed like Brokers.
+	// FlightEvents, when positive, gives each broker a flight recorder of
+	// that many events (Node.Flight).
 	FlightEvents int
 	// FlightSample is the healthy-path sampling period of the flight
 	// recorders (1 records everything; zero selects
@@ -136,9 +122,6 @@ type Options struct {
 	// `tracectl top` and `tracectl map` read — every interval (zero
 	// disables).
 	TelemetryInterval time.Duration
-	// TelemetryOptions tunes the telemetry stores' retention (zero value
-	// keeps the timeseries defaults).
-	TelemetryOptions timeseries.Options
 	// TelemetryRules runs the anomaly engine over every broker's store
 	// (alert edges ride in the published snapshots).
 	TelemetryRules []timeseries.Rule
@@ -146,18 +129,12 @@ type Options struct {
 	// testbed creates (per broker when AvailInterval is set, and per
 	// tracker always); zero-value fields take the avail.New defaults.
 	Avail avail.Config
-	// AvailSLO, when valid, is the default availability objective
-	// applied to those ledgers.
-	AvailSLO avail.SLO
 	// LogDir enables per-broker durable trace logs (PROTOCOL.md §3.8)
 	// rooted at this directory, one subdirectory per broker. Trackers
 	// the testbed starts request catch-up replay automatically, and
 	// StopBroker/RestartBroker exercise crash recovery on the same
 	// directory.
 	LogDir string
-	// LogRetention bounds how long sealed durable-log segments are kept
-	// (zero keeps them for the durable package default).
-	LogRetention time.Duration
 	// LogSegmentBytes overrides the durable-log segment roll size.
 	LogSegmentBytes int64
 	// LogFsync selects the durable-log fsync policy (default FsyncBatch;
@@ -168,9 +145,6 @@ type Options struct {
 	// directory bootstraps discovery, gossip maintains membership, and
 	// links to shard owners are auto-dialed.
 	Fabric bool
-	// VNodes overrides the virtual nodes per fabric member (zero keeps
-	// the fabric default).
-	VNodes int
 	// GossipInterval paces fabric gossip (zero selects a test-friendly
 	// 50ms).
 	GossipInterval time.Duration
@@ -203,8 +177,8 @@ func (o *Options) setDefaults() {
 	if o.InterestTTL <= 0 {
 		o.InterestTTL = time.Hour // interest never expires mid-experiment
 	}
-	if o.KeyBits <= 0 {
-		o.KeyBits = secure.PaperRSABits
+	if o.GossipInterval <= 0 {
+		o.GossipInterval = 50 * time.Millisecond
 	}
 	if o.ShapeSeed == 0 {
 		o.ShapeSeed = 1
@@ -224,25 +198,20 @@ func fastBackoff(cfg backoff.Config, seed int64) backoff.Config {
 	return cfg
 }
 
-// Testbed is a running system: CA, TDN, broker chain with trace
-// managers.
+// Testbed is a running system: CA, TDN, and a chain (or fabric) of
+// broker nodes.
 type Testbed struct {
 	Opts     Options
 	CA       *credential.Authority
 	Verifier *credential.Verifier
 	Node     *tdn.Node
-	Brokers  []*broker.Broker
-	Managers []*core.TraceBroker
-	Addrs    []string
-	// Flights holds each broker's flight recorder, indexed like Brokers
-	// (nil entries when Options.FlightEvents is zero).
-	Flights []*obs.FlightRecorder
-	// Stores holds each broker's durable trace-log store, indexed like
-	// Brokers (nil entries unless Options.LogDir is set).
-	Stores []*durable.Store
-	// Fabrics holds each broker's fabric membership, indexed like
-	// Brokers (nil entries unless Options.Fabric is set, or after a
-	// StopBroker crash).
+	// Nodes holds the broker nodes; Brokers, Addrs and Fabrics are indexed
+	// like it.
+	Nodes   []*node.Node
+	Brokers []*broker.Broker
+	Addrs   []string
+	// Fabrics holds each broker's fabric membership (nil entries unless
+	// Options.Fabric is set, or after a StopBroker crash).
 	Fabrics []*fabric.Fabric
 	// Dir is the in-process broker directory fabrics bootstrap from
 	// (nil unless Options.Fabric is set).
@@ -281,7 +250,7 @@ func New(opts Options) (*Testbed, error) {
 	}
 	tb.tr = tr
 
-	tb.CA, err = credential.NewAuthority("harness-ca", credential.WithKeyBits(opts.KeyBits))
+	tb.CA, err = credential.NewAuthority("harness-ca", credential.WithKeyBits(secure.PaperRSABits))
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +273,7 @@ func New(opts Options) (*Testbed, error) {
 		// lingering as hints.
 		tb.Dir = brokerdir.NewDirectory(5 * time.Second)
 		tb.dirSrv = brokerdir.NewServer(tb.Dir)
-		dl, err := tb.listen()
+		dl, err := tr.Listen(tb.freshAddr())
 		if err != nil {
 			return nil, err
 		}
@@ -317,195 +286,105 @@ func New(opts Options) (*Testbed, error) {
 			tb.Close()
 			return nil, err
 		}
-		if err := tb.linkBroker(i); err != nil {
-			tb.Close()
-			return nil, err
-		}
 	}
 	return tb, nil
 }
 
-// startBroker builds broker i with its guard, trace manager and (when
-// Options.LogDir is set) durable store, and serves it. An empty
-// listenAddr picks a fresh address; a concrete one reuses it (restart).
-// Index i == len(tb.Brokers) appends a new node; an existing index is
-// replaced in place.
+// startBroker starts broker node i. An empty listenAddr picks a fresh
+// address; a concrete one reuses it (restart). Outside a fabric the node
+// links to its predecessor in the chain. Index i == len(tb.Nodes) appends
+// a new node; an existing index is replaced in place.
 func (tb *Testbed) startBroker(i int, listenAddr string) error {
 	opts := tb.Opts
-	resolver := core.NewCachingResolver(core.NodeResolver(tb.Node))
-	var tokenCache *core.TokenCache
-	if opts.GuardCache >= 0 {
-		tokenCache = core.NewTokenCache(opts.GuardCache)
-	}
-	var flight *obs.FlightRecorder
-	if opts.FlightEvents != 0 {
-		size := opts.FlightEvents
-		if size < 0 {
-			size = obs.DefaultFlightEvents
-		}
-		sample := opts.FlightSample
-		if sample <= 0 {
-			sample = obs.DefaultFlightSample
-		}
-		flight = obs.NewFlightRecorder(fmt.Sprintf("hb%d", i), size, sample)
-	}
-	clk := clock.Real{}
-	gc := core.GuardConfig{Resolver: resolver, Verifier: tb.Verifier, Clock: clk, Cache: tokenCache, Flight: flight}
-	if opts.SessionKeys {
-		gc.Sessions = core.NewSessionStore(0)
-	}
-	guard := core.NewGuard(gc)
-	// One durable-log directory per broker, stable across restarts so
-	// recovery replays what the previous incarnation persisted.
-	var store *durable.Store
-	if opts.LogDir != "" {
-		var err error
-		store, err = durable.Open(filepath.Join(opts.LogDir, fmt.Sprintf("hb%d", i)), durable.Options{
-			SegmentBytes: opts.LogSegmentBytes,
-			Retention:    opts.LogRetention,
-			Fsync:        opts.LogFsync,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	b := broker.New(broker.Config{
-		Name:                 fmt.Sprintf("hb%d", i),
-		Guard:                guard.Admit,
-		Clock:                clk,
-		Flight:               flight,
-		Durable:              store,
-		ViolationLimit:       opts.ViolationLimit,
-		EgressQueue:          opts.EgressQueue,
-		SlowConsumerDeadline: opts.SlowConsumerDeadline,
-		PublishRate:          opts.PublishRate,
-		PublishBurst:         opts.PublishBurst,
-		QuarantineDuration:   opts.QuarantineDuration,
-		BatchBytes:           opts.BatchBytes,
-		BatchLatency:         opts.BatchLatency,
-	})
 	// Broker identities carry the broker role (OU marker): hosting
 	// brokers only honour session-key requests from interested trackers
 	// or broker-role credentials.
 	brokerID, err := tb.CA.IssueBroker(ident.EntityID(fmt.Sprintf("harness-broker-%d", i)))
 	if err != nil {
-		b.Close()
 		return err
 	}
-	mgr, err := core.NewTraceBroker(core.BrokerConfig{
-		Broker:            b,
-		Identity:          brokerID,
-		Verifier:          tb.Verifier,
-		Resolver:          resolver,
-		Guard:             guard,
-		Clock:             clk,
-		Detector:          opts.Detector,
-		GaugeInterval:     opts.GaugeInterval,
-		InterestTTL:       opts.InterestTTL,
-		AvailInterval:     opts.AvailInterval,
-		Avail:             tb.newLedger(opts.AvailInterval > 0),
-		SessionKeys:       opts.SessionKeys,
-		TelemetryInterval: opts.TelemetryInterval,
-		TelemetryOptions:  opts.TelemetryOptions,
-		TelemetryRules:    opts.TelemetryRules,
-	})
-	if err != nil {
-		b.Close()
-		return err
-	}
-	mgr.Start()
-	// Accept connections only once the manager's subscriptions are live:
-	// a client redialing a freshly restarted broker would otherwise
-	// publish its registration into the void and stall for a full
-	// RegisterTimeout before retrying.
-	var l transport.Listener
 	if listenAddr == "" {
-		l, err = tb.listen()
-	} else {
-		l, err = tb.tr.Listen(listenAddr)
+		listenAddr = tb.freshAddr()
 	}
+	name := fmt.Sprintf("hb%d", i)
+	cfg := node.Config{
+		Name:         name,
+		Clock:        clock.Real{},
+		FlightEvents: opts.FlightEvents,
+		FlightSample: opts.FlightSample,
+		Transport:    tb.tr,
+		Listen:       listenAddr,
+		Guard: core.GuardConfig{
+			Resolver: core.NewCachingResolver(core.NodeResolver(tb.Node)),
+			Verifier: tb.Verifier,
+			Cache:    core.NewTokenCache(0),
+		},
+		Broker: broker.Config{
+			ViolationLimit:       opts.ViolationLimit,
+			EgressQueue:          opts.EgressQueue,
+			SlowConsumerDeadline: opts.SlowConsumerDeadline,
+			PublishRate:          opts.PublishRate,
+			PublishBurst:         opts.PublishBurst,
+			BatchBytes:           opts.BatchBytes,
+			BatchLatency:         opts.BatchLatency,
+		},
+		Manager: core.BrokerConfig{
+			Identity:          brokerID,
+			Detector:          opts.Detector,
+			GaugeInterval:     opts.GaugeInterval,
+			InterestTTL:       opts.InterestTTL,
+			AvailInterval:     opts.AvailInterval,
+			Avail:             tb.newLedger(opts.AvailInterval > 0),
+			TelemetryInterval: opts.TelemetryInterval,
+			TelemetryRules:    opts.TelemetryRules,
+		},
+	}
+	if opts.SessionKeys {
+		cfg.Guard.Sessions = core.NewSessionStore(0)
+	}
+	if opts.LogDir != "" {
+		// One durable-log directory per broker, stable across restarts so
+		// recovery replays what the previous incarnation persisted.
+		cfg.LogDir = filepath.Join(opts.LogDir, name)
+		cfg.Durable = durable.Options{SegmentBytes: opts.LogSegmentBytes, Fsync: opts.LogFsync}
+	}
+	switch {
+	case opts.Fabric:
+		cfg.Fabric = &fabric.Config{
+			TransportName:  opts.Transport,
+			Dir:            brokerdir.NewClient(tb.tr, tb.dirAddr),
+			GossipInterval: opts.GossipInterval,
+			FailAfter:      opts.FabricFailAfter,
+		}
+	case i > 0:
+		cfg.Connect = tb.Addrs[i-1]
+		if opts.PersistentLinks {
+			cfg.ConnectRetry = fastBackoff(backoff.Config{}, opts.ShapeSeed+int64(i))
+		}
+	}
+	n, err := node.Start(cfg)
 	if err != nil {
-		mgr.Close()
-		b.Close()
 		return err
 	}
-	b.Serve(l)
-	var fab *fabric.Fabric
-	if opts.Fabric {
-		gossip := opts.GossipInterval
-		if gossip <= 0 {
-			gossip = 50 * time.Millisecond
-		}
-		fab, err = fabric.New(fabric.Config{
-			Broker:         b,
-			Transport:      tb.tr,
-			TransportName:  opts.Transport,
-			Addr:           l.Addr(),
-			Dir:            brokerdir.NewClient(tb.tr, tb.dirAddr),
-			VNodes:         opts.VNodes,
-			GossipInterval: gossip,
-			FailAfter:      opts.FabricFailAfter,
-			Store:          store,
-		})
-		if err != nil {
-			mgr.Close()
-			b.Close()
-			return err
-		}
-		fab.Start()
-	}
-	if i == len(tb.Brokers) {
-		tb.Brokers = append(tb.Brokers, b)
-		tb.Managers = append(tb.Managers, mgr)
-		tb.Flights = append(tb.Flights, flight)
-		tb.Stores = append(tb.Stores, store)
-		tb.Fabrics = append(tb.Fabrics, fab)
-		tb.Addrs = append(tb.Addrs, l.Addr())
+	if i == len(tb.Nodes) {
+		tb.Nodes = append(tb.Nodes, n)
+		tb.Brokers = append(tb.Brokers, n.Broker)
+		tb.Fabrics = append(tb.Fabrics, n.Fabric)
+		tb.Addrs = append(tb.Addrs, n.Addr)
 	} else {
-		tb.Brokers[i] = b
-		tb.Managers[i] = mgr
-		tb.Flights[i] = flight
-		tb.Stores[i] = store
-		tb.Fabrics[i] = fab
-		tb.Addrs[i] = l.Addr()
+		tb.Nodes[i], tb.Brokers[i], tb.Fabrics[i], tb.Addrs[i] = n, n.Broker, n.Fabric, n.Addr
 	}
 	return nil
 }
 
-// linkBroker dials broker i's chain link to its predecessor. Under
-// Options.Fabric links are auto-dialed by the fabric, so this is a
-// no-op.
-func (tb *Testbed) linkBroker(i int) error {
-	if i <= 0 || tb.Opts.Fabric {
-		return nil
-	}
-	if tb.Opts.PersistentLinks {
-		tb.Brokers[i].ConnectToPersistentBackoff(tb.tr, tb.Addrs[i-1],
-			fastBackoff(tb.Opts.LinkBackoff, tb.Opts.ShapeSeed+int64(i)))
-		return nil
-	}
-	return tb.Brokers[i].ConnectTo(tb.tr, tb.Addrs[i-1])
-}
-
-// StopBroker simulates a broker crash: node i's manager and broker go
-// down and the durable store is abandoned without a final sync — the
-// in-process equivalent of SIGKILL, so recovery finds exactly what the
-// write path had already handed to the OS.
+// StopBroker simulates a broker crash (Node.Crash): node i goes down and
+// its durable store is abandoned without a final sync.
 func (tb *Testbed) StopBroker(i int) error {
-	if i < 0 || i >= len(tb.Brokers) {
+	if i < 0 || i >= len(tb.Nodes) {
 		return errors.New("harness: broker index out of range")
 	}
-	if tb.Fabrics[i] != nil {
-		// Abrupt detach — no leave gossip, no handoff: peers must detect
-		// the crash through the stalled heartbeat.
-		tb.Fabrics[i].Kill()
-		tb.Fabrics[i] = nil
-	}
-	tb.Managers[i].Close()
-	tb.Brokers[i].Close()
-	if tb.Stores[i] != nil {
-		tb.Stores[i].Crash()
-	}
+	tb.Nodes[i].Crash()
+	tb.Fabrics[i] = nil
 	return nil
 }
 
@@ -513,13 +392,10 @@ func (tb *Testbed) StopBroker(i int) error {
 // durable-log directory: recovery scans and verifies the persisted
 // segments, and reconnecting consumers resume their replay cursors.
 func (tb *Testbed) RestartBroker(i int) error {
-	if i < 0 || i >= len(tb.Brokers) {
+	if i < 0 || i >= len(tb.Nodes) {
 		return errors.New("harness: broker index out of range")
 	}
-	if err := tb.startBroker(i, tb.Addrs[i]); err != nil {
-		return err
-	}
-	return tb.linkBroker(i)
+	return tb.startBroker(i, tb.Addrs[i])
 }
 
 // Transport exposes the testbed's transport so callers can attach extra
@@ -532,18 +408,16 @@ func (tb *Testbed) newLedger(enabled bool) *avail.Ledger {
 	if !enabled {
 		return nil
 	}
-	cfg := tb.Opts.Avail
-	if tb.Opts.AvailSLO.Valid() {
-		cfg.DefaultSLO = tb.Opts.AvailSLO
-	}
-	return avail.New(cfg)
+	return avail.New(tb.Opts.Avail)
 }
 
-func (tb *Testbed) listen() (transport.Listener, error) {
+// freshAddr is the listen address that picks a new endpoint on the
+// testbed's transport.
+func (tb *Testbed) freshAddr() string {
 	if tb.Opts.Transport == "inproc" {
-		return tb.tr.Listen("")
+		return ""
 	}
-	return tb.tr.Listen("127.0.0.1:0")
+	return "127.0.0.1:0"
 }
 
 // Close tears the system down.
@@ -554,25 +428,11 @@ func (tb *Testbed) Close() {
 	for _, e := range tb.entities {
 		_ = e.Stop()
 	}
-	// Fabrics leave gracefully while their brokers are still up.
-	for _, f := range tb.Fabrics {
-		if f != nil {
-			f.Close()
-		}
+	for _, n := range tb.Nodes {
+		n.Close()
 	}
 	if tb.dirSrv != nil {
 		tb.dirSrv.Close()
-	}
-	for _, m := range tb.Managers {
-		m.Close()
-	}
-	for _, b := range tb.Brokers {
-		b.Close()
-	}
-	for _, s := range tb.Stores {
-		if s != nil {
-			s.Close()
-		}
 	}
 }
 
@@ -598,7 +458,7 @@ func (tb *Testbed) StartEntity(name string, brokerIdx int) (*core.TracedEntity, 
 		SecureTraces:     tb.Opts.Security,
 		SymmetricChannel: tb.Opts.Symmetric,
 		AllowAnyTracker:  true,
-		TokenKeyBits:     tb.Opts.KeyBits,
+		TokenKeyBits:     secure.PaperRSABits,
 		TokenValidity:    time.Hour,
 	}
 	if tb.Opts.Reconnect {

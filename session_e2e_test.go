@@ -92,7 +92,7 @@ func TestChaosSessionRenegotiationAfterRestart(t *testing.T) {
 		}
 	}
 	waitSession(t, "relay broker negotiates a session key", func() bool {
-		return tb.Managers[1].Sessions().Len() > 0
+		return tb.Nodes[1].Manager.Sessions().Len() > 0
 	})
 	waitSession(t, "tracker negotiates a session key", func() bool {
 		return h.Tracker.Sessions().Len() > 0
@@ -108,7 +108,7 @@ func TestChaosSessionRenegotiationAfterRestart(t *testing.T) {
 	// restarted in this scenario).
 	unknown0 := sessionUnknown.Value()
 	requests0 := keyRequests.Value()
-	tb.Managers[1].Sessions().InvalidateAll()
+	tb.Nodes[1].Manager.Sessions().InvalidateAll()
 	h.Tracker.Sessions().InvalidateAll()
 	if n := inj.Flap(); n == 0 {
 		t.Fatal("flap closed no connections")
@@ -122,7 +122,7 @@ func TestChaosSessionRenegotiationAfterRestart(t *testing.T) {
 	// Renegotiation must complete unattended and session-tagged
 	// heartbeats must resume.
 	waitSession(t, "relay broker renegotiates", func() bool {
-		return tb.Managers[1].Sessions().Len() > 0
+		return tb.Nodes[1].Manager.Sessions().Len() > 0
 	})
 	waitSession(t, "tracker renegotiates", func() bool {
 		return h.Tracker.Sessions().Len() > 0

@@ -43,9 +43,9 @@ func traceHarness(t *testing.T) (*harness.Testbed, []string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(tb.Close)
-	admins := make([]string, len(tb.Flights))
-	for i, fr := range tb.Flights {
-		srv := httptest.NewServer(obs.FlightHandler(fr))
+	admins := make([]string, len(tb.Nodes))
+	for i, n := range tb.Nodes {
+		srv := httptest.NewServer(obs.FlightHandler(n.Flight))
 		t.Cleanup(srv.Close)
 		admins[i] = srv.URL
 	}
@@ -189,7 +189,7 @@ func TestTraceCtlTailResumesFromSequence(t *testing.T) {
 	if _, err := cl.Tail(&first, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	head := tb.Flights[0].Head()
+	head := tb.Nodes[0].Flight.Head()
 	if head == 0 {
 		t.Fatal("no flight events recorded by registration traffic")
 	}
@@ -197,8 +197,8 @@ func TestTraceCtlTailResumesFromSequence(t *testing.T) {
 	if err := ent.SetState(message.StateReady); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, func() bool { return tb.Flights[0].Head() > head })
-	dump := tb.Flights[0].Dump(obs.FlightFilter{Since: head})
+	waitFor(t, 10*time.Second, func() bool { return tb.Nodes[0].Flight.Head() > head })
+	dump := tb.Nodes[0].Flight.Dump(obs.FlightFilter{Since: head})
 	if len(dump.Events) == 0 {
 		t.Fatal("since-filter returned nothing despite new events")
 	}
