@@ -6,7 +6,7 @@
 // benchmarks at a baseline commit and at HEAD, feed both outputs here,
 // and read the deltas instead of eyeballing raw bench lines.
 //
-//	go test -bench 'TraceVerification|ForwardFrame' -benchmem -count=5 -run '^$' . > new.txt
+//	go test -bench . -benchmem -count=5 -run '^$' ./internal/... > new.txt
 //	benchdiff old.txt new.txt
 //
 // Stdlib-only by design (plus internal/stats for the moments), so it

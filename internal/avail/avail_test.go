@@ -119,6 +119,18 @@ func TestTransitionsAndUptime(t *testing.T) {
 	}
 }
 
+// TestObserveSteadyStateAllocs: an observation that confirms the
+// ledger's current belief — what every ALLS_WELL pays on the tracker's
+// delivery path — allocates nothing.
+func TestObserveSteadyStateAllocs(t *testing.T) {
+	l, _, _ := fixture(t, nil)
+	ob := Observation{Entity: "e", Kind: KindUp, SeenAt: t0.Add(time.Second)}
+	l.Observe(ob)
+	if n := testing.AllocsPerRun(1000, func() { l.Observe(ob) }); n != 0 {
+		t.Fatalf("steady-state Observe allocates %v times per call", n)
+	}
+}
+
 // TestSuspectCountsAsUp: FAILURE_SUSPICION changes the display state
 // but not the uptime accounting until FAILED confirms.
 func TestSuspectCountsAsUp(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 
 	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
+	"entitytrace/internal/obs"
 	"entitytrace/internal/topic"
 	"entitytrace/internal/transport"
 )
@@ -35,16 +36,23 @@ func skipUnderRace(t *testing.T) {
 // spliced from its bytes, plus the Span and its hop list when it carries
 // one. Topic, source and hop names come from the link's decoder, the
 // dedupe probe and the clock readings allocate nothing, and the batch's
-// own bookkeeping is reused across frames.
+// own bookkeeping is reused across frames. A flight recorder at its
+// default 1-in-N sampling records some of the envelopes and adds no
+// allocation to any of them.
 func TestLinkBatchForwardAllocs(t *testing.T) {
 	skipUnderRace(t)
 	for _, tc := range []struct {
 		name   string
 		span   bool
+		flight bool
 		budget float64
-	}{{"plain", false, 2}, {"spanned", true, 4}} {
+	}{{"plain", false, false, 2}, {"spanned", true, false, 4}, {"flight-sampled", false, true, 2}} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := New(Config{Name: "alloc-hop"})
+			cfg := Config{Name: "alloc-hop"}
+			if tc.flight {
+				cfg.Flight = obs.NewFlightRecorder("alloc-hop", obs.DefaultFlightEvents, obs.DefaultFlightSample)
+			}
+			b := New(cfg)
 			defer b.Close()
 			tp := topic.MustParse("/alloc/hop")
 			in := addQuietPeer(b, &scriptConn{}, "upstream", true)
@@ -90,6 +98,9 @@ func TestLinkBatchForwardAllocs(t *testing.T) {
 			}
 			perEnvelope := testing.AllocsPerRun(50, run) / n
 			t.Logf("%.2f allocations per forwarded envelope", perEnvelope)
+			if tc.flight && cfg.Flight.Head() == 0 {
+				t.Fatal("the flight recorder sampled none of the forwarded envelopes")
+			}
 			if perEnvelope > tc.budget {
 				t.Fatalf("forwarding costs %.2f allocations per envelope, budget %.0f", perEnvelope, tc.budget)
 			}

@@ -337,9 +337,10 @@ func TestEgressNeverBatchesDurableFrames(t *testing.T) {
 	}
 }
 
-// TestPublishBatchRoundTrip sends a client-coalesced batch through a
-// broker with batching enabled on its egress and checks every envelope
-// fans out to the subscriber intact and in order.
+// TestPublishBatchRoundTrip sends a kind-3 batch frame from a client
+// connection — brokers accept one from any peer — through a broker with
+// batching enabled on its egress and checks every envelope fans out to
+// the subscriber intact and in order.
 func TestPublishBatchRoundTrip(t *testing.T) {
 	tr := transport.NewInproc()
 	_, addr := newTestBroker(t, tr, Config{Name: "b0", BatchBytes: 8 << 10, BatchLatency: time.Millisecond})
@@ -349,24 +350,30 @@ func TestPublishBatchRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	pub, err := Connect(tr, addr, "publisher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-
 	tp := topic.MustParse("/batch/roundtrip")
 	got := make(chan *message.Envelope, 64)
 	if err := sub.Subscribe(tp, func(e *message.Envelope) { got <- e }); err != nil {
 		t.Fatal(err)
 	}
 
-	const n = 20
-	envs := make([]*message.Envelope, n)
-	for i := range envs {
-		envs[i] = message.New(message.TypeData, tp, "publisher", []byte(fmt.Sprintf("batched-%02d", i)))
+	pub, err := tr.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := pub.PublishBatch(envs); err != nil {
+	defer pub.Close()
+	hello := &control{Kind: ctrlHello, Name: "publisher"}
+	if err := pub.Send(append([]byte{frameControl}, marshalControl(hello)...)); err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	frames := make([][]byte, n)
+	for i := range frames {
+		env := message.New(message.TypeData, tp, "publisher", []byte(fmt.Sprintf("batched-%02d", i)))
+		f := make([]byte, 1, 1+env.WireSize())
+		f[0] = frameEnvelope
+		frames[i] = env.AppendWire(f, env.TTL)
+	}
+	if err := pub.Send(appendBatch(nil, frames)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -374,25 +381,5 @@ func TestPublishBatchRoundTrip(t *testing.T) {
 		if want := fmt.Sprintf("batched-%02d", i); string(e.Payload) != want {
 			t.Fatalf("envelope %d payload %q, want %q", i, e.Payload, want)
 		}
-	}
-
-	// Degenerate sizes: empty batch is a no-op, single-envelope batch is
-	// a plain publish.
-	if err := pub.PublishBatch(nil); err != nil {
-		t.Fatal(err)
-	}
-	single := message.New(message.TypeData, tp, "publisher", []byte("solo"))
-	if err := pub.PublishBatch([]*message.Envelope{single}); err != nil {
-		t.Fatal(err)
-	}
-	recvEnvelope(t, got, "single-envelope batch")
-
-	// Over-long batches are refused client-side before any bytes move.
-	over := make([]*message.Envelope, maxBatchFrames+1)
-	for i := range over {
-		over[i] = envs[0]
-	}
-	if err := pub.PublishBatch(over); err == nil {
-		t.Fatal("oversized batch accepted")
 	}
 }

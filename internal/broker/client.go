@@ -457,41 +457,6 @@ func (c *Client) Publish(env *message.Envelope) error {
 	return c.send(env.AppendWire(frame, env.TTL))
 }
 
-// PublishBatch sends several envelopes in one frameBatch write
-// (PROTOCOL.md §3.7): the publisher-side counterpart of egress drain
-// coalescing, amortizing the per-frame transport cost for producers
-// that emit bursts. The broker ingests the envelopes in order with the
-// same admission control the single-envelope path applies. An empty
-// slice is a no-op; a single envelope degrades to Publish.
-func (c *Client) PublishBatch(envs []*message.Envelope) error {
-	switch len(envs) {
-	case 0:
-		return nil
-	case 1:
-		return c.Publish(envs[0])
-	}
-	if len(envs) > maxBatchFrames {
-		return fmt.Errorf("broker: batch of %d exceeds %d frames", len(envs), maxBatchFrames)
-	}
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
-		return ErrClientClosed
-	}
-	size := 1
-	for _, env := range envs {
-		size += 4 + 1 + env.WireSize()
-	}
-	frames := make([][]byte, len(envs))
-	for i, env := range envs {
-		f := make([]byte, 1, 1+env.WireSize())
-		f[0] = frameEnvelope
-		frames[i] = env.AppendWire(f, env.TTL)
-	}
-	return c.send(appendBatch(make([]byte, 0, size), frames))
-}
-
 // send writes one frame under the write deadline. Writes are serialized
 // so the one in flight can be timed by the watchdog without a goroutine,
 // channel or timer per frame. On timeout the client shuts down: closing

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"entitytrace/internal/backoff"
 	"entitytrace/internal/clock"
 	"entitytrace/internal/message"
 	"entitytrace/internal/obs"
@@ -232,7 +234,9 @@ func drainEnvelopes(ch chan *message.Envelope) {
 
 // TestPublishRateThrottled verifies ingress admission control: a burst
 // beyond the token bucket is rejected before routing, counted, and does
-// not by itself evict the client.
+// not by itself evict the client. The bucket is per publisher: a quiet
+// publisher on the same broker, publishing within its own burst while
+// the bursty one is being throttled, gets every envelope through.
 func TestPublishRateThrottled(t *testing.T) {
 	tr := transport.NewInproc()
 	b, addr := newTestBroker(t, tr, Config{
@@ -244,13 +248,35 @@ func TestPublishRateThrottled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
+	quiet, err := Connect(tr, addr, "quiet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer quiet.Close()
+	sub, err := Connect(tr, addr, "quiet-sub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	quietTp := topic.MustParse("/quiet")
+	got := make(chan *message.Envelope, 2)
+	if err := sub.Subscribe(quietTp, func(e *message.Envelope) { got <- e }); err != nil {
+		t.Fatal(err)
+	}
 	tp := topic.MustParse("/burst")
 	for i := 0; i < 30; i++ {
 		_ = pub.Publish(message.New(message.TypeData, tp, "bursty", nil))
+		if i == 10 || i == 20 {
+			if err := quiet.Publish(message.New(message.TypeData, quietTp, "quiet", nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	waitFor(t, "throttles", func() bool { return b.Snapshot().Throttled >= 20 })
+	recvEnvelope(t, got, "first quiet publish")
+	recvEnvelope(t, got, "second quiet publish")
 	s := b.Snapshot()
-	if s.Published > 10 {
+	if s.Published > 12 { // the quiet publisher's two plus what the bursty bucket refilled
 		t.Fatalf("flood was routed: Published = %d", s.Published)
 	}
 	if s.Disconnects != 0 {
@@ -260,6 +286,39 @@ func TestPublishRateThrottled(t *testing.T) {
 	case <-pub.Done():
 		t.Fatal("client dropped for a mere burst")
 	default:
+	}
+}
+
+// TestBrokerLinksExemptFromPublishRate verifies that PublishRate
+// throttles clients only: a broker link aggregates many publishers, so
+// envelopes it forwards arrive far faster than one client's rate, and
+// every one of them must be routed.
+func TestBrokerLinksExemptFromPublishRate(t *testing.T) {
+	tr := transport.NewInproc()
+	ingress, ingressAddr := newTestBroker(t, tr, Config{Name: "ingress"})
+	limited, _ := newTestBroker(t, tr, Config{Name: "limited", PublishRate: 1, PublishBurst: 1})
+	if err := limited.Link("ingress", tr, ingressAddr, backoff.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	tp := topic.MustParse("/linked/burst")
+	var got atomic.Int64
+	defer limited.SubscribeLocal(tp, func(*message.Envelope) { got.Add(1) })()
+	waitFor(t, "subscription at ingress", func() bool { return ingress.HasSubscription(tp.String()) })
+
+	pub, err := Connect(tr, ingressAddr, "publisher")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	const n = 50
+	for i := 0; i < n; i++ {
+		if err := pub.Publish(message.New(message.TypeData, tp, "publisher", nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "every envelope across the link", func() bool { return got.Load() == n })
+	if s := limited.Snapshot(); s.Throttled != 0 || s.Violations != 0 {
+		t.Fatalf("link traffic throttled: %+v", s)
 	}
 }
 

@@ -32,7 +32,7 @@ var (
 	fxErr      error
 )
 
-func fixture(t *testing.T) {
+func fixture(t testing.TB) {
 	t.Helper()
 	fxOnce.Do(func() {
 		fxCA, fxErr = credential.NewAuthority("core-test-ca", credential.WithKeyBits(secure.PaperRSABits))
@@ -49,7 +49,7 @@ func fixture(t *testing.T) {
 	}
 }
 
-func issue(t *testing.T, name ident.EntityID) *credential.Identity {
+func issue(t testing.TB, name ident.EntityID) *credential.Identity {
 	t.Helper()
 	id, err := fxCA.Issue(name)
 	if err != nil {
@@ -956,6 +956,21 @@ func TestTokenGuardPassesNonTraceTopics(t *testing.T) {
 	env3 := message.New(message.TraceAllsWell, topic.AllUpdates(ident.NewUUID()), "", nil)
 	if err := guard(env3, topic.BrokerPrincipal(), time.Now(), false); err == nil {
 		t.Fatal("guard passed token-less trace")
+	}
+}
+
+// BenchmarkGuardPassthrough measures the guard's cost on non-trace
+// topics (ordinary pub/sub traffic): it must be near zero.
+func BenchmarkGuardPassthrough(b *testing.B) {
+	f := newCacheFixture(b, "bench-owner", time.Hour, time.Now())
+	guard := NewGuard(GuardConfig{Resolver: f.resolver, Verifier: fxVerifier}).Admit
+	env := message.New(message.TypeData, topic.MustParse("/ordinary/application/topic"), "app", make([]byte, 256))
+	p := topic.EntityPrincipal("app")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := guard(env, p, time.Now(), false); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

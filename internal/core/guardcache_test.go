@@ -29,7 +29,7 @@ type cacheFixture struct {
 	env      func() *message.Envelope
 }
 
-func newCacheFixture(t *testing.T, name ident.EntityID, validFor time.Duration, now time.Time) *cacheFixture {
+func newCacheFixture(t testing.TB, name ident.EntityID, validFor time.Duration, now time.Time) *cacheFixture {
 	t.Helper()
 	fixture(t)
 	node, err := tdn.NewNode(fxTDNIdent, fxVerifier)

@@ -87,15 +87,14 @@ type Config struct {
 	Clock clock.Clock
 	// Log, when set, receives membership and epoch transitions.
 	Log *obs.Logger
-	// Shard overrides the sharding function (default TraceShard).
-	Shard ShardFunc
 	// Store, when set, is the broker's durable store; on ownership
 	// change the fabric replays the tail of re-owned sharded topics to
 	// their new owner (handoff).
 	Store *durable.Store
-	// HandoffRecords bounds the per-topic replay window (default 1024).
-	HandoffRecords int
 }
+
+// handoffRecords bounds the per-topic replay window of a handoff.
+const handoffRecords = 1024
 
 // Fabric is one broker's membership in the sharded fabric. It
 // implements broker.Sharding.
@@ -150,9 +149,6 @@ func New(cfg Config) (*Fabric, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	if cfg.HandoffRecords <= 0 {
-		cfg.HandoffRecords = 1024
-	}
 	f := &Fabric{
 		cfg:    cfg,
 		b:      cfg.Broker,
@@ -168,7 +164,7 @@ func New(cfg Config) (*Fabric, error) {
 		Transport: cfg.TransportName,
 		Addr:      cfg.Addr,
 	}, f.clk.Now())
-	f.table.Store(NewTable(1, cfg.Name, []string{cfg.Name}, cfg.VNodes, cfg.Shard))
+	f.table.Store(NewTable(1, cfg.Name, []string{cfg.Name}, cfg.VNodes, nil))
 	f.unsub = f.b.SubscribeLocal(topic.SystemFabric(), f.onGossip)
 	f.b.SetSharding(f)
 	return f, nil
@@ -265,7 +261,7 @@ func (f *Fabric) rebuild() {
 		f.ensureLinks()
 		return
 	}
-	next := NewTable(old.Epoch+1, f.name, live, f.cfg.VNodes, f.cfg.Shard)
+	next := NewTable(old.Epoch+1, f.name, live, f.cfg.VNodes, nil)
 	f.table.Store(next)
 	mEpochs.Inc()
 	mMembers.Set(int64(len(live)))
@@ -386,7 +382,7 @@ func (f *Fabric) onGossip(env *message.Envelope) {
 // origin (see broker.plan), so replay needs no re-admission; the
 // new owner fans them out and downstream dedupe absorbs anything the
 // old owner had already delivered. The window is bounded: an owner that
-// was down for longer than HandoffRecords of traffic is repaired by the
+// was down for longer than handoffRecords of traffic is repaired by the
 // durable replay protocol, not by handoff.
 func (f *Fabric) handoff(old, next *Table) {
 	if f.cfg.Store == nil || old == nil {
@@ -412,10 +408,10 @@ func (f *Fabric) handoff(old, next *Table) {
 			continue
 		}
 		from := uint64(1)
-		if n := uint64(f.cfg.HandoffRecords); head > n {
-			from = head - n + 1
+		if head > handoffRecords {
+			from = head - handoffRecords + 1
 		}
-		recs, err := l.ReadFrom(from, f.cfg.HandoffRecords, 1<<30)
+		recs, err := l.ReadFrom(from, handoffRecords, 1<<30)
 		if err != nil {
 			continue
 		}

@@ -54,9 +54,6 @@ type Options struct {
 	// writer pass packs queued frames under this byte budget into one
 	// batch send (zero disables).
 	BatchBytes int
-	// BatchLatency bounds how long an underfull batch drain may linger
-	// for more frames (zero flushes immediately).
-	BatchLatency time.Duration
 	// Detector overrides failure detection tuning (zero selects a
 	// 100 ms ping interval suitable for experiments).
 	Detector failure.Config
@@ -326,7 +323,6 @@ func (tb *Testbed) startBroker(i int, listenAddr string) error {
 			PublishRate:          opts.PublishRate,
 			PublishBurst:         opts.PublishBurst,
 			BatchBytes:           opts.BatchBytes,
-			BatchLatency:         opts.BatchLatency,
 		},
 		Manager: core.BrokerConfig{
 			Identity:          brokerID,
@@ -592,31 +588,31 @@ func measureStateTraces(ent *core.TracedEntity, events <-chan core.Event, rounds
 		if err := ent.SetState(want); err != nil {
 			return nil, err
 		}
+		// Interest registration is asynchronous (§3.5): a transition
+		// reported before the broker learns of the tracker's interest is
+		// legitimately not published. Re-issue the transition every
+		// second — on a ticker, because heartbeats arrive every ping
+		// interval and must not hold a retry off. Each delivered event
+		// carries its own report timestamp, so retries do not distort the
+		// measured latency.
 		deadline := time.After(timeout)
-	waiting:
-		for {
-			// Interest registration is asynchronous (§3.5): a transition
-			// reported before the broker learns of the tracker's interest
-			// is legitimately not published. Re-issue the transition on a
-			// sub-timeout; each delivered event carries its own report
-			// timestamp, so retries do not distort the measured latency.
-			retry := time.After(time.Second)
+		retry := time.NewTicker(time.Second)
+		var ev core.Event
+		var err error
+		for err == nil && (ev.State == nil || ev.State.To != want) {
 			select {
-			case ev := <-events:
-				if ev.State == nil || ev.State.To != want {
-					continue waiting
-				}
-				lat := ev.ReceivedAt.Sub(time.Unix(0, ev.State.At))
-				sample.AddDuration(lat)
-				break waiting
-			case <-retry:
-				if err := ent.SetState(want); err != nil {
-					return nil, err
-				}
+			case ev = <-events:
+			case <-retry.C:
+				err = ent.SetState(want)
 			case <-deadline:
-				return nil, fmt.Errorf("harness: round %d: no state trace within %v", i, timeout)
+				err = fmt.Errorf("harness: round %d: no state trace within %v", i, timeout)
 			}
 		}
+		retry.Stop()
+		if err != nil {
+			return nil, err
+		}
+		sample.AddDuration(ev.ReceivedAt.Sub(time.Unix(0, ev.State.At)))
 	}
 	return sample, nil
 }

@@ -10,12 +10,16 @@ package entitytrace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"entitytrace/internal/broker"
 	"entitytrace/internal/harness"
+	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
 	"entitytrace/internal/obs"
 	"entitytrace/internal/obs/timeseries"
@@ -87,6 +91,124 @@ func TestMetricNameLint(t *testing.T) {
 	if v := obs.CheckNames(wire); len(v) != 0 {
 		t.Errorf("telemetry row naming violations:\n  %s", strings.Join(v, "\n  "))
 	}
+}
+
+// TestTelemetryOverheadBudget holds the telemetry plane's overhead
+// budget (§3.10): the same single-broker 4-subscriber fan-out measured
+// with telemetry off and with it on at an aggressive 5 ms cadence plus
+// an armed-but-quiet alert rule, so the sampling, store-append and
+// rule-evaluation costs all sit on the measured broker. Interleaved
+// best-of-N trials keep scheduler noise out of the comparison;
+// telemetry-on must stay within 3% of off.
+func TestTelemetryOverheadBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("telemetry overhead budget skipped in short mode")
+	}
+	// Under the race detector the two throughputs measure its
+	// instrumentation, not telemetry, and the rig only loads the
+	// packages tested alongside.
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("throughput comparison is not meaningful under the race detector")
+			}
+		}
+	}
+	const (
+		fanSubs   = 4
+		fanMsgs   = 10000
+		fanTrials = 5
+	)
+	payload := make([]byte, 256)
+	newFanoutRig := func(interval time.Duration, rules []timeseries.Rule) (func() float64, func()) {
+		tb, err := harness.New(harness.Options{
+			Brokers:           1,
+			TelemetryInterval: interval,
+			TelemetryRules:    rules,
+			// Room for every in-flight frame of a trial, so no trial ever
+			// sheds and both rigs deliver identical work.
+			EgressQueue: fanSubs * fanMsgs,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var received atomic.Int64
+		ftp := topic.MustParse("/bench/obs/fanout")
+		var conns []*broker.Client
+		for i := 0; i < fanSubs; i++ {
+			s, err := broker.Connect(tb.Transport(), tb.Addrs[0], ident.EntityID(fmt.Sprintf("fan-sub-%d", i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			conns = append(conns, s)
+			if err := s.Subscribe(ftp, func(*message.Envelope) { received.Add(1) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fp, err := broker.Connect(tb.Transport(), tb.Addrs[0], "fan-pub")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, fp)
+		trial := func() float64 {
+			received.Store(0)
+			start := time.Now()
+			for i := 0; i < fanMsgs; i++ {
+				if err := fp.Publish(message.New(message.TypeData, ftp, "fan-pub", payload)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for received.Load() < fanSubs*fanMsgs {
+				if time.Now().After(deadline) {
+					t.Fatalf("fan-out trial stalled at %d/%d deliveries", received.Load(), fanSubs*fanMsgs)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			return float64(fanSubs*fanMsgs) / time.Since(start).Seconds()
+		}
+		cleanup := func() {
+			for _, c := range conns {
+				c.Close()
+			}
+			tb.Close()
+		}
+		return trial, cleanup
+	}
+	quietRules, err := timeseries.ParseRules(
+		"bench-quiet: broker_egress_queue_depth > 1000000 for 1s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	offTrial, offCleanup := newFanoutRig(0, nil)
+	defer offCleanup()
+	onTrial, onCleanup := newFanoutRig(5*time.Millisecond, quietRules)
+	defer onCleanup()
+	offTrial() // warm both rigs outside the measured trials
+	onTrial()
+	// A single round's best-of-N can still land 3% apart on a noisy
+	// shared CPU, so the gate re-measures: a genuine regression exceeds
+	// the budget in every round, scheduler noise does not.
+	var offBest, onBest, overheadPct float64
+	withinBudget := false
+	for round := 0; round < 3 && !withinBudget; round++ {
+		offBest, onBest = 0, 0
+		for i := 0; i < fanTrials; i++ {
+			if v := offTrial(); v > offBest {
+				offBest = v
+			}
+			if v := onTrial(); v > onBest {
+				onBest = v
+			}
+		}
+		overheadPct = (offBest - onBest) / offBest * 100
+		withinBudget = onBest >= offBest*0.97
+	}
+	if !withinBudget {
+		t.Fatalf("telemetry-on fan-out %.0f/s is %.1f%% below telemetry-off %.0f/s (budget 3%%) in every round",
+			onBest, overheadPct, offBest)
+	}
+	t.Logf("telemetry overhead %.2f%% (off %.0f/s, on %.0f/s)", overheadPct, offBest, onBest)
 }
 
 // telemetryBoard polls the assembler's rendered -format json output —
