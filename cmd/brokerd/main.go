@@ -59,7 +59,6 @@ var (
 	guardCache    = flag.Int("guard-cache", core.DefaultTokenCacheSize, "verified-token cache entries for trace authorization (0 disables caching)")
 	sessionKeys   = flag.Bool("session-keys", false, "enable §6.3 session-key signing amortization: steady-state traces carry HMAC session tags instead of per-message RSA signatures")
 	batchBytes    = flag.Int("batch-bytes", 0, "egress drain coalescing byte budget per batch frame (0 disables batching)")
-	batchLatency  = flag.Duration("batch-latency", 0, "how long an underfull egress batch may linger for more frames (0 flushes immediately)")
 	flightEvents  = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder ring size in events (0 disables recording)")
 	traceSample   = flag.Int("trace-sample", obs.DefaultFlightSample, "record 1-in-N healthy flight events (drops are always recorded; 1 records everything)")
 	telemEvery    = flag.Duration("telemetry-interval", time.Second, "telemetry sample/snapshot period on the system-telemetry topic, the stream tracectl top and map read (0 disables the telemetry plane)")
@@ -237,7 +236,6 @@ func main() {
 			PublishBurst:         *pubBurst,
 			QuarantineDuration:   *quarantine,
 			BatchBytes:           *batchBytes,
-			BatchLatency:         *batchLatency,
 		},
 		Manager: core.BrokerConfig{
 			Identity:          id,

@@ -122,9 +122,6 @@ type Event struct {
 type Config struct {
 	// Clock drives all ledger time; nil selects clock.Real.
 	Clock clock.Clock
-	// Windows are the rolling uptime windows, shortest first; nil
-	// selects DefaultWindows.
-	Windows []time.Duration
 	// MaxIntervals bounds the closed up/down intervals retained per
 	// entity (the ledger's memory bound); zero selects 512.
 	MaxIntervals int
@@ -228,9 +225,6 @@ type Ledger struct {
 func New(cfg Config) *Ledger {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
-	}
-	if len(cfg.Windows) == 0 {
-		cfg.Windows = DefaultWindows
 	}
 	if cfg.MaxIntervals <= 0 {
 		cfg.MaxIntervals = 512
@@ -555,9 +549,6 @@ func (l *Ledger) uptimeInWindow(rec *record, nn int64, w time.Duration) (up, obs
 	}
 	return up, nn - start
 }
-
-// Windows returns the configured rolling windows.
-func (l *Ledger) Windows() []time.Duration { return l.cfg.Windows }
 
 // FormatWindow renders a window duration the way the metrics label and
 // the board spell it: "5m", "1h", "24h".

@@ -184,7 +184,7 @@ func (l *Ledger) row(entity string, rec *record, nn int64) (message.Availability
 		row.DowntimeNanos += nn - rec.curStart
 	}
 	ratios := [3]float64{-1, -1, -1}
-	for i, w := range l.cfg.Windows {
+	for i, w := range DefaultWindows {
 		up, observed := l.uptimeInWindow(rec, nn, w)
 		r := -1.0
 		if observed > 0 {
@@ -223,7 +223,7 @@ func (l *Ledger) refreshGauges(entity string, state State, ratios []float64, row
 		up = 1
 	}
 	r.Gauge(obs.WithLabel("entity_up", "entity", entity)).Set(up)
-	for i, w := range l.cfg.Windows {
+	for i, w := range DefaultWindows {
 		if i >= len(ratios) || ratios[i] < 0 {
 			continue
 		}

@@ -172,3 +172,29 @@ func TestBareBrokerDeliveryAllocs(t *testing.T) {
 		t.Fatalf("a bare delivery costs %.2f allocations, budget %d", perDelivery, bareDeliveryAllocBudget)
 	}
 }
+
+// ackCurAllocs is the allocation count of one ACK-CUR control frame
+// encoded and decoded: a tracker acks every durable record with one, so
+// the round trip sits on the durable delivery path.
+const ackCurAllocs = 6
+
+// TestAckCurControlAllocs pins the allocations of one ACK-CUR
+// marshalControl + parseControl round trip.
+func TestAckCurControlAllocs(t *testing.T) {
+	skipUnderRace(t)
+	ack := &control{Kind: ctrlAckCur, Topic: "/Availability/Traces/svc-1", Cursor: 1 << 40}
+	var sink *control
+	allocs := testing.AllocsPerRun(1000, func() {
+		c, err := parseControl(marshalControl(ack))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink = c
+	})
+	if sink.Cursor != ack.Cursor {
+		t.Fatalf("cursor %d, want %d", sink.Cursor, ack.Cursor)
+	}
+	if allocs != ackCurAllocs {
+		t.Fatalf("ACK-CUR round trip costs %v allocations, want %d", allocs, ackCurAllocs)
+	}
+}

@@ -130,7 +130,7 @@ func TestEgressBatchCoalescing(t *testing.T) {
 	}
 	huge := bytes.Repeat([]byte{'H'}, 256)
 	// Budget fits exactly three small frames: 1 + 3*(4+8) = 37.
-	e := newEgress(conn, 64, 37, 0)
+	e := newEgress(conn, 64, 37)
 	base := time.Unix(1000, 0)
 	for _, fr := range small {
 		e.enqueueData(fr, base)
@@ -185,62 +185,11 @@ func parseBatchLoose(b []byte) ([][]byte, error) {
 	return frames, nil
 }
 
-// TestEgressBatchLingerFlushesOnLatency verifies the latency bound: an
-// underfull drain holds its frames once, then flushes after batchLatency
-// even if nothing else arrives.
-func TestEgressBatchLingerFlushesOnLatency(t *testing.T) {
-	conn := newGateConn()
-	conn.gate <- struct{}{}
-	e := newEgress(conn, 64, 1<<20, 30*time.Millisecond)
-	// Start the writer first so it parks on the wake channel; the
-	// enqueue's wake token is then consumed by the outer wait and the
-	// linger timer runs its full course.
-	go e.run()
-	time.Sleep(10 * time.Millisecond)
-	start := time.Now()
-	e.enqueueData([]byte("lonely"), start)
-	waitFor(t, "lingered flush", func() bool { return len(conn.sentFrames()) == 1 })
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Fatalf("flushed after %v, before the linger window", elapsed)
-	}
-	if got := conn.sentFrames()[0]; !bytes.Equal(got, []byte("lonely")) {
-		t.Fatalf("sent %q", got)
-	}
-	e.beginClose()
-}
-
-// TestEgressBatchControlPreemptsLinger verifies the priority lane:
-// a control frame enqueued during a linger cuts the wait short and
-// transmits before the lingering data.
-func TestEgressBatchControlPreemptsLinger(t *testing.T) {
-	conn := newGateConn()
-	e := newEgress(conn, 64, 1<<20, time.Hour) // linger would block ~forever
-	go e.run()
-	time.Sleep(5 * time.Millisecond) // let the writer park on the wake channel
-	e.enqueueData([]byte("data-frame"), time.Unix(1000, 0))
-	// The writer is now lingering; a control frame preempts it.
-	time.Sleep(10 * time.Millisecond)
-	if !e.enqueueCtrl([]byte("ctrl-frame")) {
-		t.Fatal("control enqueue refused")
-	}
-	conn.gate <- struct{}{}
-	conn.gate <- struct{}{}
-	waitFor(t, "control then data", func() bool { return len(conn.sentFrames()) == 2 })
-	sent := conn.sentFrames()
-	if !bytes.Equal(sent[0], []byte("ctrl-frame")) {
-		t.Fatalf("first send %q, want control frame", sent[0])
-	}
-	if !bytes.Equal(sent[1], []byte("data-frame")) {
-		t.Fatalf("second send %q, want data frame", sent[1])
-	}
-	e.beginClose()
-}
-
 // TestEgressBatchRespectsFrameCap verifies a drain never packs more than
 // maxBatchFrames entries no matter how deep the queue is.
 func TestEgressBatchRespectsFrameCap(t *testing.T) {
 	conn := newGateConn()
-	e := newEgress(conn, maxBatchFrames+10, 1<<30, 0)
+	e := newEgress(conn, maxBatchFrames+10, 1<<30)
 	for i := 0; i < maxBatchFrames+5; i++ {
 		e.enqueueData([]byte{byte(i)}, time.Unix(1000, 0))
 	}
@@ -277,7 +226,7 @@ func TestEgressNeverBatchesDurableFrames(t *testing.T) {
 
 	for _, batchBytes := range []int{32 << 10, 0} {
 		conn := newGateConn()
-		e := newEgress(conn, 64, batchBytes, 0)
+		e := newEgress(conn, 64, batchBytes)
 		for _, f := range queue {
 			e.enqueueData(f, time.Unix(1000, 0))
 		}
@@ -343,7 +292,7 @@ func TestEgressNeverBatchesDurableFrames(t *testing.T) {
 // the subscriber intact and in order.
 func TestPublishBatchRoundTrip(t *testing.T) {
 	tr := transport.NewInproc()
-	_, addr := newTestBroker(t, tr, Config{Name: "b0", BatchBytes: 8 << 10, BatchLatency: time.Millisecond})
+	_, addr := newTestBroker(t, tr, Config{Name: "b0", BatchBytes: 8 << 10})
 
 	sub, err := Connect(tr, addr, "subscriber")
 	if err != nil {

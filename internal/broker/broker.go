@@ -108,11 +108,6 @@ type Config struct {
 	// transport cost under fan-out load. Control frames are never
 	// batched. Zero disables batching.
 	BatchBytes int
-	// BatchLatency, when positive (and BatchBytes enabled), lets an
-	// underfull drain linger once this long for more frames before
-	// flushing, bounding the extra latency batching may add. Zero
-	// flushes every drain immediately.
-	BatchLatency time.Duration
 	// PublishRate, when positive, throttles each client publisher to
 	// this many envelopes per second (token bucket, burst PublishBurst)
 	// at ingress — before the envelope is unmarshaled or its signature
@@ -566,7 +561,7 @@ func (b *Broker) newPeer(conn transport.Conn, isBroker bool, name string) *peer 
 		conn:       conn,
 		isBroker:   isBroker,
 		name:       name,
-		out:        newEgress(conn, b.cfg.EgressQueue, b.cfg.BatchBytes, b.cfg.BatchLatency),
+		out:        newEgress(conn, b.cfg.EgressQueue, b.cfg.BatchBytes),
 		dec:        message.NewDecoder(),
 		advertised: make(map[string]struct{}),
 		subs:       make(map[string]struct{}),

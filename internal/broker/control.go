@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"entitytrace/internal/wire"
 )
 
 // Frame kinds on the wire: a one-byte discriminator precedes either a
@@ -226,75 +228,37 @@ func (k ctrlKind) hasCursor() bool { return k == ctrlReplay || k == ctrlAckCur }
 // marshalControl encodes a control frame body (without the frame kind
 // byte).
 func marshalControl(c *control) []byte {
-	var buf []byte
-	buf = append(buf, byte(c.Kind))
-	if c.IsBroker {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = appendString(buf, c.Name)
-	buf = binary.BigEndian.AppendUint64(buf, c.ID)
-	buf = appendString(buf, c.Topic)
-	buf = appendString(buf, c.Reason)
+	var w wire.Writer
+	w.U8(uint8(c.Kind))
+	w.Bool(c.IsBroker)
+	w.Str(c.Name)
+	w.U64(c.ID)
+	w.Str(c.Topic)
+	w.Str(c.Reason)
 	if c.Kind.hasCursor() {
-		buf = binary.BigEndian.AppendUint64(buf, c.Cursor)
+		w.U64(c.Cursor)
 	}
-	return buf
+	return w.Buf
 }
 
 // parseControl decodes a control frame body.
 func parseControl(b []byte) (*control, error) {
+	r := wire.NewReader(b, wire.MaxSmallField)
 	c := &control{}
-	if len(b) < 2 {
-		return nil, errors.New("broker: short control frame")
-	}
-	c.Kind = ctrlKind(b[0])
-	c.IsBroker = b[1] == 1
-	rest := b[2:]
-	var err error
-	if c.Name, rest, err = readString(rest); err != nil {
-		return nil, err
-	}
-	if len(rest) < 8 {
-		return nil, errors.New("broker: truncated control frame")
-	}
-	c.ID = binary.BigEndian.Uint64(rest[:8])
-	rest = rest[8:]
-	if c.Topic, rest, err = readString(rest); err != nil {
-		return nil, err
-	}
-	if c.Reason, rest, err = readString(rest); err != nil {
-		return nil, err
-	}
+	c.Kind = ctrlKind(r.U8())
+	c.IsBroker = r.Bool()
+	c.Name = r.Str()
+	c.ID = r.U64()
+	c.Topic = r.Str()
+	c.Reason = r.Str()
 	if c.Kind.hasCursor() {
-		if len(rest) < 8 {
-			return nil, errors.New("broker: truncated cursor field")
-		}
-		c.Cursor = binary.BigEndian.Uint64(rest[:8])
-		rest = rest[8:]
+		c.Cursor = r.U64()
 	}
-	if len(rest) != 0 {
-		return nil, errors.New("broker: trailing control bytes")
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("broker: control frame: %w", err)
 	}
 	if c.Kind < ctrlHello || c.Kind > ctrlAckCur {
 		return nil, fmt.Errorf("broker: unknown control kind %d", c.Kind)
 	}
 	return c, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-func readString(b []byte) (string, []byte, error) {
-	if len(b) < 4 {
-		return "", nil, errors.New("broker: truncated string")
-	}
-	n := binary.BigEndian.Uint32(b[:4])
-	if n > 1<<20 || int(n) > len(b)-4 {
-		return "", nil, errors.New("broker: bad string length")
-	}
-	return string(b[4 : 4+n]), b[4+n:], nil
 }

@@ -34,12 +34,8 @@ type egress struct {
 	// batchBytes > 0 enables drain coalescing: each writer pass packs as
 	// many queued data frames as fit under the byte budget into
 	// frameBatch frames (one, unless replay frames, which are never
-	// packed, split it). batchLatency > 0 additionally lets an underfull
-	// drain linger once, waiting for more frames to accumulate, before
-	// flushing — bounding the latency a coalesced frame can be held.
-	// Control frames are never batched and always preempt the linger.
-	batchBytes   int
-	batchLatency time.Duration
+	// packed, split it). Control frames are never batched.
+	batchBytes int
 
 	mu        sync.Mutex
 	wake      chan struct{} // 1-buffered writer wakeup
@@ -63,14 +59,13 @@ type egress struct {
 // control queue tolerates before the peer is declared hopeless.
 const egressCtrlSlack = 64
 
-func newEgress(conn transport.Conn, bound, batchBytes int, batchLatency time.Duration) *egress {
+func newEgress(conn transport.Conn, bound, batchBytes int) *egress {
 	return &egress{
-		conn:         conn,
-		wake:         make(chan struct{}, 1),
-		bound:        bound,
-		ctrlBound:    bound + egressCtrlSlack,
-		batchBytes:   batchBytes,
-		batchLatency: batchLatency,
+		conn:       conn,
+		wake:       make(chan struct{}, 1),
+		bound:      bound,
+		ctrlBound:  bound + egressCtrlSlack,
+		batchBytes: batchBytes,
 	}
 }
 
@@ -232,20 +227,6 @@ func appendCoalesced(pass, frames [][]byte) [][]byte {
 	return pass
 }
 
-// batchUnderfullLocked reports whether the queued data would not yet
-// fill the batch byte budget — the condition under which a linger pass
-// waits for more. Callers hold e.mu.
-func (e *egress) batchUnderfullLocked() bool {
-	size := 1
-	for i := e.dataHead; i < len(e.data); i++ {
-		size += 4 + len(e.data[i])
-		if size >= e.batchBytes {
-			return false
-		}
-	}
-	return true
-}
-
 // die marks the writer dead, drops whatever is still queued and closes
 // the connection. Callers hold e.mu; die releases it.
 func (e *egress) die() {
@@ -262,13 +243,9 @@ func (e *egress) die() {
 // control frame first, then queued data up to the pass budget — as
 // plain frames, or with batching enabled coalesced into frameBatch
 // frames — so a stream connection pays one write per pass, not per
-// frame. With batchLatency set, an underfull data drain may linger once,
-// up to batchLatency, for more frames; control frames and closure
-// interrupt the linger immediately, and queued control frames are never
-// held back by it. The loop ends when the connection dies or beginClose
-// has been honoured.
+// frame. The loop ends when the connection dies or beginClose has been
+// honoured.
 func (e *egress) run() {
-	lingered := false
 	var pass, popped [][]byte // reused across passes
 	for {
 		e.mu.Lock()
@@ -281,29 +258,12 @@ func (e *egress) run() {
 			e.die()
 			return
 		}
-		// An underfull batch is held once, bounded by the latency
-		// budget, hoping to amortize the send.
-		hold := e.batchBytes > 0 && e.batchLatency > 0 && !lingered && !e.closing &&
-			e.queuedData() > 0 && e.batchUnderfullLocked()
-		if hold && len(e.ctrl) == 0 {
-			// A control frame or closure signals the wake channel and
-			// cuts the linger short.
-			lingered = true
-			e.mu.Unlock()
-			t := time.NewTimer(e.batchLatency)
-			select {
-			case <-e.wake:
-			case <-t.C:
-			}
-			t.Stop()
-			continue
-		}
 		pass = append(pass[:0], e.ctrl...)
 		clear(e.ctrl)
 		e.ctrl = e.ctrl[:0]
 		consumed := int64(len(pass))
 		// Closure flushes control frames only; data is dropped.
-		if !hold && !e.closing && e.queuedData() > 0 {
+		if !e.closing && e.queuedData() > 0 {
 			popped = e.popDataLocked(popped[:0])
 			consumed += int64(len(popped))
 			if e.batchBytes > 0 {
@@ -312,7 +272,6 @@ func (e *egress) run() {
 				pass = append(pass, popped...)
 			}
 			clear(popped)
-			lingered = false
 		}
 		e.mu.Unlock()
 

@@ -61,7 +61,7 @@ func (c *gateConn) sentFrames() [][]byte {
 // transmits before all queued data.
 func TestEgressShedOldestAndControlPriority(t *testing.T) {
 	conn := newGateConn()
-	e := newEgress(conn, 4, 0, 0)
+	e := newEgress(conn, 4, 0)
 	base := time.Unix(1000, 0)
 	frames := [][]byte{
 		[]byte("d0"), []byte("d1"), []byte("d2"),
@@ -110,7 +110,7 @@ func TestEgressShedOldestAndControlPriority(t *testing.T) {
 // TestEgressShedAll verifies eviction drops every queued data frame in
 // one step.
 func TestEgressShedAll(t *testing.T) {
-	e := newEgress(newGateConn(), 8, 0, 0)
+	e := newEgress(newGateConn(), 8, 0)
 	now := time.Unix(1000, 0)
 	for i := 0; i < 5; i++ {
 		e.enqueueData([]byte{byte(i)}, now)

@@ -67,7 +67,7 @@ func addQuietPeer(b *Broker, conn transport.Conn, name string, isBroker bool, su
 		isBroker:   isBroker,
 		name:       name,
 		principal:  topic.EntityPrincipal(ident.EntityID(name)),
-		out:        newEgress(conn, DefaultEgressQueue, 0, 0),
+		out:        newEgress(conn, DefaultEgressQueue, 0),
 		advertised: make(map[string]struct{}),
 		subs:       make(map[string]struct{}),
 	}

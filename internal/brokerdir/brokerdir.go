@@ -7,14 +7,16 @@
 package brokerdir
 
 import (
-	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
 
 	"entitytrace/internal/obs"
 	"entitytrace/internal/transport"
+	"entitytrace/internal/wire"
 )
 
 // ErrNoBrokers reports an empty or fully expired directory.
@@ -286,79 +288,50 @@ func (s *Server) dispatch(frame []byte) []byte {
 		return append([]byte{statusOK}, encodeEntry(e)...)
 	case opList:
 		entries := s.dir.List()
-		out := []byte{statusOK}
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(entries)))
-		out = append(out, n[:]...)
+		w := wire.Writer{Buf: []byte{statusOK}}
+		w.U32(uint32(len(entries)))
 		for _, e := range entries {
-			enc := encodeEntry(e)
-			var l [4]byte
-			binary.BigEndian.PutUint32(l[:], uint32(len(enc)))
-			out = append(out, l[:]...)
-			out = append(out, enc...)
+			w.Bytes(encodeEntry(e))
 		}
-		return out
+		return w.Buf
 	default:
 		return []byte{statusBad}
 	}
 }
 
+// maxLoadMicros bounds an entry's load field, in millionths: up to it,
+// a decoded load re-encodes to the same field.
+const maxLoadMicros = 1 << 51
+
 func encodeEntry(e *Entry) []byte {
-	var buf []byte
-	put := func(s string) {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(s)))
-		buf = append(buf, l[:]...)
-		buf = append(buf, s...)
-	}
-	put(e.Name)
-	put(e.Transport)
-	put(e.Addr)
-	var load [8]byte
-	binary.BigEndian.PutUint64(load[:], uint64(e.Load*1e6))
-	buf = append(buf, load[:]...)
+	var w wire.Writer
+	w.Str(e.Name)
+	w.Str(e.Transport)
+	w.Str(e.Addr)
+	w.U64(uint64(math.Round(e.Load * 1e6)))
 	// Epoch is appended after the original fields; decodeEntry has always
 	// ignored trailing bytes, so pre-epoch peers interoperate.
-	var epoch [8]byte
-	binary.BigEndian.PutUint64(epoch[:], e.Epoch)
-	buf = append(buf, epoch[:]...)
-	return buf
+	w.U64(e.Epoch)
+	return w.Buf
 }
 
 func decodeEntry(b []byte) (*Entry, error) {
-	off := 0
-	get := func() (string, error) {
-		if off+4 > len(b) {
-			return "", errors.New("truncated")
-		}
-		n := int(binary.BigEndian.Uint32(b[off : off+4]))
-		off += 4
-		if off+n > len(b) {
-			return "", errors.New("truncated")
-		}
-		s := string(b[off : off+n])
-		off += n
-		return s, nil
-	}
+	r := wire.NewReader(b, wire.MaxField)
 	e := &Entry{}
-	var err error
-	if e.Name, err = get(); err != nil {
+	e.Name = r.Str()
+	e.Transport = r.Str()
+	e.Addr = r.Str()
+	load := r.U64()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if e.Transport, err = get(); err != nil {
-		return nil, err
+	if load > maxLoadMicros {
+		return nil, fmt.Errorf("brokerdir: load field %d over %d millionths", load, maxLoadMicros)
 	}
-	if e.Addr, err = get(); err != nil {
-		return nil, err
-	}
-	if off+8 > len(b) {
-		return nil, errors.New("truncated")
-	}
-	e.Load = float64(binary.BigEndian.Uint64(b[off:off+8])) / 1e6
-	off += 8
+	e.Load = float64(load) / 1e6
 	// Optional trailing epoch (absent from pre-epoch encoders).
-	if off+8 <= len(b) {
-		e.Epoch = binary.BigEndian.Uint64(b[off : off+8])
+	if r.Len() >= 8 {
+		e.Epoch = r.U64()
 	}
 	return e, nil
 }
@@ -474,27 +447,22 @@ func (c *Client) List() ([]*Entry, error) {
 	if len(resp) < 5 || resp[0] != statusOK {
 		return nil, errors.New("brokerdir: list rejected")
 	}
-	n := binary.BigEndian.Uint32(resp[1:5])
+	r := wire.NewReader(resp[1:], wire.MaxField)
+	n := r.U32()
 	if n > 1<<16 {
 		return nil, errors.New("brokerdir: absurd list length")
 	}
 	out := make([]*Entry, 0, n)
-	b := resp[5:]
 	for i := uint32(0); i < n; i++ {
-		if len(b) < 4 {
-			return nil, errors.New("brokerdir: truncated list")
+		raw := r.View()
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("brokerdir: list: %w", err)
 		}
-		l := int(binary.BigEndian.Uint32(b[:4]))
-		b = b[4:]
-		if len(b) < l {
-			return nil, errors.New("brokerdir: truncated entry")
-		}
-		e, err := decodeEntry(b[:l])
+		e, err := decodeEntry(raw)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, e)
-		b = b[l:]
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package brokerdir
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -210,5 +211,21 @@ func TestClientConnectBest(t *testing.T) {
 	}
 	if trOut.Name() != "udp" || addr != "127.0.0.1:10" {
 		t.Fatalf("ConnectBest = %s %s", trOut.Name(), addr)
+	}
+}
+
+// TestEntryLoad checks that a fractional load survives a round trip
+// and that a load field past maxLoadMicros is refused.
+func TestEntryLoad(t *testing.T) {
+	for _, load := range []float64{0.3, 525466.742839, maxLoadMicros / 1e6} {
+		e, err := decodeEntry(encodeEntry(&Entry{Name: "b", Transport: "tcp", Addr: "a", Load: load}))
+		if err != nil || e.Load != load {
+			t.Errorf("load %v decodes to %v (%v)", load, e.Load, err)
+		}
+	}
+	raw := encodeEntry(&goldenEntry)
+	binary.BigEndian.PutUint64(raw[len(raw)-16:], maxLoadMicros+1)
+	if _, err := decodeEntry(raw); err == nil {
+		t.Error("load over maxLoadMicros accepted")
 	}
 }

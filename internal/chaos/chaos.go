@@ -8,10 +8,10 @@
 // identical verdicts; the decision journal (Decisions, JournalDigest)
 // lets tests assert exactly that.
 //
-// Faults fire only on the receive path, mirroring transport.Shaped: when
-// both endpoints of a link share one injector-wrapped transport, each
-// frame is judged exactly once — on the receiving side — regardless of
-// direction.
+// Faults fire only on the receive path, which keeps Send non-blocking for
+// the caller: when both endpoints of a link share one injector-wrapped
+// transport, each frame is judged exactly once — on the receiving side —
+// regardless of direction.
 package chaos
 
 import (

@@ -318,7 +318,8 @@ func TestBandwidthDelaysLargeFrames(t *testing.T) {
 // with transport.SendAll through an injector-wrapped TCP connection: the
 // stream transport may put the frames on the wire with a single write,
 // but the injector still renders one verdict per frame — here dropping
-// exactly the odd-numbered ones — as it does for frame-at-a-time Sends.
+// exactly the odd-numbered ones and delaying each delivered one — as it
+// does for frame-at-a-time Sends.
 func TestSendAllThroughInjectorJudgesEveryFrame(t *testing.T) {
 	inj, err := New(transport.NewTCP(), Config{Seed: 41})
 	if err != nil {
@@ -327,6 +328,9 @@ func TestSendAllThroughInjectorJudgesEveryFrame(t *testing.T) {
 	inj.Set("odd", FaultFunc(func(ev *Event, _ *rand.Rand) Verdict {
 		return Verdict{Drop: ev.Frame[0]%2 == 1}
 	}))
+	// Applied after "odd": every delivered frame waits out the latency
+	// on the receive path.
+	inj.Set("slow", Latency(time.Millisecond, 0))
 	client, server := pipe(t, inj, "127.0.0.1:0")
 
 	const n = 41 // ends on an even frame, so every odd one has been judged by then
@@ -342,6 +346,7 @@ func TestSendAllThroughInjectorJudgesEveryFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	start := time.Now()
 	for i := 0; i < n; i += 2 {
 		got, err := server.Recv()
 		if err != nil {
@@ -351,13 +356,22 @@ func TestSendAllThroughInjectorJudgesEveryFrame(t *testing.T) {
 			t.Fatalf("got frame %d (%d bytes), want frame %d", got[0], len(got), i)
 		}
 	}
-	drops := 0
+	if elapsed, want := time.Since(start), (n/2+1)*time.Millisecond; elapsed < want {
+		t.Fatalf("%d delivered frames took %v, under their injected %v", n/2+1, elapsed, want)
+	}
+	drops, delays := 0, 0
 	for _, d := range inj.Decisions() {
 		if d.Fault == "odd" && d.Action == "drop" {
 			drops++
 		}
+		if d.Fault == "slow" && d.Action == "delay=1ms" {
+			delays++
+		}
 	}
 	if drops != n/2 {
 		t.Fatalf("%d drop verdicts journaled, want %d (one per odd frame)", drops, n/2)
+	}
+	if delays != n/2+1 {
+		t.Fatalf("%d delay verdicts journaled, want %d (one per delivered frame)", delays, n/2+1)
 	}
 }

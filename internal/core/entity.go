@@ -57,9 +57,6 @@ type EntityConfig struct {
 	// short enough to correspond to its expected presence within the
 	// system"). Zero selects 10 minutes.
 	TokenValidity time.Duration
-	// TokenKeyBits sizes the delegated key pair (default 1024, the
-	// paper's).
-	TokenKeyBits int
 	// LoadProvider, when set with a positive LoadInterval, reports load
 	// periodically (§3.3).
 	LoadProvider sysinfo.Provider
@@ -123,9 +120,6 @@ func StartTracing(cfg EntityConfig) (*TracedEntity, error) {
 	}
 	if cfg.TokenValidity <= 0 {
 		cfg.TokenValidity = 10 * time.Minute
-	}
-	if cfg.TokenKeyBits <= 0 {
-		cfg.TokenKeyBits = secure.PaperRSABits
 	}
 	if cfg.RegisterTimeout <= 0 {
 		cfg.RegisterTimeout = 15 * time.Second
@@ -458,7 +452,7 @@ func (te *TracedEntity) sendDelegation() error {
 	brokerPub := te.brokerPub
 	te.mu.Unlock()
 	del, err := token.Grant(te.entity(), topicID, token.RightPublish,
-		te.cfg.TokenValidity, te.cfg.Clock.Now(), te.signer, te.cfg.TokenKeyBits)
+		te.cfg.TokenValidity, te.cfg.Clock.Now(), te.signer, secure.PaperRSABits)
 	if err != nil {
 		return err
 	}

@@ -55,6 +55,10 @@ var (
 	mSessKeyRejUnauth = obs.Default.Counter(obs.WithLabel("session_key_requests_rejected_total", "reason", "unauthorized"))
 )
 
+// netMetricsEvery publishes NETWORK_METRICS after every n-th answered
+// ping.
+const netMetricsEvery = 10
+
 // BrokerConfig configures a TraceBroker.
 type BrokerConfig struct {
 	// Broker is the pub/sub node this trace manager lives in.
@@ -72,9 +76,6 @@ type BrokerConfig struct {
 	// InterestTTL is how long a tracker's interest registration lasts
 	// without renewal. Zero selects 3 GaugeIntervals.
 	InterestTTL time.Duration
-	// NetMetricsEvery publishes NETWORK_METRICS after every n-th answered
-	// ping. Zero selects 10.
-	NetMetricsEvery int
 	// AvailInterval, when positive, publishes a periodic
 	// AvailabilityDigest of every entity this broker hosts on the
 	// system-availability topic (topic.SystemAvailability), so one
@@ -114,9 +115,6 @@ type BrokerConfig struct {
 	// of RSA, and distribute the keys sealed to credentialed verifiers
 	// (trackers via their key-delivery topics, other brokers on request).
 	Guard *Guard
-	// SessionMaxLife caps each negotiated session validity window. Zero
-	// selects DefaultSessionMaxLife.
-	SessionMaxLife time.Duration
 	// Log is the structured logger (nil silences diagnostics); it is
 	// also propagated into the failure detector unless Detector.Log is
 	// set explicitly.
@@ -257,9 +255,6 @@ func NewTraceBroker(cfg BrokerConfig) (*TraceBroker, error) {
 	}
 	if cfg.InterestTTL <= 0 {
 		cfg.InterestTTL = 3 * cfg.GaugeInterval
-	}
-	if cfg.NetMetricsEvery <= 0 {
-		cfg.NetMetricsEvery = 10
 	}
 	signer, err := secure.NewSigner(cfg.Identity.Private, secure.SHA256)
 	if err != nil {
@@ -775,7 +770,7 @@ func (s *session) onPingResponse(payload []byte, now time.Time, origin *message.
 	// twice the response payload plus envelope framing.
 	s.pingBytes = uint64(2*len(payload)) + 256
 	pingBytes := s.pingBytes
-	publishNet := s.answered%s.tb.cfg.NetMetricsEvery == 0
+	publishNet := s.answered%netMetricsEvery == 0
 	s.mu.Unlock()
 	s.publishTraceFrom(origin, message.TraceAllsWell, topic.ClassAllUpdates,
 		fmt.Sprintf("ping %d rtt=%s", pr.Number, rtt), nil)
@@ -997,7 +992,7 @@ func (s *session) installSessionPublisher(tokenBytes []byte, delegate *secure.Si
 	defer s.mu.Unlock()
 	if s.sp == nil {
 		sp := NewSessionPublisher(s.traceTopic, string(s.entity), tokenBytes, delegate,
-			s.tb.clk.Now, s.tb.cfg.SessionMaxLife)
+			s.tb.clk.Now, DefaultSessionMaxLife)
 		sp.OnRekey(func(k *secure.SessionKey) {
 			s.tb.cfg.Guard.sessions.Install(s.traceTopic, k)
 			// Push the fresh parameters to every verifier that held the

@@ -16,6 +16,7 @@ import (
 	"entitytrace/internal/obs"
 	"entitytrace/internal/secure"
 	"entitytrace/internal/tdn"
+	"entitytrace/internal/token"
 	"entitytrace/internal/topic"
 )
 
@@ -42,8 +43,6 @@ type TrackerConfig struct {
 	Client *broker.Client
 	// Clock stamps events and validates tokens.
 	Clock clock.Clock
-	// Skew is the token clock-skew tolerance (§4.3).
-	Skew time.Duration
 	// Log is the structured logger; nil silences diagnostics.
 	Log *obs.Logger
 	// Avail, when set, receives availability observations derived from
@@ -203,7 +202,7 @@ func NewTracker(cfg TrackerConfig) (*Tracker, error) {
 		Resolver: tk.cfg.Resolver,
 		Verifier: cfg.Verifier,
 		Clock:    cfg.Clock,
-		Skew:     cfg.Skew,
+		Skew:     token.DefaultClockSkew,
 		Sessions: NewSessionStore(0),
 	})
 	tk.guard.OnUnknownSession(tk.requestSessionKey)

@@ -14,6 +14,7 @@ import (
 	"entitytrace/internal/backoff"
 	"entitytrace/internal/broker"
 	"entitytrace/internal/brokerdir"
+	"entitytrace/internal/chaos"
 	"entitytrace/internal/clock"
 	"entitytrace/internal/core"
 	"entitytrace/internal/credential"
@@ -62,12 +63,12 @@ type Options struct {
 	// InterestTTL overrides how long tracker interest lasts without
 	// renewal (default: effectively forever, for stable measurements).
 	InterestTTL time.Duration
-	// ShapeSeed seeds the PerHopLatency shaping wrapper (default 1);
+	// ShapeSeed seeds the PerHopLatency fault injector (default 1);
 	// experiments that sweep seeds set it explicitly.
 	ShapeSeed int64
-	// WrapTransport, when set, wraps the (possibly shaped) transport
-	// before any broker, entity or tracker uses it — the hook the chaos
-	// injector plugs into.
+	// WrapTransport, when set, wraps the transport (after any
+	// PerHopLatency injector) before any broker, entity or tracker uses
+	// it — the hook the chaos scenarios plug into.
 	WrapTransport func(transport.Transport) transport.Transport
 	// ViolationLimit overrides the brokers' per-peer violation budget.
 	// Chaos corruption runs raise it so injected garbage does not
@@ -237,10 +238,12 @@ func New(opts Options) (*Testbed, error) {
 		}
 	}
 	if opts.PerHopLatency > 0 {
-		tr, err = transport.NewShaped(tr, transport.ShapeConfig{Latency: opts.PerHopLatency, Seed: opts.ShapeSeed})
+		inj, err := chaos.New(tr, chaos.Config{Seed: opts.ShapeSeed})
 		if err != nil {
 			return nil, err
 		}
+		inj.Set("per-hop-latency", chaos.Latency(opts.PerHopLatency, 0))
+		tr = inj
 	}
 	if opts.WrapTransport != nil {
 		tr = opts.WrapTransport(tr)
@@ -454,7 +457,6 @@ func (tb *Testbed) StartEntity(name string, brokerIdx int) (*core.TracedEntity, 
 		SecureTraces:     tb.Opts.Security,
 		SymmetricChannel: tb.Opts.Symmetric,
 		AllowAnyTracker:  true,
-		TokenKeyBits:     secure.PaperRSABits,
 		TokenValidity:    time.Hour,
 	}
 	if tb.Opts.Reconnect {

@@ -63,7 +63,7 @@ func NewDecoder() *Decoder {
 // Token and Signature alias b, which the caller must not modify
 // afterwards.
 func (d *Decoder) Decode(b []byte) (*Envelope, error) {
-	return unmarshalReader(newSharedReader(b), d)
+	return unmarshal(b, true, d)
 }
 
 // find looks raw up; on a miss it returns where add files the value.

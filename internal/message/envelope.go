@@ -1,3 +1,8 @@
+// Package message defines the message envelope exchanged through the
+// broker network and the payloads of the tracing protocol (registrations,
+// pings, traces, gauge-interest exchanges, key deliveries). Messages are
+// serialized with the internal/wire codec: length-prefixed fields,
+// big-endian fixed-width integers, no reflection.
 package message
 
 import (
@@ -13,6 +18,7 @@ import (
 	"entitytrace/internal/obs"
 	"entitytrace/internal/secure"
 	"entitytrace/internal/topic"
+	"entitytrace/internal/wire"
 )
 
 // Type identifies the content of a message. Values below firstTraceType
@@ -301,21 +307,21 @@ const ttlExcluded = -1
 // TTL byte to emit, or ttlExcluded for the signed form; forwarding
 // brokers pass the decremented value so re-marshaling does not require
 // mutating (and therefore cloning) the envelope.
-func (e *Envelope) marshalBody(w *writer, ttl int) {
-	w.u8(envelopeVersion)
-	w.uuid(e.ID)
-	w.u16(uint16(e.Type))
-	w.str(e.Topic.String())
-	w.str(string(e.Source))
-	w.i64(e.Timestamp)
-	w.u64(e.SeqNum)
-	w.uuid(e.RequestID)
+func (e *Envelope) marshalBody(w *wire.Writer, ttl int) {
+	w.U8(envelopeVersion)
+	w.Raw(e.ID[:])
+	w.U16(uint16(e.Type))
+	w.Str(e.Topic.String())
+	w.Str(string(e.Source))
+	w.I64(e.Timestamp)
+	w.U64(e.SeqNum)
+	w.Raw(e.RequestID[:])
 	if ttl != ttlExcluded {
-		w.u8(uint8(ttl))
+		w.U8(uint8(ttl))
 	}
-	w.u16(e.Flags)
-	w.bytes(e.Payload)
-	w.bytes(e.Token)
+	w.U16(e.Flags)
+	w.Bytes(e.Payload)
+	w.Bytes(e.Token)
 }
 
 // bodySize returns the exact serialized size of marshalBody's output so
@@ -343,9 +349,9 @@ func (e *Envelope) WireSize() int {
 // SigningBytes returns the canonical byte string a signature covers: the
 // full body excluding the signature itself and the mutable TTL.
 func (e *Envelope) SigningBytes() []byte {
-	w := writer{buf: make([]byte, 0, e.bodySize(false))}
+	w := wire.Writer{Buf: make([]byte, 0, e.bodySize(false))}
 	e.marshalBody(&w, ttlExcluded)
-	return w.buf
+	return w.Buf
 }
 
 // signingScratch pools the transient buffers Sign and VerifySignature
@@ -362,10 +368,10 @@ var signingScratch = sync.Pool{
 // withSigningBytes invokes f with the pooled canonical signing bytes.
 func (e *Envelope) withSigningBytes(f func(b []byte) error) error {
 	bp := signingScratch.Get().(*[]byte)
-	w := writer{buf: (*bp)[:0]}
+	w := wire.Writer{Buf: (*bp)[:0]}
 	e.marshalBody(&w, ttlExcluded)
-	err := f(w.buf)
-	*bp = w.buf
+	err := f(w.Buf)
+	*bp = w.Buf
 	signingScratch.Put(bp)
 	return err
 }
@@ -385,19 +391,19 @@ func (e *Envelope) signedInPlace() (head, tail []byte, ok bool) {
 		return nil, nil, false
 	}
 	head, tail = w[:e.rx.ttlOff], w[e.rx.ttlOff+1:e.rx.sigOff]
-	h, t := reader{b: head}, reader{b: tail}
-	ok = h.u8() == envelopeVersion &&
-		bytes.Equal(h.take(16), e.ID[:]) &&
-		h.u16() == uint16(e.Type) &&
-		string(h.view()) == e.Topic.String() &&
-		string(h.view()) == string(e.Source) &&
-		h.i64() == e.Timestamp &&
-		h.u64() == e.SeqNum &&
-		bytes.Equal(h.take(16), e.RequestID[:]) &&
-		t.u16() == e.Flags &&
-		bytes.Equal(t.view(), e.Payload) &&
-		bytes.Equal(t.view(), e.Token) &&
-		h.done() == nil && t.done() == nil
+	h, t := wire.NewReader(head, wire.MaxField), wire.NewReader(tail, wire.MaxField)
+	ok = h.U8() == envelopeVersion &&
+		bytes.Equal(h.Take(16), e.ID[:]) &&
+		h.U16() == uint16(e.Type) &&
+		string(h.View()) == e.Topic.String() &&
+		string(h.View()) == string(e.Source) &&
+		h.I64() == e.Timestamp &&
+		h.U64() == e.SeqNum &&
+		bytes.Equal(h.Take(16), e.RequestID[:]) &&
+		t.U16() == e.Flags &&
+		bytes.Equal(t.View(), e.Payload) &&
+		bytes.Equal(t.View(), e.Token) &&
+		h.Done() == nil && t.Done() == nil
 	return head, tail, ok
 }
 
@@ -543,13 +549,13 @@ func (e *Envelope) Marshal() []byte {
 // to emit the TTL-decremented frame without cloning the envelope:
 // everything except the TTL byte is emitted byte-identically.
 func (e *Envelope) AppendWire(dst []byte, ttl uint8) []byte {
-	w := writer{buf: dst}
+	w := wire.Writer{Buf: dst}
 	e.marshalBody(&w, int(ttl))
-	w.bytes(e.Signature)
+	w.Bytes(e.Signature)
 	if e.Span != nil {
 		e.Span.marshal(&w, nil)
 	}
-	return w.buf
+	return w.Buf
 }
 
 // AppendForward appends to dst the wire form a forwarding node emits for
@@ -558,47 +564,47 @@ func (e *Envelope) AppendWire(dst []byte, ttl uint8) []byte {
 // span_hops_truncated_total past MaxHops. It is Clone, AddHop and
 // AppendWire(TTL-1) in one pass, and leaves e untouched.
 func (e *Envelope) AppendForward(dst []byte, node string, at time.Time) []byte {
-	w := writer{buf: dst}
+	w := wire.Writer{Buf: dst}
 	e.marshalBody(&w, int(e.TTL-1))
-	w.bytes(e.Signature)
+	w.Bytes(e.Signature)
 	if e.Span != nil {
 		e.Span.marshal(&w, &Hop{Node: node, AtNanos: at.UnixNano()})
 	}
-	return w.buf
+	return w.Buf
 }
 
 // SpliceForward appends to dst the wire form a forwarding node emits for
-// the envelope encoded in wire, made from wire itself: one copy with the
+// the envelope encoded in enc, made from enc itself: one copy with the
 // TTL byte decremented and, when a span trailer is present, node's hop
 // at at appended to it and its count byte raised — or, at MaxHops, the
 // hop refused and counted in span_hops_truncated_total. For every
 // encoding the decoder accepts, the result is what AppendForward emits
-// for the decoded envelope. err reports a wire whose field layout is not
-// an envelope's.
-func SpliceForward(dst, wire []byte, node string, at time.Time) ([]byte, error) {
-	r := reader{b: wire}
-	if v := r.u8(); r.err == nil && v != envelopeVersion {
+// for the decoded envelope. err reports an encoding whose field layout
+// is not an envelope's.
+func SpliceForward(dst, enc []byte, node string, at time.Time) ([]byte, error) {
+	r := wire.NewReader(enc, wire.MaxField)
+	if v := r.U8(); r.Err() == nil && v != envelopeVersion {
 		return dst, fmt.Errorf("message: unsupported envelope version %d", v)
 	}
-	r.take(16 + 2) // ID, type
-	r.view()       // topic
-	r.view()       // source
-	r.take(8 + 8 + 16)
-	ttlOff := r.off
-	r.take(1 + 2) // TTL, flags
-	r.view()      // payload
-	r.view()      // token
-	r.view()      // signature
-	spanOff := r.off
-	if r.err != nil {
-		return dst, r.err
+	r.Take(16 + 2) // ID, type
+	r.View()       // topic
+	r.View()       // source
+	r.Take(8 + 8 + 16)
+	ttlOff := r.Offset()
+	r.Take(1 + 2) // TTL, flags
+	r.View()      // payload
+	r.View()      // token
+	r.View()      // signature
+	spanOff := r.Offset()
+	if r.Err() != nil {
+		return dst, r.Err()
 	}
-	hasSpan := spanOff < len(wire)
-	if hasSpan && (len(wire) < spanOff+1+16+1 || wire[spanOff] != spanMarker) {
+	hasSpan := spanOff < len(enc)
+	if hasSpan && (len(enc) < spanOff+1+16+1 || enc[spanOff] != spanMarker) {
 		return dst, fmt.Errorf("message: malformed envelope trailer")
 	}
 	base := len(dst)
-	dst = append(dst, wire...)
+	dst = append(dst, enc...)
 	dst[base+ttlOff]--
 	if !hasSpan {
 		return dst, nil
@@ -608,16 +614,16 @@ func SpliceForward(dst, wire []byte, node string, at time.Time) ([]byte, error) 
 		return dst, nil
 	}
 	dst[count]++
-	w := writer{buf: dst}
-	w.str(node)
-	w.i64(at.UnixNano())
-	return w.buf, nil
+	w := wire.Writer{Buf: dst}
+	w.Str(node)
+	w.I64(at.UnixNano())
+	return w.Buf, nil
 }
 
 // Unmarshal parses a wire-format envelope. The returned envelope owns
 // copies of all variable-length fields.
 func Unmarshal(b []byte) (*Envelope, error) {
-	return unmarshalReader(newReader(b), nil)
+	return unmarshal(b, false, nil)
 }
 
 // UnmarshalShared parses a wire-format envelope whose Payload, Token and
@@ -627,39 +633,43 @@ func Unmarshal(b []byte) (*Envelope, error) {
 // Unmarshal (or Clone the result) when buffer lifetime is unclear. A
 // receive loop that decodes many envelopes uses a Decoder instead.
 func UnmarshalShared(b []byte) (*Envelope, error) {
-	return unmarshalReader(newSharedReader(b), nil)
+	return unmarshal(b, true, nil)
 }
 
-// unmarshalReader parses one envelope, its repeating strings through d.
-// A shared parse remembers the encoding it read (see signedInPlace).
-func unmarshalReader(r *reader, d *Decoder) (*Envelope, error) {
-	if v := r.u8(); r.err == nil && v != envelopeVersion {
+// unmarshal parses one envelope, its repeating strings through d. A
+// shared parse aliases b and remembers it (see signedInPlace).
+func unmarshal(b []byte, shared bool, d *Decoder) (*Envelope, error) {
+	r := wire.NewReader(b, wire.MaxField)
+	if shared {
+		r = wire.NewSharedReader(b, wire.MaxField)
+	}
+	if v := r.U8(); r.Err() == nil && v != envelopeVersion {
 		return nil, fmt.Errorf("message: unsupported envelope version %d", v)
 	}
 	e := &Envelope{}
-	e.ID = r.uuid()
-	e.Type = Type(r.u16())
-	rawTopic := r.view()
-	e.Source = ident.EntityID(d.name(r.view()))
-	e.Timestamp = r.i64()
-	e.SeqNum = r.u64()
-	e.RequestID = r.uuid()
-	ttlOff := r.off
-	e.TTL = r.u8()
-	e.Flags = r.u16()
-	e.Payload = r.bytes()
-	e.Token = r.bytes()
-	sigOff := r.off
-	e.Signature = r.bytes()
+	e.ID = r.UUID()
+	e.Type = Type(r.U16())
+	rawTopic := r.View()
+	e.Source = ident.EntityID(d.name(r.View()))
+	e.Timestamp = r.I64()
+	e.SeqNum = r.U64()
+	e.RequestID = r.UUID()
+	ttlOff := r.Offset()
+	e.TTL = r.U8()
+	e.Flags = r.U16()
+	e.Payload = r.Bytes()
+	e.Token = r.Bytes()
+	sigOff := r.Offset()
+	e.Signature = r.Bytes()
 	// Optional trailing span annotation; seed-format envelopes end here.
-	if r.err == nil && r.off < len(r.b) {
+	if r.Err() == nil && r.Len() > 0 {
 		span, err := unmarshalSpan(r, d)
 		if err != nil {
 			return nil, err
 		}
 		e.Span = span
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	tp, err := d.topic(rawTopic)
@@ -670,8 +680,8 @@ func unmarshalReader(r *reader, d *Decoder) (*Envelope, error) {
 	if !e.Type.Valid() {
 		return nil, fmt.Errorf("message: unknown message type %d", uint16(e.Type))
 	}
-	if r.shared {
-		e.rx = receipt{wire: r.b, ttlOff: int32(ttlOff), sigOff: int32(sigOff)}
+	if shared {
+		e.rx = receipt{wire: b, ttlOff: int32(ttlOff), sigOff: int32(sigOff)}
 	}
 	return e, nil
 }

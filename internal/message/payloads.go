@@ -5,6 +5,7 @@ import (
 
 	"entitytrace/internal/ident"
 	"entitytrace/internal/topic"
+	"entitytrace/internal/wire"
 )
 
 // EntityState is a traced entity's lifecycle state (§3.3: INITIALIZING,
@@ -73,33 +74,25 @@ type Registration struct {
 
 // Marshal serializes the registration payload.
 func (rg *Registration) Marshal() []byte {
-	var w writer
-	w.str(string(rg.Entity))
-	w.bytes(rg.CertDER)
-	w.bytes(rg.Advertisement)
-	if rg.SecureTraces {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	if rg.SymmetricChannel {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	return w.buf
+	var w wire.Writer
+	w.Str(string(rg.Entity))
+	w.Bytes(rg.CertDER)
+	w.Bytes(rg.Advertisement)
+	w.Bool(rg.SecureTraces)
+	w.Bool(rg.SymmetricChannel)
+	return w.Buf
 }
 
 // UnmarshalRegistration parses a Registration payload.
 func UnmarshalRegistration(b []byte) (*Registration, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	rg := &Registration{}
-	rg.Entity = ident.EntityID(r.str())
-	rg.CertDER = r.bytes()
-	rg.Advertisement = r.bytes()
-	rg.SecureTraces = r.u8() == 1
-	rg.SymmetricChannel = r.u8() == 1
-	if err := r.done(); err != nil {
+	rg.Entity = ident.EntityID(r.Str())
+	rg.CertDER = r.Bytes()
+	rg.Advertisement = r.Bytes()
+	rg.SecureTraces = r.Bool()
+	rg.SymmetricChannel = r.Bool()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return rg, nil
@@ -120,21 +113,21 @@ type RegistrationResponse struct {
 
 // Marshal serializes the response body (pre-sealing).
 func (rr *RegistrationResponse) Marshal() []byte {
-	var w writer
-	w.uuid(rr.RequestID)
-	w.uuid(rr.SessionID)
-	w.bytes(rr.BrokerCert)
-	return w.buf
+	var w wire.Writer
+	w.Raw(rr.RequestID[:])
+	w.Raw(rr.SessionID[:])
+	w.Bytes(rr.BrokerCert)
+	return w.Buf
 }
 
 // UnmarshalRegistrationResponse parses a response body (post-opening).
 func UnmarshalRegistrationResponse(b []byte) (*RegistrationResponse, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	rr := &RegistrationResponse{}
-	rr.RequestID = r.uuid()
-	rr.SessionID = r.uuid()
-	rr.BrokerCert = r.bytes()
-	if err := r.done(); err != nil {
+	rr.RequestID = r.UUID()
+	rr.SessionID = r.UUID()
+	rr.BrokerCert = r.Bytes()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return rr, nil
@@ -149,19 +142,19 @@ type Ping struct {
 
 // Marshal serializes the ping.
 func (p *Ping) Marshal() []byte {
-	var w writer
-	w.u64(p.Number)
-	w.i64(p.BrokerTimestamp)
-	return w.buf
+	var w wire.Writer
+	w.U64(p.Number)
+	w.I64(p.BrokerTimestamp)
+	return w.Buf
 }
 
 // UnmarshalPing parses a Ping payload.
 func UnmarshalPing(b []byte) (*Ping, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	p := &Ping{}
-	p.Number = r.u64()
-	p.BrokerTimestamp = r.i64()
-	if err := r.done(); err != nil {
+	p.Number = r.U64()
+	p.BrokerTimestamp = r.I64()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -178,23 +171,23 @@ type PingResponse struct {
 
 // Marshal serializes the ping response.
 func (p *PingResponse) Marshal() []byte {
-	var w writer
-	w.u64(p.Number)
-	w.i64(p.BrokerTimestamp)
-	w.i64(p.EntityTimestamp)
-	w.u8(uint8(p.State))
-	return w.buf
+	var w wire.Writer
+	w.U64(p.Number)
+	w.I64(p.BrokerTimestamp)
+	w.I64(p.EntityTimestamp)
+	w.U8(uint8(p.State))
+	return w.Buf
 }
 
 // UnmarshalPingResponse parses a PingResponse payload.
 func UnmarshalPingResponse(b []byte) (*PingResponse, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	p := &PingResponse{}
-	p.Number = r.u64()
-	p.BrokerTimestamp = r.i64()
-	p.EntityTimestamp = r.i64()
-	p.State = EntityState(r.u8())
-	if err := r.done(); err != nil {
+	p.Number = r.U64()
+	p.BrokerTimestamp = r.I64()
+	p.EntityTimestamp = r.I64()
+	p.State = EntityState(r.U8())
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	if !p.State.Valid() {
@@ -213,21 +206,21 @@ type StateReport struct {
 
 // Marshal serializes the state report.
 func (s *StateReport) Marshal() []byte {
-	var w writer
-	w.u8(uint8(s.From))
-	w.u8(uint8(s.To))
-	w.i64(s.At)
-	return w.buf
+	var w wire.Writer
+	w.U8(uint8(s.From))
+	w.U8(uint8(s.To))
+	w.I64(s.At)
+	return w.Buf
 }
 
 // UnmarshalStateReport parses a StateReport payload.
 func UnmarshalStateReport(b []byte) (*StateReport, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	s := &StateReport{}
-	s.From = EntityState(r.u8())
-	s.To = EntityState(r.u8())
-	s.At = r.i64()
-	if err := r.done(); err != nil {
+	s.From = EntityState(r.U8())
+	s.To = EntityState(r.U8())
+	s.At = r.I64()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	if !s.From.Valid() || !s.To.Valid() {
@@ -248,25 +241,25 @@ type LoadReport struct {
 
 // Marshal serializes the load report.
 func (l *LoadReport) Marshal() []byte {
-	var w writer
-	w.f64(l.CPUPercent)
-	w.u64(l.MemoryUsedBytes)
-	w.u64(l.MemoryTotalBytes)
-	w.f64(l.Workload)
-	w.i64(l.At)
-	return w.buf
+	var w wire.Writer
+	w.F64(l.CPUPercent)
+	w.U64(l.MemoryUsedBytes)
+	w.U64(l.MemoryTotalBytes)
+	w.F64(l.Workload)
+	w.I64(l.At)
+	return w.Buf
 }
 
 // UnmarshalLoadReport parses a LoadReport payload.
 func UnmarshalLoadReport(b []byte) (*LoadReport, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	l := &LoadReport{}
-	l.CPUPercent = r.f64()
-	l.MemoryUsedBytes = r.u64()
-	l.MemoryTotalBytes = r.u64()
-	l.Workload = r.f64()
-	l.At = r.i64()
-	if err := r.done(); err != nil {
+	l.CPUPercent = r.F64()
+	l.MemoryUsedBytes = r.U64()
+	l.MemoryTotalBytes = r.U64()
+	l.Workload = r.F64()
+	l.At = r.I64()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -286,27 +279,27 @@ type NetworkReport struct {
 
 // Marshal serializes the network report.
 func (n *NetworkReport) Marshal() []byte {
-	var w writer
-	w.f64(n.LossRate)
-	w.f64(n.MeanRTTMillis)
-	w.f64(n.OutOfOrderRate)
-	w.f64(n.BandwidthBps)
-	w.u32(n.SampleCount)
-	w.i64(n.At)
-	return w.buf
+	var w wire.Writer
+	w.F64(n.LossRate)
+	w.F64(n.MeanRTTMillis)
+	w.F64(n.OutOfOrderRate)
+	w.F64(n.BandwidthBps)
+	w.U32(n.SampleCount)
+	w.I64(n.At)
+	return w.Buf
 }
 
 // UnmarshalNetworkReport parses a NetworkReport payload.
 func UnmarshalNetworkReport(b []byte) (*NetworkReport, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	n := &NetworkReport{}
-	n.LossRate = r.f64()
-	n.MeanRTTMillis = r.f64()
-	n.OutOfOrderRate = r.f64()
-	n.BandwidthBps = r.f64()
-	n.SampleCount = r.u32()
-	n.At = r.i64()
-	if err := r.done(); err != nil {
+	n.LossRate = r.F64()
+	n.MeanRTTMillis = r.F64()
+	n.OutOfOrderRate = r.F64()
+	n.BandwidthBps = r.F64()
+	n.SampleCount = r.U32()
+	n.At = r.I64()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return n, nil
@@ -323,25 +316,21 @@ type GaugeInterestProbe struct {
 
 // Marshal serializes the probe.
 func (g *GaugeInterestProbe) Marshal() []byte {
-	var w writer
-	w.uuid(g.TraceTopic)
-	if g.Secured {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.str(g.ResponseTopic)
-	return w.buf
+	var w wire.Writer
+	w.Raw(g.TraceTopic[:])
+	w.Bool(g.Secured)
+	w.Str(g.ResponseTopic)
+	return w.Buf
 }
 
 // UnmarshalGaugeInterestProbe parses a probe payload.
 func UnmarshalGaugeInterestProbe(b []byte) (*GaugeInterestProbe, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	g := &GaugeInterestProbe{}
-	g.TraceTopic = r.uuid()
-	g.Secured = r.u8() == 1
-	g.ResponseTopic = r.str()
-	if err := r.done(); err != nil {
+	g.TraceTopic = r.UUID()
+	g.Secured = r.Bool()
+	g.ResponseTopic = r.Str()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -361,25 +350,25 @@ type InterestResponse struct {
 
 // Marshal serializes the interest response.
 func (ir *InterestResponse) Marshal() []byte {
-	var w writer
-	w.str(string(ir.Tracker))
-	w.uuid(ir.TraceTopic)
-	w.u8(uint8(ir.Classes))
-	w.bytes(ir.CertDER)
-	w.str(ir.KeyDeliveryTopic)
-	return w.buf
+	var w wire.Writer
+	w.Str(string(ir.Tracker))
+	w.Raw(ir.TraceTopic[:])
+	w.U8(uint8(ir.Classes))
+	w.Bytes(ir.CertDER)
+	w.Str(ir.KeyDeliveryTopic)
+	return w.Buf
 }
 
 // UnmarshalInterestResponse parses an interest response payload.
 func UnmarshalInterestResponse(b []byte) (*InterestResponse, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	ir := &InterestResponse{}
-	ir.Tracker = ident.EntityID(r.str())
-	ir.TraceTopic = r.uuid()
-	ir.Classes = topic.ClassSet(r.u8())
-	ir.CertDER = r.bytes()
-	ir.KeyDeliveryTopic = r.str()
-	if err := r.done(); err != nil {
+	ir.Tracker = ident.EntityID(r.Str())
+	ir.TraceTopic = r.UUID()
+	ir.Classes = topic.ClassSet(r.U8())
+	ir.CertDER = r.Bytes()
+	ir.KeyDeliveryTopic = r.Str()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return ir, nil
@@ -406,23 +395,23 @@ type TraceKey struct {
 
 // Marshal serializes the trace key body (pre-sealing).
 func (tk *TraceKey) Marshal() []byte {
-	var w writer
-	w.u8(tk.Purpose)
-	w.bytes(tk.Key)
-	w.str(tk.Algorithm)
-	w.str(tk.Padding)
-	return w.buf
+	var w wire.Writer
+	w.U8(tk.Purpose)
+	w.Bytes(tk.Key)
+	w.Str(tk.Algorithm)
+	w.Str(tk.Padding)
+	return w.Buf
 }
 
 // UnmarshalTraceKey parses a trace key body (post-opening).
 func UnmarshalTraceKey(b []byte) (*TraceKey, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	tk := &TraceKey{}
-	tk.Purpose = r.u8()
-	tk.Key = r.bytes()
-	tk.Algorithm = r.str()
-	tk.Padding = r.str()
-	if err := r.done(); err != nil {
+	tk.Purpose = r.U8()
+	tk.Key = r.Bytes()
+	tk.Algorithm = r.Str()
+	tk.Padding = r.Str()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	if tk.Purpose != PurposeChannel && tk.Purpose != PurposeTrace {
@@ -442,19 +431,19 @@ type Delegation struct {
 
 // Marshal serializes the delegation body (pre-sealing).
 func (d *Delegation) Marshal() []byte {
-	var w writer
-	w.bytes(d.TokenBytes)
-	w.bytes(d.DelegatePrivDER)
-	return w.buf
+	var w wire.Writer
+	w.Bytes(d.TokenBytes)
+	w.Bytes(d.DelegatePrivDER)
+	return w.Buf
 }
 
 // UnmarshalDelegation parses a delegation body (post-opening).
 func UnmarshalDelegation(b []byte) (*Delegation, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	d := &Delegation{}
-	d.TokenBytes = r.bytes()
-	d.DelegatePrivDER = r.bytes()
-	if err := r.done(); err != nil {
+	d.TokenBytes = r.Bytes()
+	d.DelegatePrivDER = r.Bytes()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -473,23 +462,23 @@ type TraceEvent struct {
 
 // Marshal serializes the trace event.
 func (te *TraceEvent) Marshal() []byte {
-	var w writer
-	w.str(string(te.Entity))
-	w.uuid(te.TraceTopic)
-	w.str(te.Detail)
-	w.bytes(te.Body)
-	return w.buf
+	var w wire.Writer
+	w.Str(string(te.Entity))
+	w.Raw(te.TraceTopic[:])
+	w.Str(te.Detail)
+	w.Bytes(te.Body)
+	return w.Buf
 }
 
 // UnmarshalTraceEvent parses a trace event payload.
 func UnmarshalTraceEvent(b []byte) (*TraceEvent, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	te := &TraceEvent{}
-	te.Entity = ident.EntityID(r.str())
-	te.TraceTopic = r.uuid()
-	te.Detail = r.str()
-	te.Body = r.bytes()
-	if err := r.done(); err != nil {
+	te.Entity = ident.EntityID(r.Str())
+	te.TraceTopic = r.UUID()
+	te.Detail = r.Str()
+	te.Body = r.Bytes()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return te, nil
@@ -514,19 +503,19 @@ const (
 
 // Marshal serializes the error report.
 func (er *ErrorReport) Marshal() []byte {
-	var w writer
-	w.u16(er.Code)
-	w.str(er.Detail)
-	return w.buf
+	var w wire.Writer
+	w.U16(er.Code)
+	w.Str(er.Detail)
+	return w.Buf
 }
 
 // UnmarshalErrorReport parses an error report payload.
 func UnmarshalErrorReport(b []byte) (*ErrorReport, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	er := &ErrorReport{}
-	er.Code = r.u16()
-	er.Detail = r.str()
-	if err := r.done(); err != nil {
+	er.Code = r.U16()
+	er.Detail = r.Str()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return er, nil
@@ -594,68 +583,68 @@ const maxAvailRows = 4096
 
 // Marshal serializes the availability digest.
 func (ad *AvailabilityDigest) Marshal() []byte {
-	var w writer
-	w.str(ad.Reporter)
-	w.i64(ad.AtNanos)
+	var w wire.Writer
+	w.Str(ad.Reporter)
+	w.I64(ad.AtNanos)
 	rows := ad.Rows
 	if len(rows) > maxAvailRows {
 		rows = rows[:maxAvailRows]
 	}
-	w.u16(uint16(len(rows)))
+	w.U16(uint16(len(rows)))
 	for _, row := range rows {
-		w.str(row.Entity)
-		w.u8(row.State)
-		w.i64(row.SinceNanos)
-		w.u32(row.Transitions)
-		w.u32(row.Flaps)
-		w.i64(row.DowntimeNanos)
-		w.f64(row.Uptime5m)
-		w.f64(row.Uptime1h)
-		w.f64(row.Uptime24h)
-		w.i64(row.MTBFNanos)
-		w.i64(row.MTTRNanos)
-		w.i64(row.DetectLastNanos)
-		w.i64(row.DetectMaxNanos)
-		w.f64(row.BudgetRemaining)
-		w.f64(row.BurnRate)
-		w.u32(row.Breaches)
+		w.Str(row.Entity)
+		w.U8(row.State)
+		w.I64(row.SinceNanos)
+		w.U32(row.Transitions)
+		w.U32(row.Flaps)
+		w.I64(row.DowntimeNanos)
+		w.F64(row.Uptime5m)
+		w.F64(row.Uptime1h)
+		w.F64(row.Uptime24h)
+		w.I64(row.MTBFNanos)
+		w.I64(row.MTTRNanos)
+		w.I64(row.DetectLastNanos)
+		w.I64(row.DetectMaxNanos)
+		w.F64(row.BudgetRemaining)
+		w.F64(row.BurnRate)
+		w.U32(row.Breaches)
 	}
-	return w.buf
+	return w.Buf
 }
 
 // UnmarshalAvailabilityDigest parses an availability digest payload.
 func UnmarshalAvailabilityDigest(b []byte) (*AvailabilityDigest, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	ad := &AvailabilityDigest{}
-	ad.Reporter = r.str()
-	ad.AtNanos = r.i64()
-	n := int(r.u16())
-	if r.err != nil {
-		return nil, r.err
+	ad.Reporter = r.Str()
+	ad.AtNanos = r.I64()
+	n := int(r.U16())
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if n > maxAvailRows {
 		return nil, fmt.Errorf("message: availability digest row count %d exceeds %d", n, maxAvailRows)
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		row := AvailabilityRow{Entity: r.str()}
-		row.State = r.u8()
-		row.SinceNanos = r.i64()
-		row.Transitions = r.u32()
-		row.Flaps = r.u32()
-		row.DowntimeNanos = r.i64()
-		row.Uptime5m = r.f64()
-		row.Uptime1h = r.f64()
-		row.Uptime24h = r.f64()
-		row.MTBFNanos = r.i64()
-		row.MTTRNanos = r.i64()
-		row.DetectLastNanos = r.i64()
-		row.DetectMaxNanos = r.i64()
-		row.BudgetRemaining = r.f64()
-		row.BurnRate = r.f64()
-		row.Breaches = r.u32()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		row := AvailabilityRow{Entity: r.Str()}
+		row.State = r.U8()
+		row.SinceNanos = r.I64()
+		row.Transitions = r.U32()
+		row.Flaps = r.U32()
+		row.DowntimeNanos = r.I64()
+		row.Uptime5m = r.F64()
+		row.Uptime1h = r.F64()
+		row.Uptime24h = r.F64()
+		row.MTBFNanos = r.I64()
+		row.MTTRNanos = r.I64()
+		row.DetectLastNanos = r.I64()
+		row.DetectMaxNanos = r.I64()
+		row.BudgetRemaining = r.F64()
+		row.BurnRate = r.F64()
+		row.Breaches = r.U32()
 		ad.Rows = append(ad.Rows, row)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return ad, nil
@@ -687,26 +676,26 @@ type SessionKeyRequest struct {
 
 // Marshal serializes the session-key request.
 func (sr *SessionKeyRequest) Marshal() []byte {
-	var w writer
-	w.uuid(sr.TraceTopic)
-	w.buf = append(w.buf, sr.SessionID[:]...)
-	w.str(string(sr.Requester))
-	w.bytes(sr.CertDER)
-	w.str(sr.DeliveryTopic)
-	return w.buf
+	var w wire.Writer
+	w.Raw(sr.TraceTopic[:])
+	w.Buf = append(w.Buf, sr.SessionID[:]...)
+	w.Str(string(sr.Requester))
+	w.Bytes(sr.CertDER)
+	w.Str(sr.DeliveryTopic)
+	return w.Buf
 }
 
 // UnmarshalSessionKeyRequest parses a session-key request payload.
 func UnmarshalSessionKeyRequest(b []byte) (*SessionKeyRequest, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	sr := &SessionKeyRequest{}
-	sr.TraceTopic = r.uuid()
-	sid := r.uuid()
+	sr.TraceTopic = r.UUID()
+	sid := r.UUID()
 	copy(sr.SessionID[:], sid[:])
-	sr.Requester = ident.EntityID(r.str())
-	sr.CertDER = r.bytes()
-	sr.DeliveryTopic = r.str()
-	if err := r.done(); err != nil {
+	sr.Requester = ident.EntityID(r.Str())
+	sr.CertDER = r.Bytes()
+	sr.DeliveryTopic = r.Str()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return sr, nil
@@ -731,21 +720,21 @@ type SessionKeyResponse struct {
 
 // Marshal serializes the session-key response.
 func (sp *SessionKeyResponse) Marshal() []byte {
-	var w writer
-	w.uuid(sp.TraceTopic)
-	w.str(string(sp.Recipient))
-	w.bytes(sp.Sealed)
-	return w.buf
+	var w wire.Writer
+	w.Raw(sp.TraceTopic[:])
+	w.Str(string(sp.Recipient))
+	w.Bytes(sp.Sealed)
+	return w.Buf
 }
 
 // UnmarshalSessionKeyResponse parses a session-key response payload.
 func UnmarshalSessionKeyResponse(b []byte) (*SessionKeyResponse, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	sp := &SessionKeyResponse{}
-	sp.TraceTopic = r.uuid()
-	sp.Recipient = ident.EntityID(r.str())
-	sp.Sealed = r.bytes()
-	if err := r.done(); err != nil {
+	sp.TraceTopic = r.UUID()
+	sp.Recipient = ident.EntityID(r.Str())
+	sp.Sealed = r.Bytes()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return sp, nil
@@ -783,50 +772,46 @@ const maxFabricRows = 1024
 
 // Marshal serializes the gossip exchange.
 func (fg *FabricGossip) Marshal() []byte {
-	var w writer
-	w.str(fg.Broker)
-	w.u64(fg.Epoch)
+	var w wire.Writer
+	w.Str(fg.Broker)
+	w.U64(fg.Epoch)
 	rows := fg.Rows
 	if len(rows) > maxFabricRows {
 		rows = rows[:maxFabricRows]
 	}
-	w.u16(uint16(len(rows)))
+	w.U16(uint16(len(rows)))
 	for _, row := range rows {
-		w.str(row.Name)
-		w.str(row.Transport)
-		w.str(row.Addr)
-		w.u64(row.Heartbeat)
-		if row.Left {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
+		w.Str(row.Name)
+		w.Str(row.Transport)
+		w.Str(row.Addr)
+		w.U64(row.Heartbeat)
+		w.Bool(row.Left)
 	}
-	return w.buf
+	return w.Buf
 }
 
 // UnmarshalFabricGossip parses a fabric gossip payload.
 func UnmarshalFabricGossip(b []byte) (*FabricGossip, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	fg := &FabricGossip{}
-	fg.Broker = r.str()
-	fg.Epoch = r.u64()
-	n := int(r.u16())
-	if r.err != nil {
-		return nil, r.err
+	fg.Broker = r.Str()
+	fg.Epoch = r.U64()
+	n := int(r.U16())
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if n > maxFabricRows {
 		return nil, fmt.Errorf("message: fabric gossip row count %d exceeds %d", n, maxFabricRows)
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		row := FabricMemberRow{Name: r.str()}
-		row.Transport = r.str()
-		row.Addr = r.str()
-		row.Heartbeat = r.u64()
-		row.Left = r.u8() != 0
+	for i := 0; i < n && r.Err() == nil; i++ {
+		row := FabricMemberRow{Name: r.Str()}
+		row.Transport = r.Str()
+		row.Addr = r.Str()
+		row.Heartbeat = r.U64()
+		row.Left = r.U8() != 0
 		fg.Rows = append(fg.Rows, row)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return fg, nil
@@ -892,81 +877,73 @@ const maxTelemetryRows = 4096
 
 // Marshal serializes the telemetry snapshot.
 func (ts *TelemetrySnapshot) Marshal() []byte {
-	var w writer
-	w.str(ts.Broker)
-	w.i64(ts.AtNanos)
-	w.u64(ts.FabricEpoch)
-	w.u32(ts.IntervalMillis)
+	var w wire.Writer
+	w.Str(ts.Broker)
+	w.I64(ts.AtNanos)
+	w.U64(ts.FabricEpoch)
+	w.U32(ts.IntervalMillis)
 	rows := ts.Rows
 	if len(rows) > maxTelemetryRows {
 		rows = rows[:maxTelemetryRows]
 	}
-	w.u16(uint16(len(rows)))
+	w.U16(uint16(len(rows)))
 	for _, row := range rows {
-		w.str(row.Name)
-		if row.Counter {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		w.varint(row.Value)
+		w.Str(row.Name)
+		w.Bool(row.Counter)
+		w.Varint(row.Value)
 	}
 	alerts := ts.Alerts
 	if len(alerts) > maxTelemetryRows {
 		alerts = alerts[:maxTelemetryRows]
 	}
-	w.u16(uint16(len(alerts)))
+	w.U16(uint16(len(alerts)))
 	for _, al := range alerts {
-		w.str(al.Rule)
-		w.str(al.Series)
-		if al.Firing {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		w.i64(al.SinceNanos)
-		w.f64(al.Value)
+		w.Str(al.Rule)
+		w.Str(al.Series)
+		w.Bool(al.Firing)
+		w.I64(al.SinceNanos)
+		w.F64(al.Value)
 	}
-	return w.buf
+	return w.Buf
 }
 
 // UnmarshalTelemetrySnapshot parses a telemetry snapshot payload.
 func UnmarshalTelemetrySnapshot(b []byte) (*TelemetrySnapshot, error) {
-	r := newReader(b)
+	r := wire.NewReader(b, wire.MaxField)
 	ts := &TelemetrySnapshot{}
-	ts.Broker = r.str()
-	ts.AtNanos = r.i64()
-	ts.FabricEpoch = r.u64()
-	ts.IntervalMillis = r.u32()
-	n := int(r.u16())
-	if r.err != nil {
-		return nil, r.err
+	ts.Broker = r.Str()
+	ts.AtNanos = r.I64()
+	ts.FabricEpoch = r.U64()
+	ts.IntervalMillis = r.U32()
+	n := int(r.U16())
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if n > maxTelemetryRows {
 		return nil, fmt.Errorf("message: telemetry row count %d exceeds %d", n, maxTelemetryRows)
 	}
-	for i := 0; i < n && r.err == nil; i++ {
-		row := TelemetryRow{Name: r.str()}
-		row.Counter = r.u8() != 0
-		row.Value = r.varint()
+	for i := 0; i < n && r.Err() == nil; i++ {
+		row := TelemetryRow{Name: r.Str()}
+		row.Counter = r.U8() != 0
+		row.Value = r.Varint()
 		ts.Rows = append(ts.Rows, row)
 	}
-	na := int(r.u16())
-	if r.err != nil {
-		return nil, r.err
+	na := int(r.U16())
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if na > maxTelemetryRows {
 		return nil, fmt.Errorf("message: telemetry alert count %d exceeds %d", na, maxTelemetryRows)
 	}
-	for i := 0; i < na && r.err == nil; i++ {
-		al := TelemetryAlert{Rule: r.str()}
-		al.Series = r.str()
-		al.Firing = r.u8() != 0
-		al.SinceNanos = r.i64()
-		al.Value = r.f64()
+	for i := 0; i < na && r.Err() == nil; i++ {
+		al := TelemetryAlert{Rule: r.Str()}
+		al.Series = r.Str()
+		al.Firing = r.U8() != 0
+		al.SinceNanos = r.I64()
+		al.Value = r.F64()
 		ts.Alerts = append(ts.Alerts, al)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return ts, nil

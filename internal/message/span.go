@@ -6,6 +6,7 @@ import (
 
 	"entitytrace/internal/ident"
 	"entitytrace/internal/obs"
+	"entitytrace/internal/wire"
 )
 
 // Per-hop tracing (observability layer): an envelope may carry an
@@ -102,9 +103,9 @@ func (s *Span) wireSize() int {
 // marshal appends the span wire section: marker, trace ID, hop count,
 // hops — and, when extra is set and the span has room, one more hop
 // after the recorded ones.
-func (s *Span) marshal(w *writer, extra *Hop) {
-	w.u8(spanMarker)
-	w.uuid(s.TraceID)
+func (s *Span) marshal(w *wire.Writer, extra *Hop) {
+	w.U8(spanMarker)
+	w.Raw(s.TraceID[:])
 	n := min(len(s.Hops), MaxHops)
 	if extra != nil && !spanHasRoom(n) {
 		extra = nil
@@ -113,27 +114,27 @@ func (s *Span) marshal(w *writer, extra *Hop) {
 	if extra != nil {
 		count++
 	}
-	w.u8(uint8(count))
+	w.U8(uint8(count))
 	for _, h := range s.Hops[:n] {
-		w.str(h.Node)
-		w.i64(h.AtNanos)
+		w.Str(h.Node)
+		w.I64(h.AtNanos)
 	}
 	if extra != nil {
-		w.str(extra.Node)
-		w.i64(extra.AtNanos)
+		w.Str(extra.Node)
+		w.I64(extra.AtNanos)
 	}
 }
 
 // unmarshalSpan parses a span section, hop names through d; the reader
 // is positioned at the marker byte.
-func unmarshalSpan(r *reader, d *Decoder) (*Span, error) {
-	if m := r.u8(); r.err == nil && m != spanMarker {
+func unmarshalSpan(r *wire.Reader, d *Decoder) (*Span, error) {
+	if m := r.U8(); r.Err() == nil && m != spanMarker {
 		return nil, fmt.Errorf("message: unknown envelope trailer marker %d", m)
 	}
-	s := &Span{TraceID: r.uuid()}
-	n := int(r.u8())
-	if r.err != nil {
-		return nil, r.err
+	s := &Span{TraceID: r.UUID()}
+	n := int(r.U8())
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	if n > MaxHops {
 		return nil, fmt.Errorf("message: span hop count %d exceeds %d", n, MaxHops)
@@ -142,10 +143,10 @@ func unmarshalSpan(r *reader, d *Decoder) (*Span, error) {
 		s.Hops = make([]Hop, n)
 	}
 	for i := range s.Hops {
-		s.Hops[i] = Hop{Node: d.name(r.view()), AtNanos: r.i64()}
+		s.Hops[i] = Hop{Node: d.name(r.View()), AtNanos: r.I64()}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	return s, nil
 }

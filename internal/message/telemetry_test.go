@@ -3,6 +3,8 @@ package message
 import (
 	"reflect"
 	"testing"
+
+	"entitytrace/internal/wire"
 )
 
 func TestTelemetrySnapshotRoundtrip(t *testing.T) {
@@ -58,13 +60,13 @@ func TestTelemetrySnapshotRowCap(t *testing.T) {
 		t.Fatalf("marshal did not truncate at the cap: %d rows, %d alerts", len(out.Rows), len(out.Alerts))
 	}
 	// A forged count beyond the cap is rejected outright, not allocated.
-	var w writer
-	w.str("hb0")
-	w.i64(1)
-	w.u64(0)
-	w.u32(50)
-	w.u16(maxTelemetryRows + 1)
-	if _, err := UnmarshalTelemetrySnapshot(w.buf); err == nil {
+	var w wire.Writer
+	w.Str("hb0")
+	w.I64(1)
+	w.U64(0)
+	w.U32(50)
+	w.U16(maxTelemetryRows + 1)
+	if _, err := UnmarshalTelemetrySnapshot(w.Buf); err == nil {
 		t.Fatal("oversized row count accepted")
 	}
 }
@@ -80,7 +82,7 @@ func TestTelemetrySnapshotTruncated(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	// Trailing garbage is rejected too (r.done()).
+	// Trailing garbage is rejected too (r.Done()).
 	if _, err := UnmarshalTelemetrySnapshot(append(wire, 0xFF)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}

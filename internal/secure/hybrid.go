@@ -3,9 +3,10 @@ package secure
 import (
 	"crypto/rand"
 	"crypto/rsa"
-	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"entitytrace/internal/wire"
 )
 
 // SealedPayload is a hybrid public-key envelope: the payload is encrypted
@@ -62,25 +63,19 @@ func (sp *SealedPayload) Marshal() ([]byte, error) {
 	if len(sp.WrappedKey) > 0xffff {
 		return nil, errors.New("secure: wrapped key too large")
 	}
-	out := make([]byte, 2+len(sp.WrappedKey)+len(sp.Ciphertext))
-	binary.BigEndian.PutUint16(out[:2], uint16(len(sp.WrappedKey)))
-	copy(out[2:], sp.WrappedKey)
-	copy(out[2+len(sp.WrappedKey):], sp.Ciphertext)
-	return out, nil
+	w := wire.Writer{Buf: make([]byte, 0, 2+len(sp.WrappedKey)+len(sp.Ciphertext))}
+	w.Bytes16(sp.WrappedKey)
+	w.Raw(sp.Ciphertext)
+	return w.Buf, nil
 }
 
 // UnmarshalSealedPayload decodes the wire form produced by Marshal.
 func UnmarshalSealedPayload(b []byte) (*SealedPayload, error) {
-	if len(b) < 2 {
-		return nil, fmt.Errorf("%w: short sealed payload", ErrBadCiphertext)
-	}
-	klen := int(binary.BigEndian.Uint16(b[:2]))
-	if len(b) < 2+klen {
-		return nil, fmt.Errorf("%w: truncated sealed payload", ErrBadCiphertext)
-	}
-	sp := &SealedPayload{
-		WrappedKey: append([]byte(nil), b[2:2+klen]...),
-		Ciphertext: append([]byte(nil), b[2+klen:]...),
+	r := wire.NewReader(b, wire.MaxSmallField)
+	sp := &SealedPayload{WrappedKey: r.Bytes16()}
+	sp.Ciphertext = r.Rest()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: sealed payload: %v", ErrBadCiphertext, err)
 	}
 	return sp, nil
 }

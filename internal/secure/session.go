@@ -6,12 +6,13 @@ import (
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
 	"sync"
 	"time"
+
+	"entitytrace/internal/wire"
 )
 
 // This file implements the §6.3 signing-cost optimization for the trace
@@ -264,52 +265,29 @@ func (m *macKey) verify(tag []byte, parts ...[]byte) bool {
 
 // Marshal serializes the parameters (pre-sealing).
 func (p *SessionParams) Marshal() []byte {
-	out := make([]byte, 0, SessionIDLen+2+len(p.Secret)+2+len(p.Nonce)+32+16)
-	out = append(out, p.ID[:]...)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(p.Secret)))
-	out = append(out, p.Secret...)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(p.Nonce)))
-	out = append(out, p.Nonce...)
-	out = append(out, p.TokenDigest[:]...)
-	out = binary.BigEndian.AppendUint64(out, uint64(p.NotBefore))
-	out = binary.BigEndian.AppendUint64(out, uint64(p.NotAfter))
-	return out
+	w := wire.Writer{Buf: make([]byte, 0, SessionIDLen+2+len(p.Secret)+2+len(p.Nonce)+32+16)}
+	w.Raw(p.ID[:])
+	w.Bytes16(p.Secret)
+	w.Bytes16(p.Nonce)
+	w.Raw(p.TokenDigest[:])
+	w.I64(p.NotBefore)
+	w.I64(p.NotAfter)
+	return w.Buf
 }
 
 // UnmarshalSessionParams parses the wire form produced by Marshal.
 func UnmarshalSessionParams(b []byte) (*SessionParams, error) {
+	r := wire.NewReader(b, wire.MaxSmallField)
 	p := &SessionParams{}
-	if len(b) < SessionIDLen+2 {
-		return nil, errors.New("secure: truncated session params")
+	copy(p.ID[:], r.Take(SessionIDLen))
+	p.Secret = r.Bytes16()
+	p.Nonce = r.Bytes16()
+	copy(p.TokenDigest[:], r.Take(32))
+	p.NotBefore = r.I64()
+	p.NotAfter = r.I64()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("secure: malformed session params: %w", err)
 	}
-	copy(p.ID[:], b[:SessionIDLen])
-	b = b[SessionIDLen:]
-	take := func(field string) ([]byte, error) {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("secure: truncated session %s", field)
-		}
-		n := int(binary.BigEndian.Uint16(b[:2]))
-		b = b[2:]
-		if n > len(b) {
-			return nil, fmt.Errorf("secure: truncated session %s", field)
-		}
-		v := append([]byte(nil), b[:n]...)
-		b = b[n:]
-		return v, nil
-	}
-	var err error
-	if p.Secret, err = take("secret"); err != nil {
-		return nil, err
-	}
-	if p.Nonce, err = take("nonce"); err != nil {
-		return nil, err
-	}
-	if len(b) != 32+16 {
-		return nil, errors.New("secure: malformed session params")
-	}
-	copy(p.TokenDigest[:], b[:32])
-	p.NotBefore = int64(binary.BigEndian.Uint64(b[32:40]))
-	p.NotAfter = int64(binary.BigEndian.Uint64(b[40:48]))
 	if len(p.Secret) != SessionSecretLen {
 		return nil, fmt.Errorf("secure: session secret length %d, want %d", len(p.Secret), SessionSecretLen)
 	}

@@ -7,7 +7,6 @@ package tdn
 
 import (
 	"crypto/rsa"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"entitytrace/internal/credential"
 	"entitytrace/internal/ident"
 	"entitytrace/internal/secure"
+	"entitytrace/internal/wire"
 )
 
 // Errors surfaced by advertisement handling.
@@ -63,62 +63,61 @@ type Advertisement struct {
 
 // signingBytes serializes the signed portion.
 func (a *Advertisement) signingBytes() []byte {
-	var buf []byte
-	buf = append(buf, adVersion)
-	buf = append(buf, a.TopicID[:]...)
-	buf = appendBytes(buf, []byte(a.Owner))
-	buf = appendBytes(buf, a.OwnerCert)
-	buf = appendBytes(buf, []byte(a.Descriptor))
-	if a.AllowAny {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(a.Allowed)))
+	var w wire.Writer
+	w.U8(adVersion)
+	w.Raw(a.TopicID[:])
+	w.Str(string(a.Owner))
+	w.Bytes(a.OwnerCert)
+	w.Str(a.Descriptor)
+	w.Bool(a.AllowAny)
+	w.U32(uint32(len(a.Allowed)))
 	for _, e := range a.Allowed {
-		buf = appendBytes(buf, []byte(e))
+		w.Str(e)
 	}
-	buf = binary.BigEndian.AppendUint64(buf, uint64(a.CreatedAt))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(a.ExpiresAt))
-	buf = appendBytes(buf, []byte(a.TDNName))
-	buf = appendBytes(buf, a.TDNCert)
-	return buf
+	w.I64(a.CreatedAt)
+	w.I64(a.ExpiresAt)
+	w.Str(a.TDNName)
+	w.Bytes(a.TDNCert)
+	return w.Buf
 }
 
 // Marshal serializes the advertisement including the signature.
 func (a *Advertisement) Marshal() []byte {
-	return appendBytes(a.signingBytes(), a.Signature)
+	w := wire.Writer{Buf: a.signingBytes()}
+	w.Bytes(a.Signature)
+	return w.Buf
 }
+
+// maxListEntries caps the discovery list of an advertisement or a
+// create request, and the advertisements in one response.
+const maxListEntries = 1 << 16
 
 // UnmarshalAdvertisement parses a wire-format advertisement.
 func UnmarshalAdvertisement(b []byte) (*Advertisement, error) {
-	r := &cursor{b: b}
-	if v := r.u8(); r.err == nil && v != adVersion {
+	r := wire.NewReader(b, wire.MaxField)
+	if v := r.U8(); r.Err() == nil && v != adVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrAdMalformed, v)
 	}
 	a := &Advertisement{}
-	copy(a.TopicID[:], r.take(16))
-	a.Owner = ident.EntityID(r.bytes())
-	a.OwnerCert = []byte(r.bytes())
-	a.Descriptor = string(r.bytes())
-	a.AllowAny = r.u8() == 1
-	n := r.u32()
-	if r.err == nil && n > 1<<16 {
+	a.TopicID = r.UUID()
+	a.Owner = ident.EntityID(r.Str())
+	a.OwnerCert = r.Bytes()
+	a.Descriptor = r.Str()
+	a.AllowAny = r.Bool()
+	n := r.U32()
+	if r.Err() == nil && n > maxListEntries {
 		return nil, fmt.Errorf("%w: %d allowed entries", ErrAdMalformed, n)
 	}
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		a.Allowed = append(a.Allowed, string(r.bytes()))
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		a.Allowed = append(a.Allowed, r.Str())
 	}
-	a.CreatedAt = int64(r.u64())
-	a.ExpiresAt = int64(r.u64())
-	a.TDNName = string(r.bytes())
-	a.TDNCert = []byte(r.bytes())
-	a.Signature = []byte(r.bytes())
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrAdMalformed, r.err)
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrAdMalformed)
+	a.CreatedAt = r.I64()
+	a.ExpiresAt = r.I64()
+	a.TDNName = r.Str()
+	a.TDNCert = r.Bytes()
+	a.Signature = r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrAdMalformed, err)
 	}
 	return a, nil
 }
@@ -163,69 +162,4 @@ func (a *Advertisement) MayDiscover(e ident.EntityID) bool {
 		}
 	}
 	return false
-}
-
-// cursor is a minimal wire reader shared by the tdn codecs.
-type cursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *cursor) take(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || c.off+n > len(c.b) {
-		c.err = errors.New("truncated")
-		return nil
-	}
-	out := c.b[c.off : c.off+n]
-	c.off += n
-	return out
-}
-
-func (c *cursor) u8() byte {
-	b := c.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (c *cursor) u32() uint32 {
-	b := c.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (c *cursor) u64() uint64 {
-	b := c.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (c *cursor) bytes() []byte {
-	n := c.u32()
-	if c.err != nil {
-		return nil
-	}
-	if n > 16<<20 {
-		c.err = errors.New("field too large")
-		return nil
-	}
-	b := c.take(int(n))
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
 }

@@ -12,6 +12,7 @@ import (
 	"entitytrace/internal/obs"
 	"entitytrace/internal/secure"
 	"entitytrace/internal/topic"
+	"entitytrace/internal/wire"
 )
 
 // TDN activity counters across all nodes in the process (§3.1).
@@ -56,24 +57,17 @@ type CreateRequest struct {
 }
 
 func (cr *CreateRequest) signingBytes() []byte {
-	var buf []byte
-	buf = appendBytes(buf, []byte(cr.Owner))
-	buf = appendBytes(buf, cr.OwnerCert)
-	buf = appendBytes(buf, []byte(cr.Descriptor))
-	if cr.AllowAny {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	var w wire.Writer
+	w.Str(string(cr.Owner))
+	w.Bytes(cr.OwnerCert)
+	w.Str(cr.Descriptor)
+	w.Bool(cr.AllowAny)
 	for _, a := range cr.Allowed {
-		buf = appendBytes(buf, []byte(a))
+		w.Str(a)
 	}
-	buf = append(buf, cr.RequestID[:]...)
-	var lt [8]byte
-	for i := 0; i < 8; i++ {
-		lt[i] = byte(uint64(cr.Lifetime) >> (56 - 8*i))
-	}
-	return append(buf, lt[:]...)
+	w.Raw(cr.RequestID[:])
+	w.I64(int64(cr.Lifetime))
+	return w.Buf
 }
 
 // SignCreateRequest signs the request with the owner's signer.

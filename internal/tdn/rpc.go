@@ -8,6 +8,7 @@ import (
 
 	"entitytrace/internal/ident"
 	"entitytrace/internal/transport"
+	"entitytrace/internal/wire"
 )
 
 // RPC op codes.
@@ -163,91 +164,87 @@ func statusFor(err error) uint8 {
 // --- wire helpers -------------------------------------------------------
 
 func marshalCreateRequest(req *CreateRequest) []byte {
-	var buf []byte
-	buf = append(buf, opCreate)
-	buf = appendBytes(buf, []byte(req.Owner))
-	buf = appendBytes(buf, req.OwnerCert)
-	buf = appendBytes(buf, []byte(req.Descriptor))
-	if req.AllowAny {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = appendU32(buf, uint32(len(req.Allowed)))
+	var w wire.Writer
+	w.U8(opCreate)
+	w.Str(string(req.Owner))
+	w.Bytes(req.OwnerCert)
+	w.Str(req.Descriptor)
+	w.Bool(req.AllowAny)
+	w.U32(uint32(len(req.Allowed)))
 	for _, a := range req.Allowed {
-		buf = appendBytes(buf, []byte(a))
+		w.Str(a)
 	}
-	buf = appendU64(buf, uint64(req.Lifetime))
-	buf = append(buf, req.RequestID[:]...)
-	buf = appendBytes(buf, req.Signature)
-	return buf
+	w.I64(int64(req.Lifetime))
+	w.Raw(req.RequestID[:])
+	w.Bytes(req.Signature)
+	return w.Buf
 }
 
 func unmarshalCreateRequest(b []byte) (*CreateRequest, error) {
-	c := &cursor{b: b}
+	r := wire.NewReader(b, wire.MaxField)
 	req := &CreateRequest{}
-	req.Owner = ident.EntityID(c.bytes())
-	req.OwnerCert = c.bytes()
-	req.Descriptor = string(c.bytes())
-	req.AllowAny = c.u8() == 1
-	n := c.u32()
-	if c.err == nil && n > 1<<16 {
+	req.Owner = ident.EntityID(r.Str())
+	req.OwnerCert = r.Bytes()
+	req.Descriptor = r.Str()
+	req.AllowAny = r.Bool()
+	n := r.U32()
+	if r.Err() == nil && n > maxListEntries {
 		return nil, fmt.Errorf("%w: too many allowed entries", ErrBadRequest)
 	}
-	for i := uint32(0); i < n && c.err == nil; i++ {
-		req.Allowed = append(req.Allowed, string(c.bytes()))
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		req.Allowed = append(req.Allowed, r.Str())
 	}
-	req.Lifetime = time.Duration(c.u64())
-	copy(req.RequestID[:], c.take(16))
-	req.Signature = c.bytes()
-	if c.err != nil || c.off != len(b) {
+	req.Lifetime = time.Duration(r.I64())
+	req.RequestID = r.UUID()
+	req.Signature = r.Bytes()
+	if r.Done() != nil {
 		return nil, fmt.Errorf("%w: malformed create request", ErrBadRequest)
 	}
 	return req, nil
 }
 
 func marshalDiscoverRequest(query string, requester ident.EntityID, cert []byte) []byte {
-	var buf []byte
-	buf = append(buf, opDiscover)
-	buf = appendBytes(buf, []byte(query))
-	buf = appendBytes(buf, []byte(requester))
-	buf = appendBytes(buf, cert)
-	return buf
+	var w wire.Writer
+	w.U8(opDiscover)
+	w.Str(query)
+	w.Str(string(requester))
+	w.Bytes(cert)
+	return w.Buf
 }
 
 func unmarshalDiscoverRequest(b []byte) (query string, requester ident.EntityID, cert []byte, err error) {
-	c := &cursor{b: b}
-	query = string(c.bytes())
-	requester = ident.EntityID(c.bytes())
-	cert = c.bytes()
-	if c.err != nil || c.off != len(b) {
+	r := wire.NewReader(b, wire.MaxField)
+	query = r.Str()
+	requester = ident.EntityID(r.Str())
+	cert = r.Bytes()
+	if r.Done() != nil {
 		return "", "", nil, fmt.Errorf("%w: malformed discover request", ErrBadRequest)
 	}
 	return query, requester, cert, nil
 }
 
 func marshalResponse(status uint8, detail string, ads [][]byte) []byte {
-	var buf []byte
-	buf = append(buf, status)
-	buf = appendBytes(buf, []byte(detail))
-	buf = appendU32(buf, uint32(len(ads)))
+	var w wire.Writer
+	w.U8(status)
+	w.Str(detail)
+	w.U32(uint32(len(ads)))
 	for _, ad := range ads {
-		buf = appendBytes(buf, ad)
+		w.Bytes(ad)
 	}
-	return buf
+	return w.Buf
 }
 
 func unmarshalResponse(b []byte) (status uint8, detail string, ads []*Advertisement, err error) {
-	c := &cursor{b: b}
-	status = c.u8()
-	detail = string(c.bytes())
-	n := c.u32()
-	if c.err == nil && n > 1<<16 {
+	r := wire.NewReader(b, wire.MaxField)
+	status = r.U8()
+	detail = r.Str()
+	n := r.U32()
+	if r.Err() == nil && n > maxListEntries {
 		return 0, "", nil, errors.New("tdn: too many advertisements in response")
 	}
-	for i := uint32(0); i < n && c.err == nil; i++ {
-		raw := c.bytes()
-		if c.err != nil {
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		raw := r.View()
+		if r.Err() != nil {
 			break
 		}
 		ad, aerr := UnmarshalAdvertisement(raw)
@@ -256,20 +253,10 @@ func unmarshalResponse(b []byte) (status uint8, detail string, ads []*Advertisem
 		}
 		ads = append(ads, ad)
 	}
-	if c.err != nil || c.off != len(b) {
+	if r.Done() != nil {
 		return 0, "", nil, errors.New("tdn: malformed response")
 	}
 	return status, detail, ads, nil
-}
-
-func appendU32(buf []byte, v uint32) []byte {
-	return append(buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(buf []byte, v uint64) []byte {
-	return append(buf,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // --- client -------------------------------------------------------------

@@ -15,13 +15,13 @@ package token
 
 import (
 	"crypto/rsa"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
 
 	"entitytrace/internal/ident"
 	"entitytrace/internal/secure"
+	"entitytrace/internal/wire"
 )
 
 // Rights enumerates the delegated actions (§4.3 item 3: "either publish
@@ -141,15 +141,16 @@ func Grant(owner ident.EntityID, traceTopic ident.UUID, rights Rights,
 
 // signingBytes serializes every field covered by the owner signature.
 func (t *Token) signingBytes() []byte {
-	buf := make([]byte, 0, 64+len(t.DelegatePub))
-	buf = append(buf, tokenVersion)
-	buf = append(buf, t.TraceTopic[:]...)
-	buf = appendLenPrefixed(buf, []byte(t.Owner))
-	buf = appendLenPrefixed(buf, t.DelegatePub)
-	buf = append(buf, byte(t.Rights), byte(t.Hash))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(t.NotBefore))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(t.NotAfter))
-	return buf
+	w := wire.Writer{Buf: make([]byte, 0, 64+len(t.DelegatePub))}
+	w.U8(tokenVersion)
+	w.Raw(t.TraceTopic[:])
+	w.Str(string(t.Owner))
+	w.Bytes(t.DelegatePub)
+	w.U8(uint8(t.Rights))
+	w.U8(uint8(t.Hash))
+	w.I64(t.NotBefore)
+	w.I64(t.NotAfter)
+	return w.Buf
 }
 
 func (t *Token) sign(s *secure.Signer) error {
@@ -198,88 +199,28 @@ func (t *Token) ExpiresSoon(now time.Time, threshold time.Duration) bool {
 
 // Marshal serializes the token including the signature.
 func (t *Token) Marshal() []byte {
-	body := t.signingBytes()
-	out := make([]byte, 0, len(body)+len(t.Signature)+4)
-	out = append(out, body...)
-	out = appendLenPrefixed(out, t.Signature)
-	return out
+	w := wire.Writer{Buf: t.signingBytes()}
+	w.Bytes(t.Signature)
+	return w.Buf
 }
 
 // Unmarshal parses a wire-format token.
 func Unmarshal(b []byte) (*Token, error) {
-	r := &tokenReader{b: b}
-	if v := r.u8(); r.err == nil && v != tokenVersion {
+	r := wire.NewReader(b, wire.MaxSmallField)
+	if v := r.U8(); r.Err() == nil && v != tokenVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrMalformed, v)
 	}
 	t := &Token{}
-	copy(t.TraceTopic[:], r.take(16))
-	t.Owner = ident.EntityID(r.lenPrefixed())
-	t.DelegatePub = []byte(r.lenPrefixed())
-	t.Rights = Rights(r.u8())
-	t.Hash = secure.Hash(r.u8())
-	t.NotBefore = int64(r.u64())
-	t.NotAfter = int64(r.u64())
-	t.Signature = []byte(r.lenPrefixed())
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, r.err)
-	}
-	if r.off != len(b) {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrMalformed)
+	t.TraceTopic = r.UUID()
+	t.Owner = ident.EntityID(r.Str())
+	t.DelegatePub = r.Bytes()
+	t.Rights = Rights(r.U8())
+	t.Hash = secure.Hash(r.U8())
+	t.NotBefore = r.I64()
+	t.NotAfter = r.I64()
+	t.Signature = r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	return t, nil
-}
-
-func appendLenPrefixed(buf, b []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(b)))
-	return append(buf, b...)
-}
-
-// tokenReader is a minimal cursor over token wire bytes.
-type tokenReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *tokenReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.b) {
-		r.err = errors.New("truncated")
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *tokenReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *tokenReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *tokenReader) lenPrefixed() string {
-	b := r.take(4)
-	if b == nil {
-		return ""
-	}
-	n := binary.BigEndian.Uint32(b)
-	if n > 1<<20 {
-		r.err = errors.New("field too large")
-		return ""
-	}
-	v := r.take(int(n))
-	return string(v)
 }

@@ -362,96 +362,3 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("Names() = %v", names)
 	}
 }
-
-func TestShapedLatency(t *testing.T) {
-	base := NewInproc()
-	shaped, err := NewShaped(base, ShapeConfig{Latency: 20 * time.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := shaped.Listen("lat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	echoServer(t, l)
-	c, err := shaped.Dial("lat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	start := time.Now()
-	if err := c.Send([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	// Round trip crosses two shaped receive paths (server's and ours).
-	if rtt := time.Since(start); rtt < 40*time.Millisecond {
-		t.Fatalf("rtt %v below injected 2x20ms", rtt)
-	}
-	if shaped.Name() != "inproc+shaped" {
-		t.Fatalf("Name = %q", shaped.Name())
-	}
-}
-
-func TestShapedRequiresExplicitSeed(t *testing.T) {
-	base := NewInproc()
-	for _, cfg := range []ShapeConfig{
-		{LossRate: 0.1},
-		{Jitter: time.Millisecond},
-	} {
-		if _, err := NewShaped(base, cfg); !errors.Is(err, ErrSeedRequired) {
-			t.Fatalf("NewShaped(%+v) err = %v, want ErrSeedRequired", cfg, err)
-		}
-	}
-	// Pure-latency shaping has no randomness and needs no seed.
-	if _, err := NewShaped(base, ShapeConfig{Latency: time.Millisecond}); err != nil {
-		t.Fatalf("latency-only shaping rejected: %v", err)
-	}
-}
-
-func TestShapedLoss(t *testing.T) {
-	base := NewInproc()
-	shaped, err := NewShaped(base, ShapeConfig{LossRate: 0.5, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := shaped.Listen("loss")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	const n = 200
-	received := make(chan struct{}, n)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		for {
-			if _, err := c.Recv(); err != nil {
-				return
-			}
-			received <- struct{}{}
-		}
-	}()
-	c, err := shaped.Dial("loss")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := c.Send([]byte("probe")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Close()
-	time.Sleep(100 * time.Millisecond)
-	got := len(received)
-	// With p=0.5 and n=200, [60, 140] is a ±5.7σ window.
-	if got < 60 || got > 140 {
-		t.Fatalf("with 50%% loss received %d/%d", got, n)
-	}
-}
