@@ -97,7 +97,8 @@ trace:
 	$(GO) test -race -run 'TestTraceCtl' -count=1 -v .
 
 # Availability smoke: the ledger end-to-end suite — the tracectl board
-# fed by disseminated digests over a 3-broker chain, the /avail admin
+# fed by the ledger rows in disseminated telemetry snapshots over a
+# 3-broker chain, the /avail admin
 # endpoints, a chaos link-flap, and the scripted flapping entity checked
 # against fake-clock ground truth.
 avail:

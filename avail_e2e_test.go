@@ -1,8 +1,8 @@
-// Availability end-to-end suite: the ledger → digest → board pipeline
-// driven the way an operator uses it. A 3-broker chain hosts an entity
-// whose verified traces feed the brokers' availability ledgers; the
-// suite asserts that `tracectl avail` renders the fleet board from the
-// digests on the system-availability topic, that the /avail admin
+// Availability end-to-end suite: the ledger → telemetry snapshot → board
+// pipeline driven the way an operator uses it. A 3-broker chain hosts an
+// entity whose verified traces feed the brokers' availability ledgers;
+// the suite asserts that `tracectl avail` renders the fleet board from
+// the ledger rows on the system-telemetry topic, that the /avail admin
 // endpoint serves the same rows over HTTP, that a seeded link flap
 // leaves transitions and downtime in the host broker's ledger, and that
 // a scripted flapping entity matches fake-clock ground truth exactly
@@ -28,14 +28,15 @@ import (
 )
 
 // availHarness stands up a 3-broker chain with per-broker availability
-// ledgers digesting every 150 ms under a default SLO, so board tests
-// observe budget rows without waiting out production cadences.
+// ledgers riding telemetry snapshots every 150 ms under a default SLO, so
+// board tests observe budget rows without waiting out production
+// cadences.
 func availHarness(t *testing.T) *harness.Testbed {
 	t.Helper()
 	tb, err := harness.New(harness.Options{
-		Brokers:       3,
-		AvailInterval: 150 * time.Millisecond,
-		Avail:         avail.Config{DefaultSLO: avail.SLO{Target: 0.99, Window: time.Minute}},
+		Brokers:           3,
+		TelemetryInterval: 150 * time.Millisecond,
+		Avail:             avail.Config{DefaultSLO: avail.SLO{Target: 0.99, Window: time.Minute}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,11 +68,11 @@ func ledgerRow(t *testing.T, l *avail.Ledger, entity string, d time.Duration, ok
 }
 
 // TestAvailCtlBoard runs an entity on hb0 and a tracker on hb2, then
-// watches the system-availability topic from hb2 the way `tracectl
-// avail` does: the host broker's digest must disseminate network-wide
-// and render a board row with the entity UP, an uptime bar and the SLO
-// budget position. The same digests must round-trip through the JSON
-// renderer.
+// watches the system-telemetry topic from hb2 the way `tracectl avail`
+// does: the host broker's ledger rows must disseminate network-wide in
+// its snapshots and render a board row with the entity UP, an uptime bar
+// and the SLO budget position. The same digests must round-trip through
+// the JSON renderer.
 func TestAvailCtlBoard(t *testing.T) {
 	tb := availHarness(t)
 	ent, err := tb.StartEntity("board-entity", 0)
@@ -91,10 +92,12 @@ func TestAvailCtlBoard(t *testing.T) {
 	deadline := time.Now().Add(15 * time.Second)
 	var digests []*message.AvailabilityDigest
 	for {
-		digests, err = tracectl.WatchAvailability(tb.Transport(), tb.Addrs[2], "availctl-e2e", 500*time.Millisecond)
-		if err != nil {
-			t.Fatalf("watch availability: %v", err)
+		a := tracectl.NewTopAssembler(nil)
+		if err := tracectl.WatchTelemetry(tb.Transport(), tb.Addrs[2], "availctl-e2e",
+			500*time.Millisecond, time.Second, a, nil); err != nil {
+			t.Fatalf("watch telemetry: %v", err)
 		}
+		digests = a.Avail()
 		var out bytes.Buffer
 		tracectl.RenderAvailBoard(&out, digests)
 		got := out.String()
@@ -216,12 +219,12 @@ func TestAvailChaosLinkFlap(t *testing.T) {
 		t.Skip("chaos suite skipped in short mode")
 	}
 	tb, inj := chaosHarness(t, 23, harness.Options{
-		Brokers:         2,
-		Detector:        tolerantDetector(),
-		Reconnect:       true,
-		PersistentLinks: true,
-		AvailInterval:   150 * time.Millisecond,
-		Avail:           avail.Config{DefaultSLO: avail.SLO{Target: 0.99, Window: time.Minute}},
+		Brokers:           2,
+		Detector:          tolerantDetector(),
+		Reconnect:         true,
+		PersistentLinks:   true,
+		TelemetryInterval: 150 * time.Millisecond,
+		Avail:             avail.Config{DefaultSLO: avail.SLO{Target: 0.99, Window: time.Minute}},
 	})
 	ent, err := tb.StartEntity("avail-flap-entity", 0)
 	if err != nil {

@@ -61,10 +61,9 @@ var (
 	batchBytes    = flag.Int("batch-bytes", 0, "egress drain coalescing byte budget per batch frame (0 disables batching)")
 	flightEvents  = flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder ring size in events (0 disables recording)")
 	traceSample   = flag.Int("trace-sample", obs.DefaultFlightSample, "record 1-in-N healthy flight events (drops are always recorded; 1 records everything)")
-	telemEvery    = flag.Duration("telemetry-interval", time.Second, "telemetry sample/snapshot period on the system-telemetry topic, the stream tracectl top and map read (0 disables the telemetry plane)")
+	telemEvery    = flag.Duration("telemetry-interval", time.Second, "telemetry sample/snapshot period on the system-telemetry topic, the stream tracectl top, map and avail read (0 disables the telemetry plane and the availability ledger)")
 	telemRetain   = flag.String("telemetry-retention", "", "time-series retention as fine@step/coarse@step, e.g. 15m@1s/2h@15s (empty keeps the default)")
 	alertRules    = flag.String("alert-rules", "", "semicolon-separated alert rules, e.g. 'deep-queues: broker_egress_queue_depth > 100 for 2s hold 10s; absent(broker_published_total) for 5s' (PROTOCOL.md §3.10)")
-	availEvery    = flag.Duration("avail-interval", 10*time.Second, "availability digest period on the system-availability topic (0 disables the ledger)")
 	sloTarget     = flag.Float64("slo-target", 0, "default availability SLO target for hosted entities, e.g. 0.999 (0 disables SLO accounting)")
 	sloWindow     = flag.Duration("slo-window", time.Hour, "rolling window the SLO target applies over")
 	burnAlert     = flag.Float64("burn-alert", 0, "error-budget burn rate that raises a burn_alert event (0 disables)")
@@ -97,8 +96,10 @@ var flagNeeds = []struct {
 	{"connect", false, []string{"link-retry", "link-retry-max"}},
 	{"pub-rate", false, []string{"pub-burst"}},
 	{"flight", false, []string{"trace-sample"}},
-	{"telemetry-interval", false, []string{"telemetry-retention", "alert-rules"}},
-	{"avail-interval", false, []string{"slo-target", "slo-window", "burn-alert", "flap-transitions", "flap-window", "flap-hold"}},
+	// The availability ledger's rows ride the telemetry snapshot, so its
+	// SLO and flap flags need telemetry too.
+	{"telemetry-interval", false, []string{"telemetry-retention", "alert-rules",
+		"slo-target", "slo-window", "burn-alert", "flap-transitions", "flap-window", "flap-hold"}},
 }
 
 // checkFlags applies flagNeeds to the flags fs was parsed with.
@@ -191,22 +192,18 @@ func main() {
 		tokenCache = core.NewTokenCache(*guardCache)
 	}
 	// The availability ledger folds every hosted entity's trace stream
-	// into per-entity uptime state; the broker publishes its digest on
-	// the system-availability topic and serves it on /avail.
-	var ledger *avail.Ledger
-	if *availEvery > 0 {
-		acfg := avail.Config{
-			Registry:        obs.Default,
-			Log:             log,
-			BurnAlert:       *burnAlert,
-			FlapTransitions: *flapCount,
-			FlapWindow:      *flapWindow,
-			FlapHold:        *flapHold,
-		}
-		if slo := (avail.SLO{Target: *sloTarget, Window: *sloWindow}); slo.Valid() {
-			acfg.DefaultSLO = slo
-		}
-		ledger = avail.New(acfg)
+	// into per-entity uptime state; the broker carries its rows in every
+	// telemetry snapshot and serves them on /avail.
+	acfg := avail.Config{
+		Registry:        obs.Default,
+		Log:             log,
+		BurnAlert:       *burnAlert,
+		FlapTransitions: *flapCount,
+		FlapWindow:      *flapWindow,
+		FlapHold:        *flapHold,
+	}
+	if slo := (avail.SLO{Target: *sloTarget, Window: *sloWindow}); slo.Valid() {
+		acfg.DefaultSLO = slo
 	}
 	// The telemetry plane: retention and alert rules parse up front so a
 	// typo fails the boot, not the first tick.
@@ -239,8 +236,7 @@ func main() {
 		},
 		Manager: core.BrokerConfig{
 			Identity:          id,
-			AvailInterval:     *availEvery,
-			Avail:             ledger,
+			Avail:             acfg,
 			TelemetryInterval: *telemEvery,
 			TelemetryOptions:  telemOpts,
 			TelemetryRules:    rules,

@@ -15,7 +15,6 @@ var feature = map[string][2]string{
 	"pub-rate":           {"0", "100"},
 	"flight":             {"0", "4096"},
 	"telemetry-interval": {"0s", "1s"},
-	"avail-interval":     {"0s", "10s"},
 }
 
 // parse parses args against brokerd's own flags (not the test binary's),
@@ -69,8 +68,13 @@ func TestFlagNeeds(t *testing.T) {
 		t.Errorf("defaults refused: %v", err)
 	}
 	// A feature switched off explicitly, with nothing tuning it, is fine.
-	if err := parse(t, "-flight=0", "-telemetry-interval=0", "-avail-interval=0"); err != nil {
+	if err := parse(t, "-flight=0", "-telemetry-interval=0"); err != nil {
 		t.Errorf("features off refused: %v", err)
+	}
+	// The availability ledger rides telemetry: an SLO without it is moot.
+	if err := parse(t, "-slo-target", "0.99", "-telemetry-interval", "0"); err == nil ||
+		!strings.Contains(err.Error(), "has no effect") {
+		t.Errorf("-slo-target without telemetry: error %v, want \"has no effect\"", err)
 	}
 	// Setting a tuning flag alone, with its feature off by default, is not.
 	if err := parse(t, "-log-fsync=always"); err == nil {

@@ -1,11 +1,11 @@
 // Command tracectl is the tracing fabric's debugging console: it renders
 // end-to-end waterfalls for a trace ID from the brokers' flight
-// recorders, tails live flight events, renders the fleet availability
-// board from the digests on the system-availability topic, and assembles
-// the delta-encoded snapshots on the system-telemetry topic into a live
-// fleet board (`top`) or a broker map (`map`: every broker with its
-// links' queue depths and offender scores; brokers must run with
-// -telemetry-interval > 0). Every subcommand also emits machine-readable
+// recorders, tails live flight events, and assembles the delta-encoded
+// snapshots on the system-telemetry topic into a live fleet board
+// (`top`), a broker map (`map`: every broker with its links' queue
+// depths and offender scores) or the fleet availability board (`avail`:
+// the ledger rows each snapshot carries); brokers must run with
+// -telemetry-interval > 0. Every subcommand also emits machine-readable
 // output with -format json.
 //
 //	tracectl -admins http://127.0.0.1:7190,http://127.0.0.1:7191 trace <uuid>
@@ -50,6 +50,20 @@ func main() {
 	}
 	asJSON := *format == "json"
 	cl := &tracectl.Client{Admins: splitCSV(*admins), JSON: asJSON}
+	// watchFleet assembles the system-telemetry snapshots seen through
+	// -broker for -watch, calling onTick (nil-tolerant) every -interval.
+	watchFleet := func(onTick func(*tracectl.TopBoard)) *tracectl.TopAssembler {
+		tr, err := transport.New(*transportName)
+		if err != nil {
+			fail("%v", err)
+		}
+		a := tracectl.NewTopAssembler(nil)
+		if err := tracectl.WatchTelemetry(tr, *brokerAddr, ident.EntityID(*name),
+			*watch, *interval, a, onTick); err != nil {
+			fail("%v", err)
+		}
+		return a
+	}
 	switch args[0] {
 	case "trace":
 		if len(args) != 2 {
@@ -77,16 +91,11 @@ func main() {
 		var err error
 		switch {
 		case *brokerAddr != "":
-			var tr transport.Transport
-			tr, err = transport.New(*transportName)
-			if err != nil {
-				fail("%v", err)
-			}
-			digests, err = tracectl.WatchAvailability(tr, *brokerAddr, ident.EntityID(*name), *watch)
+			digests = watchFleet(nil).Avail()
 		case len(cl.Admins) > 0:
 			digests, err = cl.FetchAvail()
 		default:
-			fail("avail needs -broker (watch the availability topic) or -admins (pull /avail)")
+			fail("avail needs -broker (watch the telemetry topic) or -admins (pull /avail)")
 		}
 		if err != nil {
 			fail("%v", err)
@@ -103,11 +112,6 @@ func main() {
 		if *brokerAddr == "" {
 			fail("%s needs -broker", args[0])
 		}
-		tr, err := transport.New(*transportName)
-		if err != nil {
-			fail("%v", err)
-		}
-		a := tracectl.NewTopAssembler(nil)
 		render := tracectl.RenderTop
 		if args[0] == "map" {
 			render = tracectl.RenderMap
@@ -121,10 +125,7 @@ func main() {
 				render(os.Stdout, b)
 			}
 		}
-		if err := tracectl.WatchTelemetry(tr, *brokerAddr, ident.EntityID(*name),
-			*watch, *interval, a, onTick); err != nil {
-			fail("%v", err)
-		}
+		a := watchFleet(onTick)
 		if asJSON {
 			if err := tracectl.RenderTopJSON(os.Stdout, a.Board()); err != nil {
 				fail("%v", err)

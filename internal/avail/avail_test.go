@@ -456,19 +456,19 @@ func TestKindForType(t *testing.T) {
 			t.Fatalf("%v -> %v,%v want KindDown", mt, k, ok)
 		}
 	}
-	// TraceAvailabilityDigest-1 is the reserved wire value of the retired
-	// broker self-monitoring snapshot.
+	// 26 and 27 are the reserved wire values of the retired broker
+	// self-monitoring snapshot and availability digest.
 	for _, mt := range []message.Type{message.TraceGaugeInterest,
-		message.TraceRevertingToSilentMode, message.TraceAvailabilityDigest - 1,
-		message.TraceAvailabilityDigest, message.TypePing} {
+		message.TraceRevertingToSilentMode, message.Type(26),
+		message.Type(27), message.TypePing} {
 		if _, ok := KindForType(mt); ok {
 			t.Fatalf("%v unexpectedly mapped", mt)
 		}
 	}
 }
 
-// TestDigestWireRoundTrip: ledger digest -> wire -> parse preserves
-// every row field.
+// TestDigestWireRoundTrip: ledger digest -> telemetry snapshot wire
+// form -> parse preserves every row field.
 func TestDigestWireRoundTrip(t *testing.T) {
 	l, fc, _ := fixture(t, func(c *Config) {
 		c.DefaultSLO = SLO{Target: 0.999, Window: time.Hour}
@@ -479,16 +479,17 @@ func TestDigestWireRoundTrip(t *testing.T) {
 	fc.Advance(time.Second)
 	observe(l, "b", KindUp)
 	d := l.Digest("hb0")
-	back, err := message.UnmarshalAvailabilityDigest(d.Marshal())
+	ts := &message.TelemetrySnapshot{Broker: "hb0", AtNanos: d.AtNanos, Avail: d.Rows}
+	back, err := message.UnmarshalTelemetrySnapshot(ts.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Reporter != "hb0" || back.AtNanos != d.AtNanos || len(back.Rows) != 2 {
+	if back.Broker != "hb0" || back.AtNanos != d.AtNanos || len(back.Avail) != 2 {
 		t.Fatalf("round trip header: %+v", back)
 	}
 	for i := range d.Rows {
-		if *(&back.Rows[i]) != d.Rows[i] {
-			t.Fatalf("row %d mismatch:\n  got  %+v\n  want %+v", i, back.Rows[i], d.Rows[i])
+		if back.Avail[i] != d.Rows[i] {
+			t.Fatalf("row %d mismatch:\n  got  %+v\n  want %+v", i, back.Avail[i], d.Rows[i])
 		}
 	}
 }

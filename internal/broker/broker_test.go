@@ -712,10 +712,10 @@ func TestBrokerNameAndClientAccessors(t *testing.T) {
 }
 
 // TestRetiredHealthSnapshotRoutesByTopic: a not-yet-upgraded neighbour
-// still publishes the retired broker self-monitoring snapshot. Its wire
-// value stays reserved (message.TraceAvailabilityDigest-1), so the
-// envelope parses and is routed by topic like any other; it must never
-// score as a malformed envelope against the link that carried it.
+// still publishes the retired broker self-monitoring snapshot (wire
+// value 26) and availability digest (27). Both values stay reserved, so
+// the envelopes parse and are routed by topic like any other; they must
+// never score as malformed envelopes against the link that carried them.
 func TestRetiredHealthSnapshotRoutesByTopic(t *testing.T) {
 	const limit = 3
 	tr := transport.NewInproc()
@@ -730,16 +730,18 @@ func TestRetiredHealthSnapshotRoutesByTopic(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "link registration", func() bool { return b.LinkUp("old-neighbour") })
-	tp := topic.MustParse("/Constrained/Traces/Broker/Publish-Only/System/Health")
 	var delivered atomic.Int32
-	defer b.SubscribeLocal(tp, func(*message.Envelope) { delivered.Add(1) })()
-	for i := 0; i < limit+1; i++ {
-		env := message.New(message.TraceAvailabilityDigest-1, tp, "", []byte("snapshot"))
-		if err := conn.Send(append([]byte{frameEnvelope}, env.Marshal()...)); err != nil {
-			t.Fatal(err)
+	for ty, name := range map[message.Type]string{26: "Health", 27: "Availability"} {
+		tp := topic.MustParse("/Constrained/Traces/Broker/Publish-Only/System/" + name)
+		defer b.SubscribeLocal(tp, func(*message.Envelope) { delivered.Add(1) })()
+		for i := 0; i < limit+1; i++ {
+			env := message.New(ty, tp, "", []byte("snapshot"))
+			if err := conn.Send(append([]byte{frameEnvelope}, env.Marshal()...)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	waitFor(t, "routing", func() bool { return delivered.Load() == limit+1 })
+	waitFor(t, "routing", func() bool { return delivered.Load() == 2*(limit+1) })
 	if s := b.Snapshot(); s.Violations != 0 || s.Disconnects != 0 || !b.LinkUp("old-neighbour") {
 		t.Fatalf("violations = %d, disconnects = %d, link up = %v; want 0, 0, true",
 			s.Violations, s.Disconnects, b.LinkUp("old-neighbour"))

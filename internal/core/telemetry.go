@@ -15,10 +15,11 @@ import (
 // (PROTOCOL.md §3.10), the one status stream a broker publishes: every
 // telemetry tick the trace broker reads its hosting broker's health once,
 // samples it (and the process registry) into a per-broker time-series
-// store, runs the anomaly engine over it, and publishes a delta-encoded
-// TELEMETRY_SNAPSHOT on the system-telemetry topic — so one `tracectl
-// top` or `tracectl map` subscription anywhere assembles the whole
-// fleet's live metrics and topology.
+// store, runs the anomaly engine over it, digests its availability
+// ledger, and publishes a delta-encoded TELEMETRY_SNAPSHOT on the
+// system-telemetry topic — so one `tracectl top`, `map` or `avail`
+// subscription anywhere assembles the whole fleet's live metrics,
+// topology and entity availability.
 
 // mTelemetrySnapshots counts published telemetry snapshots.
 var mTelemetrySnapshots = obs.Default.Counter("core_telemetry_snapshots_total")
@@ -110,7 +111,8 @@ func (tb *TraceBroker) telemetryRows() ([]message.TelemetryRow, uint64) {
 }
 
 // PublishTelemetry samples the broker into the store, evaluates the
-// alert rules, and publishes one delta-encoded TELEMETRY_SNAPSHOT on the
+// alert rules and the availability ledger's SLOs, and publishes one
+// delta-encoded TELEMETRY_SNAPSHOT, with the ledger's rows, on the
 // system-telemetry topic. Start schedules it every TelemetryInterval;
 // tests and admin handlers may call it directly.
 func (tb *TraceBroker) PublishTelemetry() {
@@ -168,6 +170,7 @@ func (tb *TraceBroker) PublishTelemetry() {
 		FabricEpoch:    epoch,
 		IntervalMillis: uint32(tb.cfg.TelemetryInterval / time.Millisecond),
 		Rows:           rows,
+		Avail:          tb.avail.Digest(tb.cfg.Broker.Name()).Rows,
 	}
 	for _, a := range alerts {
 		ts.Alerts = append(ts.Alerts, message.TelemetryAlert{

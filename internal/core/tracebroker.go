@@ -76,22 +76,17 @@ type BrokerConfig struct {
 	// InterestTTL is how long a tracker's interest registration lasts
 	// without renewal. Zero selects 3 GaugeIntervals.
 	InterestTTL time.Duration
-	// AvailInterval, when positive, publishes a periodic
-	// AvailabilityDigest of every entity this broker hosts on the
-	// system-availability topic (topic.SystemAvailability), so one
-	// subscription anywhere sees fleet-wide availability. The digest is
-	// derived from a broker-side avail.Ledger fed by every availability
-	// trace the broker originates.
-	AvailInterval time.Duration
-	// Avail, when set, is the broker-side availability ledger; when nil
-	// and AvailInterval is positive, a default ledger is created.
-	// Supplying it lets callers tune windows, flap damping and SLOs.
-	Avail *avail.Ledger
+	// Avail is the template of the broker-side availability ledger, fed
+	// by every availability trace the broker originates (zero-value
+	// fields take the avail.New defaults; the ledger always runs on the
+	// broker's clock). The ledger exists exactly when telemetry is on.
+	Avail avail.Config
 	// TelemetryInterval, when positive, samples the hosting broker's
 	// health into a per-broker time-series store every tick and publishes
-	// a delta-encoded TELEMETRY_SNAPSHOT on the system-telemetry topic
+	// a delta-encoded TELEMETRY_SNAPSHOT, carrying the availability
+	// ledger's rows too, on the system-telemetry topic
 	// (topic.SystemTelemetry, PROTOCOL.md §3.10). Zero disables the
-	// telemetry plane.
+	// telemetry plane and the ledger.
 	TelemetryInterval time.Duration
 	// TelemetryOptions tunes the store's retention (zero value selects
 	// 15m at 1s fine plus 2h at 15s downsampled).
@@ -129,7 +124,7 @@ type TraceBroker struct {
 	log      *obs.Logger
 	clk      clock.Clock     // the hosting broker's
 	signer   *secure.Signer  // broker credential signer (responses)
-	avail    *avail.Ledger   // nil when availability tracking is off
+	avail    *avail.Ledger   // nil when telemetry is off
 	tel      *telemetryPlane // nil when telemetry is off
 	cancelRg func()
 
@@ -269,15 +264,14 @@ func NewTraceBroker(cfg BrokerConfig) (*TraceBroker, error) {
 		byEntity: make(map[ident.EntityID]ident.SessionID),
 		done:     make(chan struct{}),
 	}
-	tb.avail = cfg.Avail
-	if tb.avail == nil && cfg.AvailInterval > 0 {
-		tb.avail = avail.New(avail.Config{Clock: tb.clk, Registry: obs.Default, Log: log})
-	}
 	if tb.sessionKeys() {
 		tb.sessReqLast = make(map[[secure.SessionIDLen]byte]time.Time)
 		cfg.Guard.OnUnknownSession(tb.requestSessionKey)
 	}
 	if cfg.TelemetryInterval > 0 {
+		acfg := cfg.Avail
+		acfg.Clock = tb.clk
+		tb.avail = avail.New(acfg)
 		tb.tel = &telemetryPlane{
 			store: timeseries.New(cfg.TelemetryOptions),
 			last:  make(map[string]int64),
@@ -298,15 +292,15 @@ func (tb *TraceBroker) Sessions() *SessionStore { return tb.cfg.Guard.sessions }
 func (tb *TraceBroker) sessionKeys() bool { return tb.cfg.Guard.sessions != nil }
 
 // Avail returns the broker-side availability ledger (nil when
-// availability tracking is disabled); admin endpoints serve it.
+// telemetry is off); admin endpoints serve it.
 func (tb *TraceBroker) Avail() *avail.Ledger { return tb.avail }
 
 // Resolver returns the resolver the trace broker validates tokens with.
 func (tb *TraceBroker) Resolver() AdResolver { return tb.cfg.Guard.resolver }
 
 // Start subscribes to the registration topic (§3.2), begins watching for
-// client disconnects (§3.3 DISCONNECT traces) and starts whichever of
-// the periodic publishers — availability digests, telemetry — is on.
+// client disconnects (§3.3 DISCONNECT traces) and, when telemetry is on,
+// starts the periodic telemetry publisher.
 func (tb *TraceBroker) Start() {
 	tb.cancelRg = tb.cfg.Broker.SubscribeLocal(topic.Registration(), tb.handleRegistration)
 	tb.cfg.Broker.OnClientDisconnect(tb.handleDisconnect)
@@ -316,17 +310,14 @@ func (tb *TraceBroker) Start() {
 		tb.cancelSk = tb.cfg.Broker.SubscribeLocal(
 			topic.SessionKeyDelivery(tb.cfg.Broker.Name()), tb.handleSessionKeyResponse)
 	}
-	if tb.avail != nil && tb.cfg.AvailInterval > 0 {
-		tb.periodic(tb.cfg.AvailInterval, tb.PublishAvailability)
-	}
 	if tb.tel != nil {
 		tb.periodic(tb.cfg.TelemetryInterval, tb.PublishTelemetry)
 	}
 }
 
 // periodic calls fn every interval on the manager's clock until Close.
-// Both system-topic publishers run on it; neither needs token machinery
-// (broker-constrained Publish-Only, non-derivative topics), so their
+// The telemetry publisher runs on it; it needs no token machinery
+// (broker-constrained Publish-Only, non-derivative topic), so its
 // authenticity rests on broker-link trust, like pings.
 func (tb *TraceBroker) periodic(interval time.Duration, fn func()) {
 	tb.wg.Add(1)
@@ -343,27 +334,6 @@ func (tb *TraceBroker) periodic(interval time.Duration, fn func()) {
 			}
 		}
 	}()
-}
-
-// mAvailDigests counts published availability digests.
-var mAvailDigests = obs.Default.Counter("core_avail_digests_total")
-
-// PublishAvailability publishes one availability digest immediately;
-// Start schedules it every AvailInterval, and tests or admin handlers
-// may call it directly. Brokers with nothing in their ledger stay quiet.
-func (tb *TraceBroker) PublishAvailability() {
-	if tb.avail == nil {
-		return
-	}
-	d := tb.avail.Digest(tb.cfg.Broker.Name())
-	if len(d.Rows) == 0 {
-		return
-	}
-	env := message.New(message.TraceAvailabilityDigest, topic.SystemAvailability(), "", d.Marshal())
-	mAvailDigests.Inc()
-	if err := tb.cfg.Broker.Publish(env); err != nil {
-		tb.log.Warn("availability digest publish failed", "err", err)
-	}
 }
 
 // handleDisconnect publishes a DISCONNECT trace when a traced entity's
@@ -388,7 +358,7 @@ func (tb *TraceBroker) handleDisconnect(entity ident.EntityID) {
 	if ended || !active {
 		return
 	}
-	s.publishTraceAlways(message.TraceDisconnect, topic.ClassChangeNotifications,
+	s.publishTraceAlways(nil, message.TraceDisconnect, topic.ClassChangeNotifications,
 		"entity connection dropped", nil)
 }
 
@@ -707,7 +677,7 @@ func (s *session) onDelegation(payload []byte) {
 	if first {
 		// "The first time a traced entity registers with a broker, the
 		// broker issues a JOIN trace" (§3.3).
-		s.publishTrace(message.TraceJoin, topic.ClassChangeNotifications, "entity requested tracing", nil)
+		s.publishTrace(nil, message.TraceJoin, topic.ClassChangeNotifications, "entity requested tracing", nil)
 		s.tb.wg.Add(1)
 		go func() {
 			defer s.tb.wg.Done()
@@ -772,7 +742,7 @@ func (s *session) onPingResponse(payload []byte, now time.Time, origin *message.
 	pingBytes := s.pingBytes
 	publishNet := s.answered%netMetricsEvery == 0
 	s.mu.Unlock()
-	s.publishTraceFrom(origin, message.TraceAllsWell, topic.ClassAllUpdates,
+	s.publishTrace(origin, message.TraceAllsWell, topic.ClassAllUpdates,
 		fmt.Sprintf("ping %d rtt=%s", pr.Number, rtt), nil)
 	if publishNet {
 		m := s.det.NetworkMetrics()
@@ -789,7 +759,7 @@ func (s *session) onPingResponse(payload []byte, now time.Time, origin *message.
 		if m.MeanRTT > 0 {
 			nr.BandwidthBps = float64(pingBytes) / m.MeanRTT.Seconds()
 		}
-		s.publishTraceFrom(origin, message.TraceNetworkMetrics, topic.ClassNetworkMetrics,
+		s.publishTrace(origin, message.TraceNetworkMetrics, topic.ClassNetworkMetrics,
 			"link metrics from ping history", nr.Marshal())
 	}
 }
@@ -803,7 +773,7 @@ func (s *session) onStateReport(payload []byte, now time.Time, origin *message.S
 	s.mu.Lock()
 	s.state = sr.To
 	s.mu.Unlock()
-	s.publishTraceFrom(origin, sr.To.TraceType(), topic.ClassStateTransitions,
+	s.publishTrace(origin, sr.To.TraceType(), topic.ClassStateTransitions,
 		fmt.Sprintf("state %s -> %s", sr.From, sr.To), sr.Marshal())
 	if sr.To == message.StateShutdown {
 		s.end("entity shut down", true)
@@ -817,7 +787,7 @@ func (s *session) onLoadReport(payload []byte, now time.Time, origin *message.Sp
 	if err != nil {
 		return
 	}
-	s.publishTraceFrom(origin, message.TraceLoadInformation, topic.ClassLoad,
+	s.publishTrace(origin, message.TraceLoadInformation, topic.ClassLoad,
 		fmt.Sprintf("cpu=%.1f%% workload=%.2f", lr.CPUPercent, lr.Workload), lr.Marshal())
 	_ = now
 }
@@ -829,11 +799,11 @@ func (s *session) setSilent(silent bool) {
 	s.silent = silent
 	s.mu.Unlock()
 	if silent && !was {
-		s.publishTraceAlways(message.TraceRevertingToSilentMode, topic.ClassChangeNotifications,
+		s.publishTraceAlways(nil, message.TraceRevertingToSilentMode, topic.ClassChangeNotifications,
 			"entity disabled tracing", nil)
 	}
 	if !silent && was {
-		s.publishTrace(message.TraceJoin, topic.ClassChangeNotifications, "entity resumed tracing", nil)
+		s.publishTrace(nil, message.TraceJoin, topic.ClassChangeNotifications, "entity resumed tracing", nil)
 	}
 }
 
@@ -865,10 +835,10 @@ func (s *session) pingLoop() {
 		if verdict != before {
 			switch verdict {
 			case failure.Suspected:
-				s.publishTrace(message.TraceFailureSuspicion, topic.ClassChangeNotifications,
+				s.publishTrace(nil, message.TraceFailureSuspicion, topic.ClassChangeNotifications,
 					fmt.Sprintf("%d consecutive pings unanswered", s.det.ConsecutiveMisses()), nil)
 			case failure.Failed:
-				s.publishTraceAlways(message.TraceFailed, topic.ClassChangeNotifications,
+				s.publishTraceAlways(nil, message.TraceFailed, topic.ClassChangeNotifications,
 					"entity deemed failed", nil)
 				s.end("failure detected", false)
 				return
@@ -917,7 +887,7 @@ func (s *session) publishGaugeInterest() {
 		env.Flags |= message.FlagSecured
 	}
 	mGaugeRounds.Inc()
-	s.signAndPublish(env, nil)
+	s.publishSigned(env, nil, false)
 }
 
 // handleInterestResponse records tracker interest and, for secured
@@ -1159,7 +1129,7 @@ func (s *session) deliverSessionParams(recipient ident.EntityID, deliveryTopic s
 	}
 	resp := &message.SessionKeyResponse{TraceTopic: s.traceTopic, Recipient: recipient, Sealed: sealed}
 	env := message.New(message.TypeSessionKeyResponse, tp, "", resp.Marshal())
-	s.signAndPublish(env, nil)
+	s.publishSigned(env, nil, false)
 	s.rememberRecipient(recipient, id, deliveryTopic, pub)
 	sp.MarkDistributed(id)
 	mSessionKeyDeliveries.Inc()
@@ -1245,7 +1215,7 @@ func (s *session) deliverTraceKey(ir *message.InterestResponse, trackerPub *rsa.
 		return
 	}
 	env := message.New(message.TypeKeyDelivery, tp, "", wire)
-	s.signAndPublish(env, nil)
+	s.publishSigned(env, nil, false)
 	mKeyDeliveries.Inc()
 	s.tb.log.Info("trace key delivered", "session", s.sessionID, "tracker", ir.Tracker)
 }
@@ -1277,16 +1247,11 @@ func (s *session) hasInterest(class topic.TraceClass) bool {
 
 // publishTrace publishes a trace if the class has interested trackers;
 // change notifications are always published (JOIN precedes any gauged
-// interest; failure notices are the scheme's raison d'être).
-func (s *session) publishTrace(tt message.Type, class topic.TraceClass, detail string, body []byte) {
-	s.publishTraceFrom(nil, tt, class, detail, body)
-}
-
-// publishTraceFrom is publishTrace threading the originating entity
-// message's span into the derived trace, so end-to-end assembly sees
-// one flow from the entity's hop zero through every broker to the
-// tracker.
-func (s *session) publishTraceFrom(origin *message.Span, tt message.Type, class topic.TraceClass, detail string, body []byte) {
+// interest; failure notices are the scheme's raison d'être). origin,
+// when non-nil, is the span of the entity message the trace derives
+// from, threaded through so end-to-end assembly sees one flow from the
+// entity's hop zero through every broker to the tracker.
+func (s *session) publishTrace(origin *message.Span, tt message.Type, class topic.TraceClass, detail string, body []byte) {
 	s.mu.Lock()
 	silent := s.silent
 	s.mu.Unlock()
@@ -1300,13 +1265,7 @@ func (s *session) publishTraceFrom(origin *message.Span, tt message.Type, class 
 		mTracesSuppressed.Inc()
 		return
 	}
-	s.publishTraceAlwaysFrom(origin, tt, class, detail, body)
-}
-
-// publishTraceAlways publishes regardless of interest and silence (used
-// for the silent-mode notice itself and terminal FAILED traces).
-func (s *session) publishTraceAlways(tt message.Type, class topic.TraceClass, detail string, body []byte) {
-	s.publishTraceAlwaysFrom(nil, tt, class, detail, body)
+	s.publishTraceAlways(origin, tt, class, detail, body)
 }
 
 // observeAvail feeds a trace the broker originates about this session
@@ -1335,8 +1294,9 @@ func (s *session) observeAvail(tt message.Type) {
 	l.Observe(ob)
 }
 
-// publishTraceAlwaysFrom is publishTraceAlways with span threading.
-func (s *session) publishTraceAlwaysFrom(origin *message.Span, tt message.Type, class topic.TraceClass, detail string, body []byte) {
+// publishTraceAlways publishes regardless of interest and silence (used
+// for the silent-mode notice itself and terminal FAILED traces).
+func (s *session) publishTraceAlways(origin *message.Span, tt message.Type, class topic.TraceClass, detail string, body []byte) {
 	s.observeAvail(tt)
 	te := &message.TraceEvent{
 		Entity:     s.entity,
@@ -1372,20 +1332,14 @@ func (s *session) publishTraceAlwaysFrom(origin *message.Span, tt message.Type, 
 	s.publishSigned(env, origin, allowSession)
 }
 
-// signAndPublish attaches the authorization token, signs with the
-// delegate key (§4.3) and injects the envelope into the broker network.
-// origin, when non-nil, is the span of the entity message this trace
-// derives from: its trace ID and hops carry over, so the derived trace
-// continues the entity's flow instead of starting a fresh one.
-func (s *session) signAndPublish(env *message.Envelope, origin *message.Span) {
-	s.publishSigned(env, origin, false)
-}
-
 // publishSigned authenticates and publishes one broker-originated
 // envelope. allowSession selects the §6.3 session tag when a live
 // session key exists; the publisher transparently falls back to the
 // token + RSA delegate signature when the session window has closed
-// (rekeying for the next message) or session keys are off.
+// (rekeying for the next message) or session keys are off. origin, when
+// non-nil, is the span of the entity message this envelope derives
+// from: its trace ID and hops carry over, so the derived trace
+// continues the entity's flow instead of starting a fresh one.
 func (s *session) publishSigned(env *message.Envelope, origin *message.Span, allowSession bool) {
 	s.mu.Lock()
 	tokenBytes := s.tokenBytes
@@ -1500,7 +1454,7 @@ func (s *session) end(reason string, graceful bool) {
 	active := s.active
 	s.mu.Unlock()
 	if active && !graceful && reason != "" && reason != "failure detected" {
-		s.publishTraceAlways(message.TraceDisconnect, topic.ClassChangeNotifications, reason, nil)
+		s.publishTraceAlways(nil, message.TraceDisconnect, topic.ClassChangeNotifications, reason, nil)
 	}
 	close(s.done)
 	for _, cancel := range s.cancelSubs {

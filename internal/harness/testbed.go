@@ -110,21 +110,18 @@ type Options struct {
 	// obs.DefaultFlightSample). Drops and guard rejections are always
 	// recorded regardless.
 	FlightSample int
-	// AvailInterval enables per-broker availability digests on the
-	// system-availability topic every interval (zero disables broker
-	// ledgers and digests).
-	AvailInterval time.Duration
 	// TelemetryInterval enables the per-broker telemetry plane
 	// (PROTOCOL.md §3.10): sampling into a per-broker time-series store
-	// plus delta-encoded snapshots on the system-telemetry topic — what
-	// `tracectl top` and `tracectl map` read — every interval (zero
-	// disables).
+	// plus delta-encoded snapshots, carrying the broker's availability
+	// ledger rows, on the system-telemetry topic — what `tracectl top`,
+	// `map` and `avail` read — every interval (zero disables it and the
+	// broker ledgers).
 	TelemetryInterval time.Duration
 	// TelemetryRules runs the anomaly engine over every broker's store
 	// (alert edges ride in the published snapshots).
 	TelemetryRules []timeseries.Rule
 	// Avail is the template config for every availability ledger the
-	// testbed creates (per broker when AvailInterval is set, and per
+	// testbed creates (per broker when TelemetryInterval is set, and per
 	// tracker always); zero-value fields take the avail.New defaults.
 	Avail avail.Config
 	// LogDir enables per-broker durable trace logs (PROTOCOL.md §3.8)
@@ -332,8 +329,7 @@ func (tb *Testbed) startBroker(i int, listenAddr string) error {
 			Detector:          opts.Detector,
 			GaugeInterval:     opts.GaugeInterval,
 			InterestTTL:       opts.InterestTTL,
-			AvailInterval:     opts.AvailInterval,
-			Avail:             tb.newLedger(opts.AvailInterval > 0),
+			Avail:             opts.Avail,
 			TelemetryInterval: opts.TelemetryInterval,
 			TelemetryRules:    opts.TelemetryRules,
 		},
@@ -400,15 +396,6 @@ func (tb *Testbed) RestartBroker(i int) error {
 // Transport exposes the testbed's transport so callers can attach extra
 // raw clients (observers, adversaries) to its brokers.
 func (tb *Testbed) Transport() transport.Transport { return tb.tr }
-
-// newLedger builds one availability ledger from the options template
-// (nil unless enabled).
-func (tb *Testbed) newLedger(enabled bool) *avail.Ledger {
-	if !enabled {
-		return nil
-	}
-	return avail.New(tb.Opts.Avail)
-}
 
 // freshAddr is the listen address that picks a new endpoint on the
 // testbed's transport.
@@ -509,7 +496,7 @@ func (tb *Testbed) StartTrackerPaced(name string, brokerIdx int, entity string, 
 	if err != nil {
 		return nil, err
 	}
-	ledger := tb.newLedger(true)
+	ledger := avail.New(tb.Opts.Avail)
 	cfg := core.TrackerConfig{
 		Identity:  id,
 		Verifier:  tb.Verifier,

@@ -82,17 +82,15 @@ const (
 	// Load and network information.
 	TraceLoadInformation
 	TraceNetworkMetrics
-	// traceRetiredHealth holds the wire value of the retired broker
-	// self-monitoring snapshot (telemetry, PROTOCOL.md §3.10, replaced
-	// it): the values after it are persisted in durable-log records and
-	// must not renumber, and the type stays Valid so a not-yet-upgraded
-	// neighbour's snapshot routes by topic instead of counting as a
-	// malformed envelope against its link.
+	// traceRetiredHealth and traceRetiredAvailDigest hold the wire values
+	// of the retired broker self-monitoring snapshot and availability
+	// digest (the telemetry snapshot, PROTOCOL.md §3.10, carries both
+	// now): the values after them are persisted in durable-log records
+	// and must not renumber, and the types stay Valid so a
+	// not-yet-upgraded neighbour's broadcast routes by topic instead of
+	// counting as a malformed envelope against its link.
 	traceRetiredHealth
-	// Availability analytics: periodic per-broker ledger digests on the
-	// system-availability derivative topic (appended to keep existing
-	// wire values stable).
-	TraceAvailabilityDigest
+	traceRetiredAvailDigest
 
 	// Session-key negotiation (§6.3 signing-cost optimization): protocol
 	// messages appended after the trace block so existing wire values are
@@ -189,8 +187,8 @@ func (t Type) String() string {
 		return "NETWORK_METRICS"
 	case traceRetiredHealth:
 		return "BROKER_HEALTH(retired)"
-	case TraceAvailabilityDigest:
-		return "AVAILABILITY_DIGEST"
+	case traceRetiredAvailDigest:
+		return "AVAILABILITY_DIGEST(retired)"
 	case TypeSessionKeyRequest:
 		return "SESSION_KEY_REQUEST"
 	case TypeSessionKeyResponse:

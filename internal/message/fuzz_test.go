@@ -1,6 +1,7 @@
 package message
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -128,13 +129,24 @@ func FuzzTelemetrySnapshot(f *testing.F) {
 	}).Marshal())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
+	f.Add((&TelemetrySnapshot{
+		Broker: "hb2", AtNanos: 9, IntervalMillis: 1000,
+		Avail: []AvailabilityRow{
+			{Entity: "svc-1", State: 1, SinceNanos: 5, Uptime5m: 1, Uptime1h: -1, Uptime24h: -1,
+				BudgetRemaining: 0.5, BurnRate: 2},
+			{Entity: "svc-2", State: 3, Transitions: 4, Flaps: 1, DowntimeNanos: 1 << 40,
+				MTBFNanos: 7, MTTRNanos: 8, DetectLastNanos: 9, DetectMaxNanos: 10,
+				BudgetRemaining: -1, BurnRate: -1, Breaches: 2},
+		},
+	}).Marshal())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ts, err := UnmarshalTelemetrySnapshot(data)
 		if err != nil {
 			return
 		}
-		if len(ts.Rows) > maxTelemetryRows || len(ts.Alerts) > maxTelemetryRows {
-			t.Fatalf("accepted %d rows / %d alerts past the cap", len(ts.Rows), len(ts.Alerts))
+		if len(ts.Rows) > maxTelemetryRows || len(ts.Alerts) > maxTelemetryRows || len(ts.Avail) > maxTelemetryRows {
+			t.Fatalf("accepted %d rows / %d alerts / %d avail rows past the cap",
+				len(ts.Rows), len(ts.Alerts), len(ts.Avail))
 		}
 		back, err := UnmarshalTelemetrySnapshot(ts.Marshal())
 		if err != nil {
@@ -142,13 +154,19 @@ func FuzzTelemetrySnapshot(f *testing.F) {
 		}
 		if back.Broker != ts.Broker || back.AtNanos != ts.AtNanos ||
 			back.FabricEpoch != ts.FabricEpoch || back.IntervalMillis != ts.IntervalMillis ||
-			len(back.Rows) != len(ts.Rows) || len(back.Alerts) != len(ts.Alerts) {
+			len(back.Rows) != len(ts.Rows) || len(back.Alerts) != len(ts.Alerts) ||
+			len(back.Avail) != len(ts.Avail) {
 			t.Fatal("round trip changed snapshot header or counts")
 		}
 		for i := range ts.Rows {
 			if back.Rows[i] != ts.Rows[i] {
 				t.Fatalf("round trip changed row %d: %+v vs %+v", i, ts.Rows[i], back.Rows[i])
 			}
+		}
+		// Avail rows carry float ratios a fuzzed NaN would fail a
+		// field-wise != on; they must survive bit for bit instead.
+		if !bytes.Equal(back.Marshal(), ts.Marshal()) {
+			t.Fatalf("round trip changed avail rows: %+v vs %+v", ts.Avail, back.Avail)
 		}
 	})
 }

@@ -209,7 +209,7 @@ func TestTypeWireValues(t *testing.T) {
 		13: TraceInitializing, 14: TraceRecovering, 15: TraceReady, 16: TraceShutdown,
 		17: TraceFailureSuspicion, 18: TraceFailed, 19: TraceDisconnect, 20: TraceGaugeInterest,
 		21: TraceJoin, 22: TraceRevertingToSilentMode, 23: TraceAllsWell, 24: TraceLoadInformation,
-		25: TraceNetworkMetrics, 26: traceRetiredHealth, 27: TraceAvailabilityDigest,
+		25: TraceNetworkMetrics, 26: traceRetiredHealth, 27: traceRetiredAvailDigest,
 		28: TypeSessionKeyRequest, 29: TypeSessionKeyResponse, 30: TypeFabricGossip,
 		31: TraceTelemetrySnapshot,
 	}
@@ -223,6 +223,9 @@ func TestTypeWireValues(t *testing.T) {
 	}
 	if !traceRetiredHealth.Valid() || traceRetiredHealth.String() != "BROKER_HEALTH(retired)" {
 		t.Fatalf("retired slot: Valid=%v String=%q", traceRetiredHealth.Valid(), traceRetiredHealth)
+	}
+	if !traceRetiredAvailDigest.Valid() || traceRetiredAvailDigest.String() != "AVAILABILITY_DIGEST(retired)" {
+		t.Fatalf("retired slot: Valid=%v String=%q", traceRetiredAvailDigest.Valid(), traceRetiredAvailDigest)
 	}
 }
 

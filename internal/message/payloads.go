@@ -561,93 +561,18 @@ type AvailabilityRow struct {
 	Breaches uint32
 }
 
-// AvailabilityDigest is the payload of a TraceAvailabilityDigest
-// message: the periodic fleet-availability snapshot a broker publishes
-// about the entities it hosts on the system-availability derivative
-// topic, so a single subscription anywhere observes fleet-wide
-// availability the same way the system-telemetry topic exposes the
-// brokers themselves.
+// AvailabilityDigest is one reporter's availability ledger snapshot:
+// the rows a broker's telemetry snapshot carries (TelemetrySnapshot.Avail,
+// reassembled per broker by tracectl) and the document the /avail admin
+// endpoint serves as JSON.
 type AvailabilityDigest struct {
-	// Reporter names the publishing node (a broker, or a tracker when
+	// Reporter names the reporting node (a broker, or a tracker when
 	// serialized for the /avail admin endpoint).
 	Reporter string
 	// AtNanos is the reporter's local clock at digest time.
 	AtNanos int64
 	// Rows carries one entry per tracked entity.
 	Rows []AvailabilityRow
-}
-
-// maxAvailRows bounds the parsed row list (the wire format stores the
-// count in a u16; a reporter with more entities truncates its digest).
-const maxAvailRows = 4096
-
-// Marshal serializes the availability digest.
-func (ad *AvailabilityDigest) Marshal() []byte {
-	var w wire.Writer
-	w.Str(ad.Reporter)
-	w.I64(ad.AtNanos)
-	rows := ad.Rows
-	if len(rows) > maxAvailRows {
-		rows = rows[:maxAvailRows]
-	}
-	w.U16(uint16(len(rows)))
-	for _, row := range rows {
-		w.Str(row.Entity)
-		w.U8(row.State)
-		w.I64(row.SinceNanos)
-		w.U32(row.Transitions)
-		w.U32(row.Flaps)
-		w.I64(row.DowntimeNanos)
-		w.F64(row.Uptime5m)
-		w.F64(row.Uptime1h)
-		w.F64(row.Uptime24h)
-		w.I64(row.MTBFNanos)
-		w.I64(row.MTTRNanos)
-		w.I64(row.DetectLastNanos)
-		w.I64(row.DetectMaxNanos)
-		w.F64(row.BudgetRemaining)
-		w.F64(row.BurnRate)
-		w.U32(row.Breaches)
-	}
-	return w.Buf
-}
-
-// UnmarshalAvailabilityDigest parses an availability digest payload.
-func UnmarshalAvailabilityDigest(b []byte) (*AvailabilityDigest, error) {
-	r := wire.NewReader(b, wire.MaxField)
-	ad := &AvailabilityDigest{}
-	ad.Reporter = r.Str()
-	ad.AtNanos = r.I64()
-	n := int(r.U16())
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if n > maxAvailRows {
-		return nil, fmt.Errorf("message: availability digest row count %d exceeds %d", n, maxAvailRows)
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		row := AvailabilityRow{Entity: r.Str()}
-		row.State = r.U8()
-		row.SinceNanos = r.I64()
-		row.Transitions = r.U32()
-		row.Flaps = r.U32()
-		row.DowntimeNanos = r.I64()
-		row.Uptime5m = r.F64()
-		row.Uptime1h = r.F64()
-		row.Uptime24h = r.F64()
-		row.MTBFNanos = r.I64()
-		row.MTTRNanos = r.I64()
-		row.DetectLastNanos = r.I64()
-		row.DetectMaxNanos = r.I64()
-		row.BudgetRemaining = r.F64()
-		row.BurnRate = r.F64()
-		row.Breaches = r.U32()
-		ad.Rows = append(ad.Rows, row)
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	return ad, nil
 }
 
 // SessionKeyRequest is the payload of a TypeSessionKeyRequest message
@@ -868,11 +793,14 @@ type TelemetrySnapshot struct {
 	Rows []TelemetryRow
 	// Alerts carries the standing alerts plus this tick's edges.
 	Alerts []TelemetryAlert
+	// Avail carries the broker's availability ledger, one row per
+	// hosted entity (empty when the broker tracks none).
+	Avail []AvailabilityRow
 }
 
-// maxTelemetryRows bounds the parsed row and alert lists (the wire
-// format stores each count in a u16; a publisher with more series
-// truncates).
+// maxTelemetryRows bounds each of the parsed row, alert and
+// availability-row lists (the wire format stores each count in a u16; a
+// publisher with more series or hosted entities truncates).
 const maxTelemetryRows = 4096
 
 // Marshal serializes the telemetry snapshot.
@@ -903,6 +831,29 @@ func (ts *TelemetrySnapshot) Marshal() []byte {
 		w.Bool(al.Firing)
 		w.I64(al.SinceNanos)
 		w.F64(al.Value)
+	}
+	avail := ts.Avail
+	if len(avail) > maxTelemetryRows {
+		avail = avail[:maxTelemetryRows]
+	}
+	w.U16(uint16(len(avail)))
+	for _, row := range avail {
+		w.Str(row.Entity)
+		w.U8(row.State)
+		w.I64(row.SinceNanos)
+		w.U32(row.Transitions)
+		w.U32(row.Flaps)
+		w.I64(row.DowntimeNanos)
+		w.F64(row.Uptime5m)
+		w.F64(row.Uptime1h)
+		w.F64(row.Uptime24h)
+		w.I64(row.MTBFNanos)
+		w.I64(row.MTTRNanos)
+		w.I64(row.DetectLastNanos)
+		w.I64(row.DetectMaxNanos)
+		w.F64(row.BudgetRemaining)
+		w.F64(row.BurnRate)
+		w.U32(row.Breaches)
 	}
 	return w.Buf
 }
@@ -942,6 +893,32 @@ func UnmarshalTelemetrySnapshot(b []byte) (*TelemetrySnapshot, error) {
 		al.SinceNanos = r.I64()
 		al.Value = r.F64()
 		ts.Alerts = append(ts.Alerts, al)
+	}
+	nv := int(r.U16())
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	if nv > maxTelemetryRows {
+		return nil, fmt.Errorf("message: telemetry avail row count %d exceeds %d", nv, maxTelemetryRows)
+	}
+	for i := 0; i < nv && r.Err() == nil; i++ {
+		row := AvailabilityRow{Entity: r.Str()}
+		row.State = r.U8()
+		row.SinceNanos = r.I64()
+		row.Transitions = r.U32()
+		row.Flaps = r.U32()
+		row.DowntimeNanos = r.I64()
+		row.Uptime5m = r.F64()
+		row.Uptime1h = r.F64()
+		row.Uptime24h = r.F64()
+		row.MTBFNanos = r.I64()
+		row.MTTRNanos = r.I64()
+		row.DetectLastNanos = r.I64()
+		row.DetectMaxNanos = r.I64()
+		row.BudgetRemaining = r.F64()
+		row.BurnRate = r.F64()
+		row.Breaches = r.U32()
+		ts.Avail = append(ts.Avail, row)
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

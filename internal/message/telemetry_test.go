@@ -51,13 +51,15 @@ func TestTelemetrySnapshotRowCap(t *testing.T) {
 	for i := 0; i < maxTelemetryRows+10; i++ {
 		in.Rows = append(in.Rows, TelemetryRow{Name: "s", Value: int64(i)})
 		in.Alerts = append(in.Alerts, TelemetryAlert{Rule: "r", Series: "s"})
+		in.Avail = append(in.Avail, AvailabilityRow{Entity: "e"})
 	}
 	out, err := UnmarshalTelemetrySnapshot(in.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Rows) != maxTelemetryRows || len(out.Alerts) != maxTelemetryRows {
-		t.Fatalf("marshal did not truncate at the cap: %d rows, %d alerts", len(out.Rows), len(out.Alerts))
+	if len(out.Rows) != maxTelemetryRows || len(out.Alerts) != maxTelemetryRows || len(out.Avail) != maxTelemetryRows {
+		t.Fatalf("marshal did not truncate at the cap: %d rows, %d alerts, %d avail rows",
+			len(out.Rows), len(out.Alerts), len(out.Avail))
 	}
 	// A forged count beyond the cap is rejected outright, not allocated.
 	var w wire.Writer

@@ -19,31 +19,17 @@ const (
 	SuffixNetworkMetrics      = "NetworkMetrics"
 	SuffixInterest            = "Interest"
 	SuffixSystem              = "System"
-	SuffixAvailability        = "Availability"
 	SuffixSessionKeys         = "SessionKeys"
 	SuffixFabric              = "Fabric"
 	SuffixTelemetry           = "Telemetry"
 )
 
-// SystemAvailability returns the constrained derivative topic carrying
-// per-broker availability digests:
-// /Constrained/Traces/Broker/Publish-Only/System/Availability. The
-// fabric reports on itself with its own derivative-topic mechanism:
-// Publish-Only with the broker as constrainer means only brokers may
-// publish digests while anyone may subscribe, and the default
-// Disseminate distribution propagates them network-wide, so one
-// subscription anywhere sees the availability of every entity in the
-// fleet. The "System" segment is deliberately not a UUID, so the topic
-// falls outside the per-trace-topic token guard.
-func SystemAvailability() Topic {
-	return MustParse("/Constrained/Traces/Broker/Publish-Only/" + SuffixSystem + "/" + SuffixAvailability)
-}
-
 // SystemFabric returns the constrained topic carrying broker-fabric
 // membership gossip (PROTOCOL.md §3.9):
-// /Constrained/Traces/Broker/Publish-Only/System/Fabric. It mirrors
-// SystemAvailability(): Publish-Only with the broker as constrainer means
-// only brokers may gossip, the default Disseminate distribution
+// /Constrained/Traces/Broker/Publish-Only/System/Fabric. The fabric
+// reports on itself with its own derivative-topic mechanism: Publish-Only
+// with the broker as constrainer means only brokers may gossip while
+// anyone may subscribe, the default Disseminate distribution
 // propagates exchanges across whatever links exist (anti-entropy
 // convergence even when two brokers are not directly linked), and the
 // non-UUID "System" segment keeps it outside the per-trace-topic token
@@ -55,7 +41,7 @@ func SystemFabric() Topic {
 // SystemTelemetry returns the constrained topic carrying per-broker
 // metric snapshots (PROTOCOL.md §3.10):
 // /Constrained/Traces/Broker/Publish-Only/System/Telemetry. It mirrors
-// SystemAvailability(): Publish-Only with the broker as constrainer means
+// SystemFabric(): Publish-Only with the broker as constrainer means
 // only brokers may publish telemetry while anyone may subscribe, the
 // default Disseminate distribution propagates snapshots network-wide
 // (one `tracectl top` subscription anywhere assembles the whole

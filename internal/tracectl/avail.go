@@ -10,62 +10,14 @@ import (
 	"time"
 
 	"entitytrace/internal/avail"
-	"entitytrace/internal/broker"
-	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
-	"entitytrace/internal/topic"
-	"entitytrace/internal/transport"
 )
-
-// WatchAvailability subscribes to the system-availability topic via the
-// given broker and collects availability digests for the given
-// duration, returning the latest digest per reporter. Like the health
-// topic, one subscription anywhere sees every reporter: the topic's
-// Disseminate distribution propagates digests network-wide.
-func WatchAvailability(tr transport.Transport, addr string, name ident.EntityID, d time.Duration) ([]*message.AvailabilityDigest, error) {
-	cl, err := broker.Connect(tr, addr, name)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	digests := make(chan *message.AvailabilityDigest, 256)
-	err = cl.Subscribe(topic.SystemAvailability(), func(env *message.Envelope) {
-		if env.Type != message.TraceAvailabilityDigest {
-			return
-		}
-		ad, err := message.UnmarshalAvailabilityDigest(env.Payload)
-		if err != nil {
-			return
-		}
-		select {
-		case digests <- ad:
-		default:
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	latest := make(map[string]*message.AvailabilityDigest)
-	deadline := time.After(d)
-collect:
-	for {
-		select {
-		case ad := <-digests:
-			if cur, ok := latest[ad.Reporter]; !ok || ad.AtNanos >= cur.AtNanos {
-				latest[ad.Reporter] = ad
-			}
-		case <-deadline:
-			break collect
-		}
-	}
-	return sortDigests(latest), nil
-}
 
 // FetchAvail queries the /avail admin endpoint of every configured
 // admin base URL (trackers and brokers both serve it), skipping
 // unreachable ones; it fails only when no endpoint answered. This is
-// the pull-based alternative to WatchAvailability for nodes whose
-// digests are not on the availability topic (e.g. trackers).
+// the pull-based alternative to TopAssembler.Avail for nodes whose
+// ledgers do not ride a telemetry snapshot (e.g. trackers).
 func (c *Client) FetchAvail() ([]*message.AvailabilityDigest, error) {
 	latest := make(map[string]*message.AvailabilityDigest)
 	var errs []string

@@ -26,7 +26,8 @@ import (
 // sparkline columns, fleet totals, and the standing alert set, including
 // absence-of-heartbeat alerts the assembler synthesizes itself when a
 // broker's snapshots stop), map as the topology (every broker with its
-// links' queue depths and offender scores).
+// links' queue depths and offender scores). `tracectl avail` reads the
+// same subscription for the availability rows the snapshots carry.
 
 // sparkSamples is the per-series rate history behind each sparkline.
 const sparkSamples = 32
@@ -114,6 +115,8 @@ type topBroker struct {
 	// absentSince, when nonzero, is the synthesized heartbeat-absent
 	// episode start.
 	absentSince int64
+	// avail is the broker's availability ledger as of its last snapshot.
+	avail []message.AvailabilityRow
 }
 
 // TopAssembler folds TELEMETRY_SNAPSHOT payloads from any number of
@@ -166,6 +169,7 @@ func (a *TopAssembler) Ingest(ts *message.TelemetrySnapshot) {
 	b.epoch = ts.FabricEpoch
 	b.interval = time.Duration(ts.IntervalMillis) * time.Millisecond
 	b.absentSince = 0
+	b.avail = ts.Avail
 	b.links = b.links[:0]
 	for _, row := range ts.Rows {
 		if b.foldLink(row) {
@@ -264,6 +268,22 @@ func (a *TopAssembler) Episodes() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.episodes)
+}
+
+// Avail returns the availability rows of every broker whose latest
+// snapshot carried any, one digest per broker stamped with that
+// snapshot's time, sorted by broker: the input of the `tracectl avail`
+// board.
+func (a *TopAssembler) Avail() []*message.AvailabilityDigest {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	latest := make(map[string]*message.AvailabilityDigest)
+	for name, b := range a.brokers {
+		if len(b.avail) > 0 {
+			latest[name] = &message.AvailabilityDigest{Reporter: name, AtNanos: b.atNanos, Rows: b.avail}
+		}
+	}
+	return sortDigests(latest)
 }
 
 // TopAlert is one standing alert row of the board.

@@ -284,6 +284,42 @@ func TestRenderMapFromTelemetry(t *testing.T) {
 	}
 }
 
+// TestAvailFromTelemetry feeds the assembler snapshots from two brokers,
+// one hosting an entity and one hosting none: the avail board gets one
+// digest, for the reporting broker, from its latest snapshot — a late
+// older snapshot does not roll it back.
+func TestAvailFromTelemetry(t *testing.T) {
+	a := NewTopAssembler(func() time.Time { return testT0 })
+	snap := func(broker string, at time.Duration, state uint8) *message.TelemetrySnapshot {
+		ts := &message.TelemetrySnapshot{Broker: broker, AtNanos: testT0.Add(at).UnixNano(), IntervalMillis: 1000}
+		if state != 0 {
+			ts.Avail = []message.AvailabilityRow{{Entity: "svc-1", State: state, BudgetRemaining: -1, BurnRate: -1}}
+		}
+		return ts
+	}
+	a.Ingest(snap("hb0", time.Second, uint8(avail.Up)))
+	a.Ingest(snap("hb1", time.Second, 0))
+	a.Ingest(snap("hb0", 3*time.Second, uint8(avail.Down)))
+	a.Ingest(snap("hb0", 2*time.Second, uint8(avail.Up)))
+	a.Ingest(snap("hb1", 2*time.Second, 0))
+
+	digests := a.Avail()
+	if len(digests) != 1 {
+		t.Fatalf("digests = %+v, want one for hb0", digests)
+	}
+	d := digests[0]
+	if d.Reporter != "hb0" || d.AtNanos != testT0.Add(3*time.Second).UnixNano() ||
+		len(d.Rows) != 1 || avail.State(d.Rows[0].State) != avail.Down {
+		t.Fatalf("digest = %+v, want hb0's 3s snapshot with svc-1 DOWN", d)
+	}
+	var out bytes.Buffer
+	RenderAvailBoard(&out, digests)
+	if s := out.String(); !strings.Contains(s, "reporter hb0") || !strings.Contains(s, "svc-1") ||
+		strings.Contains(s, "hb1") {
+		t.Fatalf("board:\n%s", s)
+	}
+}
+
 func TestTailJSON(t *testing.T) {
 	fr := obs.NewFlightRecorder("t0", 64, 1)
 	fr.Record(obs.FlightEvent{Kind: obs.FlightIngress, Peer: "svc-1"})
