@@ -104,12 +104,14 @@ trace:
 avail:
 	$(GO) test -race -run 'TestAvail' -count=1 -v .
 
-# Durability smoke: the durable-log unit suite race-enabled and the crash
-# e2e suite (SIGKILL-equivalent broker crash + same-log-dir restart with
-# gap-free, duplicate-free ledgers; tamper refusal on recovery; late
-# tracker history replay).
+# Durability smoke: the durable-log unit suite race-enabled, the broker's
+# replay pump and cumulative-ACK tests, and the crash e2e suite
+# (SIGKILL-equivalent broker crash + same-log-dir restart with gap-free,
+# duplicate-free ledgers; tamper refusal on recovery; late tracker
+# history replay).
 durable:
 	$(GO) test -race -count=1 ./internal/durable/
+	$(GO) test -race -count=1 -run 'TestDurable|TestRedelivery|TestReplay' ./internal/broker/
 	$(GO) test -race -run 'TestDurable' -count=1 -v .
 
 # Fabric smoke (§3.9): the hash-ring/gossip/orchestrator unit suite

@@ -93,6 +93,13 @@ type Client struct {
 	durable  map[string]DurableHandler // topic string -> replay handler
 	pending  map[uint64]chan *control
 	closed   bool
+	// Replay ACKs are cumulative (PROTOCOL.md §3.8): acks holds, per
+	// topic, the highest offset acknowledged and not yet sent. While
+	// draining is set — the receive loop is between a read and the
+	// point where no whole frame is left buffered — Ack only records,
+	// and the loop sends every held cursor in one write.
+	acks     map[string]uint64
+	draining bool
 
 	defaultHandler atomic.Value // Handler
 	warn           atomic.Pointer[obs.LogLimiter]
@@ -147,6 +154,7 @@ func ConnectWith(tr transport.Transport, addr string, entity ident.EntityID, opt
 		conn:         conn,
 		handlers:     make(map[string][]Handler),
 		pending:      make(map[uint64]chan *control),
+		acks:         make(map[string]uint64),
 		done:         make(chan struct{}),
 		clk:          clock.Real{},
 		writeTimeout: opts.WriteTimeout,
@@ -180,16 +188,35 @@ func (c *Client) drop(d clientDrop, err error) {
 }
 
 // recvLoop pumps frames from the broker, decoding them with the
-// connection's own Decoder.
+// connection's own Decoder. Replay ACKs the handlers make leave together
+// once no whole frame is left buffered, or after replayBatchRecords
+// frames, so a consumer that never drains its read still advances its
+// cursor at the pump's batch granularity.
 func (c *Client) recvLoop() {
 	defer c.shutdown()
 	dec := message.NewDecoder()
 	var frames [][]byte // batch sub-frames, reused
+	unflushed := 0      // frames handled since the last ACK flush
 	for {
+		if unflushed > 0 {
+			more := transport.Pending(c.conn)
+			if !more || unflushed == replayBatchRecords {
+				if c.flushAcks(more) != nil {
+					return
+				}
+				unflushed = 0
+			}
+		}
 		frame, err := c.conn.Recv()
 		if err != nil {
 			return
 		}
+		if unflushed == 0 {
+			c.mu.Lock()
+			c.draining = true
+			c.mu.Unlock()
+		}
+		unflushed++
 		if len(frame) < 1 {
 			c.drop(mDropKind, errors.New("empty frame"))
 			continue
@@ -321,7 +348,7 @@ func (c *Client) Subscribe(tp topic.Topic, h Handler) error {
 		}
 	case <-c.done:
 		return ErrClientClosed
-	case <-time.After(subscribeTimeout):
+	case <-c.clk.After(subscribeTimeout):
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
@@ -385,7 +412,7 @@ func (c *Client) Replay(tp topic.Topic, since uint64, h DurableHandler) error {
 	case <-c.done:
 		c.dropDurable(ts)
 		return ErrClientClosed
-	case <-time.After(subscribeTimeout):
+	case <-c.clk.After(subscribeTimeout):
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
@@ -405,15 +432,50 @@ func (c *Client) dropDurable(ts string) {
 // highest contiguously processed record. Fire-and-forget — the broker
 // applies it monotonically, so a lost or reordered ack only delays
 // cursor progress (and at worst causes an offset-deduped redelivery).
+// Acks are cumulative: one made from a handler while the receive loop
+// drains a read is held, and the loop sends the highest held offset per
+// topic once the read is drained; any other Ack is sent at once.
 func (c *Client) Ack(tp topic.Topic, offset uint64) error {
+	ts := tp.String()
 	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.closed {
+		c.mu.Unlock()
 		return ErrClientClosed
 	}
-	ack := &control{Kind: ctrlAckCur, Topic: tp.String(), Cursor: offset}
-	return c.send(append([]byte{frameControl}, marshalControl(ack)...))
+	if offset > c.acks[ts] {
+		c.acks[ts] = offset
+	}
+	var frames [][]byte
+	if !c.draining {
+		frames = c.takeAcks()
+	}
+	c.mu.Unlock()
+	return c.send(frames...)
+}
+
+// flushAcks sends every held ACK in one write and records whether the
+// receive loop is still draining its read.
+func (c *Client) flushAcks(draining bool) error {
+	c.mu.Lock()
+	c.draining = draining
+	frames := c.takeAcks()
+	c.mu.Unlock()
+	return c.send(frames...)
+}
+
+// takeAcks turns each held cursor into an ACK-CUR frame and clears the
+// hold. c.mu must be held.
+func (c *Client) takeAcks() [][]byte {
+	if len(c.acks) == 0 {
+		return nil
+	}
+	frames := make([][]byte, 0, len(c.acks))
+	for ts, offset := range c.acks {
+		ack := &control{Kind: ctrlAckCur, Topic: ts, Cursor: offset}
+		frames = append(frames, append([]byte{frameControl}, marshalControl(ack)...))
+	}
+	clear(c.acks)
+	return frames
 }
 
 // Unsubscribe withdraws interest in a topic and removes its handlers.
@@ -457,18 +519,22 @@ func (c *Client) Publish(env *message.Envelope) error {
 	return c.send(env.AppendWire(frame, env.TTL))
 }
 
-// send writes one frame under the write deadline. Writes are serialized
-// so the one in flight can be timed by the watchdog without a goroutine,
-// channel or timer per frame. On timeout the client shuts down: closing
-// the connection both unblocks the stuck write and fires Done so
-// reconnect machinery takes over — a write that cannot complete within
-// the deadline means the broker-side pipe is dead or wedged, and no
-// later write would fare better.
-func (c *Client) send(frame []byte) error {
+// send writes frames under the write deadline, with one write where the
+// connection allows (transport.SendAll); no frames is no write. Writes
+// are serialized so the one in flight can be timed by the watchdog
+// without a goroutine, channel or timer per frame. On timeout the
+// client shuts down: closing the connection both unblocks the stuck
+// write and fires Done so reconnect machinery takes over — a write that
+// cannot complete within the deadline means the broker-side pipe is
+// dead or wedged, and no later write would fare better.
+func (c *Client) send(frames ...[]byte) error {
+	if len(frames) == 0 {
+		return nil
+	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	c.writeStart.Store(c.clk.Now().UnixNano())
-	err := c.conn.Send(frame)
+	err := transport.SendAll(c.conn, frames)
 	c.writeStart.Store(0)
 	if err != nil && c.timedOut.Load() {
 		return ErrWriteTimeout

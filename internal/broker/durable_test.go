@@ -3,7 +3,9 @@ package broker
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -428,6 +430,222 @@ func TestReplayCursorDroppedOnUnsubscribe(t *testing.T) {
 			return false
 		}
 	})
+}
+
+// replayCursorOf returns b's replay cursor for topic ts, nil if none.
+func replayCursorOf(b *Broker, ts string) *replayCursor {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for p := range b.peers {
+		if rc := p.cursorFor(ts); rc != nil {
+			return rc
+		}
+	}
+	return nil
+}
+
+// TestReplayAcksAreCumulative: a consumer over TCP that acks every one
+// of 1000 replayed records sends the broker one ACK-CUR per drained read
+// and one per replayBatchRecords frames, not one per record, and the
+// cursor still reaches the end without a redelivery.
+func TestReplayAcksAreCumulative(t *testing.T) {
+	tr := transport.NewTCP()
+	store, err := durable.Open(t.TempDir(), durable.Options{Fsync: durable.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	b := New(Config{
+		Name:    "cumulative-ack-broker",
+		Durable: store,
+		// Long enough that only a consumer whose acks stall could be
+		// rewound, short enough to be the default's order.
+		Redeliver: backoff.Config{Initial: 2 * time.Second, Max: 5 * time.Second, Factor: 2, Jitter: -1},
+	})
+	l, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Serve(l)
+	defer b.Close()
+	tp := topic.Load(ident.NewUUID())
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if err := b.Publish(traceEnv(tp, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := Connect(tr, l.Addr(), "acking-tracker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Subscribe(tp, func(*message.Envelope) {}); err != nil {
+		t.Fatal(err)
+	}
+	acksBefore := mAckCursors.Value()
+	// drained counts the records after which no whole frame was left
+	// buffered: the handler runs on the receive goroutine, so it sees
+	// what the receive loop sees when the handler returns.
+	var drained atomic.Int64
+	handler := func(offset uint64, env *message.Envelope) {
+		if offset == 1 {
+			// Hold the first record until the pump has queued every
+			// record, so reads are full buffers rather than a race
+			// between the pump and this consumer.
+			deadline := time.Now().Add(5 * time.Second)
+			for b.Snapshot().ReplayRecords < n && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		if !transport.Pending(c.conn) {
+			drained.Add(1)
+		}
+		if err := c.Ack(tp, offset); err != nil {
+			t.Error(err)
+		}
+	}
+	if err := c.Replay(tp, 0, handler); err != nil {
+		t.Fatal(err)
+	}
+	var rc *replayCursor
+	waitFor(t, "cursor installed", func() bool { rc = replayCursorOf(b, tp.String()); return rc != nil })
+	waitFor(t, "cursor acked to the end", func() bool {
+		rc.mu.Lock()
+		defer rc.mu.Unlock()
+		return rc.acked == n
+	})
+	// One more read may end on the replay's own ack frame, which no
+	// handler sees.
+	reads := uint64(drained.Load()) + 1
+	if acks := mAckCursors.Value() - acksBefore; acks > n/replayBatchRecords+reads {
+		t.Fatalf("%d ACK-CUR frames for %d records in %d drained reads, want at most %d", acks, n, reads, n/replayBatchRecords+reads)
+	}
+	if r := b.Snapshot().Redeliveries; r != 0 {
+		t.Fatalf("redeliveries = %d, want 0", r)
+	}
+}
+
+// TestReplayAckDeferralIsBounded: a consumer that never drains its
+// reads still acks every replayBatchRecords frames. The test plays the
+// broker's end over inproc, queues 200 records before the consumer
+// reads past the first, and blocks the handler at record 130: by then
+// the acked cursor has reached 128.
+func TestReplayAckDeferralIsBounded(t *testing.T) {
+	tr := transport.NewInproc()
+	l, err := tr.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan transport.Conn, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- conn
+	}()
+	c, err := Connect(tr, l.Addr(), "stalled-tracker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv, ok := <-accepted
+	if !ok {
+		t.Fatal("accept failed")
+	}
+	defer srv.Close()
+	recvControl := func() *control {
+		t.Helper()
+		f, err := srv.Recv()
+		if err != nil || len(f) == 0 || f[0] != frameControl {
+			t.Fatalf("broker end: frame %x, %v", f, err)
+		}
+		ctl, err := parseControl(f[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ctl
+	}
+	if hello := recvControl(); hello.Kind != ctrlHello {
+		t.Fatalf("first frame is control kind %d, want hello", hello.Kind)
+	}
+
+	tp := topic.StateTransitions(ident.NewUUID())
+	const n = 200
+	queued, reached, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	handler := func(offset uint64, env *message.Envelope) {
+		switch offset {
+		case 1:
+			<-queued
+		case 130:
+			close(reached)
+			<-release
+		}
+		if err := c.Ack(tp, offset); err != nil {
+			t.Error(err)
+		}
+	}
+	replayed := make(chan error, 1)
+	go func() { replayed <- c.Replay(tp, 0, handler) }()
+	replay := recvControl()
+	if replay.Kind != ctrlReplay {
+		t.Fatalf("control kind %d, want replay", replay.Kind)
+	}
+	if err := srv.Send(append([]byte{frameControl}, marshalControl(&control{Kind: ctrlAck, ID: replay.ID})...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-replayed; err != nil {
+		t.Fatal(err)
+	}
+	env := append([]byte{frameEnvelope}, traceEnv(tp, 1).Marshal()...)
+	for off := uint64(1); off <= n; off++ {
+		if err := srv.Send(appendDurable(nil, off, env)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(queued)
+
+	acked := make(chan uint64, n)
+	go func() {
+		defer close(acked)
+		for {
+			f, err := srv.Recv()
+			if err != nil {
+				return
+			}
+			if ctl, err := parseControl(f[1:]); err == nil && ctl.Kind == ctrlAckCur && ctl.Topic == tp.String() {
+				acked <- ctl.Cursor
+			}
+		}
+	}()
+	nextAck := func() uint64 {
+		t.Helper()
+		select {
+		case off := <-acked:
+			return off
+		case <-time.After(5 * time.Second):
+			t.Fatal("no ACK-CUR within 5s")
+			return 0
+		}
+	}
+	<-reached
+	var got []uint64
+	for len(got) == 0 || got[len(got)-1] < 2*replayBatchRecords {
+		got = append(got, nextAck())
+	}
+	if want := []uint64{replayBatchRecords, 2 * replayBatchRecords}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("ACK-CURs with the handler blocked at 130 = %v, want %v", got, want)
+	}
+	close(release)
+	for got[len(got)-1] < n {
+		got = append(got, nextAck())
+	}
+	if len(got) > n/replayBatchRecords+1 {
+		t.Fatalf("ACK-CURs = %v: more than one per %d records and one at the drained end", got, replayBatchRecords)
+	}
 }
 
 func TestPersistablePredicateOverride(t *testing.T) {

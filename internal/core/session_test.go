@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -281,5 +282,17 @@ func TestSessionKeyRecipientEvictsOldestWhenFull(t *testing.T) {
 	}
 	if _, ok := s.sessionKeyRecips["tracker-0001"]; ok {
 		t.Fatal("longest-idle recipient survived a full-table insert")
+	}
+}
+
+// TestLoadDetailMatchesSprintf: the load trace's detail line is built
+// without fmt, byte for byte what fmt.Sprintf gave, across rounding
+// edges, signed zero, huge values and the non-finite ones.
+func TestLoadDetailMatchesSprintf(t *testing.T) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 0.05, 0.15, 99.95, 1e300, math.NaN(), math.Inf(1), math.Inf(-1), -12.345} {
+		want := fmt.Sprintf("cpu=%.1f%% workload=%.2f", v, v)
+		if got := loadDetail(v, v); got != want {
+			t.Errorf("loadDetail(%v) = %q, want %q", v, got, want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/rsa"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -610,9 +611,9 @@ func (s *session) handleEntityMessage(env *message.Envelope) {
 	case message.TypePingResponse:
 		s.onPingResponse(payload, now, origin)
 	case message.TypeStateReport:
-		s.onStateReport(payload, now, origin)
+		s.onStateReport(payload, origin)
 	case message.TypeLoadReport:
-		s.onLoadReport(payload, now, origin)
+		s.onLoadReport(payload, origin)
 	case message.TypeDelegation:
 		s.onDelegation(payload)
 	case message.TypeKeyDelivery:
@@ -765,7 +766,7 @@ func (s *session) onPingResponse(payload []byte, now time.Time, origin *message.
 }
 
 // onStateReport republises entity state transitions (§3.3).
-func (s *session) onStateReport(payload []byte, now time.Time, origin *message.Span) {
+func (s *session) onStateReport(payload []byte, origin *message.Span) {
 	sr, err := message.UnmarshalStateReport(payload)
 	if err != nil {
 		return
@@ -778,18 +779,28 @@ func (s *session) onStateReport(payload []byte, now time.Time, origin *message.S
 	if sr.To == message.StateShutdown {
 		s.end("entity shut down", true)
 	}
-	_ = now
 }
 
 // onLoadReport republishes load information (§3.3).
-func (s *session) onLoadReport(payload []byte, now time.Time, origin *message.Span) {
+func (s *session) onLoadReport(payload []byte, origin *message.Span) {
 	lr, err := message.UnmarshalLoadReport(payload)
 	if err != nil {
 		return
 	}
 	s.publishTrace(origin, message.TraceLoadInformation, topic.ClassLoad,
-		fmt.Sprintf("cpu=%.1f%% workload=%.2f", lr.CPUPercent, lr.Workload), lr.Marshal())
-	_ = now
+		loadDetail(lr.CPUPercent, lr.Workload), lr.Marshal())
+}
+
+// loadDetail is a load trace's detail line, the bytes of
+// fmt.Sprintf("cpu=%.1f%% workload=%.2f", cpu, workload) built without
+// fmt: every load report passes through here.
+func loadDetail(cpu, workload float64) string {
+	b := make([]byte, 0, 32)
+	b = append(b, "cpu="...)
+	b = strconv.AppendFloat(b, cpu, 'f', 1, 64)
+	b = append(b, "% workload="...)
+	b = strconv.AppendFloat(b, workload, 'f', 2, 64)
+	return string(b)
 }
 
 // setSilent toggles silent mode (§3.3 REVERTING_TO_SILENT_MODE).

@@ -210,6 +210,79 @@ func TestTCPRecvAcrossSegmentBoundaries(t *testing.T) {
 	}
 }
 
+// TestPending: a connection reports a frame pending only when the next
+// Recv needs nothing from the network — a whole frame in the TCP read
+// buffer or a queued in-process frame — and a wrapper never does, since
+// it may shape or drop what the wrapped connection holds.
+func TestPending(t *testing.T) {
+	a, b, c := []byte("first"), []byte("second"), []byte("third, cut by a segment boundary")
+	stream := golden(a, b, c)
+	cut := len(golden(a, b)) + frameHdrLen + 2 // c's header and two body bytes
+	tc := newTCPConn(&scriptConn{reads: [][]byte{stream[:cut], stream[cut:]}})
+	if Pending(tc) {
+		t.Fatal("pending before anything was read")
+	}
+	for i, want := range []struct {
+		frame   []byte
+		pending bool
+	}{{a, true}, {b, false}, {c, false}} {
+		got, err := tc.Recv()
+		if err != nil || !bytes.Equal(got, want.frame) {
+			t.Fatalf("frame %d: %q, %v", i, got, err)
+		}
+		if p := Pending(tc); p != want.pending {
+			t.Fatalf("after frame %d: pending = %v, want %v (%d bytes buffered)", i, p, want.pending, tc.br.Buffered())
+		}
+	}
+
+	// Half a header buffered is not a frame either.
+	tc = newTCPConn(&scriptConn{reads: [][]byte{append(golden(a), 0, 0)}})
+	if _, err := tc.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	if Pending(tc) {
+		t.Fatal("pending with half a header buffered")
+	}
+
+	// A wrapper holding a whole buffered frame still reports false.
+	tc = newTCPConn(&scriptConn{reads: [][]byte{golden(a, b)}})
+	if _, err := tc.Recv(); err != nil || !Pending(tc) {
+		t.Fatalf("whole frame buffered: pending = %v, err %v", Pending(tc), err)
+	}
+	if Pending(struct{ Conn }{tc}) {
+		t.Fatal("wrapper conn reported pending")
+	}
+
+	ip := NewInproc()
+	l, err := ip.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	client, err := ip.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	if Pending(client) {
+		t.Fatal("inproc: pending with nothing queued")
+	}
+	if err := server.Send(a); err != nil {
+		t.Fatal(err)
+	}
+	if !Pending(client) {
+		t.Fatal("inproc: queued frame not pending")
+	}
+	if _, err := client.Recv(); err != nil || Pending(client) {
+		t.Fatalf("inproc: after Recv pending = %v, err %v", Pending(client), err)
+	}
+}
+
 // TestTCPConcurrentSendersNeverInterleave runs Send and SendAll callers
 // against one loopback connection: every received frame is whole (one
 // byte value throughout, the length its sender chose) and each sender's

@@ -156,6 +156,17 @@ func (tc *tcpConn) Recv() ([]byte, error) {
 	return frame, nil
 }
 
+// pending reports whether a whole frame, header and body, sits in the
+// read buffer, so the next Recv reads nothing from the socket.
+func (tc *tcpConn) pending() bool {
+	n := tc.br.Buffered()
+	if n < frameHdrLen {
+		return false
+	}
+	hdr, _ := tc.br.Peek(frameHdrLen)
+	return uint64(n-frameHdrLen) >= uint64(binary.BigEndian.Uint32(hdr))
+}
+
 func (tc *tcpConn) Close() error       { return tc.c.Close() }
 func (tc *tcpConn) LocalAddr() string  { return tc.c.LocalAddr().String() }
 func (tc *tcpConn) RemoteAddr() string { return tc.c.RemoteAddr().String() }

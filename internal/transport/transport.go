@@ -57,6 +57,21 @@ func SendAll(c Conn, frames [][]byte) error {
 	return nil
 }
 
+// Pending reports whether c's next Recv returns without waiting on the
+// network: a whole frame is already buffered on the receiving side. A
+// partly received frame does not count. Connections that cannot tell —
+// datagram, or a wrapper that shapes or injects faults per frame —
+// report false. Call it only from the goroutine that calls Recv.
+func Pending(c Conn) bool {
+	switch c := c.(type) {
+	case *tcpConn:
+		return c.pending()
+	case *inprocConn:
+		return len(c.recv) > 0
+	}
+	return false
+}
+
 // Listener accepts inbound connections.
 type Listener interface {
 	// Accept blocks until a connection arrives or the listener closes.
