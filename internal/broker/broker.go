@@ -196,18 +196,15 @@ type Broker struct {
 	name string
 	log  *obs.Logger
 
-	// mu guards the routing index (peers, subs, wildcards, local) and
-	// lifecycle state. The index is read-mostly: every publish takes the
-	// read lock in deliver, so concurrent publishers proceed in parallel
-	// and only subscription churn (rare) takes the write lock.
+	// mu guards the routing index (peers, subs, local) and lifecycle
+	// state. The index is read-mostly: every publish takes the read lock
+	// in deliver, so concurrent publishers proceed in parallel and only
+	// subscription churn (rare) takes the write lock.
 	mu    sync.RWMutex
 	peers map[*peer]struct{}
-	// subs maps exact subscription topic strings to the peers holding
-	// them. Wildcard subscriptions are included and matched by scan.
-	subs map[string]map[subscriberRef]struct{}
-	// wildcards holds subscriptions ending in /* pre-parsed, so the
-	// per-publish wildcard scan never re-runs topic.Parse.
-	wildcards map[string]topic.Topic
+	// subs maps subscription topic strings to the peers holding them;
+	// a publish is delivered to exactly the set under its own topic.
+	subs      map[string]map[subscriberRef]struct{}
 	local     map[string][]*localSub
 	listeners []transport.Listener
 	pending   map[transport.Conn]struct{} // conns awaiting hello
@@ -334,7 +331,6 @@ func New(cfg Config) *Broker {
 		log:       cfg.Log.With("broker", cfg.Name),
 		peers:     make(map[*peer]struct{}),
 		subs:      make(map[string]map[subscriberRef]struct{}),
-		wildcards: make(map[string]topic.Topic),
 		local:     make(map[string][]*localSub),
 		links:     make(map[string]*peer),
 		linkDials: make(map[string]chan struct{}),
@@ -718,13 +714,8 @@ func (b *Broker) handleControl(p *peer, c *control) bool {
 	return false
 }
 
-// authorizeSubscribe enforces constrained-topic subscribe rules. Clients
-// may not use wildcards under /Constrained, which would bypass
-// enforcement.
+// authorizeSubscribe enforces constrained-topic subscribe rules.
 func (b *Broker) authorizeSubscribe(p *peer, tp topic.Topic) error {
-	if tp.IsWildcard() && !p.isBroker && tp.HasPrefix(topic.ConstrainedPrefix) {
-		return fmt.Errorf("broker: wildcard subscription under /%s denied", topic.ConstrainedPrefix)
-	}
 	if p.isBroker {
 		// Links aggregate downstream subscribers; the terminal broker
 		// enforced its own clients.
@@ -892,7 +883,6 @@ func (b *Broker) removePeer(p *peer) {
 			delete(set, ref)
 			if len(set) == 0 {
 				delete(b.subs, ts)
-				delete(b.wildcards, ts)
 			}
 		}
 		affected = append(affected, ts)
@@ -923,9 +913,6 @@ func (b *Broker) addSubscription(p *peer, tp topic.Topic) {
 		b.subs[ts] = set
 	}
 	set[subscriberRef{p: p}] = struct{}{}
-	if tp.IsWildcard() {
-		b.wildcards[ts] = tp
-	}
 	b.mu.Unlock()
 	b.refreshLinks(ts)
 }
@@ -940,7 +927,6 @@ func (b *Broker) removeSubscription(p *peer, tp topic.Topic) {
 		delete(set, subscriberRef{p: p})
 		if len(set) == 0 {
 			delete(b.subs, ts)
-			delete(b.wildcards, ts)
 		}
 	}
 	b.mu.Unlock()
@@ -961,9 +947,6 @@ func (b *Broker) SubscribeLocal(tp topic.Topic, handler func(*message.Envelope))
 		b.subs[ts] = set
 	}
 	set[subscriberRef{}] = struct{}{}
-	if tp.IsWildcard() {
-		b.wildcards[ts] = tp
-	}
 	b.mu.Unlock()
 	b.refreshLinks(ts)
 	return func() {
@@ -981,7 +964,6 @@ func (b *Broker) SubscribeLocal(tp topic.Topic, handler func(*message.Envelope))
 				delete(set, subscriberRef{})
 				if len(set) == 0 {
 					delete(b.subs, ts)
-					delete(b.wildcards, ts)
 				}
 			}
 		}
@@ -1310,23 +1292,17 @@ func (b *Broker) admit(from *peer, in *inbound, level admission, now time.Time) 
 type pass struct {
 	locals []*localSub
 	remote []*peer
-	seen   map[*peer]struct{}
 
 	published, fanIns, deliveredLocal, forwarded, fabricForwards uint64
 }
 
-var passPool = sync.Pool{
-	New: func() any {
-		return &pass{seen: make(map[*peer]struct{}, 8)}
-	},
-}
+var passPool = sync.Pool{New: func() any { return new(pass) }}
 
 // clearFanout empties the fan-out scratch for the next delivery.
 func (ps *pass) clearFanout() {
 	clear(ps.locals)
 	clear(ps.remote)
 	ps.locals, ps.remote = ps.locals[:0], ps.remote[:0]
-	clear(ps.seen)
 }
 
 // settle adds the pass's counts to the registry and returns it to the
@@ -1342,7 +1318,7 @@ func (b *Broker) settle(ps *pass) {
 	add(b.m.deliveredLocal, ps.deliveredLocal)
 	add(b.m.forwarded, ps.forwarded)
 	add(mFabricForwards, ps.fabricForwards)
-	*ps = pass{locals: ps.locals, remote: ps.remote, seen: ps.seen}
+	*ps = pass{locals: ps.locals, remote: ps.remote}
 	passPool.Put(ps)
 }
 
@@ -1355,21 +1331,7 @@ func (b *Broker) deliver(from *peer, in *inbound, ps *pass) {
 	env, pl := in.env, in.plan
 	ts := env.Topic.String()
 	defer ps.clearFanout()
-	collect := func(subTopic string) {
-		for ref := range b.subs[subTopic] {
-			if ref.p == nil || ref.p == from {
-				continue
-			}
-			if _, dup := ps.seen[ref.p]; dup {
-				continue
-			}
-			ps.seen[ref.p] = struct{}{}
-			ps.remote = append(ps.remote, ref.p)
-		}
-		ps.locals = append(ps.locals, b.local[subTopic]...)
-	}
 	if pl.owner != nil {
-		ps.seen[pl.owner] = struct{}{}
 		ps.remote = append(ps.remote, pl.owner)
 	}
 	// A handoff replay bound for a remote owner is the unicast hop alone:
@@ -1377,13 +1339,15 @@ func (b *Broker) deliver(from *peer, in *inbound, ps *pass) {
 	// published here.
 	if pl.owner == nil || pl.admission != admitNone {
 		b.mu.RLock()
-		collect(ts)
-		// Wildcard subscriptions, stored pre-parsed.
-		for wts, wtp := range b.wildcards {
-			if wts != ts && env.Topic.Matches(wtp) {
-				collect(wts)
+		// b.subs[ts] is a set, so the owner link, already queued, is the
+		// only peer that could appear twice.
+		for ref := range b.subs[ts] {
+			if ref.p == nil || ref.p == from || ref.p == pl.owner {
+				continue
 			}
+			ps.remote = append(ps.remote, ref.p)
 		}
+		ps.locals = append(ps.locals, b.local[ts]...)
 		b.mu.RUnlock()
 	}
 

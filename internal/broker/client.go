@@ -88,8 +88,7 @@ type Client struct {
 	conn   transport.Conn
 
 	mu       sync.Mutex
-	handlers map[string][]Handler // topic string -> handlers
-	wild     []wildHandler
+	handlers map[string][]Handler      // topic string -> handlers
 	durable  map[string]DurableHandler // topic string -> replay handler
 	pending  map[uint64]chan *control
 	closed   bool
@@ -119,11 +118,6 @@ type Client struct {
 	writeMu      sync.Mutex
 	writeStart   atomic.Int64
 	timedOut     atomic.Bool
-}
-
-type wildHandler struct {
-	tp topic.Topic
-	h  Handler
 }
 
 // Connect dials a broker and performs the client handshake with default
@@ -292,7 +286,7 @@ func (c *Client) recvLoop() {
 	}
 }
 
-// dispatch routes an incoming envelope to matching handlers, which run
+// dispatch routes an incoming envelope to its topic's handlers, which run
 // outside the lock on a copy of the matching set (on the stack for the
 // usual handful).
 func (c *Client) dispatch(env *message.Envelope) {
@@ -300,11 +294,6 @@ func (c *Client) dispatch(env *message.Envelope) {
 	var stack [4]Handler
 	c.mu.Lock()
 	hs := append(stack[:0], c.handlers[ts]...)
-	for _, wh := range c.wild {
-		if env.Topic.Matches(wh.tp) {
-			hs = append(hs, wh.h)
-		}
-	}
 	c.mu.Unlock()
 	if len(hs) == 0 {
 		if dh, ok := c.defaultHandler.Load().(Handler); ok && dh != nil {
@@ -357,9 +346,6 @@ func (c *Client) Subscribe(tp topic.Topic, h Handler) error {
 	c.mu.Lock()
 	ts := tp.String()
 	c.handlers[ts] = append(c.handlers[ts], h)
-	if tp.IsWildcard() {
-		c.wild = append(c.wild, wildHandler{tp: tp, h: h})
-	}
 	c.mu.Unlock()
 	return nil
 }
@@ -488,15 +474,6 @@ func (c *Client) Unsubscribe(tp topic.Topic) error {
 	ts := tp.String()
 	delete(c.handlers, ts)
 	delete(c.durable, ts)
-	if tp.IsWildcard() {
-		kept := c.wild[:0]
-		for _, wh := range c.wild {
-			if !wh.tp.Equal(tp) {
-				kept = append(kept, wh)
-			}
-		}
-		c.wild = kept
-	}
 	c.mu.Unlock()
 	unsub := &control{Kind: ctrlUnsub, ID: c.nextID.Add(1), Topic: ts}
 	return c.send(append([]byte{frameControl}, marshalControl(unsub)...))

@@ -478,3 +478,24 @@ func TestForwardToOwnerHonoursTTL(t *testing.T) {
 		t.Fatalf("fabric forwards moved by %d, want 1", mFabricForwards.Value()-fwd0)
 	}
 }
+
+// TestOwnerLinkSubscriberGetsOneFrame: an owner link that also holds a
+// subscription on the sharded topic here — interest it advertised
+// before the topic moved to it, say — is queued the envelope once, as
+// the unicast hop, not a second time as a subscriber.
+func TestOwnerLinkSubscriberGetsOneFrame(t *testing.T) {
+	b := New(Config{Name: "self"})
+	defer b.Close()
+	b.SetSharding(stubSharding{})
+	owner := addQuietPeer(b, &scriptConn{}, "owner", true, oracleT1)
+	watcher := addQuietPeer(b, &scriptConn{}, "watcher", false, oracleT1)
+	if err := b.Publish(message.New(message.TypeData, oracleT1, "", []byte("once"))); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(queued(owner)); n != 1 {
+		t.Fatalf("owner link got %d frames, want 1", n)
+	}
+	if n := len(queued(watcher)); n != 1 {
+		t.Fatalf("subscriber got %d frames, want 1", n)
+	}
+}

@@ -67,8 +67,8 @@ func (b *Broker) shardingOf() Sharding {
 // forward-to-owner rule guarantees every publish reaches the owner, so
 // advertising anywhere else would only re-create the full flooded
 // routing index the fabric exists to shrink. The owner itself
-// advertises to nobody (it is the rendezvous), and wildcards plus
-// unsharded topics keep flood semantics. Callers hold b.mu.
+// advertises to nobody (it is the rendezvous), and unsharded topics
+// keep flood semantics. Callers hold b.mu.
 func (b *Broker) shardAdvertiseOK(ts string, p *peer) bool {
 	s := b.shardingOf()
 	if s == nil {

@@ -10,6 +10,7 @@ import (
 
 	"entitytrace/internal/backoff"
 	"entitytrace/internal/broker"
+	"entitytrace/internal/clock"
 	"entitytrace/internal/credential"
 	"entitytrace/internal/failure"
 	"entitytrace/internal/ident"
@@ -313,6 +314,44 @@ func TestEndToEndTracing(t *testing.T) {
 	col.waitFor(t, "SHUTDOWN trace", typeIs(message.TraceShutdown))
 	if w.Rejected() != 0 {
 		t.Fatalf("verifier rejected %d messages", w.Rejected())
+	}
+}
+
+// TestEntitySpanUsesEntityClock: an entity stamps hop zero of each
+// message's span with its configured clock, like every other time it
+// reads.
+func TestEntitySpanUsesEntityClock(t *testing.T) {
+	tb := newTestbed(t, 1)
+	// An hour back and frozen: plainly not wall time, yet recent enough
+	// for the broker's real-clock guard to accept the entity's token.
+	clk := clock.NewFake(time.Now().Add(-time.Hour).Truncate(time.Second))
+	ent, err := tb.startEntity("svc-clock", 0, func(c *EntityConfig) {
+		c.Clock = clk
+		c.TokenValidity = 2 * time.Hour
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ent.Stop()
+	got := make(chan *message.Envelope, 4)
+	defer tb.brokers[0].SubscribeLocal(topic.EntityToBrokerSession(ent.TraceTopic(), ent.SessionID()), func(env *message.Envelope) {
+		if env.Type == message.TypeStateReport {
+			got <- env
+		}
+	})()
+	if err := ent.SetState(message.StateReady); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case env := <-got:
+		if env.Span == nil || len(env.Span.Hops) == 0 {
+			t.Fatal("state report carries no span")
+		}
+		if hop := env.Span.Hops[0]; hop.Node != "svc-clock" || hop.AtNanos != clk.Now().UnixNano() {
+			t.Fatalf("hop zero = %+v, want svc-clock at %d", hop, clk.Now().UnixNano())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no state report reached the broker")
 	}
 }
 

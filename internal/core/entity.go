@@ -494,7 +494,7 @@ func (te *TracedEntity) sendSigned(t message.Type, payload []byte) error {
 // the signed byte range.
 func (te *TracedEntity) originateSpan(env *message.Envelope) {
 	env.StartSpan()
-	env.AddHop(string(te.entity()), time.Now())
+	env.AddHop(string(te.entity()), te.cfg.Clock.Now())
 }
 
 // send transmits a session message, using the §6.3 symmetric channel

@@ -45,9 +45,9 @@ var (
 // topics (/Constrained/Traces/Broker/Publish-Only/<uuid>/<class>) shard
 // by their trace-topic UUID, so every derivative class of one entity
 // co-locates on the same owner and its ledger stays totally ordered on
-// one durable log. Everything else — system topics, wildcards,
-// unconstrained application topics — stays outside the partitioned
-// keyspace and floods by subscription as before.
+// one durable log. Everything else — system topics and unconstrained
+// application topics — stays outside the partitioned keyspace and
+// floods by subscription as before.
 func TraceShard(ts string) (key string, sharded bool) {
 	tp, err := topic.Parse(ts)
 	if err != nil {

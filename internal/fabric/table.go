@@ -56,7 +56,7 @@ func NewTable(epoch uint64, self string, members []string, vnodes int, shard Sha
 }
 
 // Route maps a topic to its owner under this epoch. sharded=false means
-// the topic is outside the partitioned space (system topics, wildcards,
+// the topic is outside the partitioned space (system topics,
 // unconstrained app topics) and routes by ordinary subscription flood.
 func (t *Table) Route(ts string) (owner string, local, sharded bool) {
 	if v, ok := t.memo.Load(ts); ok {

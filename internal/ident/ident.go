@@ -110,16 +110,19 @@ func UUIDFromBytes(b []byte) (UUID, error) {
 
 // EntityID names an entity in the distributed system: a resource, a
 // service, an application or a user (paper §1). Entity IDs are free-form
-// but must be non-empty and must not contain '/', which would corrupt
-// topic strings built from them.
+// but must be non-empty, must not contain '/', which would corrupt topic
+// strings built from them, and must not be "*", the segment the topic
+// grammar reserves.
 type EntityID string
 
-// Validate reports whether the entity ID is usable inside topic strings.
+// Validate reports whether the entity ID is usable as a topic segment.
 func (e EntityID) Validate() error {
-	if e == "" {
+	switch {
+	case e == "":
 		return errors.New("ident: empty entity ID")
-	}
-	if strings.ContainsRune(string(e), '/') {
+	case e == "*":
+		return errors.New(`ident: entity ID "*" is a reserved topic segment`)
+	case strings.ContainsRune(string(e), '/'):
 		return fmt.Errorf("ident: entity ID %q contains '/'", string(e))
 	}
 	return nil

@@ -97,6 +97,8 @@ func TestEntityIDValidate(t *testing.T) {
 		{"user@example", true},
 		{"", false},
 		{"bad/slash", false},
+		{"*", false},
+		{"a*b", true},
 	}
 	for _, c := range cases {
 		err := c.id.Validate()

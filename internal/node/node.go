@@ -34,6 +34,7 @@ import (
 	"entitytrace/internal/core"
 	"entitytrace/internal/durable"
 	"entitytrace/internal/fabric"
+	"entitytrace/internal/ident"
 	"entitytrace/internal/obs"
 	"entitytrace/internal/transport"
 )
@@ -42,8 +43,9 @@ import (
 // are set here once and handed to every part; the part configs hold the
 // rest, and a field of theirs the node wires itself must be left unset.
 type Config struct {
-	// Name names the broker: its link hello, flight recorder and fabric
-	// membership (required).
+	// Name names the broker: its link hello, flight recorder, fabric
+	// membership and session-key delivery topic (required; a valid
+	// ident.EntityID, since it becomes a topic segment).
 	Name string
 	// Clock is the time of guard, broker, trace manager and fabric
 	// (required: a node is never given a default clock).
@@ -92,6 +94,9 @@ func (cfg *Config) check() error {
 		return errors.New("node: Config.Clock is required")
 	case cfg.Transport == nil:
 		return errors.New("node: Config.Transport is required")
+	}
+	if err := ident.EntityID(cfg.Name).Validate(); err != nil {
+		return fmt.Errorf("node: Config.Name: %w", err)
 	}
 	f := cfg.Fabric
 	if f == nil {

@@ -188,6 +188,8 @@ func TestStartRefusesWhatTheNodeWires(t *testing.T) {
 		set   func(*Config)
 	}{
 		{"Clock", func(c *Config) { c.Clock = nil }},
+		{"Name", func(c *Config) { c.Name = "*" }},
+		{"Name", func(c *Config) { c.Name = "a/b" }},
 		{"Guard.Clock", func(c *Config) { c.Guard.Clock = clock.Real{} }},
 		{"Broker.Name", func(c *Config) { c.Broker.Name = "other" }},
 		{"Broker.Guard", func(c *Config) { c.Broker.Guard = core.NewGuard(c.Guard).Admit }},

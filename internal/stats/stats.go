@@ -1,6 +1,6 @@
 // Package stats provides the summary statistics the paper reports in its
 // evaluation tables (mean, standard deviation, standard error) plus
-// simple histograms and percentiles used by the benchmark harness.
+// the percentiles used by the benchmark harness.
 package stats
 
 import (
@@ -144,51 +144,3 @@ func (s *Sample) Summarize(name string) Summary {
 func (sm Summary) String() string {
 	return fmt.Sprintf("%-40s %10.2f %10.2f %10.2f", sm.Name, sm.Mean, sm.StdDev, sm.StdErr)
 }
-
-// Histogram is a fixed-bucket histogram over [lo, hi) with uniform bucket
-// widths; values outside the range land in underflow/overflow counters.
-type Histogram struct {
-	lo, hi    float64
-	buckets   []uint64
-	underflow uint64
-	overflow  uint64
-	count     uint64
-}
-
-// NewHistogram creates a histogram with n uniform buckets spanning
-// [lo, hi). It panics if n <= 0 or hi <= lo, which are programming errors.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram configuration")
-	}
-	return &Histogram{lo: lo, hi: hi, buckets: make([]uint64, n)}
-}
-
-// Add records a value.
-func (h *Histogram) Add(v float64) {
-	h.count++
-	switch {
-	case v < h.lo:
-		h.underflow++
-	case v >= h.hi:
-		h.overflow++
-	default:
-		idx := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.buckets)))
-		if idx == len(h.buckets) { // float edge case at v==hi-epsilon
-			idx--
-		}
-		h.buckets[idx]++
-	}
-}
-
-// Count returns the number of recorded values, including out-of-range.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// NumBuckets returns the number of in-range buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// OutOfRange returns the underflow and overflow counts.
-func (h *Histogram) OutOfRange() (under, over uint64) { return h.underflow, h.overflow }

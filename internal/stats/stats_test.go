@@ -131,37 +131,3 @@ func TestSummarize(t *testing.T) {
 		t.Fatal("empty summary string")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(10)
-	h.Add(100)
-	if h.Count() != 13 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 1 {
-			t.Fatalf("bucket %d = %d, want 1", i, h.Bucket(i))
-		}
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Fatalf("under/over = %d/%d", under, over)
-	}
-	if h.NumBuckets() != 10 {
-		t.Fatalf("NumBuckets = %d", h.NumBuckets())
-	}
-}
-
-func TestHistogramPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram with bad config did not panic")
-		}
-	}()
-	NewHistogram(10, 0, 5)
-}

@@ -73,56 +73,3 @@ func TestClockSkewAsymmetry(t *testing.T) {
 		t.Fatalf("zero-skew early accepted, err=%v", err)
 	}
 }
-
-// TestRevocationList exercises revoke/reuse/compact: a verified token
-// that gets revoked must fail the guard-side Check until it would have
-// expired anyway, at which point Compact retires the entry.
-func TestRevocationList(t *testing.T) {
-	start := time.Unix(3_000_000, 0)
-	fc := clock.NewFake(start)
-	const validity = time.Minute
-	d := grant(t, RightPublish, validity, fc.Now())
-	rl := NewRevocationList()
-
-	if err := rl.Check(d.Token); err != nil {
-		t.Fatalf("fresh token flagged revoked: %v", err)
-	}
-	rl.Revoke(d.Token)
-	if !rl.Revoked(d.Token) {
-		t.Fatal("revoked token not flagged")
-	}
-	// Reuse after revoke: the signature and window still verify — the
-	// cryptography has no revocation concept — so the guard must consult
-	// the list.
-	if _, err := d.Token.Verify(ownerPair.Public, fc.Now(), DefaultClockSkew, RightPublish); err != nil {
-		t.Fatalf("revoked token should still pass pure Verify: %v", err)
-	}
-	if err := rl.Check(d.Token); !errors.Is(err, ErrRevoked) {
-		t.Fatalf("Check = %v, want ErrRevoked", err)
-	}
-
-	// A reissued token (fresh delegate key, later window) is a distinct
-	// digest and is not covered by the old revocation.
-	fc.Advance(time.Second)
-	d2 := grant(t, RightPublish, validity, fc.Now())
-	if rl.Revoked(d2.Token) {
-		t.Fatal("reissued token inherited revocation")
-	}
-
-	// Compact keeps the entry while the token could still be replayed...
-	fc.Set(start.Add(validity))
-	if n := rl.Compact(fc.Now(), DefaultClockSkew); n != 0 {
-		t.Fatalf("Compact dropped %d live entries", n)
-	}
-	// ...and drops it once the window plus skew has passed.
-	fc.Set(start.Add(validity + DefaultClockSkew + time.Millisecond))
-	if n := rl.Compact(fc.Now(), DefaultClockSkew); n != 1 {
-		t.Fatalf("Compact dropped %d entries, want 1", n)
-	}
-	if rl.Len() != 0 {
-		t.Fatalf("list length %d after compact", rl.Len())
-	}
-	if rl.Revoked(d.Token) {
-		t.Fatal("expired revocation still reported")
-	}
-}

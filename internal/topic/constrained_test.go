@@ -1,6 +1,7 @@
 package topic
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -244,7 +245,7 @@ func TestDerivativeTopics(t *testing.T) {
 		if segs[len(segs)-1] != c.last {
 			t.Errorf("topic %q does not end in %q", c.tp, c.last)
 		}
-		if !c.tp.HasPrefix("Constrained", "Traces", "Broker", "Publish-Only") {
+		if !strings.HasPrefix(c.tp.String(), "/Constrained/Traces/Broker/Publish-Only/") {
 			t.Errorf("topic %q lacks Publish-Only prefix", c.tp)
 		}
 		pc, err := ParseConstrained(c.tp)

@@ -1,7 +1,8 @@
 // Package topic implements the topic machinery of the publish/subscribe
 // substrate: plain "/"-separated topics (§2.1), the constrained-topic
 // grammar of §3.1 with its default elements and equivalence rules, and
-// builders for the trace and derivative topics of Tables 1 and 2.
+// builders for the trace and derivative topics of Tables 1 and 2. Every
+// subscription names one exact topic: brokers route on string equality.
 package topic
 
 import (
@@ -12,8 +13,9 @@ import (
 	"entitytrace/internal/ident"
 )
 
-// Wildcard is the subscription suffix matching any topic subtree, e.g.
-// "/Constrained/Traces/*" receives every constrained trace message.
+// Wildcard is a reserved segment: Parse refuses any topic containing
+// it, so no subscription, publish or requester-chosen delivery topic can
+// name a subtree instead of one exact topic.
 const Wildcard = "*"
 
 // ErrBadTopic reports a malformed topic string.
@@ -35,18 +37,18 @@ type Topic struct {
 // Parse validates and parses a topic string. Topics must start with '/'
 // (leading-slash-less strings such as descriptors are handled by the TDN
 // query machinery, not here), must not contain empty segments, and may
-// only use the wildcard as the final segment.
+// not use the reserved Wildcard segment.
 func Parse(s string) (Topic, error) {
 	if s == "" || s[0] != '/' {
 		return Topic{}, fmt.Errorf("%w: %q (must start with '/')", ErrBadTopic, s)
 	}
 	raw := strings.Split(s[1:], "/")
-	for i, seg := range raw {
+	for _, seg := range raw {
 		if seg == "" {
 			return Topic{}, fmt.Errorf("%w: %q (empty segment)", ErrBadTopic, s)
 		}
-		if seg == Wildcard && i != len(raw)-1 {
-			return Topic{}, fmt.Errorf("%w: %q (wildcard only allowed as final segment)", ErrBadTopic, s)
+		if seg == Wildcard {
+			return Topic{}, fmt.Errorf("%w: %q (%q is a reserved segment)", ErrBadTopic, s, Wildcard)
 		}
 	}
 	return Topic{segments: raw, str: s, c: readConstraint(raw)}, nil
@@ -91,18 +93,10 @@ func (t Topic) Len() int { return len(t.segments) }
 // IsZero reports whether the topic is the (invalid) zero value.
 func (t Topic) IsZero() bool { return len(t.segments) == 0 }
 
-// IsWildcard reports whether the topic ends in the wildcard segment.
-func (t Topic) IsWildcard() bool {
-	return len(t.segments) > 0 && t.segments[len(t.segments)-1] == Wildcard
-}
-
 // Child returns the topic extended with extra segments.
 func (t Topic) Child(segments ...string) (Topic, error) {
 	if t.IsZero() {
 		return Topic{}, fmt.Errorf("%w: child of zero topic", ErrBadTopic)
-	}
-	if t.IsWildcard() {
-		return Topic{}, fmt.Errorf("%w: child of wildcard topic", ErrBadTopic)
 	}
 	all := append(t.Segments(), segments...)
 	return Build(all...)
@@ -115,39 +109,6 @@ func (t Topic) Equal(other Topic) bool {
 	}
 	for i := range t.segments {
 		if t.segments[i] != other.segments[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Matches reports whether a concrete published topic t is delivered to a
-// subscription sub. A subscription matches if it is segment-for-segment
-// equal, or if it ends in the wildcard and the prefix before the wildcard
-// is a prefix of t.
-func (t Topic) Matches(sub Topic) bool {
-	if sub.IsWildcard() {
-		prefix := sub.segments[:len(sub.segments)-1]
-		if len(t.segments) < len(prefix) {
-			return false
-		}
-		for i := range prefix {
-			if t.segments[i] != prefix[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return t.Equal(sub)
-}
-
-// HasPrefix reports whether t starts with the given segments.
-func (t Topic) HasPrefix(segments ...string) bool {
-	if len(t.segments) < len(segments) {
-		return false
-	}
-	for i := range segments {
-		if t.segments[i] != segments[i] {
 			return false
 		}
 	}

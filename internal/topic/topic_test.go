@@ -1,6 +1,7 @@
 package topic
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,6 @@ func TestParseValid(t *testing.T) {
 		"/a",
 		"/StockQuotes/Companies/Adobe",
 		"/Constrained/Traces/Broker/Subscribe-Only/Registration",
-		"/a/b/*",
 	}
 	for _, s := range cases {
 		tp, err := Parse(s)
@@ -34,7 +34,9 @@ func TestParseInvalid(t *testing.T) {
 		"/",
 		"/a//b",
 		"/a/",
-		"/a/*/b", // wildcard not final
+		"/a/*/b", // reserved wildcard segment
+		"/a/b/*",
+		"/*",
 	}
 	for _, s := range cases {
 		if _, err := Parse(s); err == nil {
@@ -85,48 +87,17 @@ func TestChild(t *testing.T) {
 	if _, err := (Topic{}).Child("x"); err == nil {
 		t.Fatal("Child of zero topic succeeded")
 	}
-	wc := MustParse("/a/*")
-	if _, err := wc.Child("x"); err == nil {
-		t.Fatal("Child of wildcard topic succeeded")
+	if _, err := base.Child(Wildcard); err == nil {
+		t.Fatal("Child with the reserved wildcard segment succeeded")
 	}
 }
 
-func TestEqualAndMatches(t *testing.T) {
+func TestEqual(t *testing.T) {
 	a := MustParse("/x/y/z")
 	b := MustParse("/x/y/z")
 	c := MustParse("/x/y")
-	if !a.Equal(b) || a.Equal(c) {
+	if !a.Equal(b) || a.Equal(c) || c.Equal(a) {
 		t.Fatal("Equal misbehaved")
-	}
-	if !a.Matches(b) {
-		t.Fatal("exact subscription did not match")
-	}
-	if a.Matches(c) {
-		t.Fatal("shorter non-wildcard subscription matched")
-	}
-	wc := MustParse("/x/y/*")
-	if !a.Matches(wc) {
-		t.Fatal("wildcard subscription did not match deeper topic")
-	}
-	if !c.Matches(MustParse("/x/*")) {
-		t.Fatal("wildcard did not match")
-	}
-	if MustParse("/q/y/z").Matches(wc) {
-		t.Fatal("wildcard matched different prefix")
-	}
-	// Wildcard matches the exact prefix itself too.
-	if !MustParse("/x/y").Matches(wc) {
-		t.Fatal("wildcard should match its own prefix")
-	}
-}
-
-func TestHasPrefix(t *testing.T) {
-	tp := MustParse("/Constrained/Traces/Broker")
-	if !tp.HasPrefix("Constrained") || !tp.HasPrefix("Constrained", "Traces") {
-		t.Fatal("HasPrefix false negative")
-	}
-	if tp.HasPrefix("Traces") || tp.HasPrefix("Constrained", "Traces", "Broker", "More") {
-		t.Fatal("HasPrefix false positive")
 	}
 }
 
@@ -137,8 +108,8 @@ func TestIsZeroAndWildcard(t *testing.T) {
 	if MustParse("/a").IsZero() {
 		t.Fatal("parsed topic IsZero")
 	}
-	if !MustParse("/a/*").IsWildcard() || MustParse("/a").IsWildcard() {
-		t.Fatal("IsWildcard misbehaved")
+	if _, err := Parse("/a/" + Wildcard); !errors.Is(err, ErrBadTopic) {
+		t.Fatalf("Parse of a wildcard topic: err = %v, want ErrBadTopic", err)
 	}
 }
 
@@ -200,7 +171,7 @@ func TestDescriptorsAndLiveness(t *testing.T) {
 func TestUUIDTopicSegments(t *testing.T) {
 	u := ident.NewUUID()
 	tp := EntityToBrokerSession(u, ident.NewSessionID())
-	if !tp.HasPrefix("Constrained", "Traces", "Broker", "Subscribe-Only", "Limited") {
+	if !strings.HasPrefix(tp.String(), "/Constrained/Traces/Broker/Subscribe-Only/Limited/") {
 		t.Fatalf("session topic = %q", tp)
 	}
 	if tp.Len() != 7 {
@@ -217,7 +188,6 @@ func TestIsSessionKeyDelivery(t *testing.T) {
 		"/Constrained/Traces/Broker/Publish-Only/System/SessionKeys",             // missing name
 		"/Constrained/Traces/Broker/Publish-Only/System/SessionKeys/a/b",         // extra segment
 		"/Constrained/Traces/Broker/Subscribe-Only/System/SessionKeys/a",         // wrong direction
-		"/Constrained/Traces/Broker/Publish-Only/System/SessionKeys/*",           // wildcard name
 		"/Constrained/Traces/Broker/Publish-Only/" + tt.String() + "/AllUpdates", // guarded trace topic
 		"/Constrained/Traces/tracker-1/Subscribe-Only/Keys/" + tt.String(),       // tracker key topic
 	}
@@ -225,5 +195,10 @@ func TestIsSessionKeyDelivery(t *testing.T) {
 		if IsSessionKeyDelivery(MustParse(s)) {
 			t.Errorf("IsSessionKeyDelivery(%q) = true, want false", s)
 		}
+	}
+	// A wildcard requester name never reaches the shape check: the
+	// topic does not parse.
+	if _, err := Parse("/Constrained/Traces/Broker/Publish-Only/System/SessionKeys/*"); err == nil {
+		t.Fatal("wildcard SessionKeyDelivery name parsed")
 	}
 }

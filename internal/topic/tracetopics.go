@@ -173,8 +173,7 @@ func IsSessionKeyDelivery(tp Topic) bool {
 	s := tp.segments
 	return len(s) == 7 &&
 		s[0] == "Constrained" && s[1] == "Traces" && s[2] == "Broker" &&
-		s[3] == "Publish-Only" && s[4] == SuffixSystem && s[5] == SuffixSessionKeys &&
-		s[6] != Wildcard
+		s[3] == "Publish-Only" && s[4] == SuffixSystem && s[5] == SuffixSessionKeys
 }
 
 // IsTraceDerivative reports whether tp has the exact shape of a

@@ -8,8 +8,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 )
 
 // MaxFrameSize bounds a single framed message (shared by all transports;
@@ -92,46 +90,15 @@ type Transport interface {
 	Dial(addr string) (Conn, error)
 }
 
-// registry maps transport names to constructors, so executables can
-// select transports by flag.
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]func() Transport)
-)
-
-// Register installs a transport constructor under name, replacing any
-// existing registration.
-func Register(name string, f func() Transport) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry[name] = f
-}
-
-// New returns a fresh transport by registered name.
+// New returns a fresh transport by name: "tcp", "udp" or "inproc".
 func New(name string) (Transport, error) {
-	registryMu.RLock()
-	f, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("transport: unknown transport %q (have %v)", name, Names())
+	switch name {
+	case "tcp":
+		return NewTCP(), nil
+	case "udp":
+		return NewUDP(), nil
+	case "inproc":
+		return NewInproc(), nil
 	}
-	return f(), nil
-}
-
-// Names lists registered transport names, sorted.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	Register("tcp", func() Transport { return NewTCP() })
-	Register("udp", func() Transport { return NewUDP() })
-	Register("inproc", func() Transport { return NewInproc() })
+	return nil, fmt.Errorf("transport: unknown transport %q (have inproc, tcp, udp)", name)
 }

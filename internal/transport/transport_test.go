@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -354,11 +355,13 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("New(%q).Name() = %q", name, tr.Name())
 		}
 	}
-	if _, err := New("carrier-pigeon"); err == nil {
+	_, err := New("carrier-pigeon")
+	if err == nil {
 		t.Fatal("unknown transport accepted")
 	}
-	names := Names()
-	if len(names) < 3 {
-		t.Fatalf("Names() = %v", names)
+	for _, name := range []string{"tcp", "udp", "inproc"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error %q does not name %s", err, name)
+		}
 	}
 }
