@@ -17,11 +17,12 @@ test:
 # plus the broker-node assembly and its callers (node, harness, the two
 # hand-wired examples) and the wire codec the message package's reader
 # moved into, so code moved between them is counted, not mistaken for a
-# reduction — and the topic grammar, token, transport and stats packages,
-# whose unused capabilities go the same way. The last line is the total.
+# reduction — and the topic grammar, token, transport, stats and durable
+# packages, whose unused capabilities and duplicate counts go the same
+# way. The last line is the total.
 LOC_DIRS = internal/broker internal/core internal/message internal/tracectl internal/obs cmd/brokerd \
 	internal/node internal/harness examples/quickstart examples/federation internal/wire \
-	internal/topic internal/token internal/transport internal/stats
+	internal/topic internal/token internal/transport internal/stats internal/durable
 loc:
 	@total=0; for d in $(LOC_DIRS); do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l); \

@@ -452,17 +452,17 @@ func TestChaosSlowConsumerEvictedHealthyTrackerFlows(t *testing.T) {
 
 	// Keep the pressure on until the slow-consumer deadline trips.
 	floodDeadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(floodDeadline) && b.Snapshot().SlowConsumerEvictions == 0 {
+	for time.Now().Before(floodDeadline) && b.Snapshot().Counters[`broker_disconnects_total{reason="slow-consumer"}`] == 0 {
 		for i := 0; i < 100; i++ {
 			_ = flooder.Publish(message.New(message.TypeData, holTopic, "hol-flooder", []byte("flood")))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	s := b.Snapshot()
-	if s.SlowConsumerEvictions == 0 {
+	s := b.Snapshot().Counters
+	if s[`broker_disconnects_total{reason="slow-consumer"}`] == 0 {
 		t.Fatal("stalled consumer never evicted")
 	}
-	if s.EgressSheds == 0 {
+	if s["broker_egress_sheds_total"] == 0 {
 		t.Fatal("no frames shed from the stalled peer's queue")
 	}
 
@@ -484,7 +484,7 @@ func TestChaosSlowConsumerEvictedHealthyTrackerFlows(t *testing.T) {
 	if r := recl.DisconnectReason(); r != broker.ReasonQuarantined {
 		t.Fatalf("reconnect DisconnectReason = %v, want quarantined", r)
 	}
-	if b.Snapshot().QuarantineRejects == 0 {
+	if b.Snapshot().Counters["broker_quarantine_rejects_total"] == 0 {
 		t.Fatal("quarantine reject not counted")
 	}
 }
@@ -540,10 +540,10 @@ func TestChaosFloodingPublisherThrottledNotStarving(t *testing.T) {
 	// healthy traffic keeps delivering while the flood continues.
 	b := tb.Brokers[0]
 	throttleDeadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(throttleDeadline) && b.Snapshot().Throttled < 100 {
+	for time.Now().Before(throttleDeadline) && b.Snapshot().Counters["broker_publish_throttled_total"] < 100 {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if b.Snapshot().Throttled < 100 {
+	if b.Snapshot().Counters["broker_publish_throttled_total"] < 100 {
 		t.Fatal("flooding publisher was never throttled; scenario is vacuous")
 	}
 	for i := 1; i <= 3; i++ {
@@ -552,7 +552,7 @@ func TestChaosFloodingPublisherThrottledNotStarving(t *testing.T) {
 	close(stop)
 	floodWG.Wait()
 
-	s := b.Snapshot()
+	s := b.Snapshot().Counters
 	// Throttling is admission control, not punishment at this violation
 	// budget: the flooder must still be connected.
 	select {
@@ -560,7 +560,11 @@ func TestChaosFloodingPublisherThrottledNotStarving(t *testing.T) {
 		t.Fatalf("flooder evicted (reason %v) despite unlimited violation budget", flooder.DisconnectReason())
 	default:
 	}
-	if s.Disconnects != 0 {
+	var disconnects uint64
+	for _, reason := range []string{"dos", "slow-consumer", "quarantined"} {
+		disconnects += s[obs.WithLabel("broker_disconnects_total", "reason", reason)]
+	}
+	if disconnects != 0 {
 		t.Fatalf("unexpected disconnects during throttling run: %+v", s)
 	}
 }

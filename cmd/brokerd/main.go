@@ -8,11 +8,9 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -50,7 +48,7 @@ var (
 	vnodes        = flag.Int("vnodes", 0, "virtual nodes per fabric member on the hash ring (0 keeps the default)")
 	gossipEvery   = flag.Duration("gossip-interval", 500*time.Millisecond, "fabric gossip/heartbeat period")
 	failAfter     = flag.Duration("fail-after", 0, "declare a fabric member failed after this heartbeat silence (0 means 5x -gossip-interval)")
-	adminAddr     = flag.String("admin", "", "HTTP admin endpoint (e.g. 127.0.0.1:7190) serving /stats, /metrics, /healthz and /debug/pprof")
+	adminAddr     = flag.String("admin", "", "HTTP admin endpoint (e.g. 127.0.0.1:7190) serving /metrics, /healthz, /trace, /avail, /timeseries and /debug/pprof")
 	egressQueue   = flag.Int("egress-queue", broker.DefaultEgressQueue, "per-peer outbound queue bound in frames; oldest data is shed when full")
 	slowDeadline  = flag.Duration("slow-consumer-deadline", broker.DefaultSlowConsumerDeadline, "how long a peer's egress queue may stay saturated before eviction")
 	pubRate       = flag.Float64("pub-rate", 0, "per-publisher admission rate in envelopes/sec (0 disables rate limiting)")
@@ -342,71 +340,33 @@ func main() {
 }
 
 // serveAdmin exposes operational state over HTTP: /metrics (process-wide
-// registry, text or JSON), /debug/pprof, an enriched /healthz, /trace
-// (flight-recorder events for tracectl), and /stats — a JSON snapshot of
-// this broker's routing counters and session counts, kept for existing
-// tooling.
+// registry, text or JSON — every count, under its registry name),
+// /debug/pprof, /trace (flight-recorder events for tracectl), /avail,
+// /timeseries, and /healthz, enriched with the point-in-time values no
+// counter holds.
 func serveAdmin(addr, name string, n *node.Node, tokenCache *core.TokenCache) {
 	b, mgr := n.Broker, n.Manager
 	mux := obs.NewAdminMux(obs.Default, func() map[string]any {
-		return map[string]any{
-			"broker":        name,
-			"peers":         b.PeerCount(),
-			"subscriptions": b.SubscriptionCount(),
-			"sessions":      mgr.SessionCount(),
-		}
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
+		h := b.Health()
 		out := map[string]any{
-			"broker":        name,
-			"peers":         b.PeerCount(),
-			"subscriptions": b.SubscriptionCount(),
-			"sessions":      mgr.SessionCount(),
-			// Hops refused because an envelope span was already at
-			// MaxHops; nonzero means some flows' tails are invisible to
-			// trace assembly.
-			"spanHopsTruncated": obs.Default.Counter("span_hops_truncated_total").Value(),
-			"flightHead":        n.Flight.Head(),
+			"broker":            name,
+			"peers":             len(h.Peers),
+			"subscriptions":     h.Subscriptions,
+			"sessions":          mgr.SessionCount(),
+			"flightHead":        h.FlightHead,
+			"guardCacheEntries": tokenCache.Len(),
 		}
-		// The routing counters, under the keys broker.Stats' JSON tags carry
-		// (raw, so a count is never rounded through a float).
-		var counters map[string]json.RawMessage
-		raw, _ := json.Marshal(b.Snapshot())
-		_ = json.Unmarshal(raw, &counters)
-		for key, v := range counters {
-			out[key] = v
-		}
-		if n.Store != nil {
-			out["durable"] = n.Store.Stats()
-		}
-		if h := b.Health(); h.FabricMembers > 0 {
+		if h.FabricMembers > 0 {
 			out["fabric"] = map[string]any{
 				"epoch":         h.FabricEpoch,
 				"members":       h.FabricMembers,
 				"ownedPerMille": h.FabricOwnedPerMille,
 			}
 		}
-		if tokenCache != nil {
-			// Guard-cache hit/miss/eviction/invalidation counters (also on
-			// /metrics as guard_cache_*_total, aggregated process-wide).
-			out["guardCache"] = tokenCache.Stats()
+		if n.Store != nil {
+			out["durable"] = n.Store.Stats()
 		}
-		// Latency quantile summaries per histogram, so /stats consumers
-		// get tail behaviour without scraping /metrics.
-		hists := map[string]any{}
-		for hname, h := range obs.Default.Snapshot().Histograms {
-			if h.Count == 0 {
-				continue
-			}
-			hists[hname] = map[string]any{
-				"count": h.Count, "p50": h.P50, "p95": h.P95, "p99": h.P99,
-			}
-		}
-		if len(hists) > 0 {
-			out["latency"] = hists
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(out)
+		return out
 	})
 	mux.Handle("/trace", obs.FlightHandler(n.Flight))
 	mux.Handle("/avail", avail.Handler(mgr.Avail(), name))

@@ -109,25 +109,18 @@ func TestDaemonsEndToEnd(t *testing.T) {
 	waitLog("tracker", "ALLS_WELL", 20*time.Second)
 	waitLog("tracker", "LOAD_INFORMATION", 20*time.Second)
 
-	// The admin endpoint reports the live session.
-	resp, err := http.Get("http://" + adminAddr + "/stats")
+	// Every count is on /metrics, under its registry name; the legacy
+	// /stats mirror is gone.
+	resp, err := http.Get(fmt.Sprintf("http://%s/stats", adminAddr))
 	if err != nil {
 		t.Fatalf("admin endpoint: %v", err)
 	}
-	var statsBody struct {
-		Sessions  int    `json:"sessions"`
-		Broker    string `json:"broker"`
-		Published uint64 `json:"published"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&statsBody); err != nil {
-		t.Fatalf("decoding /stats: %v", err)
-	}
 	resp.Body.Close()
-	if statsBody.Sessions != 1 || statsBody.Published == 0 {
-		t.Fatalf("admin stats: %+v", statsBody)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats = %s, want 404", resp.Status)
 	}
 
-	// The /metrics registry reflects the same live traffic: a running
+	// The /metrics registry reflects the live traffic: a running
 	// brokerd must show non-zero traces-published, ping RTT observations
 	// and an enriched health report.
 	resp, err = http.Get("http://" + adminAddr + "/metrics?format=json")
@@ -148,6 +141,9 @@ func TestDaemonsEndToEnd(t *testing.T) {
 		t.Fatalf("decoding /metrics: %v", err)
 	}
 	resp.Body.Close()
+	if metrics.Counters["broker_published_total"] == 0 {
+		t.Fatalf("broker_published_total is zero: %v", metrics.Counters)
+	}
 	if metrics.Counters["traces_published_total"] == 0 {
 		t.Fatalf("traces_published_total is zero: %v", metrics.Counters)
 	}
@@ -171,7 +167,7 @@ func TestDaemonsEndToEnd(t *testing.T) {
 		t.Fatalf("decoding /healthz: %v", err)
 	}
 	resp.Body.Close()
-	if health["status"] != "ok" || health["sessions"] != float64(1) {
+	if health["status"] != "ok" || health["sessions"] != float64(1) || health["broker"] != "broker-1" {
 		t.Fatalf("healthz: %v", health)
 	}
 

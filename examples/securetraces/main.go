@@ -115,10 +115,10 @@ func main() {
 		topic.ChangeNotifications(ent.TraceTopic()), "eve", []byte("forged"))
 	_ = eveConn.Publish(forged)
 	deadline := time.Now().Add(5 * time.Second)
-	for tb.Brokers[0].Snapshot().Violations == 0 && time.Now().Before(deadline) {
+	for tb.Brokers[0].Snapshot().Counters["broker_violations_total"] == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if v := tb.Brokers[0].Snapshot().Violations; v > 0 {
+	if v := tb.Brokers[0].Snapshot().Counters["broker_violations_total"]; v > 0 {
 		fmt.Printf("broker: discarded the forged trace (%d violation(s) recorded)\n", v)
 	} else {
 		log.Fatal("forged trace was not rejected")

@@ -93,8 +93,8 @@ func TestLinkBatchForwardAllocs(t *testing.T) {
 				out.out.mu.Unlock()
 			}
 			run() // warm the decoder, the working sets and the pools
-			if s := b.Snapshot(); s.Forwarded != n || s.Duplicates != 0 {
-				t.Fatalf("warm-up forwarded %d (%d duplicates), want %d", s.Forwarded, s.Duplicates, n)
+			if s := b.Snapshot().Counters; s["broker_forwarded_total"] != n || s["broker_duplicates_total"] != 0 {
+				t.Fatalf("warm-up forwarded %d (%d duplicates), want %d", s["broker_forwarded_total"], s["broker_duplicates_total"], n)
 			}
 			perEnvelope := testing.AllocsPerRun(50, run) / n
 			t.Logf("%.2f allocations per forwarded envelope", perEnvelope)

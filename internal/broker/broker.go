@@ -171,24 +171,6 @@ const throttleViolationWeight = 0.125
 // typed DISCONNECT before the connection is force-closed regardless.
 const evictGrace = 250 * time.Millisecond
 
-// Stats is the typed view of a broker's counters; read with Snapshot.
-// The JSON keys are the ones brokerd's /stats has always served.
-type Stats struct {
-	Published             uint64 `json:"published"`             // envelopes accepted from peers or local publishers
-	DeliveredLocal        uint64 `json:"deliveredLocal"`        // envelopes handed to local subscribers
-	Forwarded             uint64 `json:"forwarded"`             // envelopes sent over links
-	Duplicates            uint64 `json:"duplicates"`            // envelopes dropped by dedupe
-	Violations            uint64 `json:"violations"`            // guard or authorization failures (throttles included)
-	Disconnects           uint64 `json:"disconnects"`           // peers evicted (all reasons)
-	Expired               uint64 `json:"expired"`               // envelopes dropped for exhausted TTL
-	EgressSheds           uint64 `json:"egressSheds"`           // data frames shed from full egress queues
-	SlowConsumerEvictions uint64 `json:"slowConsumerEvictions"` // peers evicted for sustained egress saturation
-	Throttled             uint64 `json:"throttled"`             // publishes rejected by per-publisher rate limiting
-	QuarantineRejects     uint64 `json:"quarantineRejects"`     // reconnects refused while quarantined
-	ReplayRecords         uint64 `json:"replayRecords"`         // offset-annotated records served by replay pumps
-	Redeliveries          uint64 `json:"redeliveries"`          // records retransmitted after a missed-ack rewind
-}
-
 // Broker is one router node in the broker network.
 type Broker struct {
 	cfg  Config
@@ -1449,28 +1431,9 @@ func (b *Broker) enqueue(p *peer, frame []byte, trace obs.FlightTrace, now time.
 // (see seenSet).
 func (b *Broker) firstSighting(id ident.UUID) bool { return b.seen.add(id) }
 
-// Snapshot returns current counters.
-func (b *Broker) Snapshot() Stats {
-	m := &b.m
-	s := Stats{
-		Published:             m.published.Value(),
-		DeliveredLocal:        m.deliveredLocal.Value(),
-		Forwarded:             m.forwarded.Value(),
-		Duplicates:            m.duplicates.Value(),
-		Violations:            m.violations.Value(),
-		Expired:               m.expired.Value(),
-		EgressSheds:           m.sheds.Value(),
-		SlowConsumerEvictions: m.disconnects[ReasonSlowConsumer].Value(),
-		Throttled:             m.throttled.Value(),
-		QuarantineRejects:     m.quarRejects.Value(),
-		ReplayRecords:         m.replayRecords.Value(),
-		Redeliveries:          m.redeliveries.Value(),
-	}
-	for _, c := range m.disconnects[ReasonDoS:] {
-		s.Disconnects += c.Value()
-	}
-	return s
-}
+// Snapshot returns this broker's own counters and gauges, under their
+// /metrics names.
+func (b *Broker) Snapshot() obs.Snapshot { return b.reg.Snapshot() }
 
 // PeerHealth is one peer's row in a broker health snapshot.
 type PeerHealth struct {
@@ -1493,10 +1456,8 @@ type Health struct {
 	Peers []PeerHealth
 	// Subscriptions counts distinct subscribed topic strings.
 	Subscriptions int
-	// Stats is the broker's counter snapshot; Metrics holds the same
-	// counts, and the broker's gauges, as its registry names them — a
-	// telemetry row's name is its /metrics name.
-	Stats   Stats
+	// Metrics holds the broker's counters and gauges as its registry
+	// names them — a telemetry row's name is its /metrics name.
 	Metrics obs.Snapshot
 	// FlightHead is the flight recorder's latest sequence number (0 when
 	// recording is disabled).
@@ -1513,7 +1474,7 @@ type Health struct {
 // Health snapshots the broker's topology and per-peer queue/offender
 // state.
 func (b *Broker) Health() Health {
-	h := Health{Name: b.name, Stats: b.Snapshot(), Metrics: b.reg.Snapshot(), FlightHead: b.cfg.Flight.Head()}
+	h := Health{Name: b.name, Metrics: b.reg.Snapshot(), FlightHead: b.cfg.Flight.Head()}
 	if s := b.shardingOf(); s != nil {
 		info := s.Info()
 		h.FabricEpoch = info.Epoch

@@ -60,6 +60,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// disconnects sums a broker's broker_disconnects_total over every
+// eviction reason.
+func disconnects(counters map[string]uint64) uint64 {
+	var n uint64
+	for r := ReasonDoS; r <= ReasonQuarantined; r++ {
+		n += counters[obs.WithLabel("broker_disconnects_total", "reason", r.String())]
+	}
+	return n
+}
+
 func recvEnvelope(t *testing.T, ch <-chan *message.Envelope, what string) *message.Envelope {
 	t.Helper()
 	select {
@@ -152,7 +162,7 @@ func TestRawWildcardSubscribeDenied(t *testing.T) {
 	tr := transport.NewInproc()
 	b, addr := newTestBroker(t, tr, Config{})
 	for i, ts := range []string{"/metrics/*", "/Constrained/*"} {
-		before := b.Snapshot().Violations
+		before := b.Snapshot().Counters["broker_violations_total"]
 		conn := rawSubscriber(t, tr, addr, fmt.Sprintf("snooper-%d", i), ts)
 		frames := rawFrames(conn)
 		deadline := time.After(5 * time.Second)
@@ -177,7 +187,7 @@ func TestRawWildcardSubscribeDenied(t *testing.T) {
 				t.Fatalf("SUB %s: no DENY", ts)
 			}
 		}
-		waitFor(t, "violation scored", func() bool { return b.Snapshot().Violations == before+1 })
+		waitFor(t, "violation scored", func() bool { return b.Snapshot().Counters["broker_violations_total"] == before+1 })
 		conn.Close()
 	}
 }
@@ -225,10 +235,10 @@ func TestRawWildcardEnvelopeRejected(t *testing.T) {
 	if e := recvEnvelope(t, got, "exact-topic delivery"); string(e.Payload) != "exact" {
 		t.Fatalf("delivered %q on %s", e.Payload, e.Topic)
 	}
-	waitFor(t, "publish counted", func() bool { return b.Snapshot().Published > 0 })
-	s := b.Snapshot()
-	if s.Violations != 1 || s.Published != 1 {
-		t.Fatalf("violations = %d, published = %d; want 1, 1", s.Violations, s.Published)
+	waitFor(t, "publish counted", func() bool { return b.Snapshot().Counters["broker_published_total"] > 0 })
+	s := b.Snapshot().Counters
+	if s["broker_violations_total"] != 1 || s["broker_published_total"] != 1 {
+		t.Fatalf("violations = %d, published = %d; want 1, 1", s["broker_violations_total"], s["broker_published_total"])
 	}
 	if !strings.Contains(logs.String(), "bad envelope") {
 		t.Fatalf("violation not logged as a bad envelope:\n%s", logs.String())
@@ -263,8 +273,8 @@ func TestConstrainedPublishDropped(t *testing.T) {
 	if err := c.Publish(env); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "violation count", func() bool { return b.Snapshot().Violations >= 1 })
-	if b.Snapshot().Published != 0 {
+	waitFor(t, "violation count", func() bool { return b.Snapshot().Counters["broker_violations_total"] >= 1 })
+	if b.Snapshot().Counters["broker_published_total"] != 0 {
 		t.Fatal("spoofed trace was routed")
 	}
 }
@@ -276,7 +286,7 @@ func TestSourceSpoofingDropped(t *testing.T) {
 	defer c.Close()
 	env := message.New(message.TypeData, topic.MustParse("/x"), "someone-else", nil)
 	_ = c.Publish(env)
-	waitFor(t, "spoof violation", func() bool { return b.Snapshot().Violations >= 1 })
+	waitFor(t, "spoof violation", func() bool { return b.Snapshot().Counters["broker_violations_total"] >= 1 })
 }
 
 func TestViolationDisconnect(t *testing.T) {
@@ -292,7 +302,7 @@ func TestViolationDisconnect(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	waitFor(t, "disconnect", func() bool { return b.Snapshot().Disconnects >= 1 })
+	waitFor(t, "disconnect", func() bool { return disconnects(b.Snapshot().Counters) >= 1 })
 	select {
 	case <-c.Done():
 	case <-time.After(5 * time.Second):
@@ -330,8 +340,8 @@ func TestGuardInvokedAndPunished(t *testing.T) {
 	if guarded.Load() < 2 {
 		t.Fatalf("guard invoked %d times", guarded.Load())
 	}
-	if b.Snapshot().Violations != 1 {
-		t.Fatalf("violations = %d", b.Snapshot().Violations)
+	if b.Snapshot().Counters["broker_violations_total"] != 1 {
+		t.Fatalf("violations = %d", b.Snapshot().Counters["broker_violations_total"])
 	}
 }
 
@@ -430,7 +440,7 @@ func TestDuplicateSuppression(t *testing.T) {
 		t.Fatal("duplicate envelope delivered")
 	case <-time.After(100 * time.Millisecond):
 	}
-	waitFor(t, "duplicate counter", func() bool { return b.Snapshot().Duplicates >= 1 })
+	waitFor(t, "duplicate counter", func() bool { return b.Snapshot().Counters["broker_duplicates_total"] >= 1 })
 }
 
 func TestTTLExpiry(t *testing.T) {
@@ -441,7 +451,7 @@ func TestTTLExpiry(t *testing.T) {
 	env := message.New(message.TypeData, topic.MustParse("/x"), "p", nil)
 	env.TTL = 0
 	_ = pub.Publish(env)
-	waitFor(t, "TTL drop", func() bool { return b.Snapshot().Expired >= 1 })
+	waitFor(t, "TTL drop", func() bool { return b.Snapshot().Counters["broker_expired_total"] >= 1 })
 }
 
 func TestUnsubscribeStopsDelivery(t *testing.T) {
@@ -527,8 +537,8 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 	_ = pub.Publish(message.New(message.TypeData, tp, "p", nil))
 	recvEnvelope(t, got, "counted delivery")
-	s := b.Snapshot()
-	if s.Published != 1 || s.DeliveredLocal != 0 {
+	s := b.Snapshot().Counters
+	if s["broker_published_total"] != 1 || s["broker_delivered_local_total"] != 0 {
 		t.Fatalf("stats = %+v", s)
 	}
 	if b.PeerCount() != 2 {
@@ -641,7 +651,7 @@ func TestDedupeWindowEviction(t *testing.T) {
 	if string(e.Payload) != "first" {
 		t.Fatalf("unexpected payload %q", e.Payload)
 	}
-	if b.Snapshot().Duplicates != 0 {
+	if b.Snapshot().Counters["broker_duplicates_total"] != 0 {
 		t.Fatalf("evicted ID counted as duplicate")
 	}
 }
@@ -716,9 +726,9 @@ func TestDiamondTopologyNoStorm(t *testing.T) {
 	case <-time.After(200 * time.Millisecond):
 	}
 	waitFor(t, "duplicate suppressed somewhere", func() bool {
-		return brokers["d"].Snapshot().Duplicates >= 1 ||
-			brokers["b"].Snapshot().Duplicates >= 1 ||
-			brokers["c"].Snapshot().Duplicates >= 1
+		return brokers["d"].Snapshot().Counters["broker_duplicates_total"] >= 1 ||
+			brokers["b"].Snapshot().Counters["broker_duplicates_total"] >= 1 ||
+			brokers["c"].Snapshot().Counters["broker_duplicates_total"] >= 1
 	})
 }
 
@@ -772,8 +782,8 @@ func TestRetiredHealthSnapshotRoutesByTopic(t *testing.T) {
 		}
 	}
 	waitFor(t, "routing", func() bool { return delivered.Load() == 2*(limit+1) })
-	if s := b.Snapshot(); s.Violations != 0 || s.Disconnects != 0 || !b.LinkUp("old-neighbour") {
+	if s := b.Snapshot().Counters; s["broker_violations_total"] != 0 || disconnects(s) != 0 || !b.LinkUp("old-neighbour") {
 		t.Fatalf("violations = %d, disconnects = %d, link up = %v; want 0, 0, true",
-			s.Violations, s.Disconnects, b.LinkUp("old-neighbour"))
+			s["broker_violations_total"], disconnects(s), b.LinkUp("old-neighbour"))
 	}
 }

@@ -223,7 +223,7 @@ func TestRedeliveryOnMissingAck(t *testing.T) {
 			t.Fatalf("redelivered offsets = %v, want all 1", offs)
 		}
 	}
-	if b.Snapshot().Redeliveries == 0 {
+	if b.Snapshot().Counters["durable_redeliveries_total"] == 0 {
 		t.Fatal("stats show no redeliveries")
 	}
 	// Acking stops the retransmissions.
@@ -283,12 +283,12 @@ func TestRedeliveryFollowsBrokerClock(t *testing.T) {
 	waitFor(t, "pump parked on its redelivery deadline", func() bool { return clk.PendingTimers() == 1 })
 	clk.Advance(29 * time.Second)
 	time.Sleep(50 * time.Millisecond)
-	if n, r := delivered(), b.Snapshot().Redeliveries; n != 1 || r != 0 {
+	if n, r := delivered(), b.Snapshot().Counters["durable_redeliveries_total"]; n != 1 || r != 0 {
 		t.Fatalf("before Redeliver.Initial elapsed: %d deliveries, %d redeliveries, want 1 and 0", n, r)
 	}
 	clk.Advance(2 * time.Second)
 	waitFor(t, "redelivery once the fake clock passes the deadline", func() bool { return delivered() == 2 })
-	if r := b.Snapshot().Redeliveries; r != 1 {
+	if r := b.Snapshot().Counters["durable_redeliveries_total"]; r != 1 {
 		t.Fatalf("redeliveries = %d, want 1", r)
 	}
 }
@@ -342,13 +342,13 @@ func TestReplayLaneShedIsFlightRecorded(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for n := 0; !shedRecorded(); n++ {
 		if time.Now().After(deadline) {
-			t.Fatalf("no shed event for the replay peer after %d records (%d sheds counted)", n, b.Snapshot().EgressSheds)
+			t.Fatalf("no shed event for the replay peer after %d records (%d sheds counted)", n, b.Snapshot().Counters["broker_egress_sheds_total"])
 		}
 		if err := b.Publish(traceEnv(tp, byte(n))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s := b.Snapshot(); s.EgressSheds == 0 || s.ReplayRecords == 0 {
+	if s := b.Snapshot().Counters; s["broker_egress_sheds_total"] == 0 || s["durable_replay_records_total"] == 0 {
 		t.Fatalf("snapshot = %+v, want replay records served and sheds counted", s)
 	}
 }
@@ -494,7 +494,7 @@ func TestReplayAcksAreCumulative(t *testing.T) {
 			// record, so reads are full buffers rather than a race
 			// between the pump and this consumer.
 			deadline := time.Now().Add(5 * time.Second)
-			for b.Snapshot().ReplayRecords < n && time.Now().Before(deadline) {
+			for b.Snapshot().Counters["durable_replay_records_total"] < n && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -521,7 +521,7 @@ func TestReplayAcksAreCumulative(t *testing.T) {
 	if acks := mAckCursors.Value() - acksBefore; acks > n/replayBatchRecords+reads {
 		t.Fatalf("%d ACK-CUR frames for %d records in %d drained reads, want at most %d", acks, n, reads, n/replayBatchRecords+reads)
 	}
-	if r := b.Snapshot().Redeliveries; r != 0 {
+	if r := b.Snapshot().Counters["durable_redeliveries_total"]; r != 0 {
 		t.Fatalf("redeliveries = %d, want 0", r)
 	}
 }

@@ -177,7 +177,7 @@ func TestSlowConsumerEvictedAndHealthyIsolated(t *testing.T) {
 	defer pub.Close()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) && b.Snapshot().SlowConsumerEvictions == 0 {
+	for time.Now().Before(deadline) && b.Snapshot().Counters[`broker_disconnects_total{reason="slow-consumer"}`] == 0 {
 		for i := 0; i < 100; i++ {
 			if err := pub.Publish(message.New(message.TypeData, tp, "pub", []byte("flood"))); err != nil {
 				t.Fatalf("publisher hit error while a sibling stalled: %v", err)
@@ -185,11 +185,11 @@ func TestSlowConsumerEvictedAndHealthyIsolated(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	s := b.Snapshot()
-	if s.SlowConsumerEvictions == 0 {
+	s := b.Snapshot().Counters
+	if s[`broker_disconnects_total{reason="slow-consumer"}`] == 0 {
 		t.Fatal("stalled peer never evicted")
 	}
-	if s.EgressSheds == 0 {
+	if s["broker_egress_sheds_total"] == 0 {
 		t.Fatal("no frames shed before eviction")
 	}
 	// The healthy subscriber was never blocked behind the stalled one.
@@ -217,7 +217,7 @@ func TestSlowConsumerEvictedAndHealthyIsolated(t *testing.T) {
 	if r := recl.DisconnectReason(); r != ReasonQuarantined {
 		t.Fatalf("DisconnectReason = %v, want quarantined", r)
 	}
-	if b.Snapshot().QuarantineRejects == 0 {
+	if b.Snapshot().Counters["broker_quarantine_rejects_total"] == 0 {
 		t.Fatal("quarantine reject not counted")
 	}
 }
@@ -272,14 +272,14 @@ func TestPublishRateThrottled(t *testing.T) {
 			}
 		}
 	}
-	waitFor(t, "throttles", func() bool { return b.Snapshot().Throttled >= 20 })
+	waitFor(t, "throttles", func() bool { return b.Snapshot().Counters["broker_publish_throttled_total"] >= 20 })
 	recvEnvelope(t, got, "first quiet publish")
 	recvEnvelope(t, got, "second quiet publish")
-	s := b.Snapshot()
-	if s.Published > 12 { // the quiet publisher's two plus what the bursty bucket refilled
-		t.Fatalf("flood was routed: Published = %d", s.Published)
+	s := b.Snapshot().Counters
+	if s["broker_published_total"] > 12 { // the quiet publisher's two plus what the bursty bucket refilled
+		t.Fatalf("flood was routed: Published = %d", s["broker_published_total"])
 	}
-	if s.Disconnects != 0 {
+	if disconnects(s) != 0 {
 		t.Fatalf("burst alone evicted the client: %+v", s)
 	}
 	select {
@@ -317,7 +317,7 @@ func TestBrokerLinksExemptFromPublishRate(t *testing.T) {
 		}
 	}
 	waitFor(t, "every envelope across the link", func() bool { return got.Load() == n })
-	if s := limited.Snapshot(); s.Throttled != 0 || s.Violations != 0 {
+	if s := limited.Snapshot().Counters; s["broker_publish_throttled_total"] != 0 || s["broker_violations_total"] != 0 {
 		t.Fatalf("link traffic throttled: %+v", s)
 	}
 }
@@ -348,7 +348,7 @@ func TestSustainedFloodEscalatesToDoSEviction(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("sustained flooder never evicted")
 	}
-	waitFor(t, "dos disconnect", func() bool { return b.Snapshot().Disconnects >= 1 })
+	waitFor(t, "dos disconnect", func() bool { return disconnects(b.Snapshot().Counters) >= 1 })
 	if r := pub.DisconnectReason(); r != ReasonDoS {
 		t.Fatalf("DisconnectReason = %v, want dos", r)
 	}
@@ -377,10 +377,10 @@ func TestViolationScoreDecay(t *testing.T) {
 		if err := c.Publish(env); err != nil {
 			t.Fatalf("violation %d: connection already dead: %v", i, err)
 		}
-		waitFor(t, "violation recorded", func() bool { return b.Snapshot().Violations >= uint64(i+1) })
+		waitFor(t, "violation recorded", func() bool { return b.Snapshot().Counters["broker_violations_total"] >= uint64(i+1) })
 		fake.Advance(time.Hour)
 	}
-	if d := b.Snapshot().Disconnects; d != 0 {
+	if d := disconnects(b.Snapshot().Counters); d != 0 {
 		t.Fatalf("trickle of sporadic violations caused %d disconnects", d)
 	}
 	select {
@@ -542,8 +542,8 @@ func TestOverloadMetricsExposed(t *testing.T) {
 
 // TestEvictionsCountedByReason: every eviction, whatever its reason, is
 // one broker_disconnects_total{reason} increment — in the broker's own
-// registry and in the process-wide one — and Stats.Disconnects is their
-// sum.
+// registry and in the process-wide one — and the family sums to the
+// three evictions.
 func TestEvictionsCountedByReason(t *testing.T) {
 	b := New(Config{})
 	defer b.Close()
@@ -559,7 +559,7 @@ func TestEvictionsCountedByReason(t *testing.T) {
 			t.Errorf("%s: broker %d, process +%d, want 1 and +1", name, own[name], after[name]-before[name])
 		}
 	}
-	if s := b.Snapshot(); s.Disconnects != 3 || s.SlowConsumerEvictions != 1 {
-		t.Fatalf("Disconnects = %d, SlowConsumerEvictions = %d, want 3 and 1", s.Disconnects, s.SlowConsumerEvictions)
+	if s := b.Snapshot().Counters; disconnects(s) != 3 || s[`broker_disconnects_total{reason="slow-consumer"}`] != 1 {
+		t.Fatalf("Disconnects = %d, SlowConsumerEvictions = %d, want 3 and 1", disconnects(s), s[`broker_disconnects_total{reason="slow-consumer"}`])
 	}
 }

@@ -3,6 +3,7 @@ package broker
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"reflect"
 	"strings"
 	"testing"
@@ -177,11 +178,11 @@ type oracleResult struct {
 	Flood     [][]byte            // frames queued on the ordinary broker link
 	Owner     [][]byte            // frames queued on the owner link
 	Logs      map[string][][]byte // durable log payloads by topic
-	Stats     Stats
-	Score     float64 // ingress peer's violation score
-	Forwards  uint64  // broker_fabric_forward_total delta
-	FanIns    uint64  // broker_fabric_fanin_total delta
-	NoRoutes  uint64  // broker_fabric_no_route_total delta
+	Counters  map[string]uint64   // the broker's own counters, by /metrics name
+	Score     float64             // ingress peer's violation score
+	Forwards  uint64              // broker_fabric_forward_total delta
+	FanIns    uint64              // broker_fabric_fanin_total delta
+	NoRoutes  uint64              // broker_fabric_no_route_total delta
 	PubErrors []string
 	// headsAt[i] is the durable heads (T1, T2) seen by local delivery i.
 	headsAt [][2]uint64
@@ -271,7 +272,7 @@ func runOracle(t *testing.T, cell oracleCell, framing string, withStore bool, se
 	res.NoRoutes = mFabricNoRoute.Value() - noroute0
 
 	res.Client, res.Flood, res.Owner = queued(client), queued(flood), queued(owner)
-	res.Stats = b.Snapshot()
+	res.Counters = b.Snapshot().Counters
 	res.Logs = make(map[string][][]byte)
 	if store != nil {
 		for _, ts := range store.Topics() {
@@ -335,10 +336,10 @@ func checkOracle(t *testing.T, cell oracleCell, framing string, withStore bool, 
 		t.Errorf("durable logs hold %d/%d records on T1/T2, want %d/%d byte-equal to the wire bodies in arrival order",
 			len(res.Logs[oracleT1.String()]), len(res.Logs[oracleT2.String()]), len(logs[oracleT1.String()]), len(logs[oracleT2.String()]))
 	}
-	s := res.Stats
-	if s.Published != uint64(len(accepted)) || s.Duplicates != 1 || s.Expired != 1 ||
-		s.DeliveredLocal != uint64(len(locals)) || s.Forwarded != uint64(len(client)+len(flood)+len(owner)) {
-		t.Errorf("snapshot = %+v, want %d published, 1 duplicate, 1 expired, %d local, %d forwarded",
+	s := res.Counters
+	if s["broker_published_total"] != uint64(len(accepted)) || s["broker_duplicates_total"] != 1 || s["broker_expired_total"] != 1 ||
+		s["broker_delivered_local_total"] != uint64(len(locals)) || s["broker_forwarded_total"] != uint64(len(client)+len(flood)+len(owner)) {
+		t.Errorf("counters = %v, want %d published, 1 duplicate, 1 expired, %d local, %d forwarded",
 			s, len(accepted), len(locals), len(client)+len(flood)+len(owner))
 	}
 	if res.Forwards != uint64(len(owner)) {
@@ -415,7 +416,8 @@ func TestPublishPipelineOracle(t *testing.T) {
 				// observable outcome is the peer framings'.
 				local.PubErrors, local.headsAt = nil, nil
 				want := one
-				want.Stats.Violations, want.Score = 0, 0
+				want.Counters = maps.Clone(one.Counters)
+				want.Counters["broker_violations_total"], want.Score = 0, 0
 				want.NoRoutes = local.NoRoutes // counted per planned envelope: one fewer without the spoof
 				if !reflect.DeepEqual(local, want) {
 					t.Errorf("local Publish diverges from frameEnvelope one by one:\n envelopes %+v\n publish   %+v", summarize(want), summarize(local))
@@ -430,7 +432,7 @@ func summarize(r oracleResult) map[string]any {
 	return map[string]any{
 		"locals": r.Locals, "client": len(r.Client), "flood": len(r.Flood), "owner": len(r.Owner),
 		"logT1": len(r.Logs[oracleT1.String()]), "logT2": len(r.Logs[oracleT2.String()]),
-		"stats": r.Stats, "score": r.Score, "fwd": r.Forwards, "fanin": r.FanIns, "noroute": r.NoRoutes,
+		"counters": r.Counters, "score": r.Score, "fwd": r.Forwards, "fanin": r.FanIns, "noroute": r.NoRoutes,
 	}
 }
 
@@ -458,8 +460,8 @@ func TestForwardToOwnerHonoursTTL(t *testing.T) {
 	if got := queued(watcher); len(got) != 1 {
 		t.Fatalf("local client got %d frames, want 1", len(got))
 	}
-	if s := b.Snapshot(); s.Forwarded != 1 || mFabricForwards.Value() != fwd0 {
-		t.Fatalf("forwarded = %d, fabric forwards moved by %d; want 1 and 0", s.Forwarded, mFabricForwards.Value()-fwd0)
+	if s := b.Snapshot().Counters; s["broker_forwarded_total"] != 1 || mFabricForwards.Value() != fwd0 {
+		t.Fatalf("forwarded = %d, fabric forwards moved by %d; want 1 and 0", s["broker_forwarded_total"], mFabricForwards.Value()-fwd0)
 	}
 
 	// One more hop of TTL and the same publish does take the owner hop.

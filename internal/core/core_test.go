@@ -608,15 +608,15 @@ func TestSpuriousTraceInjectionDropped(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	forged := message.New(message.TraceFailed, ctTopic, "", []byte("forged"))
-	before := tb.brokers[0].Snapshot().Violations
+	before := tb.brokers[0].Snapshot().Counters["broker_violations_total"]
 	if err := mallory.Publish(forged); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for tb.brokers[0].Snapshot().Violations == before && time.Now().Before(deadline) {
+	for tb.brokers[0].Snapshot().Counters["broker_violations_total"] == before && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if tb.brokers[0].Snapshot().Violations == before {
+	if tb.brokers[0].Snapshot().Counters["broker_violations_total"] == before {
 		t.Fatal("forged trace did not register a violation")
 	}
 	// The tracker never sees a FAILED event.
@@ -1356,7 +1356,7 @@ func TestSoakManyEntitiesAndTrackers(t *testing.T) {
 		t.Fatalf("soak rejected %d traces", rejected)
 	}
 	for _, b := range tb.brokers {
-		if v := b.Snapshot().Violations; v != 0 {
+		if v := b.Snapshot().Counters["broker_violations_total"]; v != 0 {
 			t.Fatalf("broker recorded %d violations", v)
 		}
 	}

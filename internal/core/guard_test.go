@@ -283,7 +283,7 @@ func TestGuardTaggedTraceWithoutStoreSparesTheLink(t *testing.T) {
 	if n := dropCount("session_unsupported") - before; n != limit+1 {
 		t.Errorf("session_unsupported drops = %d, want %d", n, limit+1)
 	}
-	if v := down.Snapshot().Violations; v != 0 {
+	if v := down.Snapshot().Counters["broker_violations_total"]; v != 0 {
 		t.Errorf("downstream scored %d violations against its neighbour", v)
 	}
 }

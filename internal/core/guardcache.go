@@ -11,7 +11,7 @@ import (
 )
 
 // The two guard-cache names the telemetry tick also publishes, per
-// broker, from TokenCache.Stats.
+// broker, from the cache's own counters.
 const (
 	guardCacheHitsName   = "guard_cache_hits_total"
 	guardCacheMissesName = "guard_cache_misses_total"
@@ -51,14 +51,20 @@ type verifiedToken struct {
 	notBefore, notAfter int64
 }
 
-// TokenCacheStats is a point-in-time snapshot of one cache's activity.
-type TokenCacheStats struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
-	Invalidations uint64 `json:"invalidations"`
-	Size          int    `json:"size"`
-	Capacity      int    `json:"capacity"`
+// cacheEntry is a cached verdict and the admission that created it; a
+// refresh in place keeps the admission (see cacheSlot).
+type cacheEntry struct {
+	*verifiedToken
+	seq uint64
+}
+
+// cacheSlot is one eviction-ring position: the digest it admitted and
+// that admission's sequence number. A slot evicts only the admission it
+// was created for, so a slot left behind by invalidate cannot remove a
+// later admission of the same digest.
+type cacheSlot struct {
+	d   tokenDigest
+	seq uint64
 }
 
 // TokenCache memoizes successful §4.3 token verifications so steady-state
@@ -68,16 +74,17 @@ type TokenCacheStats struct {
 // caching disabled — every call falls through to the full pipeline.
 type TokenCache struct {
 	mu      sync.RWMutex
-	entries map[tokenDigest]*verifiedToken
+	entries map[tokenDigest]cacheEntry
 	// order is a fixed-capacity insertion-order ring used for eviction;
 	// it never reallocates after construction.
-	order []tokenDigest
-	head  int // oldest entry when full
-	n     int // populated ring slots
+	order []cacheSlot
+	head  int    // oldest entry when full
+	n     int    // populated ring slots
+	seq   uint64 // the last admission's sequence number
 
 	// The cache's counters, on its own child of obs.Default: one Inc
-	// counts for this cache (Stats) and into the process-wide total of
-	// the same name.
+	// counts for this cache (the telemetry rows) and into the
+	// process-wide total of the same name.
 	hits, misses, evictions, invalidations *obs.Counter
 }
 
@@ -90,8 +97,8 @@ func NewTokenCache(size int) *TokenCache {
 	}
 	reg := obs.Default.Child()
 	return &TokenCache{
-		entries:       make(map[tokenDigest]*verifiedToken, size),
-		order:         make([]tokenDigest, size),
+		entries:       make(map[tokenDigest]cacheEntry, size),
+		order:         make([]cacheSlot, size),
 		hits:          reg.Counter(guardCacheHitsName),
 		misses:        reg.Counter(guardCacheMissesName),
 		evictions:     reg.Counter("guard_cache_evictions_total"),
@@ -110,7 +117,7 @@ func (c *TokenCache) lookup(d tokenDigest) (*verifiedToken, bool) {
 	c.mu.RLock()
 	e, ok := c.entries[d]
 	c.mu.RUnlock()
-	return e, ok
+	return e.verifiedToken, ok
 }
 
 // insert stores a freshly verified token, evicting the oldest entry when
@@ -120,29 +127,29 @@ func (c *TokenCache) insert(d tokenDigest, e *verifiedToken) {
 		return
 	}
 	c.mu.Lock()
-	if _, present := c.entries[d]; present {
-		c.entries[d] = e
+	if old, present := c.entries[d]; present {
+		c.entries[d] = cacheEntry{e, old.seq}
 		c.mu.Unlock()
 		return
 	}
+	c.seq++
+	slot := cacheSlot{d: d, seq: c.seq}
 	if c.n == len(c.order) {
 		old := c.order[c.head]
-		// The ring can reference digests already removed by invalidate;
-		// only a live removal counts as an eviction.
-		if _, live := c.entries[old]; live {
-			delete(c.entries, old)
+		// The ring can reference admissions already removed by
+		// invalidate (such a slot still counts toward the bound until it
+		// reaches the head); only a live removal counts as an eviction.
+		if live, ok := c.entries[old.d]; ok && live.seq == old.seq {
+			delete(c.entries, old.d)
 			c.evictions.Inc()
 		}
-		c.order[c.head] = d
+		c.order[c.head] = slot
 		c.head = (c.head + 1) % len(c.order)
 	} else {
-		c.order[(c.head+c.n)%len(c.order)] = d
+		c.order[(c.head+c.n)%len(c.order)] = slot
 		c.n++
 	}
-	c.entries[d] = e
-	// Invalidated slots leave the ring over-counting live entries; if the
-	// map is somehow still over capacity (cannot happen with the ring at
-	// capacity), the map is the authority — nothing further to do.
+	c.entries[d] = cacheEntry{e, c.seq}
 	c.mu.Unlock()
 }
 
@@ -188,22 +195,4 @@ func (c *TokenCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.entries)
-}
-
-// Stats snapshots the cache's counters.
-func (c *TokenCache) Stats() TokenCacheStats {
-	if c == nil {
-		return TokenCacheStats{}
-	}
-	c.mu.RLock()
-	size, capacity := len(c.entries), len(c.order)
-	c.mu.RUnlock()
-	return TokenCacheStats{
-		Hits:          c.hits.Value(),
-		Misses:        c.misses.Value(),
-		Evictions:     c.evictions.Value(),
-		Invalidations: c.invalidations.Value(),
-		Size:          size,
-		Capacity:      capacity,
-	}
 }

@@ -95,12 +95,11 @@ func TestTokenCacheHitMiss(t *testing.T) {
 			t.Fatalf("uncached verify %d disagrees: %v", i, err)
 		}
 	}
-	st := cache.Stats()
-	if st.Misses != 1 || st.Hits != 4 {
-		t.Fatalf("stats = %+v, want 1 miss then 4 hits", st)
+	if misses, hits := cache.misses.Value(), cache.hits.Value(); misses != 1 || hits != 4 {
+		t.Fatalf("%d misses, %d hits, want 1 miss then 4 hits", misses, hits)
 	}
-	if st.Size != 1 {
-		t.Fatalf("size = %d, want 1 (one distinct token)", st.Size)
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("size = %d, want 1 (one distinct token)", n)
 	}
 
 	// A hit must still reject a tampered envelope: the per-message
@@ -113,7 +112,7 @@ func TestTokenCacheHitMiss(t *testing.T) {
 }
 
 // TestTokenCacheCountsOncePerInstance runs two caches in one process and
-// hits only one: each Stats sees its own hits, and the process-wide
+// hits only one: each cache's counter sees its own hits, and the process-wide
 // counter rises by exactly those hits — each event is counted once.
 func TestTokenCacheCountsOncePerInstance(t *testing.T) {
 	now := time.Now()
@@ -132,10 +131,10 @@ func TestTokenCacheCountsOncePerInstance(t *testing.T) {
 	for i := 0; i < n; i++ {
 		verify()
 	}
-	if got := busy.Stats().Hits; got != n {
+	if got := busy.hits.Value(); got != n {
 		t.Errorf("busy cache hits = %d, want %d", got, n)
 	}
-	if got := idle.Stats().Hits; got != 0 {
+	if got := idle.hits.Value(); got != 0 {
 		t.Errorf("idle cache hits = %d, want 0", got)
 	}
 	if got := process.Value() - before; got != n {
@@ -151,9 +150,6 @@ func TestTokenCacheNilDisabled(t *testing.T) {
 	var cache *TokenCache
 	if err := VerifyTraceCached(f.env(), f.ad.TopicID, f.resolver, fxVerifier, now, token.DefaultClockSkew, cache); err != nil {
 		t.Fatalf("nil-cache verify: %v", err)
-	}
-	if st := cache.Stats(); st != (TokenCacheStats{}) {
-		t.Fatalf("nil cache reported stats %+v", st)
 	}
 	if cache.Len() != 0 {
 		t.Fatal("nil cache reported entries")
@@ -183,9 +179,8 @@ func TestTokenCacheExpiryMidCache(t *testing.T) {
 	if !errors.Is(err, token.ErrExpired) {
 		t.Fatalf("expired-mid-cache verify = %v, want token.ErrExpired", err)
 	}
-	st := cache.Stats()
-	if st.Invalidations == 0 {
-		t.Fatalf("stats = %+v, want the stale entry invalidated", st)
+	if cache.invalidations.Value() == 0 {
+		t.Fatal("invalidations = 0, want the stale entry invalidated")
 	}
 	if cache.Len() != 0 {
 		t.Fatalf("expired entry still cached (len=%d)", cache.Len())
@@ -220,19 +215,18 @@ func TestTokenCacheAdChangeInvalidates(t *testing.T) {
 	if err := VerifyTraceCached(f.env(), f.ad.TopicID, f.resolver, fxVerifier, now, token.DefaultClockSkew, cache); err != nil {
 		t.Fatalf("verify after ad change: %v", err)
 	}
-	st := cache.Stats()
-	if st.Invalidations != 1 {
-		t.Fatalf("invalidations = %d, want 1 (stale advertisement)", st.Invalidations)
+	if n := cache.invalidations.Value(); n != 1 {
+		t.Fatalf("invalidations = %d, want 1 (stale advertisement)", n)
 	}
-	if st.Misses != 2 {
-		t.Fatalf("misses = %d, want 2 (initial + re-verify)", st.Misses)
+	if n := cache.misses.Value(); n != 2 {
+		t.Fatalf("misses = %d, want 2 (initial + re-verify)", n)
 	}
 	// The re-verified entry is pinned to the new advertisement: hit.
 	if err := VerifyTraceCached(f.env(), f.ad.TopicID, f.resolver, fxVerifier, now, token.DefaultClockSkew, cache); err != nil {
 		t.Fatalf("verify after re-fill: %v", err)
 	}
-	if st := cache.Stats(); st.Hits == 0 {
-		t.Fatalf("stats = %+v, want a hit against the re-filled entry", st)
+	if cache.hits.Value() == 0 {
+		t.Fatal("hits = 0, want a hit against the re-filled entry")
 	}
 }
 
@@ -253,8 +247,8 @@ func TestTokenCacheTopicMismatchNoHit(t *testing.T) {
 	if err := VerifyTraceCached(env, otherTopic, f.resolver, fxVerifier, now, token.DefaultClockSkew, cache); err == nil {
 		t.Fatal("old-topic token accepted on a different trace topic")
 	}
-	if st := cache.Stats(); st.Hits != 0 {
-		t.Fatalf("hits = %d, want 0 (topic mismatch must never hit)", st.Hits)
+	if n := cache.hits.Value(); n != 0 {
+		t.Fatalf("hits = %d, want 0 (topic mismatch must never hit)", n)
 	}
 }
 
@@ -280,19 +274,18 @@ func TestTokenCacheTamperNeverHits(t *testing.T) {
 	if err := VerifyTraceCached(env, f.ad.TopicID, f.resolver, fxVerifier, now, token.DefaultClockSkew, cache); err == nil {
 		t.Fatal("tampered token accepted")
 	}
-	st := cache.Stats()
-	if st.Hits != 0 {
-		t.Fatalf("hits = %d, want 0 (tampered token must miss)", st.Hits)
+	if n := cache.hits.Value(); n != 0 {
+		t.Fatalf("hits = %d, want 0 (tampered token must miss)", n)
 	}
-	if st.Misses != 2 {
-		t.Fatalf("misses = %d, want 2", st.Misses)
+	if n := cache.misses.Value(); n != 2 {
+		t.Fatalf("misses = %d, want 2", n)
 	}
 	// The genuine token must still hit afterwards.
 	if err := VerifyTraceCached(f.env(), f.ad.TopicID, f.resolver, fxVerifier, now, token.DefaultClockSkew, cache); err != nil {
 		t.Fatalf("genuine token after tamper attempt: %v", err)
 	}
-	if st := cache.Stats(); st.Hits != 1 {
-		t.Fatalf("hits = %d, want 1", st.Hits)
+	if n := cache.hits.Value(); n != 1 {
+		t.Fatalf("hits = %d, want 1", n)
 	}
 }
 
@@ -311,30 +304,56 @@ func TestTokenCacheBounded(t *testing.T) {
 			t.Fatalf("len = %d after %d inserts, bound %d", n, i+1, capacity)
 		}
 	}
-	st := cache.Stats()
-	if st.Size != capacity {
-		t.Fatalf("size = %d, want %d", st.Size, capacity)
+	if n := cache.Len(); n != capacity {
+		t.Fatalf("size = %d, want %d", n, capacity)
 	}
-	if st.Capacity != capacity {
-		t.Fatalf("capacity = %d, want %d", st.Capacity, capacity)
+	if n := len(cache.order); n != capacity {
+		t.Fatalf("capacity = %d, want %d", n, capacity)
 	}
-	if want := uint64(10000 - capacity); st.Evictions != want {
-		t.Fatalf("evictions = %d, want %d", st.Evictions, want)
+	evictions := cache.evictions.Value()
+	if want := uint64(10000 - capacity); evictions != want {
+		t.Fatalf("evictions = %d, want %d", evictions, want)
 	}
 	// The newest digest survived; re-inserting it must not evict.
 	cache.insert(d, e)
-	if st2 := cache.Stats(); st2.Evictions != st.Evictions {
-		t.Fatalf("refreshing a present digest evicted (%d -> %d)", st.Evictions, st2.Evictions)
+	if n := cache.evictions.Value(); n != evictions {
+		t.Fatalf("refreshing a present digest evicted (%d -> %d)", evictions, n)
 	}
 
 	// Default sizing: non-positive selects the documented default.
-	if got := NewTokenCache(0).Stats().Capacity; got != DefaultTokenCacheSize {
+	if got := len(NewTokenCache(0).order); got != DefaultTokenCacheSize {
 		t.Fatalf("NewTokenCache(0) capacity = %d, want %d", got, DefaultTokenCacheSize)
 	}
 }
 
+// TestTokenCacheReadmissionKeepsItsSlot: a digest invalidated and then
+// admitted again owns only its new ring slot, so the slot its first
+// admission left behind evicts nothing when it reaches the head.
+func TestTokenCacheReadmissionKeepsItsSlot(t *testing.T) {
+	cache := NewTokenCache(3)
+	digest := func(s string) tokenDigest { return sha256.Sum256([]byte(s)) }
+	a, b, d := digest("a"), digest("b"), digest("d")
+	cache.insert(a, &verifiedToken{})
+	cache.insert(b, &verifiedToken{})
+	cache.invalidate(a)
+	cache.insert(a, &verifiedToken{})
+	evictions := cache.evictions.Value()
+	cache.insert(d, &verifiedToken{})
+	for name, k := range map[string]tokenDigest{"a": a, "b": b, "d": d} {
+		if _, ok := cache.lookup(k); !ok {
+			t.Errorf("%s evicted with a free slot", name)
+		}
+	}
+	if n := cache.Len(); n != 3 {
+		t.Errorf("len = %d, want 3", n)
+	}
+	if n := cache.evictions.Value(); n != evictions {
+		t.Errorf("evictions moved %d -> %d with a free slot", evictions, n)
+	}
+}
+
 // TestTokenCacheConcurrentStress hammers one cache from concurrent
-// verifiers, an invalidator, and a stats reader; run under -race it
+// verifiers, an invalidator, and a size reader; run under -race it
 // proves the lock discipline. Correctness demand: every verification
 // verdict stays accept.
 func TestTokenCacheConcurrentStress(t *testing.T) {
@@ -369,7 +388,6 @@ func TestTokenCacheConcurrentStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			_ = cache.Stats()
 			_ = cache.Len()
 		}
 	}()
@@ -378,8 +396,7 @@ func TestTokenCacheConcurrentStress(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("concurrent verify failed: %v", err)
 	}
-	st := cache.Stats()
-	if st.Hits+st.Misses != goroutines*iters {
-		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, goroutines*iters)
+	if n := cache.hits.Value() + cache.misses.Value(); n != goroutines*iters {
+		t.Fatalf("hits+misses = %d, want %d", n, goroutines*iters)
 	}
 }

@@ -72,12 +72,23 @@ type SessionStore struct {
 	max     int
 	m       map[[secure.SessionIDLen]byte]*sessionEntry
 	byToken map[[32]byte][][secure.SessionIDLen]byte
-	fifo    [][secure.SessionIDLen]byte
+	fifo    []sessionSlot
+	seq     uint64 // the last admission's sequence number
 }
 
 type sessionEntry struct {
 	key   *secure.SessionKey
 	topic ident.UUID
+	seq   uint64 // the admission that created the entry; re-installs keep it
+}
+
+// sessionSlot is one eviction-order position: the session it admitted
+// and that admission's sequence number. A slot evicts only the admission
+// it was created for, so a slot left behind by Invalidate cannot remove
+// a later installation of the same ID.
+type sessionSlot struct {
+	id  [secure.SessionIDLen]byte
+	seq uint64
 }
 
 // NewSessionStore creates a store bounded at max keys (0 means
@@ -103,17 +114,23 @@ func NewSessionStore(max int) *SessionStore {
 func (s *SessionStore) Install(traceTopic ident.UUID, k *secure.SessionKey) {
 	id := k.ID()
 	s.mu.Lock()
+	var seq uint64
 	if old, exists := s.m[id]; exists {
 		s.dropTokenIndexLocked(old.key.TokenDigest(), id)
+		seq = old.seq
 	} else {
 		if len(s.fifo) >= s.max {
 			evict := s.fifo[0]
 			s.fifo = s.fifo[1:]
-			s.removeLocked(evict)
+			if e, ok := s.m[evict.id]; ok && e.seq == evict.seq {
+				s.removeLocked(evict.id)
+			}
 		}
-		s.fifo = append(s.fifo, id)
+		s.seq++
+		seq = s.seq
+		s.fifo = append(s.fifo, sessionSlot{id: id, seq: seq})
 	}
-	s.m[id] = &sessionEntry{key: k, topic: traceTopic}
+	s.m[id] = &sessionEntry{key: k, topic: traceTopic, seq: seq}
 	d := k.TokenDigest()
 	s.byToken[d] = append(s.byToken[d], id)
 	s.mu.Unlock()

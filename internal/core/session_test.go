@@ -88,6 +88,31 @@ func TestSessionStoreReinstallDoesNotGrowFIFO(t *testing.T) {
 	}
 }
 
+// A session invalidated and then installed again owns only its new FIFO
+// slot: the slot its first installation left behind must not evict it.
+func TestSessionStoreReinstallAfterInvalidateKeepsItsSlot(t *testing.T) {
+	store := NewSessionStore(3)
+	tt := ident.NewUUID()
+	now := time.Now()
+	a := mintSessionKey(t, sha256.Sum256([]byte("a")), now, time.Minute)
+	b := mintSessionKey(t, sha256.Sum256([]byte("b")), now, time.Minute)
+	c := mintSessionKey(t, sha256.Sum256([]byte("c")), now, time.Minute)
+
+	store.Install(tt, a)
+	store.Install(tt, b)
+	store.Invalidate(a.ID())
+	store.Install(tt, a)
+	store.Install(tt, c)
+	for name, k := range map[string]*secure.SessionKey{"a": a, "b": b, "c": c} {
+		if _, _, ok := store.Lookup(k.ID()); !ok {
+			t.Errorf("session %s evicted with a free slot", name)
+		}
+	}
+	if n := store.Len(); n != 3 {
+		t.Errorf("Len = %d, want 3", n)
+	}
+}
+
 // newTestSessionPublisher grants a publish delegation under a fake
 // clock and wraps it in a SessionPublisher.
 func newTestSessionPublisher(t *testing.T, clk *clock.Fake, tokenLife, maxLife time.Duration) *SessionPublisher {

@@ -102,9 +102,8 @@ func (tb *TraceBroker) telemetryRows() ([]message.TelemetryRow, uint64) {
 	add("fabric_members", false, int64(h.FabricMembers))
 	add("fabric_owned_per_mille", false, int64(h.FabricOwnedPerMille))
 	if cache := tb.cfg.Guard.cache; cache != nil {
-		cs := cache.Stats()
-		add(guardCacheHitsName, true, int64(cs.Hits))
-		add(guardCacheMissesName, true, int64(cs.Misses))
+		add(guardCacheHitsName, true, int64(cache.hits.Value()))
+		add(guardCacheMissesName, true, int64(cache.misses.Value()))
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 	return rows, h.FabricEpoch

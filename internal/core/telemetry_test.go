@@ -231,7 +231,7 @@ func TestTelemetryTickRows(t *testing.T) {
 				}
 			}
 		}
-		eventually(t, "tel-a to admit the traffic", func() bool { return a.b.Snapshot().Duplicates == 50 })
+		eventually(t, "tel-a to admit the traffic", func() bool { return a.b.Snapshot().Counters["broker_duplicates_total"] == 50 })
 		rowsA, rowsB := a.tick(t), b.tick(t)
 		if d := rowsA["broker_duplicates_total"].Value; d != 50 {
 			t.Errorf("tel-a duplicates delta = %d, want 50", d)

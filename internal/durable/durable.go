@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"entitytrace/internal/obs"
@@ -102,43 +101,42 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-var (
-	mAppends          = obs.Default.Counter("durable_appends_total")
-	mAppendBytes      = obs.Default.Counter("durable_append_bytes_total")
-	mSealed           = obs.Default.Counter("durable_segments_sealed_total")
-	mDeleted          = obs.Default.Counter("durable_segments_deleted_total")
-	mTruncatedBytes   = obs.Default.Counter("durable_truncated_bytes_total")
-	mRecoveredRecords = obs.Default.Counter("durable_recovered_records_total")
-	mFsyncs           = obs.Default.Counter("durable_fsyncs_total")
-	mFsyncLatency     = obs.Default.Histogram("durable_fsync_latency_ms", nil)
-)
+// mFsyncLatency is process-wide: histograms of a child registry stay
+// local to it.
+var mFsyncLatency = obs.Default.Histogram("durable_fsync_latency_ms", nil)
 
-// storeStats aggregates per-store counters for /stats (the obs
-// counters above are process-global and would blur multi-broker
-// testbeds).
-type storeStats struct {
-	appends          atomic.Int64
-	appendBytes      atomic.Int64
-	sealed           atomic.Int64
-	deleted          atomic.Int64
-	truncatedBytes   atomic.Int64
-	recoveredRecords atomic.Int64
-	fsyncs           atomic.Int64
+// metrics are one store's counts, each declared once, under its /metrics
+// name, on the store's child of obs.Default: one Add counts an event for
+// this store and into the process-wide total of the same name (tests and
+// benchmarks run several brokers, each with its own store, in one
+// process).
+type metrics struct {
+	appends, appendBytes, sealed, deleted, truncatedBytes, recoveredRecords, fsyncs *obs.Counter
 }
 
-// Stats is a point-in-time summary of a store, exported on /stats.
+// init registers the process-wide counts at zero, so /metrics lists
+// them in a process with no store open.
+func init() { newMetrics(obs.Default) }
+
+func newMetrics(reg *obs.Registry) metrics {
+	return metrics{
+		appends:          reg.Counter("durable_appends_total"),
+		appendBytes:      reg.Counter("durable_append_bytes_total"),
+		sealed:           reg.Counter("durable_segments_sealed_total"),
+		deleted:          reg.Counter("durable_segments_deleted_total"),
+		truncatedBytes:   reg.Counter("durable_truncated_bytes_total"),
+		recoveredRecords: reg.Counter("durable_recovered_records_total"),
+		fsyncs:           reg.Counter("durable_fsyncs_total"),
+	}
+}
+
+// Stats is a point-in-time summary of what a store holds; its event
+// counts are the durable_*_total counters.
 type Stats struct {
-	Topics           int    `json:"topics"`
-	Segments         int    `json:"segments"`
-	Bytes            int64  `json:"bytes"`
-	Appends          int64  `json:"appends"`
-	AppendBytes      int64  `json:"append_bytes"`
-	SegmentsSealed   int64  `json:"segments_sealed"`
-	SegmentsDeleted  int64  `json:"segments_deleted"`
-	TruncatedBytes   int64  `json:"truncated_bytes"`
-	RecoveredRecords int64  `json:"recovered_records"`
-	Fsyncs           int64  `json:"fsyncs"`
-	Fsync            string `json:"fsync_policy"`
+	Topics   int    `json:"topics"`
+	Segments int    `json:"segments"`
+	Bytes    int64  `json:"bytes"`
+	Fsync    string `json:"fsync_policy"`
 }
 
 // Store manages the per-topic logs under one directory. Each topic
@@ -146,7 +144,9 @@ type Stats struct {
 type Store struct {
 	dir  string
 	opts Options
-	st   storeStats
+	// reg is this store's child of obs.Default, m the counters on it.
+	reg *obs.Registry
+	m   metrics
 
 	mu   sync.RWMutex
 	logs map[string]*Log
@@ -165,7 +165,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, logs: make(map[string]*Log)}
+	reg := obs.Default.Child()
+	s := &Store{dir: dir, opts: opts, reg: reg, m: newMetrics(reg), logs: make(map[string]*Log)}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -178,7 +179,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err != nil {
 			continue
 		}
-		lg, err := openLog(filepath.Join(dir, e.Name()), opts, &s.st)
+		lg, err := s.openLog(filepath.Join(dir, e.Name()))
 		if err != nil {
 			s.Close()
 			return nil, err
@@ -244,7 +245,7 @@ func (s *Store) Ensure(topic string) (*Log, error) {
 	if lg, ok = s.logs[topic]; ok {
 		return lg, nil
 	}
-	lg, err := openLog(filepath.Join(s.dir, url.PathEscape(topic)), s.opts, &s.st)
+	lg, err := s.openLog(filepath.Join(s.dir, url.PathEscape(topic)))
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +300,7 @@ func (s *Store) Topics() []string {
 	return out
 }
 
-// Stats summarizes the store for /stats.
+// Stats summarizes what the store holds.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	st := Stats{Topics: len(s.logs), Fsync: s.opts.Fsync.String()}
@@ -316,13 +317,6 @@ func (s *Store) Stats() Stats {
 		}
 		lg.mu.Unlock()
 	}
-	st.Appends = s.st.appends.Load()
-	st.AppendBytes = s.st.appendBytes.Load()
-	st.SegmentsSealed = s.st.sealed.Load()
-	st.SegmentsDeleted = s.st.deleted.Load()
-	st.TruncatedBytes = s.st.truncatedBytes.Load()
-	st.RecoveredRecords = s.st.recoveredRecords.Load()
-	st.Fsyncs = s.st.fsyncs.Load()
 	return st
 }
 

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"entitytrace/internal/obs"
 )
 
 func testStore(t *testing.T, opts Options) (*Store, string) {
@@ -159,8 +161,8 @@ func TestTornTailTruncated(t *testing.T) {
 	if h := s2.Head("/t/torn"); h != 3 {
 		t.Fatalf("head = %d, want 3", h)
 	}
-	if st := s2.Stats(); st.TruncatedBytes != 6 {
-		t.Fatalf("truncated bytes = %d, want 6", st.TruncatedBytes)
+	if n := s2.reg.Snapshot().Counters["durable_truncated_bytes_total"]; n != 6 {
+		t.Fatalf("truncated bytes = %d, want 6", n)
 	}
 	// And the log still appends cleanly after truncation.
 	if off, err := s2.Append("/t/torn", []byte("after")); err != nil || off != 4 {
@@ -302,8 +304,8 @@ func TestRetentionByTime(t *testing.T) {
 	if len(recs) == 0 || recs[0].Offset != oldest {
 		t.Fatalf("clamped read starts at %d, want %d", recs[0].Offset, oldest)
 	}
-	if st := s.Stats(); st.SegmentsDeleted == 0 {
-		t.Fatal("stats show no deleted segments")
+	if s.reg.Snapshot().Counters["durable_segments_deleted_total"] == 0 {
+		t.Fatal("counters show no deleted segments")
 	}
 }
 
@@ -427,9 +429,38 @@ func TestStoreTopicsAndEscaping(t *testing.T) {
 	if s2.Head("/a/b/c") != 1 || s2.Head("/missing") != 0 {
 		t.Fatal("head lookup wrong after reopen")
 	}
-	st := s2.Stats()
-	if st.Topics != 2 || st.RecoveredRecords != 2 || st.Segments < 2 {
-		t.Fatalf("stats = %+v", st)
+	st, recovered := s2.Stats(), s2.reg.Snapshot().Counters["durable_recovered_records_total"]
+	if st.Topics != 2 || recovered != 2 || st.Segments < 2 {
+		t.Fatalf("stats = %+v, %d recovered records", st, recovered)
+	}
+}
+
+// TestCountsPerStore opens two stores in one process, as a multi-broker
+// testbed does: each store's registry counts only its own appends and
+// bytes, and the two together are what the process-wide counters moved.
+func TestCountsPerStore(t *testing.T) {
+	a, _ := testStore(t, Options{Fsync: FsyncNever})
+	b, _ := testStore(t, Options{Fsync: FsyncNever})
+	before := obs.Default.Snapshot().Counters
+	if _, err := a.AppendBatch("/t/a", [][]byte{[]byte("one"), []byte("two"), []byte("three")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Append("/t/b", []byte("four")); err != nil {
+		t.Fatal(err)
+	}
+	after := obs.Default.Snapshot().Counters
+	own := map[string][2]uint64{}
+	for _, name := range []string{"durable_appends_total", "durable_append_bytes_total"} {
+		own[name] = [2]uint64{a.reg.Snapshot().Counters[name], b.reg.Snapshot().Counters[name]}
+		if sum, process := own[name][0]+own[name][1], after[name]-before[name]; sum != process {
+			t.Errorf("%s: stores %d + %d, process +%d", name, own[name][0], own[name][1], process)
+		}
+	}
+	if n := own["durable_appends_total"]; n != [2]uint64{3, 1} {
+		t.Errorf("appends per store = %v, want [3 1]", n)
+	}
+	if n, want := own["durable_append_bytes_total"], [2]uint64{3*recHeaderLen + 11, recHeaderLen + 4}; n != want {
+		t.Errorf("append bytes per store = %v, want %v", n, want)
 	}
 }
 
@@ -463,7 +494,7 @@ func TestFsyncBatchFlusher(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().Fsyncs == 0 {
+	for s.reg.Snapshot().Counters["durable_fsyncs_total"] == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("group-commit flusher never synced")
 		}

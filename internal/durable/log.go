@@ -75,7 +75,7 @@ type Log struct {
 	dirty  bool
 	closed bool
 	wbuf   []byte
-	st     *storeStats
+	m      *metrics // the store's counters
 }
 
 func segName(base uint64) string { return fmt.Sprintf("seg-%020d.log", base) }
@@ -93,7 +93,7 @@ func segBase(name string) (uint64, bool) {
 // verifying every segment: sealed segments must be byte-perfect and
 // hash-chain into their successor, the active segment may end in a
 // torn record which is truncated away.
-func openLog(dir string, opts Options, st *storeStats) (*Log, error) {
+func (s *Store) openLog(dir string) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -109,7 +109,7 @@ func openLog(dir string, opts Options, st *storeStats) (*Log, error) {
 	}
 	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 
-	l := &Log{dir: dir, opts: opts, notify: make(chan struct{}), st: st}
+	l := &Log{dir: dir, opts: s.opts, notify: make(chan struct{}), m: &s.m}
 	if len(bases) == 0 {
 		if err := l.createSegment(1, [chainLen]byte{}); err != nil {
 			return nil, err
@@ -156,8 +156,7 @@ func openLog(dir string, opts Options, st *storeStats) (*Log, error) {
 					return nil, err
 				}
 				raw = raw[:off]
-				st.truncatedBytes.Add(torn)
-				mTruncatedBytes.Add(uint64(torn))
+				l.m.truncatedBytes.Add(uint64(torn))
 				break
 			}
 			seg.pos = append(seg.pos, uint32(off))
@@ -189,8 +188,7 @@ func openLog(dir string, opts Options, st *storeStats) (*Log, error) {
 		}
 		l.segs = append(l.segs, seg)
 		l.head = base + seg.count() - 1
-		st.recoveredRecords.Add(int64(len(seg.pos)))
-		mRecoveredRecords.Add(uint64(len(seg.pos)))
+		l.m.recoveredRecords.Add(uint64(len(seg.pos)))
 	}
 	return l, nil
 }
@@ -289,10 +287,8 @@ func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 			}
 		}
 	}
-	l.st.appends.Add(int64(len(payloads)))
-	l.st.appendBytes.Add(batchBytes)
-	mAppends.Add(uint64(len(payloads)))
-	mAppendBytes.Add(uint64(batchBytes))
+	l.m.appends.Add(uint64(len(payloads)))
+	l.m.appendBytes.Add(uint64(batchBytes))
 	if l.opts.Fsync == FsyncAlways {
 		l.syncLocked(l.active().f)
 	} else {
@@ -318,8 +314,7 @@ func (l *Log) rollLocked() error {
 	if err != nil {
 		return err
 	}
-	l.st.sealed.Add(1)
-	mSealed.Inc()
+	l.m.sealed.Inc()
 	if err := l.createSegment(l.head+1, chain); err != nil {
 		return err
 	}
@@ -372,8 +367,7 @@ func (l *Log) maintainLocked() {
 		os.Remove(filepath.Join(l.dir, idxName(s.base)))
 		total -= s.size
 		l.segs = l.segs[1:]
-		l.st.deleted.Add(1)
-		mDeleted.Inc()
+		l.m.deleted.Inc()
 	}
 }
 
@@ -390,8 +384,7 @@ func (l *Log) syncLocked(f *os.File) {
 		return
 	}
 	l.dirty = false
-	l.st.fsyncs.Add(1)
-	mFsyncs.Inc()
+	l.m.fsyncs.Inc()
 	mFsyncLatency.ObserveDuration(time.Since(start))
 }
 
@@ -428,8 +421,7 @@ func (l *Log) Sync() {
 		l.mu.Unlock()
 		return
 	}
-	l.st.fsyncs.Add(1)
-	mFsyncs.Inc()
+	l.m.fsyncs.Inc()
 	mFsyncLatency.ObserveDuration(time.Since(start))
 }
 

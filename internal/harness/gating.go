@@ -49,9 +49,9 @@ func RunInterestGating(window time.Duration) ([]GatingResult, error) {
 	}
 
 	measure := func(phase string) GatingResult {
-		before := tb.Brokers[0].Snapshot().Published
+		before := tb.Brokers[0].Snapshot().Counters["broker_published_total"]
 		time.Sleep(window)
-		after := tb.Brokers[0].Snapshot().Published
+		after := tb.Brokers[0].Snapshot().Counters["broker_published_total"]
 		n := after - before
 		return GatingResult{
 			Phase:     phase,

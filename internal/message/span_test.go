@@ -133,7 +133,7 @@ func TestSpanHopBound(t *testing.T) {
 		t.Fatalf("hops = %d, want capped at %d", got, MaxHops)
 	}
 	// Refused hops are not silent: each increments the truncation
-	// counter surfaced in /stats, so invisible flow tails are detectable.
+	// counter on /metrics, so invisible flow tails are detectable.
 	if got := mSpanTruncated.Value() - before; got != 10 {
 		t.Fatalf("span_hops_truncated_total advanced by %d, want 10", got)
 	}
