@@ -266,12 +266,19 @@ func TestChaosFlapReconnectsAndResumes(t *testing.T) {
 	driveState(t, ent, h, message.StateRecovering, log, 30*time.Second)
 	driveState(t, ent, h, message.StateReady, log, 15*time.Second)
 
-	if d := entOK.Value() - entOK0; d < 1 {
-		t.Fatalf("core_reconnects_total{role=entity} delta = %d", d)
+	// A reconnect loop counts its success only once resume has returned,
+	// which can be after the traces that resume let through.
+	waitDelta := func(name string, c *obs.Counter, base uint64) {
+		deadline := time.Now().Add(5 * time.Second)
+		for c.Value()-base < 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s delta = %d", name, c.Value()-base)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
-	if d := trkOK.Value() - trkOK0; d < 1 {
-		t.Fatalf("core_reconnects_total{role=tracker} delta = %d", d)
-	}
+	waitDelta("core_reconnects_total{role=entity}", entOK, entOK0)
+	waitDelta("core_reconnects_total{role=tracker}", trkOK, trkOK0)
 	if d := flaps.Value() - flaps0; d < 1 {
 		t.Fatalf("chaos_flaps_total delta = %d", d)
 	}

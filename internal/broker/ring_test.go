@@ -107,13 +107,13 @@ func TestSeenSetMatchesReferenceWindow(t *testing.T) {
 		}
 		s := newSeenSet(window)
 		ref := make(map[ident.UUID]bool)
-		fifo := newUUIDRing(window)
+		order := newUUIDRing(window)
 		for step := 0; step < 20000; step++ {
 			id := pool[rng.Intn(len(pool))]
 			want := !ref[id]
 			if want {
 				ref[id] = true
-				if old, evicted := fifo.push(id); evicted {
+				if old, evicted := order.push(id); evicted {
 					delete(ref, old)
 				}
 			}

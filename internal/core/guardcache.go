@@ -51,36 +51,15 @@ type verifiedToken struct {
 	notBefore, notAfter int64
 }
 
-// cacheEntry is a cached verdict and the admission that created it; a
-// refresh in place keeps the admission (see cacheSlot).
-type cacheEntry struct {
-	*verifiedToken
-	seq uint64
-}
-
-// cacheSlot is one eviction-ring position: the digest it admitted and
-// that admission's sequence number. A slot evicts only the admission it
-// was created for, so a slot left behind by invalidate cannot remove a
-// later admission of the same digest.
-type cacheSlot struct {
-	d   tokenDigest
-	seq uint64
-}
-
 // TokenCache memoizes successful §4.3 token verifications so steady-state
 // traces pay only the one unavoidable per-message delegate-signature
-// verification. It is bounded (FIFO eviction) and safe for concurrent
-// use; hits take only a read lock. A nil *TokenCache is valid and means
-// caching disabled — every call falls through to the full pipeline.
+// verification. It is bounded (a full cache evicts the token put longest
+// ago) and safe for concurrent use; hits take only a read lock. A nil
+// *TokenCache is valid and means caching disabled — every call falls
+// through to the full pipeline.
 type TokenCache struct {
 	mu      sync.RWMutex
-	entries map[tokenDigest]cacheEntry
-	// order is a fixed-capacity insertion-order ring used for eviction;
-	// it never reallocates after construction.
-	order []cacheSlot
-	head  int    // oldest entry when full
-	n     int    // populated ring slots
-	seq   uint64 // the last admission's sequence number
+	entries *bounded[tokenDigest, *verifiedToken]
 
 	// The cache's counters, on its own child of obs.Default: one Inc
 	// counts for this cache (the telemetry rows) and into the
@@ -97,8 +76,7 @@ func NewTokenCache(size int) *TokenCache {
 	}
 	reg := obs.Default.Child()
 	return &TokenCache{
-		entries:       make(map[tokenDigest]cacheEntry, size),
-		order:         make([]cacheSlot, size),
+		entries:       newBounded[tokenDigest, *verifiedToken](size),
 		hits:          reg.Counter(guardCacheHitsName),
 		misses:        reg.Counter(guardCacheMissesName),
 		evictions:     reg.Counter("guard_cache_evictions_total"),
@@ -115,76 +93,37 @@ func (c *TokenCache) lookup(d tokenDigest) (*verifiedToken, bool) {
 		return nil, false
 	}
 	c.mu.RLock()
-	e, ok := c.entries[d]
+	e, ok := c.entries.get(d)
 	c.mu.RUnlock()
-	return e.verifiedToken, ok
+	return e, ok
 }
 
-// insert stores a freshly verified token, evicting the oldest entry when
-// full. Re-inserting a present digest refreshes the entry in place.
+// insert stores a freshly verified token as the newest entry, evicting
+// the oldest when full.
 func (c *TokenCache) insert(d tokenDigest, e *verifiedToken) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	if old, present := c.entries[d]; present {
-		c.entries[d] = cacheEntry{e, old.seq}
-		c.mu.Unlock()
-		return
-	}
-	c.seq++
-	slot := cacheSlot{d: d, seq: c.seq}
-	if c.n == len(c.order) {
-		old := c.order[c.head]
-		// The ring can reference admissions already removed by
-		// invalidate (such a slot still counts toward the bound until it
-		// reaches the head); only a live removal counts as an eviction.
-		if live, ok := c.entries[old.d]; ok && live.seq == old.seq {
-			delete(c.entries, old.d)
-			c.evictions.Inc()
-		}
-		c.order[c.head] = slot
-		c.head = (c.head + 1) % len(c.order)
-	} else {
-		c.order[(c.head+c.n)%len(c.order)] = slot
-		c.n++
-	}
-	c.entries[d] = cacheEntry{e, c.seq}
+	evicted := c.entries.put(d, e)
 	c.mu.Unlock()
+	if evicted {
+		c.evictions.Inc()
+	}
 }
 
 // invalidate drops one entry (stale hit: expired window, changed
-// advertisement, rotated topic). The ring slot is left behind and
-// reconciled lazily by insert.
+// advertisement, rotated topic).
 func (c *TokenCache) invalidate(d tokenDigest) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	_, present := c.entries[d]
-	if present {
-		delete(c.entries, d)
-	}
+	present := c.entries.remove(d)
 	c.mu.Unlock()
 	if present {
 		c.invalidations.Inc()
 	}
-}
-
-// InvalidateAll empties the cache; hosting brokers call it when their
-// view of advertisements changes wholesale (e.g. trust-anchor reload).
-func (c *TokenCache) InvalidateAll() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	n := len(c.entries)
-	for d := range c.entries {
-		delete(c.entries, d)
-	}
-	c.head, c.n = 0, 0
-	c.mu.Unlock()
-	c.invalidations.Add(uint64(n))
 }
 
 // Len reports the number of live entries.
@@ -194,5 +133,5 @@ func (c *TokenCache) Len() int {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.entries)
+	return c.entries.len()
 }

@@ -290,8 +290,8 @@ func TestTokenCacheTamperNeverHits(t *testing.T) {
 }
 
 // TestTokenCacheBounded floods the cache with 10k distinct digests and
-// checks occupancy never exceeds the configured bound (FIFO eviction,
-// no unbounded growth under hostile token churn).
+// checks occupancy never exceeds the configured bound (oldest put
+// evicted first, no unbounded growth under hostile token churn).
 func TestTokenCacheBounded(t *testing.T) {
 	const capacity = 64
 	cache := NewTokenCache(capacity)
@@ -307,7 +307,7 @@ func TestTokenCacheBounded(t *testing.T) {
 	if n := cache.Len(); n != capacity {
 		t.Fatalf("size = %d, want %d", n, capacity)
 	}
-	if n := len(cache.order); n != capacity {
+	if n := cache.entries.max; n != capacity {
 		t.Fatalf("capacity = %d, want %d", n, capacity)
 	}
 	evictions := cache.evictions.Value()
@@ -321,7 +321,7 @@ func TestTokenCacheBounded(t *testing.T) {
 	}
 
 	// Default sizing: non-positive selects the documented default.
-	if got := len(NewTokenCache(0).order); got != DefaultTokenCacheSize {
+	if got := NewTokenCache(0).entries.max; got != DefaultTokenCacheSize {
 		t.Fatalf("NewTokenCache(0) capacity = %d, want %d", got, DefaultTokenCacheSize)
 	}
 }
@@ -337,6 +337,32 @@ func TestTokenCacheReadmissionKeepsItsSlot(t *testing.T) {
 	cache.insert(b, &verifiedToken{})
 	cache.invalidate(a)
 	cache.insert(a, &verifiedToken{})
+	evictions := cache.evictions.Value()
+	cache.insert(d, &verifiedToken{})
+	for name, k := range map[string]tokenDigest{"a": a, "b": b, "d": d} {
+		if _, ok := cache.lookup(k); !ok {
+			t.Errorf("%s evicted with a free slot", name)
+		}
+	}
+	if n := cache.Len(); n != 3 {
+		t.Errorf("len = %d, want 3", n)
+	}
+	if n := cache.evictions.Value(); n != evictions {
+		t.Errorf("evictions moved %d -> %d with a free slot", evictions, n)
+	}
+}
+
+// TestTokenCacheInvalidatedEntryFreesRoom: an invalidated entry stops
+// counting toward the bound at once, so the next insert fills its room
+// and evicts nothing.
+func TestTokenCacheInvalidatedEntryFreesRoom(t *testing.T) {
+	cache := NewTokenCache(3)
+	digest := func(s string) tokenDigest { return sha256.Sum256([]byte(s)) }
+	a, b, c, d := digest("a"), digest("b"), digest("c"), digest("d")
+	cache.insert(a, &verifiedToken{})
+	cache.insert(b, &verifiedToken{})
+	cache.insert(c, &verifiedToken{})
+	cache.invalidate(c)
 	evictions := cache.evictions.Value()
 	cache.insert(d, &verifiedToken{})
 	for name, k := range map[string]tokenDigest{"a": a, "b": b, "d": d} {
@@ -381,8 +407,9 @@ func TestTokenCacheConcurrentStress(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
+		d := sha256.Sum256(env.Token)
 		for i := 0; i < iters; i++ {
-			cache.InvalidateAll()
+			cache.invalidate(d)
 		}
 	}()
 	go func() {

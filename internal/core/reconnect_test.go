@@ -25,6 +25,20 @@ func (tb *testbed) redialer(name ident.EntityID, bi int) func() (*broker.Client,
 	}
 }
 
+// waitDelta polls c until it has moved at least once past base, failing
+// after 5 s. The reconnect loop counts a success only once resume has
+// returned, and the first post-resume trace can arrive before that.
+func waitDelta(t *testing.T, name string, c *obs.Counter, base uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Value()-base < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s delta = %d", name, c.Value()-base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestEntityReconnectResumesSession severs a traced entity's broker
 // connection mid-session. With Redial configured the entity must dial a
 // replacement under backoff, re-register its existing advertisement,
@@ -76,12 +90,8 @@ func TestEntityReconnectResumesSession(t *testing.T) {
 	if got := ent.SessionID(); got == oldSession {
 		t.Fatal("session ID unchanged: resume did not re-register")
 	}
-	if d := mReconnOKEntity.Value() - ok0; d < 1 {
-		t.Fatalf("core_reconnects_total{role=entity} delta = %d", d)
-	}
-	if d := mSessionResumes.Value() - resumes0; d < 1 {
-		t.Fatalf("core_session_resumes_total delta = %d", d)
-	}
+	waitDelta(t, "core_reconnects_total{role=entity}", mReconnOKEntity, ok0)
+	waitDelta(t, "core_session_resumes_total", mSessionResumes, resumes0)
 }
 
 // TestTrackerReconnectRestoresWatches severs the tracker's broker
@@ -141,9 +151,7 @@ func TestTrackerReconnectRestoresWatches(t *testing.T) {
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
-	if d := mReconnOKTracker.Value() - ok0; d < 1 {
-		t.Fatalf("core_reconnects_total{role=tracker} delta = %d", d)
-	}
+	waitDelta(t, "core_reconnects_total{role=tracker}", mReconnOKTracker, ok0)
 }
 
 // TestEvictedReconnectBacksOffThenRecovers evicts a connected entity via

@@ -44,6 +44,9 @@ var (
 	mSessionInvalidated = obs.Default.Counter("session_keys_invalidated_total")
 	mSessionHits        = obs.Default.Counter("session_verify_hits_total")
 	mSessionUnknown     = obs.Default.Counter("session_verify_unknown_total")
+	// Live keys evicted from a full store to admit a newer session; the
+	// evictee's publisher renegotiates on its next unknown-session drop.
+	mSessionEvicted = obs.Default.Counter("session_keys_evicted_total")
 )
 
 // Session-path rejections. ErrUnknownSession wraps broker.ErrNoPunish:
@@ -64,83 +67,47 @@ var (
 const DefaultSessionStoreSize = 4096
 
 // SessionStore holds the session keys a verifier has installed, keyed
-// by session ID, with a secondary index by bound-token digest so token
-// rotation or revocation can invalidate every session it anchored. All
-// methods are safe for concurrent use; lookups take only a read lock.
+// by session ID. All methods are safe for concurrent use; lookups take
+// only a read lock.
 type SessionStore struct {
-	mu      sync.RWMutex
-	max     int
-	m       map[[secure.SessionIDLen]byte]*sessionEntry
-	byToken map[[32]byte][][secure.SessionIDLen]byte
-	fifo    []sessionSlot
-	seq     uint64 // the last admission's sequence number
+	mu sync.RWMutex
+	m  *bounded[[secure.SessionIDLen]byte, *sessionEntry]
 }
 
 type sessionEntry struct {
 	key   *secure.SessionKey
 	topic ident.UUID
-	seq   uint64 // the admission that created the entry; re-installs keep it
-}
-
-// sessionSlot is one eviction-order position: the session it admitted
-// and that admission's sequence number. A slot evicts only the admission
-// it was created for, so a slot left behind by Invalidate cannot remove
-// a later installation of the same ID.
-type sessionSlot struct {
-	id  [secure.SessionIDLen]byte
-	seq uint64
 }
 
 // NewSessionStore creates a store bounded at max keys (0 means
-// DefaultSessionStoreSize). Past the bound the oldest installation is
-// evicted; its publisher renegotiates on the resulting unknown-session
-// drop.
+// DefaultSessionStoreSize). Past the bound the key installed longest
+// ago is evicted (counted by session_keys_evicted_total); its publisher
+// renegotiates on the resulting unknown-session drop.
 func NewSessionStore(max int) *SessionStore {
 	if max <= 0 {
 		max = DefaultSessionStoreSize
 	}
-	return &SessionStore{
-		max:     max,
-		m:       make(map[[secure.SessionIDLen]byte]*sessionEntry),
-		byToken: make(map[[32]byte][][secure.SessionIDLen]byte),
-	}
+	return &SessionStore{m: newBounded[[secure.SessionIDLen]byte, *sessionEntry](max)}
 }
 
-// Install registers a session key for a trace topic, replacing any
-// previous key with the same ID. Re-installing an existing ID (repeated
-// SESSION_KEY_RESPONSE deliveries, renegotiation re-requests) first
-// drops the old entry's token-index slot, so byToken never accumulates
-// duplicates and InvalidateToken counts each session once.
+// Install registers a session key for a trace topic as the newest
+// entry, replacing any previous key with the same ID. Re-installing an
+// existing ID (repeated SESSION_KEY_RESPONSE deliveries, renegotiation
+// re-requests) takes no further room.
 func (s *SessionStore) Install(traceTopic ident.UUID, k *secure.SessionKey) {
-	id := k.ID()
 	s.mu.Lock()
-	var seq uint64
-	if old, exists := s.m[id]; exists {
-		s.dropTokenIndexLocked(old.key.TokenDigest(), id)
-		seq = old.seq
-	} else {
-		if len(s.fifo) >= s.max {
-			evict := s.fifo[0]
-			s.fifo = s.fifo[1:]
-			if e, ok := s.m[evict.id]; ok && e.seq == evict.seq {
-				s.removeLocked(evict.id)
-			}
-		}
-		s.seq++
-		seq = s.seq
-		s.fifo = append(s.fifo, sessionSlot{id: id, seq: seq})
-	}
-	s.m[id] = &sessionEntry{key: k, topic: traceTopic, seq: seq}
-	d := k.TokenDigest()
-	s.byToken[d] = append(s.byToken[d], id)
+	evicted := s.m.put(k.ID(), &sessionEntry{key: k, topic: traceTopic})
 	s.mu.Unlock()
 	mSessionInstalls.Inc()
+	if evicted {
+		mSessionEvicted.Inc()
+	}
 }
 
 // lookup returns the entry for id, if installed.
 func (s *SessionStore) lookup(id [secure.SessionIDLen]byte) (*sessionEntry, bool) {
 	s.mu.RLock()
-	e, ok := s.m[id]
+	e, ok := s.m.get(id)
 	s.mu.RUnlock()
 	return e, ok
 }
@@ -154,77 +121,31 @@ func (s *SessionStore) Lookup(id [secure.SessionIDLen]byte) (*secure.SessionKey,
 	return e.key, e.topic, true
 }
 
-// removeLocked deletes id from the primary map (caller holds mu).
-func (s *SessionStore) removeLocked(id [secure.SessionIDLen]byte) {
-	e, ok := s.m[id]
-	if !ok {
-		return
-	}
-	delete(s.m, id)
-	s.dropTokenIndexLocked(e.key.TokenDigest(), id)
-}
-
-// dropTokenIndexLocked removes id from the byToken bucket for digest d,
-// deleting the bucket when it empties (caller holds mu).
-func (s *SessionStore) dropTokenIndexLocked(d [32]byte, id [secure.SessionIDLen]byte) {
-	ids := s.byToken[d]
-	for i, other := range ids {
-		if other == id {
-			s.byToken[d] = append(ids[:i], ids[i+1:]...)
-			break
-		}
-	}
-	if len(s.byToken[d]) == 0 {
-		delete(s.byToken, d)
-	}
-}
-
 // Invalidate removes a session key; subsequent tags referencing it are
 // unknown-session drops forcing full verification or renegotiation.
 func (s *SessionStore) Invalidate(id [secure.SessionIDLen]byte) {
 	s.mu.Lock()
-	_, ok := s.m[id]
-	s.removeLocked(id)
+	ok := s.m.remove(id)
 	s.mu.Unlock()
 	if ok {
 		mSessionInvalidated.Inc()
 	}
 }
 
-// InvalidateToken removes every session bound to the token with the
-// given raw-byte digest — the hard fallback on token rotation or
-// revocation. It returns the number of sessions removed.
-func (s *SessionStore) InvalidateToken(tokenDigest [32]byte) int {
-	s.mu.Lock()
-	ids := append([][secure.SessionIDLen]byte(nil), s.byToken[tokenDigest]...)
-	for _, id := range ids {
-		s.removeLocked(id)
-	}
-	s.mu.Unlock()
-	for range ids {
-		mSessionInvalidated.Inc()
-	}
-	return len(ids)
-}
-
 // InvalidateAll empties the store.
 func (s *SessionStore) InvalidateAll() {
 	s.mu.Lock()
-	n := len(s.m)
-	s.m = make(map[[secure.SessionIDLen]byte]*sessionEntry)
-	s.byToken = make(map[[32]byte][][secure.SessionIDLen]byte)
-	s.fifo = s.fifo[:0]
+	n := s.m.len()
+	s.m.clear()
 	s.mu.Unlock()
-	for i := 0; i < n; i++ {
-		mSessionInvalidated.Inc()
-	}
+	mSessionInvalidated.Add(uint64(n))
 }
 
 // Len reports the number of installed sessions.
 func (s *SessionStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.m)
+	return s.m.len()
 }
 
 // VerifyTraceSession checks a session-tagged envelope against the

@@ -30,45 +30,8 @@ func mintSessionKey(t *testing.T, digest [32]byte, now time.Time, life time.Dura
 	return key
 }
 
-// Re-installing the same session ID (repeated SESSION_KEY_RESPONSE
-// deliveries, renegotiation re-requests) must not accumulate duplicate
-// byToken index entries: InvalidateToken counts each session once and
-// the bucket empties completely.
-func TestSessionStoreReinstallKeepsTokenIndexClean(t *testing.T) {
-	store := NewSessionStore(0)
-	tt := ident.NewUUID()
-	digest := sha256.Sum256([]byte("token-bytes"))
-	key := mintSessionKey(t, digest, time.Now(), time.Minute)
-
-	for i := 0; i < 5; i++ {
-		store.Install(tt, key)
-	}
-	if got := store.Len(); got != 1 {
-		t.Fatalf("Len after re-installs = %d, want 1", got)
-	}
-	if got := store.InvalidateToken(digest); got != 1 {
-		t.Fatalf("InvalidateToken = %d, want 1 (byToken accumulated duplicates)", got)
-	}
-	// The bucket must be gone: a second invalidation finds nothing.
-	if got := store.InvalidateToken(digest); got != 0 {
-		t.Fatalf("second InvalidateToken = %d, want 0 (stale byToken entries survived)", got)
-	}
-	if _, _, ok := store.Lookup(key.ID()); ok {
-		t.Fatal("session still installed after InvalidateToken")
-	}
-
-	// Install → Invalidate → re-install must land back at exactly one
-	// token-index entry.
-	store.Install(tt, key)
-	store.Invalidate(key.ID())
-	store.Install(tt, key)
-	if got := store.InvalidateToken(digest); got != 1 {
-		t.Fatalf("InvalidateToken after reinstall = %d, want 1", got)
-	}
-}
-
-// Re-installing must not consume FIFO capacity: the store's eviction
-// order tracks distinct sessions, not installation calls.
+// Re-installing must not consume capacity: the store's bound counts
+// distinct sessions, not installation calls.
 func TestSessionStoreReinstallDoesNotGrowFIFO(t *testing.T) {
 	store := NewSessionStore(2)
 	tt := ident.NewUUID()
@@ -110,6 +73,59 @@ func TestSessionStoreReinstallAfterInvalidateKeepsItsSlot(t *testing.T) {
 	}
 	if n := store.Len(); n != 3 {
 		t.Errorf("Len = %d, want 3", n)
+	}
+}
+
+// An invalidated session stops counting toward the bound at once, so
+// the next install fills its room and evicts nothing.
+func TestSessionStoreInvalidatedEntryFreesRoom(t *testing.T) {
+	store := NewSessionStore(3)
+	tt := ident.NewUUID()
+	now := time.Now()
+	a := mintSessionKey(t, sha256.Sum256([]byte("a")), now, time.Minute)
+	b := mintSessionKey(t, sha256.Sum256([]byte("b")), now, time.Minute)
+	c := mintSessionKey(t, sha256.Sum256([]byte("c")), now, time.Minute)
+	d := mintSessionKey(t, sha256.Sum256([]byte("d")), now, time.Minute)
+
+	store.Install(tt, a)
+	store.Install(tt, b)
+	store.Install(tt, c)
+	store.Invalidate(c.ID())
+	store.Install(tt, d)
+	for name, k := range map[string]*secure.SessionKey{"a": a, "b": b, "d": d} {
+		if _, _, ok := store.Lookup(k.ID()); !ok {
+			t.Errorf("session %s evicted with a free slot", name)
+		}
+	}
+	if n := store.Len(); n != 3 {
+		t.Errorf("Len = %d, want 3", n)
+	}
+}
+
+// A full store evicts the session installed longest ago and counts it
+// under session_keys_evicted_total.
+func TestSessionStoreEvictionCounted(t *testing.T) {
+	store := NewSessionStore(2)
+	tt := ident.NewUUID()
+	now := time.Now()
+	x := mintSessionKey(t, sha256.Sum256([]byte("x")), now, time.Minute)
+	y := mintSessionKey(t, sha256.Sum256([]byte("y")), now, time.Minute)
+	z := mintSessionKey(t, sha256.Sum256([]byte("z")), now, time.Minute)
+
+	evicted0 := mSessionEvicted.Value()
+	store.Install(tt, x)
+	store.Install(tt, y)
+	store.Install(tt, z)
+	if _, _, ok := store.Lookup(x.ID()); ok {
+		t.Error("oldest session x survived an install into a full store")
+	}
+	for name, k := range map[string]*secure.SessionKey{"y": y, "z": z} {
+		if _, _, ok := store.Lookup(k.ID()); !ok {
+			t.Errorf("session %s evicted", name)
+		}
+	}
+	if d := mSessionEvicted.Value() - evicted0; d != 1 {
+		t.Errorf("session_keys_evicted_total delta = %d, want 1", d)
 	}
 }
 
@@ -225,7 +241,7 @@ func TestSealedParamsForReturnsSealedID(t *testing.T) {
 // The responder-side rate limiter: one admitted request per requester
 // and sessionKeyRespBurst total per window, before any crypto work.
 func TestAdmitSessionKeyRequest(t *testing.T) {
-	s := &session{skReqLast: make(map[ident.EntityID]time.Time)}
+	s := &session{skReqLast: newBounded[ident.EntityID, time.Time](sessionKeyReqTrack)}
 	base := time.Now()
 
 	if !s.admitSessionKeyRequest("r1", base) {
@@ -240,7 +256,7 @@ func TestAdmitSessionKeyRequest(t *testing.T) {
 
 	// Global per-session burst: cycling requester names must not buy
 	// unbounded work.
-	s2 := &session{skReqLast: make(map[ident.EntityID]time.Time)}
+	s2 := &session{skReqLast: newBounded[ident.EntityID, time.Time](sessionKeyReqTrack)}
 	w := time.Now()
 	for i := 0; i < sessionKeyRespBurst; i++ {
 		if !s2.admitSessionKeyRequest(ident.EntityID("req-"+string(rune('a'+i))), w) {
@@ -254,7 +270,7 @@ func TestAdmitSessionKeyRequest(t *testing.T) {
 		t.Fatal("request in the next window refused")
 	}
 
-	// Sessions without the map (session keys off) admit nothing.
+	// Sessions without the table (session keys off) admit nothing.
 	s3 := &session{}
 	if s3.admitSessionKeyRequest("r1", base) {
 		t.Fatal("session-keys-off session admitted a request")
@@ -287,7 +303,7 @@ func TestInterestedTrackerExpiry(t *testing.T) {
 // capacity, so a churn of short-lived trackers permanently locked
 // later ones out of proactive rekey pushes.
 func TestSessionKeyRecipientEvictsOldestWhenFull(t *testing.T) {
-	s := &session{sessionKeyRecips: make(map[ident.EntityID]*sessionKeyRecipient)}
+	s := &session{sessionKeyRecips: newBounded[ident.EntityID, *sessionKeyRecipient](sessionKeyMaxRecipients)}
 	var id [secure.SessionIDLen]byte
 	for i := 0; i < sessionKeyMaxRecipients; i++ {
 		s.rememberRecipient(ident.EntityID(fmt.Sprintf("tracker-%04d", i)), id, "/t", nil)
@@ -296,16 +312,16 @@ func TestSessionKeyRecipientEvictsOldestWhenFull(t *testing.T) {
 	s.rememberRecipient("tracker-0000", id, "/t", nil)
 
 	s.rememberRecipient("tracker-new", id, "/t", nil)
-	if got := len(s.sessionKeyRecips); got != sessionKeyMaxRecipients {
+	if got := s.sessionKeyRecips.len(); got != sessionKeyMaxRecipients {
 		t.Fatalf("table size = %d, want %d", got, sessionKeyMaxRecipients)
 	}
-	if _, ok := s.sessionKeyRecips["tracker-new"]; !ok {
+	if _, ok := s.sessionKeyRecips.get("tracker-new"); !ok {
 		t.Fatal("new recipient was dropped instead of admitted")
 	}
-	if _, ok := s.sessionKeyRecips["tracker-0000"]; !ok {
+	if _, ok := s.sessionKeyRecips.get("tracker-0000"); !ok {
 		t.Fatal("recently refreshed recipient was evicted")
 	}
-	if _, ok := s.sessionKeyRecips["tracker-0001"]; ok {
+	if _, ok := s.sessionKeyRecips.get("tracker-0001"); ok {
 		t.Fatal("longest-idle recipient survived a full-table insert")
 	}
 }

@@ -141,7 +141,7 @@ type TraceBroker struct {
 	// publisher's hosting broker for the sealed parameters — at most
 	// once per session ID per sessionRequestMinInterval.
 	sessReqMu   sync.Mutex
-	sessReqLast map[[secure.SessionIDLen]byte]time.Time
+	sessReqLast *bounded[[secure.SessionIDLen]byte, time.Time]
 	cancelSk    func()
 }
 
@@ -184,14 +184,13 @@ type session struct {
 	// ID mismatch, and a rekey proactively pushes the fresh parameters to
 	// all of them so the publisher leaves the RSA fallback quickly.
 	sp               *SessionPublisher
-	sessionKeyRecips map[ident.EntityID]*sessionKeyRecipient
-	recipSeq         uint64
+	sessionKeyRecips *bounded[ident.EntityID, *sessionKeyRecipient]
 
 	// Responder-side SESSION_KEY_REQUEST rate limiting (§6.3): at most
 	// one admitted request per requester and sessionKeyRespBurst per
 	// session within each sessionRequestMinInterval window, enforced
 	// before any credential or RSA work.
-	skReqLast     map[ident.EntityID]time.Time
+	skReqLast     *bounded[ident.EntityID, time.Time]
 	skWindowStart time.Time
 	skWindowCount int
 
@@ -209,9 +208,6 @@ type sessionKeyRecipient struct {
 	id            [secure.SessionIDLen]byte
 	deliveryTopic string
 	pub           *rsa.PublicKey
-	// seq orders recipients by last delivery, so a full table evicts
-	// the longest-idle verifier rather than refusing new ones.
-	seq uint64
 }
 
 // sessionKeyMaxRecipients bounds the per-session recipient memory; a
@@ -227,7 +223,10 @@ const sessionKeyMaxRecipients = 256
 // credential-verify + RSA-seal work.
 const sessionKeyRespBurst = 8
 
-// sessionKeyReqTrack bounds the per-requester rate-limit map.
+// sessionKeyReqTrack bounds the per-requester rate-limit table; a full
+// table forgets the requester admitted longest ago. At most
+// sessionKeyRespBurst requesters are admitted per window, so every
+// entry it forgets is older than the window and limits nothing.
 const sessionKeyReqTrack = 1024
 
 // NewTraceBroker attaches a trace manager to a broker node. Call Start
@@ -266,7 +265,7 @@ func NewTraceBroker(cfg BrokerConfig) (*TraceBroker, error) {
 		done:     make(chan struct{}),
 	}
 	if tb.sessionKeys() {
-		tb.sessReqLast = make(map[[secure.SessionIDLen]byte]time.Time)
+		tb.sessReqLast = newBounded[[secure.SessionIDLen]byte, time.Time](DefaultSessionStoreSize)
 		cfg.Guard.OnUnknownSession(tb.requestSessionKey)
 	}
 	if cfg.TelemetryInterval > 0 {
@@ -479,8 +478,8 @@ func (tb *TraceBroker) handleRegistration(env *message.Envelope) {
 		done:         make(chan struct{}),
 	}
 	if tb.sessionKeys() {
-		s.sessionKeyRecips = make(map[ident.EntityID]*sessionKeyRecipient)
-		s.skReqLast = make(map[ident.EntityID]time.Time)
+		s.sessionKeyRecips = newBounded[ident.EntityID, *sessionKeyRecipient](sessionKeyMaxRecipients)
+		s.skReqLast = newBounded[ident.EntityID, time.Time](sessionKeyReqTrack)
 	}
 	s.entityToBroker = topic.EntityToBrokerSession(s.traceTopic, s.sessionID)
 	var terr error
@@ -941,8 +940,10 @@ func (s *session) handleInterestResponse(env *message.Envelope) {
 	}
 	sp := s.sp
 	var sentID [secure.SessionIDLen]byte
-	if rec := s.sessionKeyRecips[ir.Tracker]; rec != nil {
-		sentID = rec.id
+	if sp != nil {
+		if rec, ok := s.sessionKeyRecips.get(ir.Tracker); ok {
+			sentID = rec.id
+		}
 	}
 	s.mu.Unlock()
 
@@ -1082,20 +1083,10 @@ func (s *session) admitSessionKeyRequest(requester ident.EntityID, now time.Time
 	if s.skWindowCount >= sessionKeyRespBurst {
 		return false
 	}
-	if last, ok := s.skReqLast[requester]; ok && now.Sub(last) < sessionRequestMinInterval {
+	if last, ok := s.skReqLast.get(requester); ok && now.Sub(last) < sessionRequestMinInterval {
 		return false
 	}
-	if len(s.skReqLast) >= sessionKeyReqTrack {
-		for e, at := range s.skReqLast {
-			if now.Sub(at) >= sessionRequestMinInterval {
-				delete(s.skReqLast, e)
-			}
-		}
-		if len(s.skReqLast) >= sessionKeyReqTrack {
-			return false
-		}
-	}
-	s.skReqLast[requester] = now
+	s.skReqLast.put(requester, now)
 	s.skWindowCount++
 	return true
 }
@@ -1150,29 +1141,16 @@ func (s *session) deliverSessionParams(recipient ident.EntityID, deliveryTopic s
 
 // rememberRecipient records (or refreshes) a verifier holding this
 // session's sealed parameters. A full table evicts the longest-idle
-// recipient — refreshes bump recency — so a churn of new verifiers can
-// no longer silently lock every later arrival out of proactive rekey
+// recipient — a refresh makes its recipient the newest — so a churn of
+// new verifiers cannot lock every later arrival out of proactive rekey
 // pushes.
 func (s *session) rememberRecipient(recipient ident.EntityID, id [secure.SessionIDLen]byte, deliveryTopic string, pub *rsa.PublicKey) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recipSeq++
-	if rec, ok := s.sessionKeyRecips[recipient]; ok {
-		rec.id, rec.deliveryTopic, rec.pub, rec.seq = id, deliveryTopic, pub, s.recipSeq
-		return
-	}
-	if len(s.sessionKeyRecips) >= sessionKeyMaxRecipients {
-		var oldest ident.EntityID
-		oldestSeq := uint64(1<<64 - 1)
-		for e, rec := range s.sessionKeyRecips {
-			if rec.seq < oldestSeq {
-				oldest, oldestSeq = e, rec.seq
-			}
-		}
-		delete(s.sessionKeyRecips, oldest)
+	evicted := s.sessionKeyRecips.put(recipient, &sessionKeyRecipient{id: id, deliveryTopic: deliveryTopic, pub: pub})
+	s.mu.Unlock()
+	if evicted {
 		mSessionKeyRecipsEvicted.Inc()
 	}
-	s.sessionKeyRecips[recipient] = &sessionKeyRecipient{id: id, deliveryTopic: deliveryTopic, pub: pub, seq: s.recipSeq}
 }
 
 // redeliverSessionParams pushes the session parameters with the given
@@ -1190,12 +1168,12 @@ func (s *session) redeliverSessionParams(id [secure.SessionIDLen]byte) {
 		topic  string
 		pub    *rsa.PublicKey
 	}
-	targets := make([]target, 0, len(s.sessionKeyRecips))
-	for e, rec := range s.sessionKeyRecips {
+	targets := make([]target, 0, s.sessionKeyRecips.len())
+	s.sessionKeyRecips.each(func(e ident.EntityID, rec *sessionKeyRecipient) {
 		if rec.id != id {
 			targets = append(targets, target{entity: e, topic: rec.deliveryTopic, pub: rec.pub})
 		}
-	}
+	})
 	s.mu.Unlock()
 	for _, t := range targets {
 		s.deliverSessionParams(t.entity, t.topic, t.pub)
@@ -1395,18 +1373,11 @@ func (s *session) publishSigned(env *message.Envelope, origin *message.Span, all
 func (tb *TraceBroker) requestSessionKey(tt ident.UUID, sid [secure.SessionIDLen]byte) {
 	now := tb.clk.Now()
 	tb.sessReqMu.Lock()
-	if last, ok := tb.sessReqLast[sid]; ok && now.Sub(last) < sessionRequestMinInterval {
+	if last, ok := tb.sessReqLast.get(sid); ok && now.Sub(last) < sessionRequestMinInterval {
 		tb.sessReqMu.Unlock()
 		return
 	}
-	tb.sessReqLast[sid] = now
-	if len(tb.sessReqLast) > DefaultSessionStoreSize {
-		for id, at := range tb.sessReqLast {
-			if now.Sub(at) >= sessionRequestMinInterval {
-				delete(tb.sessReqLast, id)
-			}
-		}
-	}
+	tb.sessReqLast.put(sid, now)
 	tb.sessReqMu.Unlock()
 	mSessionKeyRequests.Inc()
 	go tb.publishSessionKeyRequest(tt, sid)

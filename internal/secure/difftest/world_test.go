@@ -217,10 +217,11 @@ func (p *Publisher) Renegotiate() { p.w.Store.Install(p.Topic, p.Key) }
 
 // Revoke withdraws the publisher's authority on both paths at once:
 // the topic stops resolving (§5.2 abandonment, killing the RSA chain)
-// and every session derived from the current token is invalidated.
+// and the session derived from the current token (the world holds one
+// per token) is invalidated.
 func (p *Publisher) Revoke() {
 	p.w.Resolver.revoke(p.Topic)
-	p.w.Store.InvalidateToken(sha256.Sum256(p.TokenBytes))
+	p.w.Store.Invalidate(p.Key.ID())
 }
 
 // Pair is one logical publish rendered for both pipelines: identical
