@@ -11,8 +11,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -173,9 +175,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "brokerd: warning: no -tdn given; only locally registered topics validate")
 	}
 
-	level := obs.LevelInfo
+	level := slog.LevelInfo
 	if *verbose {
-		level = obs.LevelDebug
+		level = slog.LevelDebug
 	}
 	log := obs.NewLogger(os.Stderr, level, *logJSON)
 	brokerName := *name
@@ -380,27 +382,16 @@ func serveAdmin(addr, name string, n *node.Node, tokenCache *core.TokenCache) {
 }
 
 func splitCSV(s string) []string {
+	if s == "" {
+		return nil
+	}
 	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if part := trim(s[start:i]); part != "" {
-				out = append(out, part)
-			}
-			start = i + 1
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
 		}
 	}
 	return out
-}
-
-func trim(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	return s
 }
 
 func fail(format string, args ...any) {

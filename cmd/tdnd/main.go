@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -53,9 +54,9 @@ func main() {
 	if err != nil {
 		fail("creating node: %v", err)
 	}
-	level := obs.LevelInfo
+	level := slog.LevelInfo
 	if *verbose {
-		level = obs.LevelDebug
+		level = slog.LevelDebug
 	}
 	node.SetLogger(obs.NewLogger(os.Stderr, level, *logJSON))
 	if *dataDir != "" {

@@ -11,6 +11,7 @@ package avail
 
 import (
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -147,7 +148,7 @@ type Config struct {
 	// metrics.
 	Registry *obs.Registry
 	// Log receives structured availability events; nil silences them.
-	Log *obs.Logger
+	Log *slog.Logger
 	// OnEvent, when set, receives every availability alert. Called
 	// without ledger locks held.
 	OnEvent func(Event)
@@ -223,6 +224,7 @@ type Ledger struct {
 
 // New builds a ledger.
 func New(cfg Config) *Ledger {
+	cfg.Log = obs.OrDiscard(cfg.Log)
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
@@ -466,22 +468,20 @@ func displayState(rec *record) State {
 // emit delivers alerts to the log and callback outside ledger locks.
 func (l *Ledger) emit(events []Event) {
 	for _, ev := range events {
-		if l.cfg.Log != nil {
-			switch ev.Type {
-			case "transition":
-				l.cfg.Log.Info("availability transition",
-					"entity", ev.Entity, "from", ev.Old.String(), "to", ev.New.String())
-			case "flap_start":
-				l.cfg.Log.Warn("entity flapping", "entity", ev.Entity)
-			case "flap_end":
-				l.cfg.Log.Info("flap cleared", "entity", ev.Entity, "state", ev.New.String())
-			case "slo_breach":
-				l.cfg.Log.Warn("SLO breached", "entity", ev.Entity)
-			case "slo_clear":
-				l.cfg.Log.Info("SLO recovered", "entity", ev.Entity)
-			case "burn_alert":
-				l.cfg.Log.Warn("error-budget burn alert", "entity", ev.Entity)
-			}
+		switch ev.Type {
+		case "transition":
+			l.cfg.Log.Info("availability transition",
+				"entity", ev.Entity, "from", ev.Old.String(), "to", ev.New.String())
+		case "flap_start":
+			l.cfg.Log.Warn("entity flapping", "entity", ev.Entity)
+		case "flap_end":
+			l.cfg.Log.Info("flap cleared", "entity", ev.Entity, "state", ev.New.String())
+		case "slo_breach":
+			l.cfg.Log.Warn("SLO breached", "entity", ev.Entity)
+		case "slo_clear":
+			l.cfg.Log.Info("SLO recovered", "entity", ev.Entity)
+		case "burn_alert":
+			l.cfg.Log.Warn("error-budget burn alert", "entity", ev.Entity)
 		}
 		if l.cfg.OnEvent != nil {
 			l.cfg.OnEvent(ev)

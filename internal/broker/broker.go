@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -129,7 +130,7 @@ type Config struct {
 	// disables recording at the cost of one nil check.
 	Flight *obs.FlightRecorder
 	// Log is the structured logger; nil silences diagnostics.
-	Log *obs.Logger
+	Log *slog.Logger
 	// Clock is the broker's time: the publish pipeline's readings (the
 	// instant the guard checks validity at, hop stamps, egress stall
 	// accounting), quarantine and violation decay, and persistent-link
@@ -176,7 +177,7 @@ type Broker struct {
 	cfg  Config
 	clk  clock.Clock
 	name string
-	log  *obs.Logger
+	log  *slog.Logger
 
 	// mu guards the routing index (peers, subs, local) and lifecycle
 	// state. The index is read-mostly: every publish takes the read lock
@@ -310,7 +311,7 @@ func New(cfg Config) *Broker {
 		cfg:       cfg,
 		clk:       cfg.Clock,
 		name:      cfg.Name,
-		log:       cfg.Log.With("broker", cfg.Name),
+		log:       obs.OrDiscard(cfg.Log).With("broker", cfg.Name),
 		peers:     make(map[*peer]struct{}),
 		subs:      make(map[string]map[subscriberRef]struct{}),
 		local:     make(map[string][]*localSub),

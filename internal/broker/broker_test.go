@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -199,7 +200,7 @@ func TestRawWildcardSubscribeDenied(t *testing.T) {
 func TestRawWildcardEnvelopeRejected(t *testing.T) {
 	tr := transport.NewInproc()
 	var logs syncWriter
-	b, addr := newTestBroker(t, tr, Config{Log: obs.NewLogger(&logs, obs.LevelWarn, false)})
+	b, addr := newTestBroker(t, tr, Config{Log: obs.NewLogger(&logs, slog.LevelWarn, false)})
 	sub, err := Connect(tr, addr, "s")
 	if err != nil {
 		t.Fatal(err)

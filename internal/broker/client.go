@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,8 +172,8 @@ func (c *Client) OnUnhandled(h Handler) { c.defaultHandler.Store(h) }
 // SetLogger installs the logger for the client's warnings (dropped
 // inbound frames), paced to one line per reason per second. Without one
 // the client counts drops and logs nothing.
-func (c *Client) SetLogger(l *obs.Logger) {
-	c.warn.Store(obs.NewLogLimiter(l.With("client", string(c.entity)), time.Second, c.clk.Now))
+func (c *Client) SetLogger(l *slog.Logger) {
+	c.warn.Store(obs.NewLogLimiter(obs.OrDiscard(l).With("client", string(c.entity)), time.Second, c.clk.Now))
 }
 
 // drop accounts one unusable inbound frame.

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"log/slog"
 	"runtime"
 	"strings"
 	"sync"
@@ -73,7 +74,7 @@ func (w *syncWriter) String() string {
 func TestClientCountsDroppedFrames(t *testing.T) {
 	cl, srv := fakeBroker(t)
 	var logs syncWriter
-	cl.SetLogger(obs.NewLogger(&logs, obs.LevelWarn, false))
+	cl.SetLogger(obs.NewLogger(&logs, slog.LevelWarn, false))
 
 	good := append([]byte{frameEnvelope}, traceEnv(topic.MustParse("/drops"), 1).Marshal()...)
 	durableInner := appendDurable(nil, 7, good)

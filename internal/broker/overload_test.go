@@ -3,6 +3,7 @@ package broker
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -421,6 +422,64 @@ func TestQuarantineExpires(t *testing.T) {
 	if err := again.Subscribe(topic.MustParse("/back"), func(*message.Envelope) {}); err != nil {
 		t.Fatalf("post-quarantine subscribe: %v", err)
 	}
+}
+
+// TestQuarantineSweepsLapsedBans: bans of principals that never redial
+// are dropped once lapsed, so eviction churn cannot grow the table,
+// while a ban still inside its own window keeps refusing.
+func TestQuarantineSweepsLapsedBans(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1_000_000, 0))
+	q := newQuarantine()
+	churn := func(round int) {
+		for i := 0; i < 10_000; i++ {
+			q.ban(fmt.Sprintf("churn-%d-%d", round, i), fake.Now(), time.Second)
+		}
+	}
+	churn(0)
+	fake.Advance(time.Hour)
+	q.ban("late", fake.Now(), time.Minute)
+	if n := len(q.until); n != 1 {
+		t.Fatalf("table holds %d bans after churn lapsed, want 1", n)
+	}
+	if !q.active("late", fake.Now()) {
+		t.Fatal("live ban not refusing")
+	}
+
+	// A long ban outlives sweeps of shorter ones banned around it.
+	q.ban("long", fake.Now(), 2*time.Hour)
+	churn(1)
+	fake.Advance(time.Hour)
+	q.ban("later", fake.Now(), time.Minute)
+	if n := len(q.until); n != 2 {
+		t.Fatalf("table holds %d bans, want 2 (long, later)", n)
+	}
+	if !q.active("long", fake.Now()) || !q.active("later", fake.Now()) {
+		t.Fatal("a live ban was swept")
+	}
+}
+
+// TestNilLogIsSilent: a broker and client built without a logger take
+// their warn paths (a violation, an eviction) without panicking, and so
+// does a LogLimiter over a nil logger.
+func TestNilLogIsSilent(t *testing.T) {
+	tr := transport.NewInproc()
+	b, addr := newTestBroker(t, tr, Config{ViolationLimit: 1})
+	c, err := Connect(tr, addr, "spoofer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetLogger(nil)
+	if err := c.Publish(message.New(message.TypeData, topic.MustParse("/x"), "someone-else", nil)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-c.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("spoofing peer not evicted")
+	}
+	waitFor(t, "dos disconnect", func() bool { return disconnects(b.Snapshot().Counters) == 1 })
+	obs.NewLogLimiter(nil, time.Second, nil).Warn("k", "msg", "n", 1)
 }
 
 // TestBanishEvictsConnectedPeer verifies the administrative ban evicts a

@@ -77,20 +77,40 @@ func (v *violationScore) current() float64 {
 type quarantine struct {
 	mu    sync.Mutex
 	until map[string]time.Time
+	// swept and sweptAt are the table's size and the time at its last
+	// sweep of lapsed bans.
+	swept   int
+	sweptAt time.Time
 }
+
+// quarantineSweepEvery is the longest a lapsed ban waits for a sweep
+// when the table is not growing.
+const quarantineSweepEvery = time.Minute
 
 func newQuarantine() *quarantine {
 	return &quarantine{until: make(map[string]time.Time)}
 }
 
-// ban quarantines the principal until now+d.
+// ban quarantines the principal until now+d. Once the table has doubled
+// since its last sweep, or that sweep is quarantineSweepEvery old, bans
+// past their own window are dropped first, so evicted principals that
+// never redial cannot grow broker state (§5.2). A live ban is never
+// dropped.
 func (q *quarantine) ban(principal string, now time.Time, d time.Duration) {
 	if d <= 0 || principal == "" {
 		return
 	}
 	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.until) >= 2*q.swept || now.Sub(q.sweptAt) >= quarantineSweepEvery {
+		for p, until := range q.until {
+			if !now.Before(until) {
+				delete(q.until, p)
+			}
+		}
+		q.swept, q.sweptAt = len(q.until), now
+	}
 	q.until[principal] = now.Add(d)
-	q.mu.Unlock()
 }
 
 // active reports whether principal is currently quarantined, lazily

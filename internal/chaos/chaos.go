@@ -17,6 +17,7 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"math/rand"
 	"sort"
 	"sync"
@@ -51,16 +52,13 @@ type Config struct {
 	// clock. Tests pass clock.Fake to step through schedules.
 	Clock clock.Clock
 	// Log, when set, records every non-noop verdict at debug level.
-	Log *obs.Logger
-	// JournalSize bounds the in-memory decision journal (default
-	// DefaultJournalSize; negative disables journaling).
-	JournalSize int
+	Log *slog.Logger
 }
 
 // Decision is one journaled fault verdict (or flap / timeline action).
 type Decision struct {
 	Seq    uint64 // monotone per injector
-	Conn   uint64 // connection sequence number (0 for injector-level actions)
+	Conn   uint64 // connection number: odd when dialed, even when accepted (0 for injector-level actions)
 	Link   string // listener-side address of the connection
 	Fault  string // fault slot name, or "flap"/"timeline"
 	Action string // e.g. "drop", "dup+2", "corrupt", "hold", "delay=5ms"
@@ -75,14 +73,16 @@ type Injector struct {
 	inner transport.Transport
 	clk   clock.Clock
 	seed  int64
-	log   *obs.Logger
+	log   *slog.Logger
 
-	mu       sync.Mutex
-	faults   []namedFault // sorted by name for deterministic application
-	conns    map[*chaoticConn]struct{}
-	connSeq  uint64
+	mu     sync.Mutex
+	faults []namedFault // sorted by name for deterministic application
+	conns  map[*chaoticConn]struct{}
+	// made counts connections per side, [0] dialed and [1] accepted, so
+	// a connection's number and fault stream do not depend on whether a
+	// dial or its matching accept is wrapped first.
+	made     [2]uint64
 	journal  []Decision
-	jCap     int
 	jSeq     uint64
 	jDropped uint64
 }
@@ -101,20 +101,12 @@ func New(inner transport.Transport, cfg Config) (*Injector, error) {
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	jc := cfg.JournalSize
-	if jc == 0 {
-		jc = DefaultJournalSize
-	}
-	if jc < 0 {
-		jc = 0
-	}
 	return &Injector{
 		inner: inner,
 		clk:   clk,
 		seed:  cfg.Seed,
-		log:   cfg.Log,
+		log:   obs.OrDiscard(cfg.Log),
 		conns: make(map[*chaoticConn]struct{}),
-		jCap:  jc,
 	}, nil
 }
 
@@ -206,7 +198,7 @@ func (inj *Injector) ConnCount() int {
 }
 
 // Decisions returns a copy of the journaled decisions, oldest first
-// (bounded by Config.JournalSize; older entries may have been evicted).
+// (bounded by DefaultJournalSize; older entries may have been evicted).
 func (inj *Injector) Decisions() []Decision {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
@@ -231,18 +223,13 @@ func (inj *Injector) record(conn uint64, link, fault, action string) {
 	inj.mu.Lock()
 	d := Decision{Seq: inj.jSeq, Conn: conn, Link: link, Fault: fault, Action: action}
 	inj.jSeq++
-	if inj.jCap > 0 {
-		if len(inj.journal) >= inj.jCap {
-			inj.journal = inj.journal[1:]
-			inj.jDropped++
-		}
-		inj.journal = append(inj.journal, d)
+	if len(inj.journal) >= DefaultJournalSize {
+		inj.journal = inj.journal[1:]
+		inj.jDropped++
 	}
-	log := inj.log
+	inj.journal = append(inj.journal, d)
 	inj.mu.Unlock()
-	if log != nil {
-		log.Debug("chaos verdict", "conn", conn, "link", link, "fault", fault, "action", action)
-	}
+	inj.log.Debug("chaos verdict", "conn", conn, "link", link, "fault", fault, "action", action)
 }
 
 // snapshot returns the fault list for one frame evaluation.
@@ -271,15 +258,20 @@ func (inj *Injector) Listen(addr string) (transport.Listener, error) {
 }
 
 func (inj *Injector) newConn(c transport.Conn, link string, accepted bool) *chaoticConn {
+	side := uint64(0)
+	if accepted {
+		side = 1
+	}
 	inj.mu.Lock()
-	inj.connSeq++
+	inj.made[side]++
+	id := 2*inj.made[side] - 1 + side
 	cc := &chaoticConn{
 		Conn:     c,
 		inj:      inj,
-		id:       inj.connSeq,
+		id:       id,
 		link:     link,
 		accepted: accepted,
-		rng:      rand.New(rand.NewSource(splitmix64(uint64(inj.seed) ^ inj.connSeq))),
+		rng:      rand.New(rand.NewSource(splitmix64(uint64(inj.seed) ^ id))),
 	}
 	inj.conns[cc] = struct{}{}
 	inj.mu.Unlock()

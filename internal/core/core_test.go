@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +24,20 @@ import (
 	"entitytrace/internal/topic"
 	"entitytrace/internal/transport"
 )
+
+// testLog is a debug-level logger whose lines go to t.Log, so they show
+// beside the failing test.
+func testLog(t testing.TB) *slog.Logger {
+	return obs.NewLogger(tLogWriter{t}, slog.LevelDebug, false)
+}
+
+// tLogWriter hands each log line to t.Log.
+type tLogWriter struct{ t testing.TB }
+
+func (w tLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
 
 // Shared CA fixture (RSA keygen is expensive).
 var (
@@ -97,7 +112,7 @@ func newTestbed(t *testing.T, n int) *testbed {
 	for i := 0; i < n; i++ {
 		resolver := NewCachingResolver(NodeResolver(node))
 		guard := NewGuard(GuardConfig{Resolver: resolver, Verifier: fxVerifier})
-		b := broker.New(broker.Config{Name: fmt.Sprintf("b%d", i), Guard: guard.Admit, Log: obs.NewCallbackLogger(obs.LevelDebug, t.Logf)})
+		b := broker.New(broker.Config{Name: fmt.Sprintf("b%d", i), Guard: guard.Admit, Log: testLog(t)})
 		l, err := tb.tr.Listen("")
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +126,7 @@ func newTestbed(t *testing.T, n int) *testbed {
 			Detector:      fastDetector(),
 			GaugeInterval: 50 * time.Millisecond,
 			InterestTTL:   5 * time.Second,
-			Log:           obs.NewCallbackLogger(obs.LevelDebug, t.Logf),
+			Log:           testLog(t),
 		})
 		if err != nil {
 			t.Fatal(err)

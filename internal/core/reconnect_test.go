@@ -121,7 +121,7 @@ func TestTrackerReconnectRestoresWatches(t *testing.T) {
 		Client:           cl,
 		Redial:           tb.redialer("tracker-comeback", 0),
 		ReconnectBackoff: fastReconnect(),
-		Log:              obs.NewCallbackLogger(obs.LevelDebug, t.Logf),
+		Log:              testLog(t),
 	})
 	if err != nil {
 		t.Fatal(err)

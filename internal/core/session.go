@@ -323,14 +323,6 @@ func (sp *SessionPublisher) Key() *secure.SessionKey {
 	return sp.key
 }
 
-// Params returns the current session parameters for distribution (nil
-// before the first Rekey).
-func (sp *SessionPublisher) Params() *secure.SessionParams {
-	sp.mu.RLock()
-	defer sp.mu.RUnlock()
-	return sp.params
-}
-
 // TraceTopic returns the topic the publisher's sessions are bound to.
 func (sp *SessionPublisher) TraceTopic() ident.UUID { return sp.traceTopic }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/rsa"
 	"errors"
 	"fmt"
+	"log/slog"
 	"strconv"
 	"sync"
 	"time"
@@ -114,7 +115,7 @@ type BrokerConfig struct {
 	// Log is the structured logger (nil silences diagnostics); it is
 	// also propagated into the failure detector unless Detector.Log is
 	// set explicitly.
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 // TraceBroker performs the broker-side responsibilities of §3.3: it
@@ -122,7 +123,7 @@ type BrokerConfig struct {
 // gauges tracker interest and publishes traces on the Table 2 topics.
 type TraceBroker struct {
 	cfg      BrokerConfig
-	log      *obs.Logger
+	log      *slog.Logger
 	clk      clock.Clock     // the hosting broker's
 	signer   *secure.Signer  // broker credential signer (responses)
 	avail    *avail.Ledger   // nil when telemetry is off
@@ -238,7 +239,7 @@ func NewTraceBroker(cfg BrokerConfig) (*TraceBroker, error) {
 	if cfg.Detector == (failure.Config{}) {
 		cfg.Detector = failure.DefaultConfig()
 	}
-	log := cfg.Log
+	log := obs.OrDiscard(cfg.Log)
 	if cfg.Detector.Log == nil {
 		cfg.Detector.Log = log
 	}

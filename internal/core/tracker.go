@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -44,7 +45,7 @@ type TrackerConfig struct {
 	// Clock stamps events and validates tokens.
 	Clock clock.Clock
 	// Log is the structured logger; nil silences diagnostics.
-	Log *obs.Logger
+	Log *slog.Logger
 	// Avail, when set, receives availability observations derived from
 	// every verified trace: the ledger runs directly on the delivery
 	// path (its steady-state update is a few tens of nanoseconds) and
@@ -112,7 +113,7 @@ var (
 // verifies (and decrypts) every delivered trace.
 type Tracker struct {
 	cfg TrackerConfig
-	log *obs.Logger
+	log *slog.Logger
 	// warnLim rate-limits the per-trace and per-record warning paths
 	// (rejected traces, failed acks, denied replays) to one line per
 	// second per entity, carrying a suppressed count — a broker outage
@@ -185,7 +186,7 @@ func NewTracker(cfg TrackerConfig) (*Tracker, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	log := cfg.Log
+	log := obs.OrDiscard(cfg.Log)
 	tk := &Tracker{cfg: cfg, cl: cfg.Client, log: log,
 		warnLim: obs.NewLogLimiter(log, time.Second, cfg.Clock.Now),
 		watches: make(map[ident.UUID]*Watch), done: make(chan struct{})}

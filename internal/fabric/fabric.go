@@ -12,6 +12,7 @@ package fabric
 
 import (
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,7 +87,7 @@ type Config struct {
 	// Clock abstracts time for tests.
 	Clock clock.Clock
 	// Log, when set, receives membership and epoch transitions.
-	Log *obs.Logger
+	Log *slog.Logger
 	// Store, when set, is the broker's durable store; on ownership
 	// change the fabric replays the tail of re-owned sharded topics to
 	// their new owner (handoff).
@@ -103,7 +104,7 @@ type Fabric struct {
 	b    *broker.Broker
 	name string
 	clk  clock.Clock
-	log  *obs.Logger
+	log  *slog.Logger
 
 	mem   *Membership
 	table atomic.Pointer[Table]
@@ -154,7 +155,7 @@ func New(cfg Config) (*Fabric, error) {
 		b:      cfg.Broker,
 		name:   cfg.Name,
 		clk:    cfg.Clock,
-		log:    cfg.Log.With("fabric", cfg.Name),
+		log:    obs.OrDiscard(cfg.Log).With("fabric", cfg.Name),
 		linked: make(map[string]bool),
 		poke:   make(chan struct{}, 1),
 		done:   make(chan struct{}),

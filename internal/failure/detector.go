@@ -11,6 +11,7 @@ package failure
 
 import (
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -83,7 +84,7 @@ type Config struct {
 	// Log, when set, receives verdict-transition diagnostics. The field
 	// is a pointer so Config stays comparable (NewTraceBroker compares
 	// against the zero Config to select defaults).
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 // DefaultConfig returns production-oriented defaults: 1 s pings, 250 ms
@@ -164,6 +165,7 @@ func NewDetector(cfg Config, now time.Time) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.Log = obs.OrDiscard(cfg.Log)
 	return &Detector{
 		cfg:         cfg,
 		outstanding: make(map[uint64]time.Time),

@@ -26,6 +26,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 
 	"entitytrace/internal/backoff"
@@ -51,7 +52,7 @@ type Config struct {
 	// (required: a node is never given a default clock).
 	Clock clock.Clock
 	// Log is every part's structured logger; nil silences diagnostics.
-	Log *obs.Logger
+	Log *slog.Logger
 	// FlightEvents, when positive, sizes the flight recorder the guard and
 	// the broker share; FlightSample is its 1-in-N healthy sampling (zero
 	// selects obs.DefaultFlightSample).

@@ -1,56 +1,14 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
+	"log/slog"
 	"strings"
-	"sync"
 	"time"
 )
-
-// Level is a log severity.
-type Level int8
-
-// Levels, in increasing severity.
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String names the level.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "DEBUG"
-	case LevelInfo:
-		return "INFO"
-	case LevelWarn:
-		return "WARN"
-	case LevelError:
-		return "ERROR"
-	default:
-		return fmt.Sprintf("LEVEL(%d)", int8(l))
-	}
-}
-
-// ParseLevel maps a flag string to a Level (case-insensitive; unknown
-// strings select Info).
-func ParseLevel(s string) Level {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return LevelDebug
-	case "warn", "warning":
-		return LevelWarn
-	case "error":
-		return LevelError
-	default:
-		return LevelInfo
-	}
-}
 
 // redactedMarkers are substrings of field keys whose values must never
 // reach a log sink: key material, tokens, credentials, signatures. A
@@ -69,208 +27,68 @@ func Redacted(key string) bool {
 	return false
 }
 
-// redact substitutes sensitive values with a size-preserving marker so
-// logs stay diagnostic ("a 300-byte token was present") without leaking
-// material.
-func redact(key string, v any) any {
-	if !Redacted(key) {
-		return v
+// NewLogger writes one line per record to w at or above level: key=value
+// text, or one JSON object per line when jsonFormat is set. Every attr,
+// including those added with With, passes through replaceAttr.
+func NewLogger(w io.Writer, level slog.Level, jsonFormat bool) *slog.Logger {
+	opts := &slog.HandlerOptions{Level: level, ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+		return replaceAttr(a, jsonFormat)
+	}}
+	if jsonFormat {
+		return slog.New(slog.NewJSONHandler(w, opts))
 	}
-	switch tv := v.(type) {
-	case []byte:
-		return fmt.Sprintf("[REDACTED %d bytes]", len(tv))
-	case string:
-		return fmt.Sprintf("[REDACTED %d bytes]", len(tv))
-	default:
-		return "[REDACTED]"
-	}
+	return slog.New(slog.NewTextHandler(w, opts))
 }
 
-// field is one resolved key/value pair.
-type field struct {
-	key string
-	val any
-}
-
-// Logger is a leveled key=value (or JSON) logger. The zero sink (nil
-// *Logger) is valid and silent, matching the repo's "nil Logf silences
-// diagnostics" convention. With returns derived loggers sharing the
-// parent's sink, so one mutex serializes a daemon's output.
-type Logger struct {
-	emit    func(line string)
-	level   Level
-	jsonFmt bool
-	noTime  bool
-	fields  []field
-}
-
-// NewLogger writes lines to w at or above level; jsonFormat selects
-// one-object-per-line JSON instead of key=value text.
-func NewLogger(w io.Writer, level Level, jsonFormat bool) *Logger {
-	var mu sync.Mutex
-	return &Logger{
-		emit: func(line string) {
-			mu.Lock()
-			defer mu.Unlock()
-			_, _ = io.WriteString(w, line+"\n")
-		},
-		level:   level,
-		jsonFmt: jsonFormat,
-	}
-}
-
-// NewCallbackLogger adapts a legacy Logf callback (e.g. testing.T.Logf)
-// into a structured logger: every record is rendered key=value and
-// handed to f as a single line, without a timestamp (test runners add
-// their own).
-func NewCallbackLogger(level Level, f func(format string, args ...any)) *Logger {
-	if f == nil {
-		return nil
-	}
-	return &Logger{
-		emit:   func(line string) { f("%s", line) },
-		level:  level,
-		noTime: true,
-	}
-}
-
-// With returns a logger that prepends the given key/value pairs to every
-// record. A trailing key without a value is paired with "(MISSING)".
-func (l *Logger) With(keyvals ...any) *Logger {
-	if l == nil || len(keyvals) == 0 {
-		return l
-	}
-	cp := *l
-	cp.fields = append(append([]field(nil), l.fields...), resolve(keyvals)...)
-	return &cp
-}
-
-// Enabled reports whether records at lv are emitted.
-func (l *Logger) Enabled(lv Level) bool { return l != nil && lv >= l.level }
-
-// Debug logs at debug level.
-func (l *Logger) Debug(msg string, keyvals ...any) { l.log(LevelDebug, msg, keyvals) }
-
-// Info logs at info level.
-func (l *Logger) Info(msg string, keyvals ...any) { l.log(LevelInfo, msg, keyvals) }
-
-// Warn logs at warn level.
-func (l *Logger) Warn(msg string, keyvals ...any) { l.log(LevelWarn, msg, keyvals) }
-
-// Error logs at error level.
-func (l *Logger) Error(msg string, keyvals ...any) { l.log(LevelError, msg, keyvals) }
-
-func (l *Logger) log(lv Level, msg string, keyvals []any) {
-	if !l.Enabled(lv) {
-		return
-	}
-	fields := l.fields
-	if len(keyvals) > 0 {
-		fields = append(append([]field(nil), fields...), resolve(keyvals)...)
-	}
-	if l.jsonFmt {
-		l.emit(renderJSON(lv, msg, fields, l.noTime))
-		return
-	}
-	l.emit(renderText(lv, msg, fields, l.noTime))
-}
-
-// resolve pairs the variadic keyvals and applies redaction once, at
-// record construction.
-func resolve(keyvals []any) []field {
-	out := make([]field, 0, (len(keyvals)+1)/2)
-	for i := 0; i < len(keyvals); i += 2 {
-		key := fmt.Sprint(keyvals[i])
-		var val any = "(MISSING)"
-		if i+1 < len(keyvals) {
-			val = keyvals[i+1]
+// replaceAttr holds the output contract: the record time is a top-level
+// `ts` key in RFC3339Nano UTC; a value under a Redacted key becomes a
+// size-preserving placeholder, so logs stay diagnostic ("a 300-byte
+// token was present") without leaking material; and in JSON, durations
+// and Stringers (UUIDs, entity IDs — often byte-array-backed) render as
+// their string form, matching the text format. Errors and types with
+// their own JSON marshaling keep slog's rendering.
+func replaceAttr(a slog.Attr, jsonFormat bool) slog.Attr {
+	switch {
+	case a.Key == slog.TimeKey && a.Value.Kind() == slog.KindTime:
+		return slog.String("ts", a.Value.Time().UTC().Format(time.RFC3339Nano))
+	case Redacted(a.Key):
+		switch v := a.Value.Any().(type) {
+		case string:
+			return slog.String(a.Key, fmt.Sprintf("[REDACTED %d bytes]", len(v)))
+		case []byte:
+			return slog.String(a.Key, fmt.Sprintf("[REDACTED %d bytes]", len(v)))
 		}
-		out = append(out, field{key: key, val: redact(key, val)})
+		return slog.String(a.Key, "[REDACTED]")
+	case !jsonFormat:
+		return a
+	case a.Value.Kind() == slog.KindDuration:
+		return slog.String(a.Key, a.Value.Duration().String())
+	case a.Value.Kind() == slog.KindAny:
+		switch v := a.Value.Any().(type) {
+		case error, json.Marshaler:
+		case fmt.Stringer:
+			return slog.String(a.Key, v.String())
+		}
 	}
-	return out
+	return a
 }
 
-func renderText(lv Level, msg string, fields []field, noTime bool) string {
-	var b strings.Builder
-	if !noTime {
-		b.WriteString("ts=")
-		b.WriteString(time.Now().UTC().Format(time.RFC3339Nano))
-		b.WriteByte(' ')
-	}
-	b.WriteString("level=")
-	b.WriteString(lv.String())
-	b.WriteString(" msg=")
-	b.WriteString(strconv.Quote(msg))
-	for _, f := range fields {
-		b.WriteByte(' ')
-		b.WriteString(f.key)
-		b.WriteByte('=')
-		b.WriteString(textValue(f.val))
-	}
-	return b.String()
-}
+// discardHandler is never enabled, so a record logged through it is
+// never built.
+type discardHandler struct{}
 
-// textValue renders a value, quoting when the plain form would be
-// ambiguous in key=value output.
-func textValue(v any) string {
-	s := fmt.Sprint(v)
-	if s == "" || strings.ContainsAny(s, " \t\n\"=") {
-		return strconv.Quote(s)
-	}
-	return s
-}
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
-func renderJSON(lv Level, msg string, fields []field, noTime bool) string {
-	var b strings.Builder
-	b.WriteByte('{')
-	if !noTime {
-		b.WriteString(`"ts":`)
-		b.WriteString(strconv.Quote(time.Now().UTC().Format(time.RFC3339Nano)))
-		b.WriteByte(',')
-	}
-	b.WriteString(`"level":`)
-	b.WriteString(strconv.Quote(lv.String()))
-	b.WriteString(`,"msg":`)
-	b.WriteString(strconv.Quote(msg))
-	for _, f := range fields {
-		b.WriteByte(',')
-		b.WriteString(strconv.Quote(f.key))
-		b.WriteByte(':')
-		b.Write(jsonValue(f.val))
-	}
-	b.WriteByte('}')
-	return b.String()
-}
+var discard = slog.New(discardHandler{})
 
-// jsonValue marshals a field value. Errors and Stringers (UUIDs,
-// durations, entity IDs) render as their string form — matching the
-// text format, and keeping byte-array-backed IDs readable — with a
-// fallback to fmt.Sprint for unmarshalable types (channels, NaN
-// floats). Types with their own JSON marshaling keep it.
-func jsonValue(v any) []byte {
-	switch tv := v.(type) {
-	case error:
-		v = tv.Error()
-	case json.Marshaler:
-		// keep the custom representation
-	case fmt.Stringer:
-		v = tv.String()
-	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		data, _ = json.Marshal(fmt.Sprint(v))
-	}
-	return data
-}
-
-// Logf adapts the logger back to the legacy func(format, args...) shape
-// still accepted by older Config fields; lines are logged at Info.
-// A nil logger yields a nil callback, preserving "nil silences" checks.
-func (l *Logger) Logf() func(format string, args ...any) {
+// OrDiscard returns l, or the shared silent logger when l is nil: how
+// every holder keeps "a nil logger means silent".
+func OrDiscard(l *slog.Logger) *slog.Logger {
 	if l == nil {
-		return nil
+		return discard
 	}
-	return func(format string, args ...any) {
-		l.Info(fmt.Sprintf(format, args...))
-	}
+	return l
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"context"
+	"log/slog"
 	"sync"
 	"time"
 )
@@ -17,9 +19,9 @@ const logLimiterMaxKeys = 4096
 // reconnect storm or a flood of rejected traces costs one line per
 // second per peer instead of one per event, without hiding how big the
 // storm was. A nil limiter is a silent no-op, and a limiter over a nil
-// logger inherits the Logger's nil-safety.
+// logger counts but writes nowhere.
 type LogLimiter struct {
-	log      *Logger
+	log      *slog.Logger
 	interval time.Duration
 	now      func() time.Time
 
@@ -33,16 +35,16 @@ type limitState struct {
 }
 
 // NewLogLimiter builds a limiter over log admitting one line per key
-// per interval (non-positive selects one second). now may be nil (wall
-// clock).
-func NewLogLimiter(log *Logger, interval time.Duration, now func() time.Time) *LogLimiter {
+// per interval (non-positive selects one second). log and now may be
+// nil (silent; wall clock).
+func NewLogLimiter(log *slog.Logger, interval time.Duration, now func() time.Time) *LogLimiter {
 	if interval <= 0 {
 		interval = time.Second
 	}
 	if now == nil {
 		now = time.Now
 	}
-	return &LogLimiter{log: log, interval: interval, now: now, state: make(map[string]*limitState)}
+	return &LogLimiter{log: OrDiscard(log), interval: interval, now: now, state: make(map[string]*limitState)}
 }
 
 // admit reports whether a line for key may log now and, when it may,
@@ -78,21 +80,16 @@ func (l *LogLimiter) admit(key string) (ok bool, suppressed int) {
 // Warn logs msg at warn level, rate-limited per key; a `suppressed`
 // keyval reports lines dropped since the key's last admitted line.
 func (l *LogLimiter) Warn(key, msg string, keyvals ...any) {
-	if l == nil {
-		return
-	}
-	ok, suppressed := l.admit(key)
-	if !ok {
-		return
-	}
-	if suppressed > 0 {
-		keyvals = append(keyvals, "suppressed", suppressed)
-	}
-	l.log.Warn(msg, keyvals...)
+	l.emit(slog.LevelWarn, key, msg, keyvals)
 }
 
 // Info logs msg at info level, rate-limited per key, like Warn.
 func (l *LogLimiter) Info(key, msg string, keyvals ...any) {
+	l.emit(slog.LevelInfo, key, msg, keyvals)
+}
+
+// emit logs msg at level unless key's limit swallows it.
+func (l *LogLimiter) emit(level slog.Level, key, msg string, keyvals []any) {
 	if l == nil {
 		return
 	}
@@ -103,5 +100,5 @@ func (l *LogLimiter) Info(key, msg string, keyvals ...any) {
 	if suppressed > 0 {
 		keyvals = append(keyvals, "suppressed", suppressed)
 	}
-	l.log.Info(msg, keyvals...)
+	l.log.Log(context.Background(), level, msg, keyvals...)
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func (c *fakeClock) advance(d time.Duration) {
 func TestLogLimiterSuppression(t *testing.T) {
 	var buf strings.Builder
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	lim := NewLogLimiter(NewLogger(&buf, LevelInfo, false), time.Second, clk.now)
+	lim := NewLogLimiter(NewLogger(&buf, slog.LevelInfo, false), time.Second, clk.now)
 
 	// First line per key admits.
 	lim.Warn("peer-a", "boom", "n", 1)
@@ -80,7 +81,7 @@ func TestLogLimiterNilSafety(t *testing.T) {
 func TestLogLimiterKeyCap(t *testing.T) {
 	var buf strings.Builder
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	lim := NewLogLimiter(NewLogger(&buf, LevelWarn, false), time.Second, clk.now)
+	lim := NewLogLimiter(NewLogger(&buf, slog.LevelWarn, false), time.Second, clk.now)
 	for i := 0; i < logLimiterMaxKeys; i++ {
 		lim.state[string(rune('a'))+time.Duration(i).String()] = &limitState{last: clk.now()}
 	}

@@ -1,7 +1,8 @@
 // Package obs is the always-on observability layer: a lock-cheap metrics
-// registry (atomic counters, gauges, fixed-bucket latency histograms), a
-// leveled structured logger with secret redaction, and HTTP exposure for
-// daemons (/metrics, /healthz, /debug/pprof). Every hot-path component
+// registry (atomic counters, gauges, fixed-bucket latency histograms),
+// the output contract of the log/slog loggers every component logs
+// through (a ts key, secret redaction), and HTTP exposure for daemons
+// (/metrics, /healthz, /debug/pprof). Every hot-path component
 // (transport, broker routing, envelope crypto, the trace manager) reports
 // into the package-level Default registry so a single endpoint can
 // reconstruct the paper's per-hop cost breakdown (§5) on a live system.

@@ -2,7 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
+	"log/slog"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -172,10 +172,8 @@ func TestWithLabelAndBaseName(t *testing.T) {
 }
 
 func TestLoggerRedaction(t *testing.T) {
-	var lines []string
-	l := NewCallbackLogger(LevelDebug, func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
+	var sb strings.Builder
+	l := NewLogger(&sb, slog.LevelDebug, false)
 	secret := "super-secret-value"
 	l.Info("registered",
 		"entity", "svc-1",
@@ -185,7 +183,7 @@ func TestLoggerRedaction(t *testing.T) {
 		"signature", secret,
 		"credential", secret,
 	)
-	out := strings.Join(lines, "\n")
+	out := sb.String()
 	if strings.Contains(out, secret) {
 		t.Fatalf("secret value leaked into log output: %q", out)
 	}
@@ -194,6 +192,20 @@ func TestLoggerRedaction(t *testing.T) {
 	}
 	if !strings.Contains(out, "[REDACTED 18 bytes]") {
 		t.Fatalf("redaction placeholder missing: %q", out)
+	}
+}
+
+// TestLoggerWithRedaction: a secret attached with With is redacted like
+// one passed per record, in both formats.
+func TestLoggerWithRedaction(t *testing.T) {
+	secret := "super-secret-value"
+	for _, jsonFormat := range []bool{false, true} {
+		var sb strings.Builder
+		NewLogger(&sb, slog.LevelDebug, jsonFormat).With("session_key", []byte(secret), "entity", "svc-1").Info("rekeyed")
+		out := sb.String()
+		if strings.Contains(out, secret) || !strings.Contains(out, "[REDACTED 18 bytes]") || !strings.Contains(out, "svc-1") {
+			t.Fatalf("json=%v: With attr not redacted: %q", jsonFormat, out)
+		}
 	}
 }
 
@@ -212,7 +224,7 @@ func TestRedactedKeys(t *testing.T) {
 
 func TestLoggerTextFormat(t *testing.T) {
 	var sb strings.Builder
-	l := NewLogger(&sb, LevelInfo, false)
+	l := NewLogger(&sb, slog.LevelInfo, false)
 	l.Debug("hidden")
 	l.With("broker", "b-1").Warn("link lost", "peer", "10.0.0.1:7100", "detail", "reset by peer")
 	out := sb.String()
@@ -228,7 +240,7 @@ func TestLoggerTextFormat(t *testing.T) {
 
 func TestLoggerJSONFormat(t *testing.T) {
 	var sb strings.Builder
-	l := NewLogger(&sb, LevelDebug, true)
+	l := NewLogger(&sb, slog.LevelDebug, true)
 	l.Info("registered", "entity", "svc-1", "sessions", 3, "token", "abc")
 	var rec map[string]any
 	if err := json.Unmarshal([]byte(sb.String()), &rec); err != nil {
@@ -250,7 +262,7 @@ func TestLoggerJSONFormat(t *testing.T) {
 // in JSON mode, matching the text format, instead of as number arrays.
 func TestLoggerJSONStringer(t *testing.T) {
 	var sb strings.Builder
-	l := NewLogger(&sb, LevelDebug, true)
+	l := NewLogger(&sb, slog.LevelDebug, true)
 	l.Info("ping", "rtt", 1500*time.Microsecond)
 	var rec map[string]any
 	if err := json.Unmarshal([]byte(sb.String()), &rec); err != nil {
@@ -258,43 +270,6 @@ func TestLoggerJSONStringer(t *testing.T) {
 	}
 	if rec["rtt"] != "1.5ms" {
 		t.Fatalf("Stringer rendered as %v, want \"1.5ms\"", rec["rtt"])
-	}
-}
-
-func TestNilLoggerIsSilent(t *testing.T) {
-	var l *Logger
-	l.Info("nothing")                    // must not panic
-	l.With("k", "v").Error("still fine") // nil propagates through With
-	if l.Enabled(LevelError) {
-		t.Fatal("nil logger reports enabled")
-	}
-	if l.Logf() != nil {
-		t.Fatal("nil logger should yield a nil Logf callback")
-	}
-	if NewCallbackLogger(LevelDebug, nil) != nil {
-		t.Fatal("nil callback should yield a nil logger")
-	}
-}
-
-func TestLoggerMissingValue(t *testing.T) {
-	var sb strings.Builder
-	l := NewLogger(&sb, LevelDebug, false)
-	l.Info("odd", "orphan")
-	if !strings.Contains(sb.String(), `orphan=(MISSING)`) {
-		t.Fatalf("missing-value marker absent: %q", sb.String())
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	cases := map[string]Level{
-		"debug": LevelDebug, "DEBUG": LevelDebug,
-		"info": LevelInfo, "warn": LevelWarn, "warning": LevelWarn,
-		"error": LevelError, "bogus": LevelInfo, "": LevelInfo,
-	}
-	for in, want := range cases {
-		if got := ParseLevel(in); got != want {
-			t.Errorf("ParseLevel(%q) = %v, want %v", in, got, want)
-		}
 	}
 }
 
@@ -375,14 +350,5 @@ func TestAdminMuxHealthz(t *testing.T) {
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
 	if rec.Code != 200 {
 		t.Fatalf("pprof index status = %d", rec.Code)
-	}
-}
-
-func TestLogfAdapter(t *testing.T) {
-	var sb strings.Builder
-	l := NewLogger(&sb, LevelDebug, false)
-	l.Logf()("hello %d", 42)
-	if !strings.Contains(sb.String(), `msg="hello 42"`) {
-		t.Fatalf("Logf adapter output: %q", sb.String())
 	}
 }

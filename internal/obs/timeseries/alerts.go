@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"fmt"
+	"log/slog"
 	"strconv"
 	"strings"
 	"time"
@@ -226,17 +227,14 @@ type Engine struct {
 	store  *Store
 	rules  []Rule
 	states []ruleState
-	log    *obs.Logger
+	log    *slog.Logger
 }
 
 // NewEngine builds an engine over store with rules; log (nil-safe)
 // receives one structured line per edge.
-func NewEngine(store *Store, rules []Rule, log *obs.Logger) *Engine {
-	return &Engine{store: store, rules: rules, states: make([]ruleState, len(rules)), log: log}
+func NewEngine(store *Store, rules []Rule, log *slog.Logger) *Engine {
+	return &Engine{store: store, rules: rules, states: make([]ruleState, len(rules)), log: obs.OrDiscard(log)}
 }
-
-// Rules returns the engine's rule set.
-func (e *Engine) Rules() []Rule { return e.rules }
 
 // Eval evaluates every rule at nowNanos and returns the edges: one
 // Alert per rule that fired or cleared this evaluation.

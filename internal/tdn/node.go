@@ -3,6 +3,7 @@ package tdn
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"time"
@@ -89,7 +90,7 @@ type Node struct {
 	signer   *secure.Signer
 	verifier *credential.Verifier
 	now      func() time.Time
-	log      *obs.Logger
+	log      *slog.Logger
 
 	mu         sync.RWMutex
 	byID       map[ident.UUID]*Advertisement
@@ -119,6 +120,7 @@ func NewNode(id *credential.Identity, verifier *credential.Verifier) (*Node, err
 		signer:   signer,
 		verifier: verifier,
 		now:      time.Now,
+		log:      obs.OrDiscard(nil), // silent until SetLogger
 		byID:     make(map[ident.UUID]*Advertisement),
 	}, nil
 }
@@ -128,7 +130,7 @@ func (n *Node) SetTimeFunc(f func() time.Time) { n.now = f }
 
 // SetLogger installs a structured logger for creation, replication and
 // discovery diagnostics; nil (the default) silences them.
-func (n *Node) SetLogger(l *obs.Logger) { n.log = l.With("tdn", n.name) }
+func (n *Node) SetLogger(l *slog.Logger) { n.log = obs.OrDiscard(l).With("tdn", n.name) }
 
 // Name returns the TDN's name.
 func (n *Node) Name() string { return n.name }
