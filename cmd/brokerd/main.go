@@ -47,7 +47,6 @@ var (
 	linkRetryMax  = flag.Duration("link-retry-max", 30*time.Second, "redial delay ceiling for the -connect persistent link")
 	dirAddr       = flag.String("dir", "", "broker directory to register with (optional)")
 	fabricOn      = flag.Bool("fabric", false, "join the sharded broker fabric: gossip membership, consistent-hash trace-topic ownership, auto-dialed links (PROTOCOL.md §3.9); peers are discovered via -dir and gossip, no -connect wiring needed")
-	vnodes        = flag.Int("vnodes", 0, "virtual nodes per fabric member on the hash ring (0 keeps the default)")
 	gossipEvery   = flag.Duration("gossip-interval", 500*time.Millisecond, "fabric gossip/heartbeat period")
 	failAfter     = flag.Duration("fail-after", 0, "declare a fabric member failed after this heartbeat silence (0 means 5x -gossip-interval)")
 	adminAddr     = flag.String("admin", "", "HTTP admin endpoint (e.g. 127.0.0.1:7190) serving /metrics, /healthz, /trace, /avail, /timeseries and /debug/pprof")
@@ -71,7 +70,7 @@ var (
 	flapWindow    = flag.Duration("flap-window", 0, "window for -flap-transitions (0 keeps the default of 1m)")
 	flapHold      = flag.Duration("flap-hold", 0, "quiet hold-down before a FLAPPING entity settles (0 keeps the default of 30s)")
 	logDir        = flag.String("log-dir", "", "durable trace-log directory; enables persist-before-fan-out and ack'd replay of constrained trace topics (empty disables durability)")
-	logRetention  = flag.Duration("log-retention", 24*time.Hour, "how long sealed durable-log segments are retained (0 keeps them until -log-segment-bytes pressure)")
+	logRetention  = flag.Duration("log-retention", 24*time.Hour, "how long sealed durable-log segments are retained (0 keeps them forever)")
 	logSegBytes   = flag.Int64("log-segment-bytes", 8<<20, "durable-log segment roll size in bytes")
 	logFsync      = flag.String("log-fsync", "batch", "durable-log fsync policy: batch (group commit), always (per append), or never (page cache only)")
 	metricsDump   = flag.Bool("metrics", false, "dump process metrics (counters, histograms) to stdout at exit")
@@ -89,7 +88,7 @@ var flagNeeds = []struct {
 	flags    []string
 }{
 	{"log-dir", false, []string{"log-fsync", "log-retention", "log-segment-bytes"}},
-	{"fabric", false, []string{"vnodes", "gossip-interval", "fail-after"}},
+	{"fabric", false, []string{"gossip-interval", "fail-after"}},
 	// A fabric dials its own links, named by broker; -connect would add an
 	// address-named second link to the same peer.
 	{"fabric", true, []string{"connect"}},
@@ -272,7 +271,6 @@ func main() {
 		cfg.Fabric = &fabric.Config{
 			TransportName:  *transportName,
 			Dir:            dirClient,
-			VNodes:         *vnodes,
 			GossipInterval: *gossipEvery,
 			FailAfter:      *failAfter,
 		}
@@ -288,7 +286,7 @@ func main() {
 	}
 	fmt.Printf("brokerd: %s serving on %s (%s)\n", brokerName, n.Addr, *transportName)
 	if n.Fabric != nil {
-		fmt.Printf("brokerd: %s joined fabric (vnodes=%d, gossip=%s)\n", brokerName, *vnodes, *gossipEvery)
+		fmt.Printf("brokerd: %s joined fabric (gossip=%s)\n", brokerName, *gossipEvery)
 	}
 	if *adminAddr != "" {
 		go serveAdmin(*adminAddr, brokerName, n, tokenCache)

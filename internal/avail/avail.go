@@ -118,17 +118,19 @@ type Event struct {
 	At time.Time
 }
 
+// The ledger's memory bounds: closed up/down intervals retained per
+// entity, and tracked entities (observations about further entities are
+// dropped and counted).
+const (
+	maxIntervals = 512
+	maxEntities  = 4096
+)
+
 // Config tunes a Ledger. The zero value is usable: real clock, the
-// 5m/1h/24h windows, and the default flap and bound parameters.
+// 5m/1h/24h windows, and the default flap parameters.
 type Config struct {
 	// Clock drives all ledger time; nil selects clock.Real.
 	Clock clock.Clock
-	// MaxIntervals bounds the closed up/down intervals retained per
-	// entity (the ledger's memory bound); zero selects 512.
-	MaxIntervals int
-	// MaxEntities bounds tracked entities; observations about further
-	// entities are dropped (and counted). Zero selects 4096.
-	MaxEntities int
 	// FlapTransitions is the N in "N up<->down transitions within
 	// FlapWindow mean FLAPPING"; zero selects 5.
 	FlapTransitions int
@@ -228,12 +230,6 @@ func New(cfg Config) *Ledger {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	if cfg.MaxIntervals <= 0 {
-		cfg.MaxIntervals = 512
-	}
-	if cfg.MaxEntities <= 0 {
-		cfg.MaxEntities = 4096
-	}
 	if cfg.FlapTransitions <= 0 {
 		cfg.FlapTransitions = 5
 	}
@@ -269,11 +265,11 @@ func (l *Ledger) record(entity string) *record {
 	if rec = l.records[entity]; rec != nil {
 		return rec
 	}
-	if len(l.records) >= l.cfg.MaxEntities {
+	if len(l.records) >= maxEntities {
 		return nil
 	}
 	rec = &record{
-		ivals: make([]interval, l.cfg.MaxIntervals),
+		ivals: make([]interval, maxIntervals),
 		flips: make([]int64, l.cfg.FlapTransitions),
 	}
 	if l.cfg.DefaultSLO.Target > 0 {

@@ -1,6 +1,7 @@
 package avail
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"net/http/httptest"
@@ -389,13 +390,17 @@ func TestSetSLOPerEntity(t *testing.T) {
 	}
 }
 
-// TestIntervalRingBound: with a tiny ring the ledger keeps working and
-// window math never claims coverage it pruned.
+// TestIntervalRingBound: past its interval bound the ledger keeps
+// working and window math never claims coverage it pruned. Four rings'
+// worth of 100ms intervals span 204.8s of the 5m window, of which the
+// ring retains the last 51.2s: counting the pruned 153.6s as observed
+// would read about 0.12 uptime instead of 0.5.
 func TestIntervalRingBound(t *testing.T) {
-	l, fc, _ := fixture(t, func(c *Config) { c.MaxIntervals = 4 })
+	l, fc, _ := fixture(t, nil)
+	const n = 4 * maxIntervals
 	observe(l, "e", KindUp)
-	for i := 0; i < 20; i++ {
-		fc.Advance(10 * time.Second)
+	for i := 0; i < n; i++ {
+		fc.Advance(100 * time.Millisecond)
 		if i%2 == 0 {
 			observe(l, "e", KindDown)
 		} else {
@@ -403,15 +408,15 @@ func TestIntervalRingBound(t *testing.T) {
 		}
 	}
 	r := row(t, l, "e")
-	if r.Transitions != 20 {
-		t.Fatalf("transitions = %d, want 20", r.Transitions)
+	if r.Transitions != n {
+		t.Fatalf("transitions = %d, want %d", r.Transitions, n)
 	}
-	// Alternating 10s up/10s down forever: the retained window must
-	// still show roughly half uptime.
+	// Alternating 100ms up/100ms down: the retained window must still
+	// show roughly half uptime.
 	approx(t, "uptime5m (pruned)", r.Uptime5m, 0.5, 0.2)
-	// Cumulative downtime uses accumulators, not the ring: 10 outages.
-	if got := time.Duration(r.DowntimeNanos); got < 90*time.Second {
-		t.Fatalf("cumulative downtime = %v, want ~100s", got)
+	// Cumulative downtime uses accumulators, not the ring: n/2 outages.
+	if got, want := time.Duration(r.DowntimeNanos), n/2*100*time.Millisecond; got < want*9/10 {
+		t.Fatalf("cumulative downtime = %v, want ~%v", got, want)
 	}
 }
 
@@ -419,21 +424,22 @@ func TestIntervalRingBound(t *testing.T) {
 // entity bound.
 func TestMaxEntities(t *testing.T) {
 	reg := obs.NewRegistry()
-	l, _, _ := fixture(t, func(c *Config) {
-		c.MaxEntities = 2
-		c.Registry = reg
-	})
-	observe(l, "a", KindUp)
-	observe(l, "b", KindUp)
-	observe(l, "c", KindUp)
-	if _, ok := l.State("c"); ok {
+	l, _, _ := fixture(t, func(c *Config) { c.Registry = reg })
+	for i := 0; i < maxEntities; i++ {
+		observe(l, fmt.Sprintf("e%d", i), KindUp)
+	}
+	observe(l, "past", KindUp)
+	if _, ok := l.State("past"); ok {
 		t.Fatal("entity past the bound was tracked")
+	}
+	if _, ok := l.State("e0"); !ok {
+		t.Fatal("entity inside the bound was not tracked")
 	}
 	if got := reg.Counter("avail_observations_dropped_total").Value(); got != 1 {
 		t.Fatalf("dropped counter = %d, want 1", got)
 	}
-	if got := len(l.Digest("x").Rows); got != 2 {
-		t.Fatalf("digest rows = %d, want 2", got)
+	if got := len(l.Digest("x").Rows); got != maxEntities {
+		t.Fatalf("digest rows = %d, want %d", got, maxEntities)
 	}
 }
 

@@ -84,15 +84,6 @@ type Config struct {
 	// plain violation weighs 1; throttled publishes weigh less. Zero
 	// means DefaultViolationLimit.
 	ViolationLimit int
-	// ViolationHalfLife is the half-life of each peer's violation score:
-	// the accumulated score halves every such interval, so sporadic
-	// legitimate failures never add up to an unjust disconnect. Zero
-	// means DefaultViolationHalfLife; negative disables decay (the
-	// seed's monotonic-counter behaviour).
-	ViolationHalfLife time.Duration
-	// DedupeWindow is the number of recently seen message IDs remembered
-	// for duplicate suppression. Zero means DefaultDedupeWindow.
-	DedupeWindow int
 	// EgressQueue bounds each peer's outbound data queue (frames). When
 	// the queue is full the oldest data frame is shed to admit the new
 	// one; control frames have their own priority lane and are never
@@ -137,30 +128,30 @@ type Config struct {
 	// redial backoff. Nil means the real clock. Tests inject clock.Fake
 	// to step schedules.
 	Clock clock.Clock
-	// Durable, when non-nil, persists envelopes on selected topics to
-	// the append-only tamper-evident log before fan-out, and enables
+	// Durable, when non-nil, persists envelopes on the per-trace-topic
+	// derivative class topics (topic.IsTraceDerivative) to the
+	// append-only tamper-evident log before fan-out, and enables
 	// REPLAY/ACK cursor serving (PROTOCOL.md §3.8). The broker does not
 	// own the store: the caller opens it (recovery happens there) and
 	// closes it after the broker.
 	Durable *durable.Store
-	// DurablePersist overrides the persistence predicate: which topics
-	// append to the durable log. Nil selects the per-trace-topic
-	// derivative class topics (topic.IsTraceDerivative).
-	DurablePersist func(tp topic.Topic) bool
-	// Redeliver paces per-cursor retransmission when a replay
-	// subscriber stops acking. Zero Initial selects the package
-	// default (250ms initial, 5s cap).
-	Redeliver backoff.Config
 }
 
 // Defaults for Config zero values.
 const (
 	DefaultViolationLimit       = 8
-	DefaultViolationHalfLife    = 30 * time.Second
-	DefaultDedupeWindow         = 8192
 	DefaultEgressQueue          = 512
 	DefaultSlowConsumerDeadline = 3 * time.Second
 	DefaultQuarantineDuration   = 30 * time.Second
+)
+
+// DefaultViolationHalfLife is the half-life of each peer's violation
+// score, so sporadic legitimate failures never add up to an unjust
+// disconnect; DefaultDedupeWindow is the number of recently seen message
+// IDs duplicate suppression remembers.
+const (
+	DefaultViolationHalfLife = 30 * time.Second
+	DefaultDedupeWindow      = 8192
 )
 
 // throttleViolationWeight is how much one rate-limited publish adds to
@@ -280,12 +271,6 @@ func New(cfg Config) *Broker {
 	if cfg.ViolationLimit <= 0 {
 		cfg.ViolationLimit = DefaultViolationLimit
 	}
-	if cfg.ViolationHalfLife == 0 {
-		cfg.ViolationHalfLife = DefaultViolationHalfLife
-	}
-	if cfg.DedupeWindow <= 0 {
-		cfg.DedupeWindow = DefaultDedupeWindow
-	}
 	if cfg.EgressQueue <= 0 {
 		cfg.EgressQueue = DefaultEgressQueue
 	}
@@ -318,7 +303,7 @@ func New(cfg Config) *Broker {
 		links:     make(map[string]*peer),
 		linkDials: make(map[string]chan struct{}),
 		pending:   make(map[transport.Conn]struct{}),
-		seen:      newSeenSet(cfg.DedupeWindow),
+		seen:      newSeenSet(DefaultDedupeWindow),
 		quar:      newQuarantine(),
 		done:      make(chan struct{}),
 	}
@@ -759,7 +744,7 @@ func (b *Broker) punishWeighted(p *peer, weight float64, err error) {
 	} else {
 		b.log.Debug("violation", "peer", p.name, "weight", weight, "err", err)
 	}
-	score := p.score.add(b.clk.Now(), weight, b.cfg.ViolationHalfLife)
+	score := p.score.add(b.clk.Now(), weight)
 	if score >= float64(b.cfg.ViolationLimit) {
 		b.evictPeer(p, ReasonDoS, err.Error())
 	}
@@ -1155,7 +1140,7 @@ func (b *Broker) publish(from *peer, batch []inbound, replay bool) (rejected err
 			in.env = nil
 			continue
 		}
-		pl.persist = pl.persist && b.cfg.Durable != nil && b.persistable(in.env.Topic)
+		pl.persist = pl.persist && b.cfg.Durable != nil && topic.IsTraceDerivative(in.env.Topic)
 		in.plan = pl
 	}
 	// The persisted bytes are the original wire encoding; only a local

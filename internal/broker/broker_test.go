@@ -628,7 +628,7 @@ func TestRoutingOverTCPAndUDP(t *testing.T) {
 // as new again (acceptable: TTL and topology bound actual loops).
 func TestDedupeWindowEviction(t *testing.T) {
 	tr := transport.NewInproc()
-	b, addr := newTestBroker(t, tr, Config{DedupeWindow: 8})
+	b, addr := newTestBroker(t, tr, Config{})
 	pub, _ := Connect(tr, addr, "p")
 	defer pub.Close()
 	sub, _ := Connect(tr, addr, "s")
@@ -641,8 +641,8 @@ func TestDedupeWindowEviction(t *testing.T) {
 	first := message.New(message.TypeData, tp, "p", []byte("first"))
 	_ = pub.Publish(first)
 	recvEnvelope(t, got, "first delivery")
-	// Push 8 more unique IDs through to evict the first.
-	for i := 0; i < 8; i++ {
+	// Push a window's worth of unique IDs through to evict the first.
+	for i := 0; i < DefaultDedupeWindow; i++ {
 		_ = pub.Publish(message.New(message.TypeData, tp, "p", []byte("filler")))
 		recvEnvelope(t, got, "filler delivery")
 	}

@@ -37,24 +37,14 @@ const (
 	replayBatchBytes   = 256 << 10
 )
 
-// Default redelivery pacing when Config.Redeliver is zero: first
-// retransmit after 250ms without ack progress, backing off to 5s.
-var defaultRedeliver = backoff.Config{
+// redeliver paces per-cursor retransmission when a replay subscriber
+// stops acking: first retransmit after 250ms without ack progress,
+// backing off to 5s.
+var redeliver = backoff.Config{
 	Initial: 250 * time.Millisecond,
 	Max:     5 * time.Second,
 	Factor:  2,
 	Jitter:  0.2,
-}
-
-// persistable reports whether envelopes on tp are appended to the
-// durable log before fan-out. The default predicate selects the
-// per-trace-topic derivative class topics (Table 2) — the streams the
-// availability ledger is built from.
-func (b *Broker) persistable(tp topic.Topic) bool {
-	if b.cfg.DurablePersist != nil {
-		return b.cfg.DurablePersist(tp)
-	}
-	return topic.IsTraceDerivative(tp)
 }
 
 // replayCursor is the per-(peer,topic) at-least-once delivery state: a
@@ -80,14 +70,10 @@ type replayCursor struct {
 }
 
 func (b *Broker) newReplayCursor(p *peer, ts string, lg *durable.Log, since uint64) *replayCursor {
-	cfg := b.cfg.Redeliver
-	if cfg.Initial <= 0 {
-		cfg = defaultRedeliver
-	}
 	return &replayCursor{
 		b: b, p: p, ts: ts, lg: lg,
 		acked: since, sent: since,
-		pol:  backoff.New(cfg),
+		pol:  backoff.New(redeliver),
 		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 	}
@@ -283,7 +269,7 @@ func (b *Broker) handleReplay(p *peer, c *control) {
 		b.punish(p, err)
 		return
 	}
-	if !b.persistable(tp) {
+	if !topic.IsTraceDerivative(tp) {
 		b.deny(p, c.ID, "topic not durable")
 		return
 	}

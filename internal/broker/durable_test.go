@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"entitytrace/internal/backoff"
 	"entitytrace/internal/clock"
 	"entitytrace/internal/durable"
 	"entitytrace/internal/ident"
@@ -19,24 +18,25 @@ import (
 	"entitytrace/internal/transport"
 )
 
-// newDurableBroker starts a broker with a disk-backed durable store and
-// fast redelivery pacing for the tests that provoke rewinds.
-func newDurableBroker(t *testing.T, tr transport.Transport) (*Broker, string, *durable.Store) {
+// newDurableBroker starts a broker with a disk-backed durable store on a
+// fake clock: its replay pumps rewind only when the test steps the
+// clock past their redelivery deadlines.
+func newDurableBroker(t *testing.T, tr transport.Transport) (*Broker, string, *durable.Store, *clock.Fake) {
 	t.Helper()
 	store, err := durable.Open(t.TempDir(), durable.Options{Fsync: durable.FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, addr := newTestBroker(t, tr, Config{
-		Name:    "durable-broker",
-		Durable: store,
-		Redeliver: backoff.Config{
-			Initial: 30 * time.Millisecond, Max: 100 * time.Millisecond, Factor: 2, Jitter: 0,
-		},
-	})
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
+	b, addr := newTestBroker(t, tr, Config{Name: "durable-broker", Durable: store, Clock: clk})
 	t.Cleanup(store.Close)
-	return b, addr, store
+	return b, addr, store, clk
 }
+
+// maxRedeliverDelay is the longest delay the redelivery schedule can
+// draw: its cap at full jitter. One clock step this long passes any
+// pending deadline.
+var maxRedeliverDelay = time.Duration(float64(redeliver.Max) * (1 + redeliver.Jitter))
 
 func traceEnv(tp topic.Topic, n byte) *message.Envelope {
 	return message.New(message.TraceAllsWell, tp, "traced-entity", bytes.Repeat([]byte{n}, 16))
@@ -44,7 +44,7 @@ func traceEnv(tp topic.Topic, n byte) *message.Envelope {
 
 func TestDurablePublishPersistsTraceTopics(t *testing.T) {
 	tr := transport.NewInproc()
-	b, _, store := newDurableBroker(t, tr)
+	b, _, store, _ := newDurableBroker(t, tr)
 	durableTopic := topic.AllUpdates(ident.NewUUID())
 	plain := topic.MustParse("/plain/topic")
 	for i := 0; i < 3; i++ {
@@ -104,7 +104,7 @@ func (s *durableSink) snapshot() ([]uint64, int) {
 
 func TestReplayCatchUpThenLive(t *testing.T) {
 	tr := transport.NewInproc()
-	b, addr, _ := newDurableBroker(t, tr)
+	b, addr, _, _ := newDurableBroker(t, tr)
 	tp := topic.StateTransitions(ident.NewUUID())
 
 	// Three records persisted before the consumer ever connects.
@@ -163,7 +163,7 @@ func TestReplayCatchUpThenLive(t *testing.T) {
 
 func TestReplayResumeFromCursor(t *testing.T) {
 	tr := transport.NewInproc()
-	b, addr, _ := newDurableBroker(t, tr)
+	b, addr, _, _ := newDurableBroker(t, tr)
 	tp := topic.Load(ident.NewUUID())
 	for i := 0; i < 5; i++ {
 		if err := b.Publish(traceEnv(tp, byte(i))); err != nil {
@@ -195,7 +195,7 @@ func TestReplayResumeFromCursor(t *testing.T) {
 
 func TestRedeliveryOnMissingAck(t *testing.T) {
 	tr := transport.NewInproc()
-	b, addr, _ := newDurableBroker(t, tr)
+	b, addr, _, clk := newDurableBroker(t, tr)
 	tp := topic.ChangeNotifications(ident.NewUUID())
 	if err := b.Publish(traceEnv(tp, 1)); err != nil {
 		t.Fatal(err)
@@ -212,51 +212,50 @@ func TestRedeliveryOnMissingAck(t *testing.T) {
 	if err := c.Replay(tp, 0, sink.durable); err != nil {
 		t.Fatal(err)
 	}
-	// Never ack: the pump must rewind and retransmit offset 1.
-	waitFor(t, "redelivery of unacked record", func() bool {
+	delivered := func() int {
 		offs, _ := sink.snapshot()
-		return len(offs) >= 3
-	})
+		return len(offs)
+	}
+	// Never ack: each step of the broker clock past the pump's deadline
+	// must rewind and retransmit offset 1.
+	for want := 1; ; want++ {
+		waitFor(t, fmt.Sprintf("delivery %d with the pump parked on its deadline", want), func() bool {
+			return delivered() == want && clk.PendingTimers() == 1
+		})
+		if want == 3 {
+			break
+		}
+		clk.Advance(maxRedeliverDelay)
+	}
 	offs, _ := sink.snapshot()
 	for _, off := range offs {
 		if off != 1 {
 			t.Fatalf("redelivered offsets = %v, want all 1", offs)
 		}
 	}
-	if b.Snapshot().Counters["durable_redeliveries_total"] == 0 {
-		t.Fatal("stats show no redeliveries")
+	if r := b.Snapshot().Counters["durable_redeliveries_total"]; r != 2 {
+		t.Fatalf("redeliveries = %d, want 2", r)
 	}
-	// Acking stops the retransmissions.
+	// Acking stops the retransmissions: the pump drops its deadline, so
+	// no step of the clock rewinds it again.
 	if err := c.Ack(tp, 1); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
-	before, _ := sink.snapshot()
-	time.Sleep(250 * time.Millisecond)
-	after, _ := sink.snapshot()
-	if len(after) != len(before) {
-		t.Fatalf("redelivery continued after ack: %d -> %d", len(before), len(after))
+	waitFor(t, "pump parked without a deadline", func() bool { return clk.PendingTimers() == 0 })
+	clk.Advance(10 * maxRedeliverDelay)
+	if n, r := delivered(), b.Snapshot().Counters["durable_redeliveries_total"]; n != 3 || r != 2 {
+		t.Fatalf("after ack: %d deliveries, %d redeliveries, want 3 and 2", n, r)
 	}
 }
 
 // TestRedeliveryFollowsBrokerClock pins the redelivery deadline to the
-// broker's injected clock: with a 30s initial backoff no amount of wall
-// time rewinds the cursor, and the rewind fires exactly once the fake
-// clock passes Redeliver.Initial.
+// broker's injected clock: no amount of wall time rewinds the cursor,
+// the rewind does not fire before the fake clock reaches the first
+// delay's lower jitter bound, and it fires exactly once when the clock
+// passes the upper one.
 func TestRedeliveryFollowsBrokerClock(t *testing.T) {
 	tr := transport.NewInproc()
-	store, err := durable.Open(t.TempDir(), durable.Options{Fsync: durable.FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(store.Close)
-	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
-	b, addr := newTestBroker(t, tr, Config{
-		Name:      "fake-clock-broker",
-		Durable:   store,
-		Clock:     clk,
-		Redeliver: backoff.Config{Initial: 30 * time.Second, Max: time.Minute, Jitter: -1},
-	})
+	b, addr, _, clk := newDurableBroker(t, tr)
 	tp := topic.ChangeNotifications(ident.NewUUID())
 	if err := b.Publish(traceEnv(tp, 1)); err != nil {
 		t.Fatal(err)
@@ -281,12 +280,14 @@ func TestRedeliveryFollowsBrokerClock(t *testing.T) {
 	// Never ack. The pump parks on its deadline timer — a timer of the
 	// fake clock, so real time passing cannot fire it.
 	waitFor(t, "pump parked on its redelivery deadline", func() bool { return clk.PendingTimers() == 1 })
-	clk.Advance(29 * time.Second)
+	lo := time.Duration(float64(redeliver.Initial) * (1 - redeliver.Jitter))
+	hi := time.Duration(float64(redeliver.Initial) * (1 + redeliver.Jitter))
+	clk.Advance(lo - time.Millisecond)
 	time.Sleep(50 * time.Millisecond)
 	if n, r := delivered(), b.Snapshot().Counters["durable_redeliveries_total"]; n != 1 || r != 0 {
-		t.Fatalf("before Redeliver.Initial elapsed: %d deliveries, %d redeliveries, want 1 and 0", n, r)
+		t.Fatalf("before the first redelivery delay elapsed: %d deliveries, %d redeliveries, want 1 and 0", n, r)
 	}
-	clk.Advance(2 * time.Second)
+	clk.Advance(hi - lo + time.Millisecond)
 	waitFor(t, "redelivery once the fake clock passes the deadline", func() bool { return delivered() == 2 })
 	if r := b.Snapshot().Counters["durable_redeliveries_total"]; r != 1 {
 		t.Fatalf("redeliveries = %d, want 1", r)
@@ -371,7 +372,7 @@ func TestReplayDenials(t *testing.T) {
 		t.Fatalf("replay without store: %v, want ErrReplayDenied", err)
 	}
 
-	_, addr, _ := newDurableBroker(t, tr)
+	_, addr, _, _ := newDurableBroker(t, tr)
 	c2, err := Connect(tr, addr, "tracker-b")
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +394,7 @@ func TestReplayDenials(t *testing.T) {
 
 func TestReplayCursorDroppedOnUnsubscribe(t *testing.T) {
 	tr := transport.NewInproc()
-	b, addr, _ := newDurableBroker(t, tr)
+	b, addr, _, _ := newDurableBroker(t, tr)
 	tp := topic.AllUpdates(ident.NewUUID())
 	c, err := Connect(tr, addr, "fickle-tracker")
 	if err != nil {
@@ -455,12 +456,13 @@ func TestReplayAcksAreCumulative(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(store.Close)
+	clk := clock.NewFake(time.Unix(1_700_000_000, 0))
 	b := New(Config{
 		Name:    "cumulative-ack-broker",
 		Durable: store,
-		// Long enough that only a consumer whose acks stall could be
-		// rewound, short enough to be the default's order.
-		Redeliver: backoff.Config{Initial: 2 * time.Second, Max: 5 * time.Second, Factor: 2, Jitter: -1},
+		// A clock the test steps only once the cursor is fully acked: no
+		// redelivery deadline passes while records are in flight.
+		Clock: clk,
 	})
 	l, err := tr.Listen("127.0.0.1:0")
 	if err != nil {
@@ -521,6 +523,10 @@ func TestReplayAcksAreCumulative(t *testing.T) {
 	if acks := mAckCursors.Value() - acksBefore; acks > n/replayBatchRecords+reads {
 		t.Fatalf("%d ACK-CUR frames for %d records in %d drained reads, want at most %d", acks, n, reads, n/replayBatchRecords+reads)
 	}
+	// The full ack retires the pump's deadline, so stepping the clock
+	// past the longest redelivery delay rewinds nothing.
+	waitFor(t, "pump parked without a deadline", func() bool { return clk.PendingTimers() == 0 })
+	clk.Advance(maxRedeliverDelay)
 	if r := b.Snapshot().Counters["durable_redeliveries_total"]; r != 0 {
 		t.Fatalf("redeliveries = %d, want 0", r)
 	}
@@ -645,35 +651,6 @@ func TestReplayAckDeferralIsBounded(t *testing.T) {
 	}
 	if len(got) > n/replayBatchRecords+1 {
 		t.Fatalf("ACK-CURs = %v: more than one per %d records and one at the drained end", got, replayBatchRecords)
-	}
-}
-
-func TestPersistablePredicateOverride(t *testing.T) {
-	tr := transport.NewInproc()
-	store, err := durable.Open(t.TempDir(), durable.Options{Fsync: durable.FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(store.Close)
-	custom := topic.MustParse("/custom/persisted")
-	b, _ := newTestBroker(t, tr, Config{
-		Name:    "custom-persist",
-		Durable: store,
-		DurablePersist: func(tp topic.Topic) bool {
-			return tp.String() == custom.String()
-		},
-	})
-	if err := b.Publish(message.New(message.TypeData, custom, "e", []byte("x"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Publish(traceEnv(topic.AllUpdates(ident.NewUUID()), 1)); err != nil {
-		t.Fatal(err)
-	}
-	if store.Head(custom.String()) != 1 {
-		t.Fatal("override predicate did not persist the custom topic")
-	}
-	if got := len(store.Topics()); got != 1 {
-		t.Fatalf("store has %d topics, want 1 (override replaces default predicate)", got)
 	}
 }
 

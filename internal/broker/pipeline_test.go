@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"entitytrace/internal/clock"
 	"entitytrace/internal/durable"
 	"entitytrace/internal/ident"
 	"entitytrace/internal/message"
@@ -27,13 +28,13 @@ import (
 // sitting in their queues, in order, when the ingress peer's scripted
 // read loop returns.
 
-// stubSharding is a fixed ownership table: every topic under /ledger is
-// sharded, owned by this broker when local is set and by "owner"
-// otherwise.
+// stubSharding is a fixed ownership table: every derivative of the
+// oracle's trace topic is sharded, owned by this broker when local is
+// set and by "owner" otherwise.
 type stubSharding struct{ local bool }
 
 func (s stubSharding) Route(ts string) (owner string, local, sharded bool) {
-	if !strings.HasPrefix(ts, "/ledger/") {
+	if !strings.HasPrefix(ts, oracleRoot) {
 		return "", false, false
 	}
 	if s.local {
@@ -104,9 +105,14 @@ type oracleEnv struct {
 	wire []byte
 }
 
+// The envelope set's topics: two derivatives of one fixed trace topic,
+// which the broker persists and the stub shards, and a plain topic it
+// does neither to.
 var (
-	oracleT1    = topic.MustParse("/ledger/a")
-	oracleT2    = topic.MustParse("/ledger/b")
+	oracleTrace = ident.UUID{15: 1}
+	oracleRoot  = "/Constrained/Traces/Broker/Publish-Only/" + oracleTrace.String() + "/"
+	oracleT1    = topic.AllUpdates(oracleTrace)
+	oracleT2    = topic.StateTransitions(oracleTrace)
 	oraclePlain = topic.MustParse("/plain/x")
 )
 
@@ -206,10 +212,9 @@ func runOracle(t *testing.T, cell oracleCell, framing string, withStore bool, se
 		defer store.Close()
 	}
 	b := New(Config{
-		Name:              "self",
-		ViolationHalfLife: -1, // no decay: scores compare exactly
-		Durable:           store,
-		DurablePersist:    func(tp topic.Topic) bool { return strings.HasPrefix(tp.String(), "/ledger/") },
+		Name:    "self",
+		Clock:   clock.NewFake(time.Unix(1_700_000_000, 0)), // no decay: scores compare exactly
+		Durable: store,
 		Guard: func(env *message.Envelope, _ topic.Principal, _ time.Time, _ bool) error {
 			if string(env.Payload) == "reject" {
 				return errors.New("guard: rejected")
@@ -264,6 +269,10 @@ func runOracle(t *testing.T, cell oracleCell, framing string, withStore bool, se
 			frames = [][]byte{appendBatch(nil, frames)}
 		}
 		ingress := addQuietPeer(b, &scriptConn{frames: frames}, cell.ingress, cell.ingress != "pub")
+		// The set's derivatives are broker-constrained (§3.1), and topic
+		// authorization is not what the oracle varies: the client keeps
+		// its source check but publishes with a broker's rights.
+		ingress.principal = topic.BrokerPrincipal()
 		b.peerLoop(ingress) // returns once the script is exhausted
 		res.Score = ingress.score.current()
 	}

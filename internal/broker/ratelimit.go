@@ -51,12 +51,10 @@ type violationScore struct {
 
 // add decays the score to now, adds weight, and returns the new score.
 // Owner goroutine only.
-func (v *violationScore) add(now time.Time, weight float64, halfLife time.Duration) float64 {
+func (v *violationScore) add(now time.Time, weight float64) float64 {
 	score := math.Float64frombits(v.bits.Load())
-	if !v.at.IsZero() && halfLife > 0 {
-		if dt := now.Sub(v.at); dt > 0 {
-			score *= math.Exp2(-float64(dt) / float64(halfLife))
-		}
+	if dt := now.Sub(v.at); !v.at.IsZero() && dt > 0 {
+		score *= math.Exp2(-float64(dt) / float64(DefaultViolationHalfLife))
 	}
 	v.at = now
 	score += weight

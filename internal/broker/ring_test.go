@@ -66,22 +66,27 @@ func TestUUIDRingMinCapacity(t *testing.T) {
 // the ring: IDs inside the window are duplicates, IDs displaced out of
 // the window are forgotten and admitted again.
 func TestFirstSightingWindow(t *testing.T) {
-	b := New(Config{Name: "ring-test", DedupeWindow: 3})
+	b := New(Config{Name: "ring-test"})
 	defer b.Close()
-	ids := []ident.UUID{ident.NewUUID(), ident.NewUUID(), ident.NewUUID(), ident.NewUUID()}
-	for i, id := range ids[:3] {
+	ids := make([]ident.UUID, DefaultDedupeWindow+1)
+	for i := range ids {
+		ids[i] = ident.NewUUID()
+	}
+	window := ids[:DefaultDedupeWindow]
+	for i, id := range window {
 		if !b.firstSighting(id) {
 			t.Fatalf("id %d reported as duplicate on first sighting", i)
 		}
 	}
-	for i, id := range ids[:3] {
+	for i, id := range window {
 		if b.firstSighting(id) {
 			t.Fatalf("id %d not recognized as duplicate inside window", i)
 		}
 	}
-	// A fourth ID displaces ids[0]; the displaced ID is new again (and
-	// its re-admission displaces ids[1], leaving ids[2] in the window).
-	if !b.firstSighting(ids[3]) {
+	// One ID past the window displaces ids[0]; the displaced ID is new
+	// again (and its re-admission displaces ids[1], leaving ids[2] in the
+	// window).
+	if !b.firstSighting(ids[DefaultDedupeWindow]) {
 		t.Fatal("fresh id reported as duplicate")
 	}
 	if !b.firstSighting(ids[0]) {

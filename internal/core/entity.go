@@ -40,8 +40,6 @@ type EntityConfig struct {
 	Client *broker.Client
 	// Clock drives token renewal and timestamps.
 	Clock clock.Clock
-	// Hash selects the signature digest (default SHA-1, the paper's).
-	Hash secure.Hash
 	// SecureTraces requests §5.1 confidentiality.
 	SecureTraces bool
 	// SymmetricChannel enables the §6.3 signing-cost optimization.
@@ -124,7 +122,7 @@ func StartTracing(cfg EntityConfig) (*TracedEntity, error) {
 	if cfg.RegisterTimeout <= 0 {
 		cfg.RegisterTimeout = 15 * time.Second
 	}
-	signer, err := secure.NewSigner(cfg.Identity.Private, cfg.Hash)
+	signer, err := secure.NewSigner(cfg.Identity.Private, secure.SHA1)
 	if err != nil {
 		return nil, err
 	}

@@ -272,12 +272,6 @@ type GuardConfig struct {
 	// means clock.Real. The verification instant is the caller's: Admit
 	// is handed its broker's ingress reading, and Verify takes now.
 	Clock clock.Clock
-	// Skew is the validity-window tolerance of §4.3. It is normalised
-	// once, here: any value <= 0 selects token.DefaultClockSkew, and the
-	// stages receive the normalised value. (Called directly, the stages
-	// differ: token.Verify reads only a negative skew as the default,
-	// while the cached and session stages apply the skew as given.)
-	Skew time.Duration
 	// Cache memoizes verified tokens so a steady-state RSA trace pays
 	// only its per-message delegate-signature check; nil disables it.
 	Cache *TokenCache
@@ -303,7 +297,6 @@ type Guard struct {
 	resolver AdResolver
 	verifier *credential.Verifier
 	clk      clock.Clock
-	skew     time.Duration
 	cache    *TokenCache
 	flight   *obs.FlightRecorder
 	sessions *SessionStore
@@ -319,16 +312,12 @@ func NewGuard(cfg GuardConfig) *Guard {
 		resolver: cfg.Resolver,
 		verifier: cfg.Verifier,
 		clk:      cfg.Clock,
-		skew:     cfg.Skew,
 		cache:    cfg.Cache,
 		flight:   cfg.Flight,
 		sessions: cfg.Sessions,
 	}
 	if g.clk == nil {
 		g.clk = clock.Real{}
-	}
-	if g.skew <= 0 {
-		g.skew = token.DefaultClockSkew
 	}
 	return g
 }
@@ -361,13 +350,13 @@ const (
 // counts every rejection under its traces_dropped_total reason.
 func (g *Guard) Verify(env *message.Envelope, traceTopic ident.UUID, now time.Time) (outcome string, err error) {
 	if env.Flags&message.FlagSessionTag == 0 {
-		return verifyTraceCachedOutcome(env, traceTopic, g.resolver, g.verifier, now, g.skew, g.cache)
+		return verifyTraceCachedOutcome(env, traceTopic, g.resolver, g.verifier, now, token.DefaultClockSkew, g.cache)
 	}
 	if g.sessions == nil {
 		mDropSessionUnsupported.Inc()
 		return cacheSessionReject, ErrSessionUnsupported
 	}
-	err = VerifyTraceSession(env, traceTopic, g.sessions, now, g.skew)
+	err = VerifyTraceSession(env, traceTopic, g.sessions, now, token.DefaultClockSkew)
 	switch {
 	case err == nil:
 		return cacheSession, nil

@@ -655,7 +655,7 @@ func (s *session) onDelegation(payload []byte) {
 			"err", "delegation for wrong topic/owner")
 		return
 	}
-	if _, err := tok.Verify(s.entityPub, s.tb.clk.Now(), s.tb.cfg.Guard.skew, token.RightPublish); err != nil {
+	if _, err := tok.Verify(s.entityPub, s.tb.clk.Now(), token.DefaultClockSkew, token.RightPublish); err != nil {
 		s.tb.log.Warn("delegation rejected", "session", s.sessionID, "stage", "verify", "err", err)
 		return
 	}

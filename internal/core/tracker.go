@@ -17,7 +17,6 @@ import (
 	"entitytrace/internal/obs"
 	"entitytrace/internal/secure"
 	"entitytrace/internal/tdn"
-	"entitytrace/internal/token"
 	"entitytrace/internal/topic"
 )
 
@@ -203,7 +202,6 @@ func NewTracker(cfg TrackerConfig) (*Tracker, error) {
 		Resolver: tk.cfg.Resolver,
 		Verifier: cfg.Verifier,
 		Clock:    cfg.Clock,
-		Skew:     token.DefaultClockSkew,
 		Sessions: NewSessionStore(0),
 	})
 	tk.guard.OnUnknownSession(tk.requestSessionKey)

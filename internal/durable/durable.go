@@ -12,6 +12,7 @@
 package durable
 
 import (
+	"errors"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -27,9 +28,9 @@ type FsyncPolicy int
 
 const (
 	// FsyncBatch group-commits: a background flusher syncs dirty
-	// active segments every FlushInterval. Appends survive process
-	// death (SIGKILL) as soon as the write syscall returns; a machine
-	// crash can lose at most one flush interval.
+	// active segments every flushInterval (50ms). Appends survive
+	// process death (SIGKILL) as soon as the write syscall returns; a
+	// machine crash can lose at most one flush interval.
 	FsyncBatch FsyncPolicy = iota
 	// FsyncAlways syncs every append before acknowledging it.
 	FsyncAlways
@@ -69,21 +70,10 @@ type Options struct {
 	// turn a high-throughput topic into a disk-latency-bound one.
 	SegmentBytes int64
 	// Retention expires sealed segments whose newest record is older
-	// than this. 0 keeps segments until the size bound evicts them.
+	// than this. 0 keeps segments forever.
 	Retention time.Duration
-	// MaxBytes bounds a topic log's total on-disk size by deleting the
-	// oldest sealed segments. 0 means unbounded.
-	MaxBytes int64
 	// Fsync selects the durability/throughput trade-off.
 	Fsync FsyncPolicy
-	// FlushInterval paces the FsyncBatch group commit; it bounds the
-	// window of appends a power failure can lose under that policy.
-	// Default 50ms: each commit then writes one larger sequential chunk
-	// instead of scattering the disk with sub-writeback-sized syncs
-	// that stall the append path's buffer flushes (the usual WAL
-	// group-commit trade; process crashes are not the concern here —
-	// the kernel still holds every flushed append).
-	FlushInterval time.Duration
 	// Clock stamps records and drives retention; defaults to time.Now.
 	Clock func() time.Time
 }
@@ -92,14 +82,19 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
 	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 50 * time.Millisecond
-	}
 	if o.Clock == nil {
 		o.Clock = time.Now
 	}
 	return o
 }
+
+// flushInterval paces the FsyncBatch group commit; it bounds the window
+// of appends a power failure can lose under that policy. At 50ms each
+// commit writes one larger sequential chunk instead of scattering the
+// disk with sub-writeback-sized syncs that stall the append path's
+// buffer flushes (the usual WAL group-commit trade; process crashes are
+// not the concern here — the kernel still holds every flushed append).
+const flushInterval = 50 * time.Millisecond
 
 // mFsyncLatency is process-wide: histograms of a child registry stay
 // local to it.
@@ -199,7 +194,7 @@ func Open(dir string, opts Options) (*Store, error) {
 // the window, and doubles as the retention sweep for quiet topics.
 func (s *Store) flusher() {
 	defer close(s.flushDone)
-	ticker := time.NewTicker(s.opts.FlushInterval)
+	ticker := time.NewTicker(flushInterval)
 	defer ticker.Stop()
 	sweep := 0
 	for {
@@ -215,7 +210,7 @@ func (s *Store) flusher() {
 			}
 			// Retention needs no millisecond cadence; sweep roughly
 			// once a second.
-			if sweep++; time.Duration(sweep)*s.opts.FlushInterval >= time.Second {
+			if sweep++; time.Duration(sweep)*flushInterval >= time.Second {
 				sweep = 0
 			}
 		}
@@ -244,6 +239,9 @@ func (s *Store) Ensure(topic string) (*Log, error) {
 	defer s.mu.Unlock()
 	if lg, ok = s.logs[topic]; ok {
 		return lg, nil
+	}
+	if s.closed {
+		return nil, errors.New("durable: store closed")
 	}
 	lg, err := s.openLog(filepath.Join(s.dir, url.PathEscape(topic)))
 	if err != nil {

@@ -309,30 +309,6 @@ func TestRetentionByTime(t *testing.T) {
 	}
 }
 
-func TestRetentionBySize(t *testing.T) {
-	s, _ := testStore(t, Options{Fsync: FsyncNever, SegmentBytes: 128, MaxBytes: 400})
-	const topic = "/t/size"
-	for i := 0; i < 50; i++ {
-		if _, err := s.Append(topic, bytes.Repeat([]byte{3}, 32)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lg := s.Get(topic)
-	lg.Maintain()
-	if lg.Oldest() <= 1 {
-		t.Fatal("size bound did not evict oldest segments")
-	}
-	lg.mu.Lock()
-	var total int64
-	for _, seg := range lg.segs {
-		total += seg.size
-	}
-	lg.mu.Unlock()
-	if total > 400+128+segHeaderLen {
-		t.Fatalf("on-disk size %d far exceeds bound", total)
-	}
-}
-
 func TestNotifyOnAppend(t *testing.T) {
 	s, _ := testStore(t, Options{Fsync: FsyncNever})
 	lg, err := s.Ensure("/t/notify")
@@ -489,7 +465,7 @@ func TestParseFsyncPolicy(t *testing.T) {
 }
 
 func TestFsyncBatchFlusher(t *testing.T) {
-	s, _ := testStore(t, Options{Fsync: FsyncBatch, FlushInterval: time.Millisecond})
+	s, _ := testStore(t, Options{Fsync: FsyncBatch})
 	if _, err := s.Append("/t/flush", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -524,6 +500,9 @@ func TestAppendAfterClose(t *testing.T) {
 	s.Close()
 	if _, err := s.Append("/t/closed", []byte("x")); err == nil {
 		t.Fatal("append after close succeeded")
+	}
+	if _, err := s.Append("/t/new-after-close", []byte("x")); err == nil {
+		t.Fatal("append to a new topic after close succeeded")
 	}
 }
 

@@ -342,30 +342,20 @@ func hashSegment(path string) (chain [chainLen]byte, err error) {
 	return chain, nil
 }
 
-// maintainLocked enforces the time and size retention bounds by
-// deleting whole sealed segments from the front. Caller holds l.mu.
+// maintainLocked enforces the retention bound by deleting whole sealed
+// segments from the front. Caller holds l.mu.
 func (l *Log) maintainLocked() {
-	cutoff := int64(0)
-	if l.opts.Retention > 0 {
-		cutoff = l.opts.Clock().Add(-l.opts.Retention).UnixNano()
+	if l.opts.Retention <= 0 {
+		return
 	}
-	total := int64(0)
-	for _, s := range l.segs {
-		total += s.size
-	}
-	for len(l.segs) > 1 && l.segs[0].sealed {
+	cutoff := l.opts.Clock().Add(-l.opts.Retention).UnixNano()
+	for len(l.segs) > 1 && l.segs[0].sealed && l.segs[0].lastAt < cutoff {
 		s := l.segs[0]
-		expired := cutoff > 0 && s.lastAt < cutoff
-		oversize := l.opts.MaxBytes > 0 && total > l.opts.MaxBytes
-		if !expired && !oversize {
-			break
-		}
 		if s.f != nil {
 			s.f.Close()
 		}
 		os.Remove(s.path)
 		os.Remove(filepath.Join(l.dir, idxName(s.base)))
-		total -= s.size
 		l.segs = l.segs[1:]
 		l.m.deleted.Inc()
 	}

@@ -62,10 +62,9 @@ func TraceShard(ts string) (key string, sharded bool) {
 
 // Config configures one broker's fabric membership.
 type Config struct {
-	// Broker is the local broker the fabric routes for. Required.
+	// Broker is the local broker the fabric routes for; its name is the
+	// member name. Required.
 	Broker *broker.Broker
-	// Name overrides the fabric member name (default Broker.Name()).
-	Name string
 	// Transport dials broker links and is advertised (by TransportName)
 	// so peers can dial back. Required for any multi-broker fabric.
 	Transport transport.Transport
@@ -75,9 +74,6 @@ type Config struct {
 	// Dir is an optional broker-directory client: members register
 	// their epoch there and bootstrap peer discovery from List.
 	Dir *brokerdir.Client
-	// VNodes is the virtual-node count per member (default
-	// DefaultVNodes).
-	VNodes int
 	// GossipInterval paces heartbeat bumps, gossip publishes and
 	// directory polls (default 500ms).
 	GossipInterval time.Duration
@@ -132,15 +128,7 @@ func New(cfg Config) (*Fabric, error) {
 	if cfg.Broker == nil {
 		return nil, fmt.Errorf("fabric: Config.Broker is required")
 	}
-	if cfg.Name == "" {
-		cfg.Name = cfg.Broker.Name()
-	}
-	if cfg.Name == "" {
-		return nil, fmt.Errorf("fabric: broker has no name")
-	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = DefaultVNodes
-	}
+	name := cfg.Broker.Name()
 	if cfg.GossipInterval <= 0 {
 		cfg.GossipInterval = 500 * time.Millisecond
 	}
@@ -153,19 +141,19 @@ func New(cfg Config) (*Fabric, error) {
 	f := &Fabric{
 		cfg:    cfg,
 		b:      cfg.Broker,
-		name:   cfg.Name,
+		name:   name,
 		clk:    cfg.Clock,
-		log:    obs.OrDiscard(cfg.Log).With("fabric", cfg.Name),
+		log:    obs.OrDiscard(cfg.Log).With("fabric", name),
 		linked: make(map[string]bool),
 		poke:   make(chan struct{}, 1),
 		done:   make(chan struct{}),
 	}
 	f.mem = NewMembership(Row{
-		Name:      cfg.Name,
+		Name:      name,
 		Transport: cfg.TransportName,
 		Addr:      cfg.Addr,
 	}, f.clk.Now())
-	f.table.Store(NewTable(1, cfg.Name, []string{cfg.Name}, cfg.VNodes, nil))
+	f.table.Store(NewTable(1, name, []string{name}, DefaultVNodes, nil))
 	f.unsub = f.b.SubscribeLocal(topic.SystemFabric(), f.onGossip)
 	f.b.SetSharding(f)
 	return f, nil
@@ -262,7 +250,7 @@ func (f *Fabric) rebuild() {
 		f.ensureLinks()
 		return
 	}
-	next := NewTable(old.Epoch+1, f.name, live, f.cfg.VNodes, nil)
+	next := NewTable(old.Epoch+1, f.name, live, DefaultVNodes, nil)
 	f.table.Store(next)
 	mEpochs.Inc()
 	mMembers.Set(int64(len(live)))

@@ -12,12 +12,14 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per member. 512 points per
-// broker keeps every member's share of a 10k-topic keyspace within the
-// ±15% balance bound the ring tests enforce up to 16-broker fabrics
-// (arc-length relative deviation scales as 1/sqrt(vnodes)), at ~8KB of
-// ring state per member. Rings rebuild only on membership change, so
-// the build cost is off the hot path.
+// DefaultVNodes is the virtual-node count per member, fabric-wide: every
+// member must build the same ring to agree on owners, and no member
+// gossips its count, so it is a constant rather than a setting. 512
+// points per broker keeps every member's share of a 10k-topic keyspace
+// within the ±15% balance bound the ring tests enforce up to 16-broker
+// fabrics (arc-length relative deviation scales as 1/sqrt(vnodes)), at
+// ~8KB of ring state per member. Rings rebuild only on membership
+// change, so the build cost is off the hot path.
 const DefaultVNodes = 512
 
 // point is one virtual node: a position on the 64-bit hash circle owned

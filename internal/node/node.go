@@ -80,8 +80,8 @@ type Config struct {
 	// dials once and fails Start on a dial error.
 	Connect      string
 	ConnectRetry backoff.Config
-	// Fabric, when non-nil, joins the sharded fabric; Broker, Name,
-	// Transport, Addr, Clock, Log and Store are the node's.
+	// Fabric, when non-nil, joins the sharded fabric; Broker, Transport,
+	// Addr, Clock, Log and Store are the node's.
 	Fabric *fabric.Config
 }
 
@@ -119,7 +119,6 @@ func (cfg *Config) check() error {
 		{"Manager.Guard", cfg.Manager.Guard != nil},
 		{"Manager.Log", cfg.Manager.Log != nil},
 		{"Fabric.Broker", f.Broker != nil},
-		{"Fabric.Name", f.Name != ""},
 		{"Fabric.Transport", f.Transport != nil},
 		{"Fabric.Addr", f.Addr != ""},
 		{"Fabric.Clock", f.Clock != nil},

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"entitytrace/internal/backoff"
 	"entitytrace/internal/broker"
 	"entitytrace/internal/clock"
 	"entitytrace/internal/core"
@@ -133,33 +134,78 @@ func TestStartServesOnlyOnceTheManagerListens(t *testing.T) {
 	}
 }
 
-// TestCloseClosesTheStoreAfterTheBroker: a client publishes a persisted
-// stream while the node closes. Closing the broker first drains every
-// ingress loop, so no publish reaches the store after it has closed —
-// none fails to append — and the store is closed when Close returns.
+// TestCloseClosesTheStoreAfterTheBroker: linked brokers forward a
+// persisted stream into the node while it closes. Closing the broker
+// first drains every ingress loop: while one loop is held mid-publish
+// after the node has dropped its links, the store is still open; no
+// publish reaches the store after it has closed — none fails to append
+// — and the store is closed when Close returns.
 func TestCloseClosesTheStoreAfterTheBroker(t *testing.T) {
 	tr := transport.NewInproc()
 	cfg := config(t, tr)
 	cfg.LogDir = t.TempDir()
 	cfg.Durable = durable.Options{Fsync: durable.FsyncNever}
-	cfg.Broker.DurablePersist = func(topic.Topic) bool { return true }
+	// The stream is a trace derivative, the set a broker persists, tagged
+	// with a session key the node's guard holds, so it is admitted at the
+	// cost of one HMAC.
+	tt := ident.NewUUID()
+	now := time.Now()
+	params, err := secure.NewSessionParams([32]byte{1}, now.UnixNano(), now.Add(time.Hour).UnixNano())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := params.Derive(tt.String(), "node-owner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Guard.Sessions = core.NewSessionStore(0)
+	cfg.Guard.Sessions.Install(tt, key)
 	n := start(t, cfg)
 
-	// Several publishers keep the broker's ingress loops busy, so some
-	// publish is always in flight when Close begins.
-	tp := topic.MustParse("/node/close-race")
+	// The node subscribes, so brokers linked to it forward what is
+	// published on the topic. Each forward enters through its link's
+	// ingress loop, which persists it before delivering it here; once
+	// armed, the first delivery holds its loop until released.
+	tp := topic.AllUpdates(tt)
+	var armed atomic.Bool
+	var hold sync.Once
+	held, release := make(chan struct{}), make(chan struct{})
+	n.Broker.SubscribeLocal(tp, func(*message.Envelope) {
+		if armed.Load() {
+			hold.Do(func() {
+				close(held)
+				<-release
+			})
+		}
+	})
+
+	// Several linked publishers keep the loops busy, so persisting
+	// publishes are in flight when Close begins.
+	stop := make(chan struct{})
 	var publishers sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		name := ident.EntityID(fmt.Sprintf("node-pub-%d", i))
-		cl, err := broker.Connect(tr, n.Addr, name)
-		if err != nil {
+	edges := make([]*broker.Broker, 4)
+	for i := range edges {
+		edge := broker.New(broker.Config{Name: fmt.Sprintf("node-edge-%d", i)})
+		defer edge.Close()
+		if err := edge.Link("node", tr, n.Addr, backoff.Config{}); err != nil {
 			t.Fatal(err)
 		}
-		defer cl.Close()
+		edges[i] = edge
 		publishers.Add(1)
 		go func() {
 			defer publishers.Done()
-			for cl.Publish(message.New(message.TypeData, tp, name, []byte("x"))) == nil {
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				env := message.New(message.TraceAllsWell, tp, "", []byte("x"))
+				if err := env.SignSession(key); err != nil {
+					t.Error(err)
+					return
+				}
+				edge.Publish(env)
 			}
 		}()
 	}
@@ -168,7 +214,32 @@ func TestCloseClosesTheStoreAfterTheBroker(t *testing.T) {
 	}
 	appendErrs := obs.Default.Counter("durable_append_errors_total")
 	before := appendErrs.Value()
-	n.Close()
+	armed.Store(true)
+	<-held
+	closed := make(chan struct{})
+	go func() {
+		n.Close()
+		close(closed)
+	}()
+	linked := func() bool {
+		for _, e := range edges {
+			if e.LinkUp("node") {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(10 * time.Second); linked() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if linked() {
+		t.Error("the node kept its links while closing")
+	} else if _, err := n.Store.Append("/node/probe", []byte("probe")); err != nil {
+		t.Errorf("store closed while the broker was still draining: %v", err)
+	}
+	close(release)
+	<-closed
+	close(stop)
 	publishers.Wait()
 	if got := appendErrs.Value() - before; got != 0 {
 		t.Fatalf("%d publishes reached the store after it closed", got)

@@ -120,9 +120,9 @@ func NewWorld(t *testing.T) *World {
 		Skew:     token.DefaultClockSkew,
 	}
 	w.Guard = core.NewGuard(core.GuardConfig{Resolver: w.Resolver, Verifier: fxVerifier,
-		Clock: w.Clock, Skew: w.Skew, Sessions: w.Store})
+		Clock: w.Clock, Sessions: w.Store})
 	w.Cached = core.NewGuard(core.GuardConfig{Resolver: w.Resolver, Verifier: fxVerifier,
-		Clock: w.Clock, Skew: w.Skew, Cache: core.NewTokenCache(0)})
+		Clock: w.Clock, Cache: core.NewTokenCache(0)})
 	return w
 }
 
