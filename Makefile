@@ -34,12 +34,13 @@ loc:
 # Focused race gate over the crypto and transport hot paths touched by
 # the session-key/batching work: the broker (egress coalescing, batch
 # ingest), the secure layer (session-key derivation and the pooled HMAC
-# schedule) with its differential harness, the transports, and the
-# mid-stream renegotiation chaos scenario, uncached (-count=1). For local
+# schedule) with its differential harness, the transports, the
+# mid-stream renegotiation chaos scenario and the session-key prefetch
+# e2e, uncached (-count=1). For local
 # use: verify's one -race pass over ./... already covers all of it.
 race:
 	$(GO) test -race -count=1 ./internal/broker/ ./internal/secure/... ./internal/transport/ ./internal/message/ ./internal/durable/ ./internal/fabric/
-	$(GO) test -race -count=1 -run 'TestChaosSession' .
+	$(GO) test -race -count=1 -run 'TestChaosSession|TestSessionKeyPrefetch' .
 
 # Tier-1 gate: everything CI runs before a merge — formatting, vet, the
 # tests, the same tests once under the race detector, and the coverage

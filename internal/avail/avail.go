@@ -269,7 +269,6 @@ func (l *Ledger) record(entity string) *record {
 		return nil
 	}
 	rec = &record{
-		ivals: make([]interval, maxIntervals),
 		flips: make([]int64, l.cfg.FlapTransitions),
 	}
 	if l.cfg.DefaultSLO.Target > 0 {
@@ -377,13 +376,17 @@ func (l *Ledger) closeInterval(rec *record, nn int64) {
 	} else {
 		rec.downAccum += iv.end - iv.start
 	}
-	if rec.n == len(rec.ivals) {
-		// Ring full: the oldest interval falls off; remember how far the
-		// ledger's window coverage now reaches back.
-		rec.prunedTo = rec.ivals[rec.head].end
-	} else {
+	if len(rec.ivals) < maxIntervals {
+		// The ring grows to its bound before it wraps, so an entity costs
+		// only the history it has.
+		rec.ivals = append(rec.ivals, iv)
 		rec.n++
+		rec.head = len(rec.ivals) % maxIntervals
+		return
 	}
+	// Ring full: the oldest interval falls off; remember how far the
+	// ledger's window coverage now reaches back.
+	rec.prunedTo = rec.ivals[rec.head].end
 	rec.ivals[rec.head] = iv
 	rec.head = (rec.head + 1) % len(rec.ivals)
 }

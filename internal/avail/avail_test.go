@@ -443,6 +443,33 @@ func TestMaxEntities(t *testing.T) {
 	}
 }
 
+// TestIntervalRingGrowsLazily: an entity holds only the interval history
+// it has — none when seen once, a few slots after a few transitions —
+// rather than the full maxIntervals ring.
+func TestIntervalRingGrowsLazily(t *testing.T) {
+	l, fc, _ := fixture(t, nil)
+	observe(l, "once", KindUp)
+	observe(l, "flips", KindUp)
+	for i := 0; i < 3; i++ {
+		fc.Advance(time.Second)
+		if i%2 == 0 {
+			observe(l, "flips", KindDown)
+		} else {
+			observe(l, "flips", KindUp)
+		}
+	}
+	if c := cap(l.records["once"].ivals); c != 0 {
+		t.Fatalf("entity seen once holds %d interval slots, want 0", c)
+	}
+	rec := l.records["flips"]
+	if rec.n != 3 || cap(rec.ivals) > 4 {
+		t.Fatalf("entity with 3 closed intervals holds n=%d in %d slots, want 3 in at most 4", rec.n, cap(rec.ivals))
+	}
+	if r := row(t, l, "flips"); r.Transitions != 3 {
+		t.Fatalf("transitions = %d, want 3", r.Transitions)
+	}
+}
+
 // TestKindForType covers the trace-type mapping.
 func TestKindForType(t *testing.T) {
 	ups := []message.Type{message.TraceJoin, message.TraceInitializing,

@@ -147,8 +147,8 @@ const (
 
 // DefaultViolationHalfLife is the half-life of each peer's violation
 // score, so sporadic legitimate failures never add up to an unjust
-// disconnect; DefaultDedupeWindow is the number of recently seen message
-// IDs duplicate suppression remembers.
+// disconnect; DefaultDedupeWindow is the number of recently admitted
+// message IDs duplicate suppression remembers.
 const (
 	DefaultViolationHalfLife = 30 * time.Second
 	DefaultDedupeWindow      = 8192
@@ -202,8 +202,10 @@ type Broker struct {
 	// seen is the duplicate-suppression window.
 	seen *seenSet
 
-	disconnectMu sync.Mutex
+	// hookMu guards the callbacks the tracing layer registers.
+	hookMu       sync.Mutex
 	onDisconnect []func(entity ident.EntityID)
+	onSubscribe  []func(tp topic.Topic)
 
 	// quar refuses reconnects from recently evicted principals (§5.2).
 	quar *quarantine
@@ -815,9 +817,28 @@ func (b *Broker) Banish(entity ident.EntityID, d time.Duration) {
 // layer uses it to publish DISCONNECT traces (§3.3) without waiting for
 // ping timeouts.
 func (b *Broker) OnClientDisconnect(f func(entity ident.EntityID)) {
-	b.disconnectMu.Lock()
-	defer b.disconnectMu.Unlock()
+	b.hookMu.Lock()
+	defer b.hookMu.Unlock()
 	b.onDisconnect = append(b.onDisconnect, f)
+}
+
+// OnSubscribe registers a callback invoked, on the subscribing peer's
+// goroutine, once for every topic a client or a linked broker newly
+// subscribes to (local subscriptions do not count). The tracing layer
+// uses it to fetch a trace topic's session key before the first
+// session-tagged trace it will carry arrives (PROTOCOL.md §3.7).
+func (b *Broker) OnSubscribe(f func(tp topic.Topic)) {
+	b.hookMu.Lock()
+	defer b.hookMu.Unlock()
+	b.onSubscribe = append(b.onSubscribe, f)
+}
+
+// hooks returns a snapshot of the callbacks in *list, so they run
+// outside hookMu.
+func hooks[F any](b *Broker, list *[]F) []F {
+	b.hookMu.Lock()
+	defer b.hookMu.Unlock()
+	return append([]F(nil), *list...)
 }
 
 // removePeer unregisters a peer and drops its subscriptions. An
@@ -860,20 +881,18 @@ func (b *Broker) removePeer(p *peer) {
 		b.refreshLinks(ts)
 	}
 	if !p.isBroker {
-		b.disconnectMu.Lock()
-		callbacks := make([]func(ident.EntityID), len(b.onDisconnect))
-		copy(callbacks, b.onDisconnect)
-		b.disconnectMu.Unlock()
-		for _, f := range callbacks {
+		for _, f := range hooks(b, &b.onDisconnect) {
 			f(ident.EntityID(p.name))
 		}
 	}
 }
 
-// addSubscription indexes a peer subscription and propagates it.
+// addSubscription indexes a peer subscription, propagates it and, the
+// first time p subscribes to tp, runs the OnSubscribe callbacks.
 func (b *Broker) addSubscription(p *peer, tp topic.Topic) {
 	ts := tp.String()
 	b.mu.Lock()
+	_, had := p.subs[ts]
 	p.subs[ts] = struct{}{}
 	set, ok := b.subs[ts]
 	if !ok {
@@ -883,6 +902,11 @@ func (b *Broker) addSubscription(p *peer, tp topic.Topic) {
 	set[subscriberRef{p: p}] = struct{}{}
 	b.mu.Unlock()
 	b.refreshLinks(ts)
+	if !had {
+		for _, f := range hooks(b, &b.onSubscribe) {
+			f(tp)
+		}
+	}
 }
 
 // removeSubscription drops a peer subscription and propagates the
@@ -1201,11 +1225,12 @@ func (b *Broker) publish(from *peer, batch []inbound, replay bool) (rejected err
 
 // admit is the admit stage — flight ingress sampling, duplicate
 // suppression, TTL, then (unless the shard owner already ran them, level
-// admitFanIn) source-spoofing, topic authorization and the pluggable
-// guard, which is handed the batch's clock reading now and the
-// envelope's sampling decision. It reports whether the envelope
+// admitFanIn) the checks of authorize. It reports whether the envelope
 // proceeds; ok=false with a nil error is a silent drop (duplicate or
-// expired).
+// expired). The dedupe window records an ID only once its envelope has
+// passed every check: a copy the broker refuses — a forgery, a session
+// tag it cannot verify yet — must not suppress the genuine envelope
+// that follows it.
 func (b *Broker) admit(from *peer, in *inbound, level admission, now time.Time) (ok bool, err error) {
 	env := in.env
 	if in.sampled {
@@ -1216,10 +1241,11 @@ func (b *Broker) admit(from *peer, in *inbound, level admission, now time.Time) 
 			Topic: env.Topic.String(),
 		})
 	}
-	// Duplicate suppression (also guards against routing loops).
-	if !b.firstSighting(env.ID) {
-		b.m.duplicates.Inc()
-		b.recordDrop(from, env, "duplicate")
+	// Duplicate suppression (also guards against routing loops): a probe
+	// here, so a duplicate costs no authorization work, and the
+	// authoritative record below.
+	if b.seen.contains(env.ID) {
+		b.dropDuplicate(from, env)
 		return false, nil
 	}
 	if env.TTL == 0 {
@@ -1227,9 +1253,34 @@ func (b *Broker) admit(from *peer, in *inbound, level admission, now time.Time) 
 		b.recordDrop(from, env, "ttl_expired")
 		return false, nil
 	}
-	if level == admitFanIn {
-		return true, nil
+	if level != admitFanIn {
+		if err := b.authorize(from, in, now); err != nil {
+			return false, err
+		}
 	}
+	// A concurrent copy may have been admitted since the probe.
+	if !b.firstSighting(env.ID) {
+		b.dropDuplicate(from, env)
+		return false, nil
+	}
+	return true, nil
+}
+
+// firstSighting records the message ID, reporting whether it was new
+// (see seenSet).
+func (b *Broker) firstSighting(id ident.UUID) bool { return b.seen.add(id) }
+
+// dropDuplicate counts and records a duplicate, a silent drop.
+func (b *Broker) dropDuplicate(from *peer, env *message.Envelope) {
+	b.m.duplicates.Inc()
+	b.recordDrop(from, env, "duplicate")
+}
+
+// authorize runs the admit stage's checks: source spoofing, topic
+// authorization and the pluggable guard, which is handed the batch's
+// clock reading now and the envelope's sampling decision.
+func (b *Broker) authorize(from *peer, in *inbound, now time.Time) error {
+	env := in.env
 	// Source spoofing check: a client's envelopes must carry its own
 	// entity identifier. Broker links aggregate many sources.
 	principal := topic.BrokerPrincipal()
@@ -1237,21 +1288,19 @@ func (b *Broker) admit(from *peer, in *inbound, level admission, now time.Time) 
 		principal = from.principal
 		if !from.isBroker && env.Source != ident.EntityID(from.name) {
 			b.recordDrop(from, env, "spoofed_source")
-			return false, fmt.Errorf("broker: source %q spoofed by client %q", env.Source, from.name)
+			return fmt.Errorf("broker: source %q spoofed by client %q", env.Source, from.name)
 		}
 	}
 	if err := topic.Authorize(env.Topic, principal, true); err != nil {
 		b.recordDrop(from, env, "unauthorized_topic")
-		return false, err
+		return err
 	}
 	if b.cfg.Guard != nil {
 		// Guard rejections are recorded by the guard itself (with the
 		// drop reason and cache outcome); see Config.Flight.
-		if err := b.cfg.Guard(env, principal, now, in.sampled); err != nil {
-			return false, err
-		}
+		return b.cfg.Guard(env, principal, now, in.sampled)
 	}
-	return true, nil
+	return nil
 }
 
 // pass is one publish call's deliver-stage state, shared by its
@@ -1412,10 +1461,6 @@ func (b *Broker) enqueue(p *peer, frame []byte, trace obs.FlightTrace, now time.
 	b.evictPeer(p, ReasonSlowConsumer, "egress queue saturated")
 	return false
 }
-
-// firstSighting records the message ID, reporting whether it was new
-// (see seenSet).
-func (b *Broker) firstSighting(id ident.UUID) bool { return b.seen.add(id) }
 
 // Snapshot returns this broker's own counters and gauges, under their
 // /metrics names.

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -442,6 +444,132 @@ func TestDuplicateSuppression(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	waitFor(t, "duplicate counter", func() bool { return b.Snapshot().Counters["broker_duplicates_total"] >= 1 })
+}
+
+// forgeFirst has mallory publish, at malloryAddr, a copy of the
+// envelope honest is about to publish — same ID, Source "honest" — and
+// waits for victim to drop it as spoofed. It returns the genuine
+// envelope.
+func forgeFirst(t *testing.T, tr transport.Transport, malloryAddr string, victim *Broker, tp topic.Topic) *message.Envelope {
+	t.Helper()
+	mallory, err := Connect(tr, malloryAddr, "mallory")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mallory.Close()
+	genuine := message.New(message.TypeData, tp, "honest", []byte("genuine"))
+	forged := *genuine
+	forged.Payload = []byte("forged")
+	if err := mallory.Publish(&forged); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "spoof violation", func() bool { return victim.Snapshot().Counters["broker_violations_total"] >= 1 })
+	return genuine
+}
+
+// expectGenuine checks that the subscriber receives the genuine envelope
+// and that no broker counted it as a duplicate.
+func expectGenuine(t *testing.T, got <-chan *message.Envelope, brokers ...*Broker) {
+	t.Helper()
+	if e := recvEnvelope(t, got, "genuine envelope after a forged copy"); string(e.Payload) != "genuine" {
+		t.Fatalf("delivered payload %q", e.Payload)
+	}
+	for _, b := range brokers {
+		if n := b.Snapshot().Counters["broker_duplicates_total"]; n != 0 {
+			t.Fatalf("%s: broker_duplicates_total = %d, want 0", b.Name(), n)
+		}
+	}
+}
+
+// TestRejectedCopyDoesNotSuppressGenuine: a forged copy a broker drops
+// as spoofed_source must not occupy the dedupe window, or it would
+// suppress the genuine envelope with the same ID behind it.
+func TestRejectedCopyDoesNotSuppressGenuine(t *testing.T) {
+	tr := transport.NewInproc()
+	b, addr := newTestBroker(t, tr, Config{Name: "b0"})
+	sub, _ := Connect(tr, addr, "sub")
+	defer sub.Close()
+	got := make(chan *message.Envelope, 4)
+	tp := topic.MustParse("/honest/news")
+	if err := sub.Subscribe(tp, func(e *message.Envelope) { got <- e }); err != nil {
+		t.Fatal(err)
+	}
+	genuine := forgeFirst(t, tr, addr, b, tp)
+	honest, _ := Connect(tr, addr, "honest")
+	defer honest.Close()
+	if err := honest.Publish(genuine); err != nil {
+		t.Fatal(err)
+	}
+	expectGenuine(t, got, b)
+}
+
+// TestRejectedCopyDownstreamDoesNotSuppressGenuine: the forged copy
+// reaches the downstream broker of a chain before the genuine envelope,
+// which arrives over the link.
+func TestRejectedCopyDownstreamDoesNotSuppressGenuine(t *testing.T) {
+	tr := transport.NewInproc()
+	brokers, addrs := chain(t, tr, 2)
+	sub, _ := Connect(tr, addrs[1], "sub")
+	defer sub.Close()
+	got := make(chan *message.Envelope, 4)
+	tp := topic.MustParse("/honest/news")
+	if err := sub.Subscribe(tp, func(e *message.Envelope) { got <- e }); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "subscription propagation", func() bool { return brokers[0].HasSubscription(tp.String()) })
+	genuine := forgeFirst(t, tr, addrs[1], brokers[1], tp)
+	honest, _ := Connect(tr, addrs[0], "honest")
+	defer honest.Close()
+	if err := honest.Publish(genuine); err != nil {
+		t.Fatal(err)
+	}
+	expectGenuine(t, got, brokers...)
+}
+
+// TestOnSubscribeCallback: the subscription hook fires once per new
+// (peer, topic) — for client SUBs and for the SUBs links carry — and not
+// for a repeated SUB or for the broker's own local subscriptions.
+func TestOnSubscribeCallback(t *testing.T) {
+	tr := transport.NewInproc()
+	brokers, addrs := chain(t, tr, 2)
+	var mu sync.Mutex
+	seen := map[string]map[string]int{"b0": {}, "b1": {}}
+	for _, b := range brokers {
+		b := b
+		b.OnSubscribe(func(tp topic.Topic) {
+			mu.Lock()
+			seen[b.Name()][tp.String()]++
+			mu.Unlock()
+		})
+	}
+	hooked, local := topic.MustParse("/hooked"), topic.MustParse("/local-only")
+	cancel := brokers[0].SubscribeLocal(local, func(*message.Envelope) {})
+	defer cancel()
+	sub, _ := Connect(tr, addrs[1], "sub")
+	defer sub.Close()
+	// Subscribe returns on the broker's ack, which follows the hook, so
+	// b1's counts are final once both calls return.
+	for i := 0; i < 2; i++ {
+		if err := sub.Subscribe(hooked, func(*message.Envelope) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]map[string]int{
+		"b0": {hooked.String(): 1},                    // the link's SUB; its own local one is not hooked
+		"b1": {hooked.String(): 1, local.String(): 1}, // the client's SUB once; the link's SUB
+	}
+	waitFor(t, "subscription hooks", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen["b0"]) == 1 && len(seen["b1"]) == 2
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for name, w := range want {
+		if !maps.Equal(seen[name], w) {
+			t.Fatalf("%s subscription hook saw %v, want %v", name, seen[name], w)
+		}
+	}
 }
 
 func TestTTLExpiry(t *testing.T) {

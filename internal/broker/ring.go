@@ -108,6 +108,15 @@ func (s *seenSet) remove(hole int) {
 	s.slots[hole] = 0
 }
 
+// contains reports whether id is among the window's entries, recording
+// nothing.
+func (s *seenSet) contains(id ident.UUID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.find(id)
+	return ok
+}
+
 // add records a sighting of id and reports whether it is a first one:
 // false when id is among the window's last cap first sightings. A full
 // window forgets its oldest entry to admit the new one.

@@ -1247,6 +1247,85 @@ func TestTrackerRejectPaths(t *testing.T) {
 	}
 }
 
+// TestTrackerGuardCachesVerifiedTokens: a tracker runs the full §4.3
+// chain for a token once; its second RSA-signed trace under the same
+// token is a verified-token cache hit, and a tampered copy of a trace is
+// still rejected — the per-message signature is never cached.
+func TestTrackerGuardCachesVerifiedTokens(t *testing.T) {
+	tb := newTestbed(t, 1)
+	ent, err := tb.startEntity("svc-cached", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ent.Stop()
+	states := topic.StateTransitions(ent.TraceTopic())
+	spy, err := broker.Connect(tb.tr, tb.addrs[0], "spy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spy.Close()
+	recovering := make(chan *message.Envelope, 1)
+	if err := spy.Subscribe(states, func(e *message.Envelope) {
+		if e.Type == message.TraceRecovering {
+			select {
+			case recovering <- e:
+			default:
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tk := tb.startTracker("tracker-cached", 0)
+	col := newCollector()
+	w, err := tk.TrackEntity("svc-cached", topic.NewClassSet(topic.ClassStateTransitions), col.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := tk.guard.cache
+	if cache == nil {
+		t.Fatal("the tracker's guard runs without a verified-token cache")
+	}
+	// Interest gates state traces: repeat READY until one is delivered.
+	deadline := time.Now().Add(5 * time.Second)
+	for len(col.eventsOfType(message.TraceReady)) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no READY trace delivered")
+		}
+		if err := ent.SetState(message.StateReady); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	hits, misses := cache.hits.Value(), cache.misses.Value()
+	if misses == 0 {
+		t.Fatal("the first trace under a token was not a cache miss")
+	}
+	if err := ent.SetState(message.StateRecovering); err != nil {
+		t.Fatal(err)
+	}
+	col.waitFor(t, "RECOVERING state trace", typeIs(message.TraceRecovering))
+	if cache.hits.Value() == hits {
+		t.Fatal("second trace under the token was not a cache hit")
+	}
+	if got := cache.misses.Value(); got != misses {
+		t.Fatalf("second trace under the token missed the cache (%d misses, was %d)", got, misses)
+	}
+
+	var env *message.Envelope
+	select {
+	case env = <-recovering:
+	case <-time.After(5 * time.Second):
+		t.Fatal("spy captured no RECOVERING envelope")
+	}
+	tampered := env.Clone()
+	tampered.Payload = append(append([]byte(nil), tampered.Payload...), 'x')
+	before := w.Rejected()
+	w.handleTrace(topic.ClassStateTransitions, tampered)
+	if w.Rejected() != before+1 {
+		t.Fatal("tampered trace under a cached token was accepted")
+	}
+}
+
 // TestInterestExpiryRevertsToSilence verifies the §3.5 bookkeeping at
 // the broker: once a tracker's interest registration ages past the TTL
 // without renewal, gated trace classes stop being published.

@@ -104,6 +104,19 @@ func (s *SessionStore) Install(traceTopic ident.UUID, k *secure.SessionKey) {
 	}
 }
 
+// HasTopic reports whether any key of traceTopic is installed. It scans
+// the store: it runs once per newly subscribed trace topic, not per
+// envelope.
+func (s *SessionStore) HasTopic(traceTopic ident.UUID) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	found := false
+	s.m.each(func(_ [secure.SessionIDLen]byte, e *sessionEntry) {
+		found = found || e.topic == traceTopic
+	})
+	return found
+}
+
 // lookup returns the entry for id, if installed.
 func (s *SessionStore) lookup(id [secure.SessionIDLen]byte) (*sessionEntry, bool) {
 	s.mu.RLock()

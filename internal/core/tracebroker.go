@@ -137,13 +137,17 @@ type TraceBroker struct {
 	done     chan struct{}
 	wg       sync.WaitGroup
 
-	// Session-key renegotiation state (§6.3): when this broker's guard
-	// sees a tag for a session it has not installed, it asks the
-	// publisher's hosting broker for the sealed parameters — at most
-	// once per session ID per sessionRequestMinInterval.
-	sessReqMu   sync.Mutex
-	sessReqLast *bounded[[secure.SessionIDLen]byte, time.Time]
-	cancelSk    func()
+	// Session-key request state (§6.3): this broker asks the hosting
+	// broker of a trace topic's publisher for the sealed parameters when
+	// it first carries a session-tagged class of the topic for a
+	// subscriber — at most once per trace topic per
+	// sessionRequestMinInterval — and, as the fallback, when its guard
+	// sees a tag for a session it has not installed — at most once per
+	// session ID per sessionRequestMinInterval.
+	sessReqMu        sync.Mutex
+	sessReqLast      *bounded[[secure.SessionIDLen]byte, time.Time]
+	sessReqTopicLast *bounded[ident.UUID, time.Time]
+	cancelSk         func()
 }
 
 // session is the broker-side state for one traced entity (§3.2-§3.3).
@@ -267,6 +271,7 @@ func NewTraceBroker(cfg BrokerConfig) (*TraceBroker, error) {
 	}
 	if tb.sessionKeys() {
 		tb.sessReqLast = newBounded[[secure.SessionIDLen]byte, time.Time](DefaultSessionStoreSize)
+		tb.sessReqTopicLast = newBounded[ident.UUID, time.Time](DefaultSessionStoreSize)
 		cfg.Guard.OnUnknownSession(tb.requestSessionKey)
 	}
 	if cfg.TelemetryInterval > 0 {
@@ -300,8 +305,9 @@ func (tb *TraceBroker) Avail() *avail.Ledger { return tb.avail }
 func (tb *TraceBroker) Resolver() AdResolver { return tb.cfg.Guard.resolver }
 
 // Start subscribes to the registration topic (§3.2), begins watching for
-// client disconnects (§3.3 DISCONNECT traces) and, when telemetry is on,
-// starts the periodic telemetry publisher.
+// client disconnects (§3.3 DISCONNECT traces) and, with session keys on,
+// for subscriptions to session-tagged classes, and, when telemetry is
+// on, starts the periodic telemetry publisher.
 func (tb *TraceBroker) Start() {
 	tb.cancelRg = tb.cfg.Broker.SubscribeLocal(topic.Registration(), tb.handleRegistration)
 	tb.cfg.Broker.OnClientDisconnect(tb.handleDisconnect)
@@ -310,6 +316,7 @@ func (tb *TraceBroker) Start() {
 		// requests (§6.3) arrive on its delivery topic.
 		tb.cancelSk = tb.cfg.Broker.SubscribeLocal(
 			topic.SessionKeyDelivery(tb.cfg.Broker.Name()), tb.handleSessionKeyResponse)
+		tb.cfg.Broker.OnSubscribe(tb.prefetchSessionKey)
 	}
 	if tb.tel != nil {
 		tb.periodic(tb.cfg.TelemetryInterval, tb.PublishTelemetry)
@@ -902,7 +909,11 @@ func (s *session) publishGaugeInterest() {
 }
 
 // handleInterestResponse records tracker interest and, for secured
-// traces, delivers the sealed trace key (§5.1).
+// traces, delivers the sealed trace key (§5.1) and, with session keys
+// on, the sealed session parameters (§6.3). The keys are published
+// before the interest is recorded: every trace the interest unlocks is
+// then published after them and cannot overtake them on the route to
+// the tracker.
 func (s *session) handleInterestResponse(env *message.Envelope) {
 	if env.Type != message.TypeInterestResponse {
 		return
@@ -922,17 +933,7 @@ func (s *session) handleInterestResponse(env *message.Envelope) {
 			"reason", "bad_credential", "err", err)
 		return
 	}
-	now := s.tb.clk.Now()
-	expiry := now.Add(s.tb.cfg.InterestTTL)
 	s.mu.Lock()
-	for _, class := range ir.Classes.Classes() {
-		m, ok := s.interest[class]
-		if !ok {
-			m = make(map[ident.EntityID]time.Time)
-			s.interest[class] = m
-		}
-		m[ir.Tracker] = expiry
-	}
 	needKey := s.secured && s.traceKey != nil && !s.keyDelivered[ir.Tracker] && ir.KeyDeliveryTopic != ""
 	var traceKey *secure.SymmetricKey
 	if needKey {
@@ -960,6 +961,17 @@ func (s *session) handleInterestResponse(env *message.Envelope) {
 			s.deliverSessionParams(ir.Tracker, ir.KeyDeliveryTopic, trackerPub)
 		}
 	}
+	expiry := s.tb.clk.Now().Add(s.tb.cfg.InterestTTL)
+	s.mu.Lock()
+	for _, class := range ir.Classes.Classes() {
+		m, ok := s.interest[class]
+		if !ok {
+			m = make(map[ident.EntityID]time.Time)
+			s.interest[class] = m
+		}
+		m[ir.Tracker] = expiry
+	}
+	s.mu.Unlock()
 }
 
 // installSessionPublisher mints (or, on token rotation, re-keys) the
@@ -1317,9 +1329,13 @@ func (s *session) publishTraceAlways(origin *message.Span, tt message.Type, clas
 	// change notifications and state transitions keep the RSA signature so
 	// they verify everywhere immediately, even at verifiers that have not
 	// negotiated the session yet.
-	allowSession := class == topic.ClassAllUpdates || class == topic.ClassLoad ||
-		class == topic.ClassNetworkMetrics
-	s.publishSigned(env, origin, allowSession)
+	s.publishSigned(env, origin, sessionTagged(class))
+}
+
+// sessionTagged reports whether traces of class ride the §6.3 session
+// path: the high-rate steady-state classes.
+func sessionTagged(class topic.TraceClass) bool {
+	return class == topic.ClassAllUpdates || class == topic.ClassLoad || class == topic.ClassNetworkMetrics
 }
 
 // publishSigned authenticates and publishes one broker-originated
@@ -1372,21 +1388,54 @@ func (s *session) publishSigned(env *message.Envelope, origin *message.Span, all
 // publish happens on a fresh goroutine — the guard runs on the routing
 // path and must not publish re-entrantly.
 func (tb *TraceBroker) requestSessionKey(tt ident.UUID, sid [secure.SessionIDLen]byte) {
-	now := tb.clk.Now()
-	tb.sessReqMu.Lock()
-	if last, ok := tb.sessReqLast.get(sid); ok && now.Sub(last) < sessionRequestMinInterval {
-		tb.sessReqMu.Unlock()
+	if !requestDue(tb, tb.sessReqLast, sid) {
 		return
 	}
-	tb.sessReqLast.put(sid, now)
-	tb.sessReqMu.Unlock()
 	mSessionKeyRequests.Inc()
 	go tb.publishSessionKeyRequest(tt, sid)
 }
 
+// requestDue reports whether a session-key request keyed k may go out
+// now — none went out under k within sessionRequestMinInterval — and if
+// so records it in last.
+func requestDue[K comparable](tb *TraceBroker, last *bounded[K, time.Time], k K) bool {
+	now := tb.clk.Now()
+	tb.sessReqMu.Lock()
+	defer tb.sessReqMu.Unlock()
+	if t, ok := last.get(k); ok && now.Sub(t) < sessionRequestMinInterval {
+		return false
+	}
+	last.put(k, now)
+	return true
+}
+
+// prefetchSessionKey is the broker's subscription hook: the first time
+// a client or a linked broker subscribes here to a session-tagged class
+// of trace topic tt, this broker asks tt's hosting broker for the sealed
+// session parameters, so the key is installed before the first tagged
+// trace this broker relays arrives instead of after it has been dropped
+// as unknown-session. A broker that holds a key of tt asks nothing — a
+// hosting broker holds its own sessions' keys — and the request is
+// rate-limited per trace topic. The responder records this broker as a
+// recipient, so rekeys reach it too. The request is published on the
+// subscribing peer's goroutine, before the subscription is acknowledged
+// or the peer's next frame is read, so on each link it travels ahead of
+// the tracker's interest response that turns the publisher to tags.
+func (tb *TraceBroker) prefetchSessionKey(tp topic.Topic) {
+	tt, class, ok := topic.DerivativeClass(tp)
+	if !ok || !sessionTagged(class) || tb.cfg.Guard.sessions.HasTopic(tt) {
+		return
+	}
+	if !requestDue(tb, tb.sessReqTopicLast, tt) {
+		return
+	}
+	mSessionKeyRequests.Inc()
+	tb.publishSessionKeyRequest(tt, [secure.SessionIDLen]byte{})
+}
+
 // publishSessionKeyRequest asks the hosting broker of tt's publisher
 // for the sealed session parameters, naming this broker's credential
-// and delivery topic.
+// and delivery topic (a zero sid asks for the current session).
 func (tb *TraceBroker) publishSessionKeyRequest(tt ident.UUID, sid [secure.SessionIDLen]byte) {
 	req := &message.SessionKeyRequest{
 		TraceTopic: tt,

@@ -202,6 +202,7 @@ func NewTracker(cfg TrackerConfig) (*Tracker, error) {
 		Resolver: tk.cfg.Resolver,
 		Verifier: cfg.Verifier,
 		Clock:    cfg.Clock,
+		Cache:    NewTokenCache(0),
 		Sessions: NewSessionStore(0),
 	})
 	tk.guard.OnUnknownSession(tk.requestSessionKey)

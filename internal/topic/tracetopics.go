@@ -184,20 +184,28 @@ func IsSessionKeyDelivery(tp Topic) bool {
 // system topics (non-UUID "System" segment) and transient interest
 // probes deliberately fall outside it.
 func IsTraceDerivative(tp Topic) bool {
+	_, _, ok := DerivativeClass(tp)
+	return ok
+}
+
+// DerivativeClass reports whether tp is a per-trace-topic derivative
+// class topic (IsTraceDerivative) and returns its trace topic and class.
+func DerivativeClass(tp Topic) (ident.UUID, TraceClass, bool) {
 	s := tp.segments
 	if len(s) != 6 ||
 		s[0] != "Constrained" || s[1] != "Traces" || s[2] != "Broker" || s[3] != "Publish-Only" {
-		return false
+		return ident.Nil, 0, false
 	}
-	if _, err := ident.ParseUUID(s[4]); err != nil {
-		return false
+	id, err := ident.ParseUUID(s[4])
+	if err != nil {
+		return ident.Nil, 0, false
 	}
-	switch s[5] {
-	case SuffixChangeNotifications, SuffixAllUpdates, SuffixStateTransitions,
-		SuffixLoad, SuffixNetworkMetrics:
-		return true
+	for c := TraceClass(0); c < numTraceClasses; c++ {
+		if s[5] == c.String() {
+			return id, c, true
+		}
 	}
-	return false
+	return ident.Nil, 0, false
 }
 
 // TraceTopicOf reports whether tp is a broker Publish-Only topic of a

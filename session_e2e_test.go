@@ -9,14 +9,17 @@
 package entitytrace
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"entitytrace/internal/avail"
+	"entitytrace/internal/core"
 	"entitytrace/internal/harness"
 	"entitytrace/internal/message"
 	"entitytrace/internal/obs"
+	"entitytrace/internal/sysinfo"
 	"entitytrace/internal/topic"
 )
 
@@ -148,5 +151,116 @@ func TestChaosSessionRenegotiationAfterRestart(t *testing.T) {
 	defer alertMu.Unlock()
 	if len(badAlerts) != 0 {
 		t.Fatalf("availability gap during session outage: %+v", badAlerts)
+	}
+}
+
+// TestSessionKeyPrefetchOnSubscribe: a relay broker fetches a trace
+// topic's session key when a subscription to a session-tagged class of
+// it first reaches the relay, so by the time the tracker's interest has
+// turned the hosting broker's publisher to session tags, every verifier
+// on the route holds the key and the first tagged traces are delivered
+// instead of dropped as unknown-session. The chain case routes
+// host -> relay -> tracker's broker; the fabric case routes
+// ingress (host) -> shard owner -> tracker's broker.
+func TestSessionKeyPrefetchOnSubscribe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("session e2e skipped in short mode")
+	}
+	t.Run("chain3", func(t *testing.T) {
+		tb, err := harness.New(harness.Options{Brokers: 3, SessionKeys: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+		ent, err := tb.StartEntity("prefetch-entity", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPrefetch(t, tb, ent, 2, []int{1, 2})
+	})
+	t.Run("fabric4", func(t *testing.T) {
+		tb, err := harness.New(harness.Options{Brokers: 4, Fabric: true, SessionKeys: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+		waitSession(t, "fabric convergence", func() bool {
+			for _, f := range tb.Fabrics {
+				if len(f.Members()) != len(tb.Fabrics) {
+					return false
+				}
+			}
+			return true
+		})
+		// The TDN picks the trace topic, and the topic picks its shard
+		// owner: register until the owner is neither the ingress (0) nor
+		// the tracker's broker (3).
+		for attempt := 0; ; attempt++ {
+			if attempt == 32 {
+				t.Fatal("no trace topic owned by a third broker in 32 registrations")
+			}
+			ent, err := tb.StartEntity(fmt.Sprintf("prefetch-entity-%d", attempt), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner, _, sharded := tb.Fabrics[0].Route(topic.Load(ent.TraceTopic()).String())
+			if !sharded {
+				t.Fatal("fabric does not shard the trace topic")
+			}
+			for i, b := range tb.Brokers {
+				if b.Name() == owner && i != 0 && i != 3 {
+					checkPrefetch(t, tb, ent, 3, []int{i, 3})
+					return
+				}
+			}
+			_ = ent.Stop()
+		}
+	})
+}
+
+// checkPrefetch starts a Load tracker for ent on broker trackerAt, waits
+// until the tracker holds the session key (its interest is registered,
+// so the publisher now signs with tags) and until every relay broker
+// holds it too, then checks that n load reports arrive as n deliveries
+// with no unknown-session drop anywhere.
+func checkPrefetch(t *testing.T, tb *harness.Testbed, ent *core.TracedEntity, trackerAt int, relays []int) {
+	t.Helper()
+	unknown := obs.Default.Counter(obs.WithLabel("traces_dropped_total", "reason", "unknown_session"))
+	hits := obs.Default.Counter("session_verify_hits_total")
+	tt := ent.TraceTopic()
+	h, err := tb.StartTracker("prefetch-tracker", trackerAt, string(ent.Entity()), topic.NewClassSet(topic.ClassLoad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSession(t, "tracker holds the session key", func() bool { return h.Tracker.Sessions().HasTopic(tt) })
+	for _, i := range relays {
+		waitSession(t, fmt.Sprintf("relay broker %d holds the session key", i), func() bool {
+			return tb.Nodes[i].Manager.Sessions().HasTopic(tt)
+		})
+	}
+	unknown0, hits0 := unknown.Value(), hits.Value()
+	const n = 20
+	for i := 0; i < n; i++ {
+		if err := ent.ReportLoad(sysinfo.Load{CPUPercent: float64(i), At: time.Now()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	limit := time.After(15 * time.Second)
+	for got := 0; got < n; {
+		select {
+		case ev := <-h.Events:
+			if ev.Type == message.TraceLoadInformation {
+				got++
+			}
+		case <-limit:
+			t.Fatalf("%d of %d load reports delivered", got, n)
+		}
+	}
+	if d := unknown.Value() - unknown0; d != 0 {
+		t.Fatalf("traces_dropped_total{reason=unknown_session} delta = %d, want 0", d)
+	}
+	// Every hop after the host and the tracker verified each tag.
+	if d := hits.Value() - hits0; d < uint64(n*(len(relays)+1)) {
+		t.Fatalf("session_verify_hits_total delta = %d, want >= %d: the loads did not ride session tags", d, n*(len(relays)+1))
 	}
 }
